@@ -39,6 +39,7 @@ from .linalg import SolverError
 from .noncollab import NoncollabDesign, design_noncollab
 from .simulate import (
     DisturbanceSpec,
+    IntegrationBlowup,
     SimConfig,
     gain_flatness,
     settling_metric,
@@ -480,12 +481,11 @@ def _cmd_simulate(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except IntegrationBlowup as exc:
+        print(f"error: simulation blew up: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except SolverError as exc:
-        text = str(exc)
-        if "non-finite" in text:
-            print(f"error: simulation blew up: {text}", file=sys.stderr)
-            return EXIT_FAIL
-        print(f"error: design failed: {text}", file=sys.stderr)
+        print(f"error: design failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"design written: {result.design_path}")
     print(f"trajectory written: {result.trajectory_path}")

@@ -1,4 +1,4 @@
-"""Design and runtime laws for the collaborative adaptive protocol.
+"""Design and batched runtime law of the collaborative adaptive protocol.
 
 Agents exchange two signals: the usual weighted output disagreement and a
 second network sum over neighbour protocol states.  Each agent runs a full
@@ -182,15 +182,6 @@ class CollabDesign:
         return self.C.shape[0]
 
 
-@dataclass
-class CollabAgentState:
-    """Per-agent runtime state: observer estimate and the two gains."""
-
-    x_hat: np.ndarray
-    rho: float
-    alpha: float
-
-
 def _uncontrollable_margin(A, B) -> float | None:
     """Smallest decay rate among uncontrollable modes; None if controllable."""
     n = A.shape[0]
@@ -237,6 +228,15 @@ def design_collab(
         raise SolverError(
             "model does not have uniform rank; designs requiring a "
             "precompensator are out of scope"
+        )
+    # solve_dual_care_shifted hands the pair (A, C') to solve_care, which
+    # has no stabilizing solution for any eta unless that pair is
+    # stabilizable; reject such models before the eta search.
+    margin = _uncontrollable_margin(model.A, model.C.T)
+    if margin is not None and margin <= 0.0:
+        raise SolverError(
+            "observer Riccati pair (A, C') is not stabilizable, so no eta admits "
+            "a positive definite observer Riccati solution"
         )
 
     if eta_override is not None:
@@ -313,44 +313,49 @@ def solve_p_alpha(design: CollabDesign, alpha: float) -> np.ndarray:
     return design.grid.solve_exact(alpha)
 
 
-def collab_derivatives(
-    design: CollabDesign, state: CollabAgentState, zeta, zeta_tilde
-) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """One agent's protocol derivatives and control at a frozen instant.
+def collab_law(design: CollabDesign, PS: np.ndarray, Z: np.ndarray, Z_tilde: np.ndarray):
+    """The protocol's runtime law, evaluated on a batch of agents at once.
 
-    Returns (d x_hat / dt, d rho / dt, d alpha / dt, u).  Both gains are
-    nondecreasing by construction and d alpha / dt never exceeds 1.  The
-    feedback gain is alpha times the cached row at the grid point just
-    below alpha; alpha = 0 means no feedback at all.
+    Row i of PS is agent i's protocol state [x_hat, rho, alpha], row i of Z
+    its measured disagreement zeta and row i of Z_tilde the exchanged sum
+    zeta_tilde over its neighbours' observer states.
+
+    Returns (dPS, U, mismatch, exchange): dPS holds the column blocks
+    (d x_hat / dt, d rho / dt, d alpha / dt) of the protocol-state
+    derivative and U the control rows.  mismatch = |C zeta_tilde - zeta|^2
+    drives rho through the dead zone d; exchange = |C zeta_tilde|^2 drives
+    alpha at rate min(exchange, 1) above d.  Both gains are nondecreasing.
+    The feedback is alpha times the cached gain row at the P_alpha grid
+    point just below alpha; alpha = 0 means no feedback at all.
     """
-    x_hat = np.asarray(state.x_hat, dtype=float).reshape(-1)
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    zeta_tilde = np.asarray(zeta_tilde, dtype=float).reshape(-1)
-    if x_hat.shape[0] != design.n:
-        raise ValueError(f"observer state must have length {design.n}, got {x_hat.shape[0]}")
-    if zeta.shape[0] != design.p_out:
-        raise ValueError(f"measurement must have length {design.p_out}, got {zeta.shape[0]}")
-    if zeta_tilde.shape[0] != design.n:
-        raise ValueError(f"exchanged state must have length {design.n}, got {zeta_tilde.shape[0]}")
-
-    c_zt = design.C @ zeta_tilde
-    e = c_zt - zeta
-    mismatch = float(e @ e)
-    drho = mismatch if mismatch >= design.d else 0.0
-
-    exchange_energy = float(c_zt @ c_zt)
-    if exchange_energy >= 1.0:
-        dalpha = 1.0
-    elif exchange_energy >= design.d:
-        dalpha = exchange_energy
-    else:
-        dalpha = 0.0
-
-    if state.alpha > 0.0:
-        _, gain = design.grid.cell(design.grid.index_for(state.alpha))
-        u = -state.alpha * (gain @ (x_hat + zeta_tilde))
-    else:
-        u = np.zeros(design.m)
-
-    dx_hat = design.A @ x_hat + design.B @ u - state.rho * (design.QCt @ e)
-    return dx_hat, drho, dalpha, u
+    n = design.n
+    if (
+        PS.shape != (Z.shape[0], n + 2)
+        or Z.shape[1] != design.p_out
+        or Z_tilde.shape != (Z.shape[0], n)
+    ):
+        raise ValueError(
+            f"expected protocol-state, measurement and exchange rows of widths "
+            f"{n + 2}, {design.p_out} and {n}, got {PS.shape}, {Z.shape} and {Z_tilde.shape}"
+        )
+    grid, d = design.grid, design.d
+    XH = PS[:, :n]
+    RHO = PS[:, n]
+    AL = PS[:, n + 1]
+    CZ = Z_tilde @ design.C.T
+    Esig = CZ - Z
+    mismatch = np.einsum("ij,ij->i", Esig, Esig)
+    exchange = np.einsum("ij,ij->i", CZ, CZ)
+    dRHO = np.where(mismatch >= d, mismatch, 0.0)
+    dAL = np.where(exchange >= 1.0, 1.0, np.where(exchange >= d, exchange, 0.0))
+    U = np.zeros((PS.shape[0], design.m))
+    active = np.nonzero(AL > 0.0)[0]
+    if active.size:
+        ks = grid.indices_for(AL[active])
+        V = XH[active] + Z_tilde[active]
+        for kk in np.unique(ks):
+            sel = ks == kk
+            gain = grid.cell(int(kk))[1]
+            U[active[sel]] = -AL[active[sel], None] * (V[sel] @ gain.T)
+    dXH = XH @ design.A.T + U @ design.B.T - RHO[:, None] * (Esig @ design.QCt.T)
+    return (dXH, dRHO[:, None], dAL[:, None]), U, mismatch, exchange

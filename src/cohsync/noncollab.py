@@ -1,4 +1,4 @@
-"""Design and runtime laws for the noncollaborative adaptive protocol.
+"""Design and batched runtime law of the noncollaborative adaptive protocol.
 
 Each agent measures only the weighted disagreement of its output with its
 neighbours.  The controller is built offline from the agent model alone: a
@@ -88,14 +88,6 @@ class NoncollabDesign:
     def d_upper_bound(self) -> float:
         """Open upper limit of admissible dead-zone levels for this design."""
         return self.delta_bar / self.cs_norm
-
-
-@dataclass
-class NoncollabAgentState:
-    """Per-agent runtime state: observer estimate and adaptive gain."""
-
-    xi1_hat: np.ndarray
-    rho: float
 
 
 def design_noncollab(
@@ -192,59 +184,38 @@ def design_noncollab(
     )
 
 
-def split_measurement(design: NoncollabDesign, zeta) -> tuple[np.ndarray, np.ndarray]:
-    """Split a measured disagreement into its (zeta_1, zeta_2) parts.
+def noncollab_law(design: NoncollabDesign, PS: np.ndarray, Z: np.ndarray):
+    """The protocol's runtime law, evaluated on a batch of agents at once.
 
-    zeta_2 doubles as the directly measured tail of the observer estimate.
+    Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of Z
+    its measured disagreement zeta.  The measurement splits through T into
+    (zeta_1, zeta_2); zeta_2 doubles as the directly measured tail of the
+    estimate xi_hat = [xi1_hat, zeta_2] that the gain and the trigger see.
+
+    Returns (dPS, U, proxy, None): dPS holds the column blocks
+    (d xi1_hat / dt, d rho / dt) of the protocol-state derivative, U the
+    control rows u = -rho * gain_row @ xi_hat, and proxy the trigger
+    xi_hat' P xi_hat.  rho never decreases: its rate is
+    |gain_row @ xi_hat|^2 = xi_hat' kernel xi_hat while proxy >= d, and
+    zero otherwise.  The last slot, the exchange energy of the
+    collaborative law, is empty here.
     """
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    if zeta.shape[0] != design.p_out:
-        raise ValueError(f"measurement must have length {design.p_out}, got {zeta.shape[0]}")
-    zt = design.transform.T @ zeta
-    k = design.p_out - design.m
-    return zt[:k], zt[k:]
-
-
-def assemble_estimate(design: NoncollabDesign, xi1_hat, zeta) -> np.ndarray:
-    """Full estimate xi_hat = [xi1_hat; zeta_2] entering gain and trigger."""
-    xi1_hat = np.asarray(xi1_hat, dtype=float).reshape(-1)
-    if xi1_hat.shape[0] != design.n1:
-        raise ValueError(f"observer state must have length {design.n1}, got {xi1_hat.shape[0]}")
-    _, zeta2 = split_measurement(design, zeta)
-    return np.concatenate([xi1_hat, zeta2])
-
-
-def coherency_proxy(design: NoncollabDesign, xi_hat) -> float:
-    """Quadratic trigger xi_hat' P xi_hat compared against d by the gain law."""
-    xi_hat = np.asarray(xi_hat, dtype=float).reshape(-1)
-    if xi_hat.shape[0] != design.n:
-        raise ValueError(f"estimate must have length {design.n}, got {xi_hat.shape[0]}")
-    return float(xi_hat @ design.P @ xi_hat)
-
-
-def noncollab_derivatives(
-    design: NoncollabDesign, state: NoncollabAgentState, zeta
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """One agent's protocol derivatives and control at a frozen instant.
-
-    Returns (d xi1_hat / dt, d rho / dt, u).  rho never decreases: its
-    derivative is a positive quadratic form gated by the dead zone
-    xi_hat' P xi_hat >= d, and zero otherwise.
-    """
-    xi1_hat = np.asarray(state.xi1_hat, dtype=float).reshape(-1)
-    if xi1_hat.shape[0] != design.n1:
-        raise ValueError(f"observer state must have length {design.n1}, got {xi1_hat.shape[0]}")
-    zeta1, zeta2 = split_measurement(design, zeta)
     tr = design.transform
-
-    innovation = tr.C1 @ xi1_hat - zeta1
-    dxi1 = tr.A11 @ xi1_hat + tr.A12 @ zeta2 + design.H1 @ innovation
-
-    xi_hat = np.concatenate([xi1_hat, zeta2])
-    if float(xi_hat @ design.P @ xi_hat) >= design.d:
-        drho = float(xi_hat @ design.kernel @ xi_hat)
-    else:
-        drho = 0.0
-
-    u = -state.rho * (design.gain_row @ xi_hat)
-    return dxi1, drho, u
+    n1, k = tr.n1, design.p_out - design.m
+    if PS.shape != (Z.shape[0], n1 + 1) or Z.shape[1] != design.p_out:
+        raise ValueError(
+            f"expected protocol-state rows of width {n1 + 1} and measurement rows of "
+            f"width {design.p_out}, got {PS.shape} and {Z.shape}"
+        )
+    XI1 = PS[:, :n1]
+    RHO = PS[:, n1]
+    ZT = Z @ tr.T.T
+    Z1, Z2 = ZT[:, :k], ZT[:, k:]
+    dXI1 = XI1 @ tr.A11.T + Z2 @ tr.A12.T + (XI1 @ tr.C1.T - Z1) @ design.H1.T
+    XIH = np.hstack([XI1, Z2])
+    GX = XIH @ design.gain_row.T
+    proxy = np.einsum("ij,ij->i", XIH, XIH @ design.P)
+    drive = np.einsum("ij,ij->i", GX, GX)
+    dRHO = np.where(proxy >= design.d, drive, 0.0)
+    U = -RHO[:, None] * GX
+    return (dXI1, dRHO[:, None]), U, proxy, None

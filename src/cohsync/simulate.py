@@ -1,10 +1,14 @@
-"""Fixed-step closed-loop simulation of agent networks under either protocol.
+"""Fixed-step RK4 network integrator for either protocol.
 
-The engine integrates the stacked agent + protocol dynamics with the
-classical fourth-order Runge-Kutta scheme on a fixed grid.  Dead-zone
-branches in the gain laws are re-evaluated at every substep; no event
-localization is attempted, since crossing a dead zone only switches
-between nonnegative growth rates.
+The integrator owns what every protocol shares: the agents' plant dynamics,
+the network sums through the graph Laplacian, the disturbance rows, the
+classical fourth-order Runge-Kutta scheme on a fixed grid, blow-up and
+growth detection, and recording.  The protocol itself enters only as its
+batched runtime law (noncollab.noncollab_law or collab.collab_law),
+evaluated on all agent rows of a component at once; this module reads
+none of a design's gains.  Dead-zone branches in the gain laws are
+re-evaluated at every substep; no event localization is attempted, since
+crossing a dead zone only switches between nonnegative growth rates.
 
 Disconnected graphs are simulated one weakly connected component at a
 time, each component with exactly the arrays a standalone run of that
@@ -19,16 +23,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import AgentModel
-from .collab import CollabDesign
+from .collab import CollabDesign, collab_law
 from .graphs import DirectedWeightedGraph, laplacian, weakly_connected_components
 from .linalg import SolverError
-from .noncollab import NoncollabDesign
+from .noncollab import NoncollabDesign, noncollab_law
 
 # A single RK4 step multiplying the state envelope by more than this is
 # reported as a step-size warning.
 _GROWTH_LIMIT = 1e3
 
 _DISTURBANCE_KINDS = ("zero", "chirp", "sawtooth", "table")
+
+
+class IntegrationBlowup(SolverError):
+    """The integrated state stopped being finite (design or step size at fault)."""
 
 
 @dataclass
@@ -73,24 +81,6 @@ class DisturbanceSpec:
                 raise ValueError("table times must be strictly increasing, length >= 2")
 
 
-def disturbance_value(spec: DisturbanceSpec, agent_index: int, t: float) -> np.ndarray:
-    """Disturbance vector for one agent at one time (reference evaluation)."""
-    if agent_index < 1:
-        raise ValueError("agent_index is 1-based")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if spec.kind == "zero":
-        return np.zeros(spec.width)
-    if spec.kind == "chirp":
-        return np.full(spec.width, np.sin(0.1 * agent_index * t + 0.01 * t * t))
-    if spec.kind == "sawtooth":
-        s = agent_index * t
-        return np.full(spec.width, s - np.round(s))
-    if t < spec.times[0] or t > spec.times[-1]:
-        raise ValueError(f"t={t} outside the disturbance table range")
-    return np.array([np.interp(t, spec.times, spec.values[:, j]) for j in range(spec.width)])
-
-
 def _disturbance_rows(spec: DisturbanceSpec, indices: np.ndarray, t: float, width: int) -> np.ndarray:
     """Vectorized disturbance block, one row per agent."""
     n_agents = indices.shape[0]
@@ -107,22 +97,6 @@ def _disturbance_rows(spec: DisturbanceSpec, indices: np.ndarray, t: float, widt
         raise ValueError(f"t={t} outside the disturbance table range")
     row = np.array([np.interp(t, spec.times, spec.values[:, j]) for j in range(width)])
     return np.tile(row, (n_agents, 1))
-
-
-def network_signals(graph: DirectedWeightedGraph, outputs) -> np.ndarray:
-    """Weighted output disagreements: row i is sum_j l_ij y_j."""
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-    if outputs.shape[0] != graph.n_nodes:
-        raise ValueError(f"expected {graph.n_nodes} output rows, got {outputs.shape[0]}")
-    return laplacian(graph) @ outputs
-
-
-def protocol_exchange(graph: DirectedWeightedGraph, protocol_states) -> np.ndarray:
-    """Second network sum over neighbour protocol states (collaborative only)."""
-    states = np.atleast_2d(np.asarray(protocol_states, dtype=float))
-    if states.shape[0] != graph.n_nodes:
-        raise ValueError(f"expected {graph.n_nodes} state rows, got {states.shape[0]}")
-    return laplacian(graph) @ states
 
 
 @dataclass
@@ -177,117 +151,36 @@ class SimulationRun:
         return self.agent_indices.shape[0]
 
 
-def _noncollab_rhs(model, design, L, spec, indices):
-    tr = design.transform
+def _simulate_component(model, law, ps0, L, spec, indices, x0, dt, n_steps, stride):
     A_T, B_T, E_T, C_T = model.A.T, model.B.T, model.E.T, model.C.T
-    A11_T, A12_T, C1_T, H1_T = tr.A11.T, tr.A12.T, tr.C1.T, design.H1.T
-    T_T = tr.T.T
-    P, G = design.P, design.gain_row
-    n, n1, m, w = model.n, tr.n1, model.m, model.w
-    k_split = design.p_out - design.m
-    d = design.d
+    n, w = model.n, model.w
 
-    def rhs(t, S, want_extras=False):
+    def rhs(t, S):
         X = S[:, :n]
-        XI1 = S[:, n : n + n1]
-        RHO = S[:, n + n1]
         Y = X @ C_T
         Z = L @ Y
-        ZT = Z @ T_T
-        Z1, Z2 = ZT[:, :k_split], ZT[:, k_split:]
-        dXI1 = XI1 @ A11_T + Z2 @ A12_T + (XI1 @ C1_T - Z1) @ H1_T
-        XIH = np.hstack([XI1, Z2])
-        GX = XIH @ G.T
-        proxy = np.einsum("ij,ij->i", XIH, XIH @ P)
-        drive = np.einsum("ij,ij->i", GX, GX)
-        dRHO = np.where(proxy >= d, drive, 0.0)
-        U = -RHO[:, None] * GX
+        dPS, U, proxy, exch = law(S[:, n:], Z, L)
         W = _disturbance_rows(spec, indices, t, w)
         dX = X @ A_T + U @ B_T + W @ E_T
-        dS = np.hstack([dX, dXI1, dRHO[:, None]])
-        if not want_extras:
-            return dS, None
-        return dS, (Y, Z, U, proxy, None)
+        return np.hstack((dX,) + dPS), (Y, Z, U, proxy, exch)
 
-    return rhs, n + n1 + 1, n1
-
-
-def _collab_rhs(model, design, L, spec, indices):
-    A_T, B_T, E_T, C_T = model.A.T, model.B.T, model.E.T, model.C.T
-    QCt_T = design.QCt.T
-    grid = design.grid
-    n, m, w = model.n, model.m, model.w
-    d = design.d
-
-    def rhs(t, S, want_extras=False):
-        X = S[:, :n]
-        XH = S[:, n : 2 * n]
-        RHO = S[:, 2 * n]
-        AL = S[:, 2 * n + 1]
-        Y = X @ C_T
-        Z = L @ Y
-        ZTE = L @ XH
-        CZ = ZTE @ C_T
-        Esig = CZ - Z
-        mismatch = np.einsum("ij,ij->i", Esig, Esig)
-        exchange = np.einsum("ij,ij->i", CZ, CZ)
-        dRHO = np.where(mismatch >= d, mismatch, 0.0)
-        dAL = np.where(exchange >= 1.0, 1.0, np.where(exchange >= d, exchange, 0.0))
-        U = np.zeros((S.shape[0], m))
-        active = np.nonzero(AL > 0.0)[0]
-        if active.size:
-            ks = grid.indices_for(AL[active])
-            V = XH[active] + ZTE[active]
-            for kk in np.unique(ks):
-                sel = ks == kk
-                gain = grid.cell(int(kk))[1]
-                U[active[sel]] = -AL[active[sel], None] * (V[sel] @ gain.T)
-        dXH = XH @ A_T + U @ B_T - RHO[:, None] * (Esig @ QCt_T)
-        W = _disturbance_rows(spec, indices, t, w)
-        dX = X @ A_T + U @ B_T + W @ E_T
-        dS = np.hstack([dX, dXH, dRHO[:, None], dAL[:, None]])
-        if not want_extras:
-            return dS, None
-        return dS, (Y, Z, U, mismatch, exchange)
-
-    return rhs, 2 * n + 2, n
-
-
-def _simulate_component(model, design, protocol, L, spec, indices, x0, rho0, alpha0, dt, n_steps, stride):
-    if protocol == "noncollaborative":
-        rhs, width, ps_width = _noncollab_rhs(model, design, L, spec, indices)
-    else:
-        rhs, width, ps_width = _collab_rhs(model, design, L, spec, indices)
-
-    n = model.n
-    n_agents = L.shape[0]
-    S = np.zeros((n_agents, width))
+    # State rows are [x, protocol state]; the protocol state starts at ps0.
+    S = np.zeros((L.shape[0], n + ps0.shape[0]))
     S[:, :n] = x0
-    S[:, n + ps_width] = rho0
-    if protocol == "collaborative":
-        S[:, n + ps_width + 1] = alpha0
+    S[:, n:] = ps0
 
-    rec = {key: [] for key in ("t", "x", "ps", "rho", "alpha", "y", "z", "u", "proxy", "exch")}
+    times, rows, extras = [], [], []
     warnings: list[str] = []
     half = 0.5 * dt
     sixth = dt / 6.0
 
     for k in range(n_steps + 1):
         t = k * dt
-        record = (k % stride == 0) or (k == n_steps)
-        k1, extras = rhs(t, S, want_extras=record)
-        if record:
-            Y, Z, U, proxy, exch = extras
-            rec["t"].append(t)
-            rec["x"].append(S[:, :n].copy())
-            rec["ps"].append(S[:, n : n + ps_width].copy())
-            rec["rho"].append(S[:, n + ps_width].copy())
-            rec["alpha"].append(S[:, n + ps_width + 1].copy() if protocol == "collaborative" else None)
-            rec["y"].append(Y)
-            rec["z"].append(Z)
-            rec["u"].append(U)
-            rec["proxy"].append(proxy)
-            rec["exch"].append(exch)
+        k1, signals = rhs(t, S)
+        if (k % stride == 0) or (k == n_steps):
+            times.append(t)
+            rows.append(S.copy())
+            extras.append(signals)
         if k == n_steps:
             break
         k2, _ = rhs(t + half, S + half * k1)
@@ -295,7 +188,7 @@ def _simulate_component(model, design, protocol, L, spec, indices, x0, rho0, alp
         k4, _ = rhs(t + dt, S + dt * k3)
         S_new = S + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(S_new)):
-            raise SolverError(
+            raise IntegrationBlowup(
                 f"state became non-finite at t={t + dt:.6g}; "
                 "the run blew up (check the design or reduce dt)"
             )
@@ -308,20 +201,10 @@ def _simulate_component(model, design, protocol, L, spec, indices, x0, rho0, alp
             )
         S = S_new
 
-    out = {
-        "t": np.array(rec["t"]),
-        "x": np.stack(rec["x"]),
-        "ps": np.stack(rec["ps"]),
-        "rho": np.stack(rec["rho"]),
-        "y": np.stack(rec["y"]),
-        "z": np.stack(rec["z"]),
-        "u": np.stack(rec["u"]),
-        "proxy": np.stack(rec["proxy"]),
-        "warnings": warnings,
-    }
-    if protocol == "collaborative":
-        out["alpha"] = np.stack(rec["alpha"])
-        out["exch"] = np.stack(rec["exch"])
+    out = {"t": np.array(times), "S": np.stack(rows), "warnings": warnings}
+    for key, column in zip(("y", "z", "u", "proxy", "exch"), zip(*extras)):
+        if column[0] is not None:
+            out[key] = np.stack(column)
     return out
 
 
@@ -331,12 +214,19 @@ def simulate(config: SimConfig) -> SimulationRun:
     Deterministic: identical configs give bit-identical results.  The
     horizon is rounded to a whole number of steps of dt; recording happens
     every record_stride steps and always at the final step.
+
+    Raises IntegrationBlowup when the state stops being finite.
     """
     model, graph, design = config.model, config.graph, config.design
     if isinstance(design, NoncollabDesign):
         protocol = "noncollaborative"
         if design.n != model.n or design.p_out != model.p or design.m != model.m:
             raise ValueError("design dimensions do not match the model")
+        obs_width = design.n1
+
+        def law(PS, Z, L):
+            return noncollab_law(design, PS, Z)
+
     elif isinstance(design, CollabDesign):
         protocol = "collaborative"
         if not (
@@ -345,8 +235,15 @@ def simulate(config: SimConfig) -> SimulationRun:
             and np.array_equal(design.C, model.C)
         ):
             raise ValueError("design was built for a different model")
+        obs_width = design.n
+
+        def law(PS, Z, L):
+            # Collaborating agents also exchange their observer states.
+            return collab_law(design, PS, Z, L @ PS[:, :obs_width])
+
     else:
         raise TypeError("design must be a NoncollabDesign or CollabDesign")
+    collaborative = protocol == "collaborative"
 
     if not config.dt > 0.0:
         raise ValueError("dt must be positive")
@@ -375,8 +272,9 @@ def simulate(config: SimConfig) -> SimulationRun:
     alpha0 = float(config.initial_alpha)
     if rho0 < 0.0 or alpha0 < 0.0:
         raise ValueError("initial gains must be nonnegative")
-    if alpha0 != 0.0 and protocol != "collaborative":
+    if alpha0 != 0.0 and not collaborative:
         raise ValueError("initial_alpha applies only to the collaborative protocol")
+    ps0 = np.concatenate([np.zeros(obs_width), [rho0, alpha0] if collaborative else [rho0]])
 
     if config.initial_states is not None:
         x0 = np.asarray(config.initial_states, dtype=float)
@@ -402,14 +300,12 @@ def simulate(config: SimConfig) -> SimulationRun:
             sel = np.asarray(comp, dtype=int)
             piece = _simulate_component(
                 model,
-                design,
-                protocol,
+                law,
+                ps0,
                 L[np.ix_(sel, sel)],
                 spec,
                 indices[sel],
                 x0[sel],
-                rho0,
-                alpha0,
                 config.dt,
                 n_steps,
                 stride,
@@ -429,21 +325,23 @@ def simulate(config: SimConfig) -> SimulationRun:
     for sel, piece in pieces:
         warnings.extend(piece["warnings"])
 
+    S = merge("S", (model.n + ps0.shape[0],))
+    rho_col = model.n + obs_width
     zeta = merge("z", (model.p,))
     run = SimulationRun(
         protocol=protocol,
         times=times,
         agent_indices=indices.astype(int),
-        states=merge("x", (model.n,)),
-        protocol_states=merge("ps", (pieces[0][1]["ps"].shape[2],)),
+        states=S[:, :, : model.n],
+        protocol_states=S[:, :, model.n : rho_col],
         outputs=merge("y", (model.p,)),
         controls=merge("u", (model.m,)),
         zeta=zeta,
-        rho=merge("rho", ()),
+        rho=S[:, :, rho_col],
         coherency_norm=np.linalg.norm(zeta, axis=2),
         coherency_proxy=merge("proxy", ()),
-        alpha=merge("alpha", ()) if protocol == "collaborative" else None,
-        exchange_energy=merge("exch", ()) if protocol == "collaborative" else None,
+        alpha=S[:, :, rho_col + 1] if collaborative else None,
+        exchange_energy=merge("exch", ()) if collaborative else None,
         dt=config.dt,
         t_end=float(times[-1]),
         record_stride=stride,

@@ -342,7 +342,8 @@ def test_cli_design_bundled(tmp_path, capsys):
 
 
 def test_cli_design_rejects_impossible_model(tmp_path, capsys):
-    # double integrator with CB = 0 has no relative-degree-1 realization
+    # the double integrator meets the collaborative protocol's structural
+    # conditions, but its observer Riccati pair (A, C') is not stabilizable
     data = tiny_collab_dict(
         model={"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
     )

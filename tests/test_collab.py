@@ -1,16 +1,11 @@
-"""Collaborative protocol design, the alpha-Riccati grid, and derivative laws."""
+"""Collaborative protocol design, the alpha-Riccati grid, and the batched runtime law."""
 
 import numpy as np
 import pytest
 
+import cohsync.collab
 from cohsync.agents import AgentModel, check_assumptions
-from cohsync.collab import (
-    CollabAgentState,
-    collab_derivatives,
-    design_collab,
-    p_alpha_family,
-    solve_p_alpha,
-)
+from cohsync.collab import collab_law, design_collab, p_alpha_family, solve_p_alpha
 from cohsync.linalg import SolverError, min_eigenvalue_sym, solve_care
 
 import golden
@@ -91,6 +86,19 @@ def test_uniform_rank_gate():
     with pytest.raises(SolverError) as excinfo:
         design_collab(AgentModel(A, B, C), delta=1.0)
     assert "uniform rank" in str(excinfo.value)
+
+
+def test_unstabilizable_observer_pair_rejected_before_eta_search(monkeypatch):
+    # The double integrator admits the protocol's structural conditions, but
+    # the pair (A, C') that the observer Riccati solve is handed has an
+    # uncontrollable mode at 0, so no eta can succeed.
+    calls = []
+    monkeypatch.setattr(cohsync.collab, "solve_dual_care_shifted", lambda *args: calls.append(args))
+    model = AgentModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+    for eta_override in (None, 1.0):
+        with pytest.raises(SolverError, match="not stabilizable"):
+            design_collab(model, delta=1.0, eta_override=eta_override)
+    assert calls == []
 
 
 def test_grid_indexing():
@@ -174,10 +182,18 @@ def test_solve_p_alpha_on_and_off_grid():
     assert all(abs(design.grid.alpha_at(k) - 1.3) > 1e-9 for k in design.grid.cached_indices())
 
 
+def one_agent(design, x_hat, rho, alpha, zeta, zeta_tilde):
+    """The batched law on a single agent row: (dx_hat, drho, dalpha, u)."""
+    PS = np.concatenate([np.asarray(x_hat, dtype=float), [rho, alpha]])[None, :]
+    Z = np.asarray(zeta, dtype=float)[None, :]
+    Z_tilde = np.asarray(zeta_tilde, dtype=float)[None, :]
+    (dx, drho, dalpha), u, _, _ = collab_law(design, PS, Z, Z_tilde)
+    return dx[0], drho[0, 0], dalpha[0, 0], u[0]
+
+
 def test_equilibrium_all_derivatives_zero():
     design = reference_design()
-    state = CollabAgentState(np.zeros(3), 0.0, 0.0)
-    dx, drho, dalpha, u = collab_derivatives(design, state, np.zeros(1), np.zeros(3))
+    dx, drho, dalpha, u = one_agent(design, np.zeros(3), 0.0, 0.0, np.zeros(1), np.zeros(3))
     assert np.all(dx == 0.0)
     assert drho == 0.0
     assert dalpha == 0.0
@@ -186,24 +202,24 @@ def test_equilibrium_all_derivatives_zero():
 
 def test_gain_law_branch_boundaries():
     design = reference_design(delta=2.0)  # d = 0.5
-    state = CollabAgentState(np.zeros(3), 1.0, 0.0)
 
-    def signals(mismatch_energy, exchange_energy):
+    def gains(mismatch_energy, exchange_energy):
         zt = np.array([np.sqrt(exchange_energy), 0.0, 0.0])
         zeta = np.array([design.C @ zt - np.sqrt(mismatch_energy)]).reshape(-1)
-        return zeta, zt
+        PS = np.concatenate([np.zeros(3), [1.0, 0.0]])[None, :]
+        (_, drho, dalpha), _, mismatch, exchange = collab_law(design, PS, zeta[None, :], zt[None, :])
+        assert mismatch[0] == pytest.approx(mismatch_energy, rel=1e-12)
+        assert exchange[0] == pytest.approx(exchange_energy, rel=1e-12)
+        return drho[0, 0], dalpha[0, 0]
 
-    zeta, zt = signals(design.d / 2.0, design.d / 4.0)
-    _, drho, dalpha, _ = collab_derivatives(design, state, zeta, zt)
+    drho, dalpha = gains(design.d / 2.0, design.d / 4.0)
     assert drho == 0.0 and dalpha == 0.0
 
-    zeta, zt = signals(design.d, 0.6)
-    _, drho, dalpha, _ = collab_derivatives(design, state, zeta, zt)
+    drho, dalpha = gains(design.d, 0.6)
     assert drho == pytest.approx(design.d, rel=1e-12)
     assert dalpha == pytest.approx(0.6, rel=1e-12)
 
-    zeta, zt = signals(3.0, 2.0)
-    _, drho, dalpha, _ = collab_derivatives(design, state, zeta, zt)
+    drho, dalpha = gains(3.0, 2.0)
     assert drho == pytest.approx(3.0, rel=1e-12)
     assert dalpha == 1.0
 
@@ -212,8 +228,7 @@ def test_feedback_uses_quantized_grid_cell():
     design = reference_design()
     x_hat = np.array([0.4, -0.2, 0.1])
     zt = np.array([0.05, 0.0, -0.03])
-    state = CollabAgentState(x_hat, 0.7, 1.3)
-    _, _, _, u = collab_derivatives(design, state, np.zeros(1), zt)
+    u = one_agent(design, x_hat, 0.7, 1.3, np.zeros(1), zt)[3]
 
     k = design.grid.index_for(1.3)
     P_cell, _ = design.grid.cell(k)
@@ -225,8 +240,7 @@ def test_feedback_uses_quantized_grid_cell():
 def test_unit_alpha_feedback_matches_fresh_solve():
     design = reference_design()
     x_hat = np.eye(3)[1]
-    state = CollabAgentState(x_hat, 0.0, 1.0)
-    _, _, _, u = collab_derivatives(design, state, np.zeros(1), np.zeros(3))
+    u = one_agent(design, x_hat, 0.0, 1.0, np.zeros(1), np.zeros(3))[3]
     fresh = solve_care(design.grid.A_shifted, design.B, w_state=design.CtC, gain_scale=1.0)
     assert np.allclose(u, -(design.B.T @ fresh @ x_hat), atol=1e-9)
 
@@ -237,8 +251,7 @@ def test_alpha_zero_means_pure_observer():
     x_hat = rng.standard_normal(3)
     zeta = rng.standard_normal(1)
     zt = rng.standard_normal(3)
-    state = CollabAgentState(x_hat, 2.0, 0.0)
-    dx, _, _, u = collab_derivatives(design, state, zeta, zt)
+    dx, _, _, u = one_agent(design, x_hat, 2.0, 0.0, zeta, zt)
     assert np.all(u == 0.0)
     e = design.C @ zt - zeta
     assert np.allclose(dx, design.A @ x_hat - 2.0 * (design.QCt @ e), atol=0)
@@ -254,9 +267,7 @@ def test_observer_loop_independent_of_feedback_gain():
     zt = rng.standard_normal(3)
     outs = []
     for alpha in (0.0, 1.0, 7.3):
-        dx, _, _, u = collab_derivatives(
-            design, CollabAgentState(x_hat, 1.5, alpha), zeta, zt
-        )
+        dx, _, _, u = one_agent(design, x_hat, 1.5, alpha, zeta, zt)
         outs.append(dx - design.B @ u)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
@@ -266,11 +277,13 @@ def test_gains_never_decrease_and_alpha_rate_capped():
     design = reference_design()
     rng = np.random.default_rng(17)
     for _ in range(50):
-        state = CollabAgentState(
-            rng.standard_normal(3), float(rng.random() * 4), float(rng.random() * 4)
-        )
-        _, drho, dalpha, _ = collab_derivatives(
-            design, state, rng.standard_normal(1) * 2, rng.standard_normal(3) * 2
+        _, drho, dalpha, _ = one_agent(
+            design,
+            rng.standard_normal(3),
+            float(rng.random() * 4),
+            float(rng.random() * 4),
+            rng.standard_normal(1) * 2,
+            rng.standard_normal(3) * 2,
         )
         assert drho >= 0.0
         assert 0.0 <= dalpha <= 1.0
@@ -278,10 +291,41 @@ def test_gains_never_decrease_and_alpha_rate_capped():
 
 def test_dimension_mismatches_rejected():
     design = reference_design()
-    good = CollabAgentState(np.zeros(3), 0.0, 0.0)
     with pytest.raises(ValueError):
-        collab_derivatives(design, good, np.zeros(2), np.zeros(3))
+        one_agent(design, np.zeros(3), 0.0, 0.0, np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
-        collab_derivatives(design, good, np.zeros(1), np.zeros(2))
+        one_agent(design, np.zeros(3), 0.0, 0.0, np.zeros(1), np.zeros(2))
     with pytest.raises(ValueError):
-        collab_derivatives(design, CollabAgentState(np.zeros(2), 0.0, 0.0), np.zeros(1), np.zeros(3))
+        one_agent(design, np.zeros(2), 0.0, 0.0, np.zeros(1), np.zeros(3))
+    with pytest.raises(ValueError):
+        collab_law(design, np.zeros((2, 5)), np.zeros((3, 1)), np.zeros((3, 3)))
+
+
+def test_batched_rows_match_single_agent_calls():
+    # Rows in three different P_alpha cells and one with alpha = 0 share a
+    # batch; see the noncollaborative twin of this test for why the
+    # comparison is not bitwise.
+    design = reference_design()
+    rng = np.random.default_rng(29)
+    rho = [0.5, 2.0, 0.0, 1.2, 3.0]
+    alpha = [1.0, 1.3, 2.7, 0.0, 1.31]
+    PS = np.column_stack([rng.standard_normal((5, 3)), rho, alpha])
+    Z = rng.standard_normal((5, 1))
+    Z_tilde = rng.standard_normal((5, 3))
+    assert len(set(design.grid.indices_for(PS[[0, 1, 2, 4], 4]).tolist())) == 3
+    (dx, drho, dalpha), U, mismatch, exchange = collab_law(design, PS, Z, Z_tilde)
+    for i in range(5):
+        rows = slice(i, i + 1)
+        (dx_i, drho_i, dalpha_i), U_i, mismatch_i, exchange_i = collab_law(
+            design, PS[rows], Z[rows], Z_tilde[rows]
+        )
+        pairs = (
+            (dx, dx_i),
+            (drho, drho_i),
+            (dalpha, dalpha_i),
+            (U, U_i),
+            (mismatch, mismatch_i),
+            (exchange, exchange_i),
+        )
+        for batched, single in pairs:
+            assert np.allclose(batched[i], single[0], rtol=1e-13, atol=1e-15)

@@ -55,6 +55,50 @@ def test_laplacian_row_sums_zero(n, seed):
     assert np.max(np.abs(L.sum(axis=1))) <= 1e-14 * max(1.0, np.max(np.abs(L)))
 
 
+# The simulator forms every network sum (the disagreements zeta = L Y and
+# the collaborative exchange L X_hat) as laplacian(g) @ rows.
+
+
+def test_laplacian_product_zero_for_agreeing_outputs():
+    g = DirectedWeightedGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
+    z = laplacian(g) @ np.array([[1.5], [1.5]])
+    assert np.all(z == 0.0)
+
+
+def test_laplacian_product_single_edge():
+    g = DirectedWeightedGraph.from_edges(2, [(0, 1, 1.0)])
+    z = laplacian(g) @ np.array([[1.0], [0.0]])
+    assert z[0, 0] == 0.0
+    assert z[1, 0] == -1.0
+
+
+def test_laplacian_product_matches_kron_oracle():
+    rng = np.random.default_rng(2)
+    g = generate_circulant(25)
+    Y = rng.standard_normal((25, 2))
+    L = laplacian(g)
+    oracle = (np.kron(L, np.eye(2)) @ Y.reshape(-1)).reshape(25, 2)
+    assert np.allclose(L @ Y, oracle, atol=1e-12)
+
+
+def test_laplacian_product_respects_blocks():
+    g = generate_disconnected_composite((3, 4), seed=1)
+    L = laplacian(g)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((7, 2))
+    full = L @ X
+    # Zeroing the other block's states must not change a block's signals.
+    X_masked = X.copy()
+    X_masked[3:] = 0.0
+    assert np.array_equal((L @ X_masked)[:3], full[:3])
+    single = X.copy()
+    single[:2] = 0.0
+    single[3:] = 0.0
+    sig = L @ single
+    L_direct = np.diag(g.adjacency.sum(axis=1)) - g.adjacency
+    assert np.allclose(sig, np.outer(L_direct[:, 2], X[2]), atol=1e-12)
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         DirectedWeightedGraph(np.array([[1.0, 0.0], [0.0, 0.0]]))  # self-loop

@@ -1,18 +1,11 @@
-"""Noncollaborative protocol design and derivative laws."""
+"""Noncollaborative protocol design and its batched runtime law."""
 
 import numpy as np
 import pytest
 
 from cohsync.agents import AgentModel
 from cohsync.linalg import SolverError
-from cohsync.noncollab import (
-    NoncollabAgentState,
-    assemble_estimate,
-    coherency_proxy,
-    design_noncollab,
-    noncollab_derivatives,
-    split_measurement,
-)
+from cohsync.noncollab import design_noncollab, noncollab_law
 
 import golden
 
@@ -112,19 +105,33 @@ def test_assumption_gate_names_failing_condition():
     assert "minimum-phase" in str(excinfo.value)
 
 
+def one_agent(design, xi1_hat, rho, zeta):
+    """The batched law on a single agent row: (dxi1, drho, u, proxy)."""
+    PS = np.append(np.asarray(xi1_hat, dtype=float), rho)[None, :]
+    Z = np.asarray(zeta, dtype=float)[None, :]
+    (dxi1, drho), u, proxy, exchange = noncollab_law(design, PS, Z)
+    assert exchange is None
+    return dxi1[0], drho[0, 0], u[0], proxy[0]
+
+
+def measurement_for(design, xi1_hat, xi_tail):
+    """A measurement whose split puts xi_tail into the estimate's tail."""
+    k = design.p_out - design.m
+    return np.linalg.solve(design.transform.T, np.concatenate([np.zeros(k), xi_tail]))
+
+
 def test_equilibrium_all_derivatives_zero():
     design = reference_design()
-    state = NoncollabAgentState(xi1_hat=np.zeros(3), rho=0.0)
-    dxi1, drho, u = noncollab_derivatives(design, state, np.zeros(2))
+    dxi1, drho, u, proxy = one_agent(design, np.zeros(3), 0.0, np.zeros(2))
     assert np.all(dxi1 == 0.0)
     assert drho == 0.0
     assert np.all(u == 0.0)
+    assert proxy == 0.0
 
 
 def test_zero_measurement_keeps_rho_frozen():
     design = reference_design()
-    state = NoncollabAgentState(xi1_hat=np.zeros(3), rho=3.5)
-    dxi1, drho, u = noncollab_derivatives(design, state, np.zeros(2))
+    dxi1, drho, u, _ = one_agent(design, np.zeros(3), 3.5, np.zeros(2))
     assert np.all(dxi1 == 0.0)
     assert drho == 0.0
     assert np.all(u == 0.0)
@@ -135,15 +142,15 @@ def test_dead_zone_branches():
     # Scale a probe estimate to straddle the threshold from both sides.
     probe = np.array([1.0, -0.5, 0.25])
     zeta = np.zeros(2)
-    quad = coherency_proxy(design, assemble_estimate(design, probe, zeta))
+    quad = one_agent(design, probe, 1.0, zeta)[3]
     below = probe * np.sqrt(0.5 * design.d / quad)
     above = probe * np.sqrt(2.0 * design.d / quad)
 
-    _, drho_below, _ = noncollab_derivatives(design, NoncollabAgentState(below, 1.0), zeta)
+    drho_below = one_agent(design, below, 1.0, zeta)[1]
     assert drho_below == 0.0
 
-    _, drho_above, _ = noncollab_derivatives(design, NoncollabAgentState(above, 1.0), zeta)
-    xi = assemble_estimate(design, above, zeta)
+    drho_above = one_agent(design, above, 1.0, zeta)[1]
+    xi = np.concatenate([above, [0.0]])
     assert drho_above == pytest.approx(float(xi @ design.kernel @ xi), rel=1e-12)
     assert drho_above > 0.0
 
@@ -159,7 +166,7 @@ def test_unit_estimate_reproduces_gain_row():
         else:
             xi1 = np.zeros(3)
             zeta = np.array([0.0, 1.0])
-        _, _, u = noncollab_derivatives(design, NoncollabAgentState(xi1, 1.0), zeta)
+        u = one_agent(design, xi1, 1.0, zeta)[2]
         assert u.shape == (1,)
         assert u[0] == pytest.approx(-design.gain_row[0, j], abs=1e-15)
         assert u[0] == pytest.approx(-golden.NONCOLLAB_GAIN_ROW_REF[j], abs=1e-3)
@@ -167,46 +174,82 @@ def test_unit_estimate_reproduces_gain_row():
 
 def test_proxy_is_rayleigh_quotient():
     design = reference_design()
+
+    def proxy_of(xi):
+        return one_agent(design, xi[:3], 0.0, measurement_for(design, xi[:3], xi[3:]))[3]
+
     lam, vecs = np.linalg.eigh(design.P)
     v = vecs[:, 0]
-    assert coherency_proxy(design, v) == pytest.approx(lam[0], rel=1e-12)
-    assert coherency_proxy(design, np.zeros(4)) == 0.0
+    assert proxy_of(v) == pytest.approx(lam[0], rel=1e-12)
+    assert proxy_of(np.zeros(4)) == 0.0
 
     rng = np.random.default_rng(7)
     for _ in range(10):
         xi = rng.standard_normal(4)
         direct = sum(design.P[a, b] * xi[a] * xi[b] for a in range(4) for b in range(4))
-        assert coherency_proxy(design, xi) == pytest.approx(direct, rel=1e-12)
+        assert proxy_of(xi) == pytest.approx(direct, rel=1e-12)
 
 
 def test_rho_derivative_never_negative():
     design = reference_design()
     rng = np.random.default_rng(11)
     for _ in range(50):
-        state = NoncollabAgentState(rng.standard_normal(3) * 3.0, float(rng.random() * 5.0))
-        _, drho, _ = noncollab_derivatives(design, state, rng.standard_normal(2) * 3.0)
+        drho = one_agent(
+            design, rng.standard_normal(3) * 3.0, float(rng.random() * 5.0), rng.standard_normal(2) * 3.0
+        )[1]
         assert drho >= 0.0
 
 
-def test_split_measurement_uses_output_mix():
+def test_measurement_split_uses_output_mix():
+    # T is the identity for the reference design, so the split is a slice:
+    # zeta_1 = 0.7 enters the observer innovation, zeta_2 = -0.3 the
+    # estimate's measured tail.
     design = reference_design()
-    z1, z2 = split_measurement(design, [0.7, -0.3])
-    # T is the identity for this design, so the split is a slice.
-    assert z1 == pytest.approx([0.7])
-    assert z2 == pytest.approx([-0.3])
+    tr = design.transform
+    dxi1, _, u, _ = one_agent(design, np.zeros(3), 1.0, [0.7, -0.3])
+    assert np.allclose(dxi1, tr.A12 @ [-0.3] - design.H1 @ [0.7], rtol=0, atol=1e-15)
+    assert u[0] == pytest.approx(0.3 * design.gain_row[0, 3], rel=1e-15)
+
+    # The automatic transform mixes (here: flips and scales) the outputs.
+    mixed = design_noncollab(reference_model(), delta=1.0)
+    tr = mixed.transform
+    assert not np.allclose(tr.T, np.eye(2))
+    zeta = np.array([0.7, -0.3])
+    zeta1, zeta2 = np.split(tr.T @ zeta, [mixed.p_out - mixed.m])
+    dxi1, _, u, _ = one_agent(mixed, np.zeros(3), 1.0, zeta)
+    assert np.allclose(dxi1, tr.A12 @ zeta2 - mixed.H1 @ zeta1, rtol=1e-12, atol=1e-15)
+    assert np.allclose(u, -(mixed.gain_row[:, 3:] @ zeta2), rtol=1e-12, atol=1e-15)
 
 
 def test_dimension_mismatches_rejected():
     design = reference_design()
-    state = NoncollabAgentState(np.zeros(3), 0.0)
     with pytest.raises(ValueError):
-        noncollab_derivatives(design, state, np.zeros(3))
+        one_agent(design, np.zeros(3), 0.0, np.zeros(3))
     with pytest.raises(ValueError):
-        noncollab_derivatives(design, NoncollabAgentState(np.zeros(2), 0.0), np.zeros(2))
+        one_agent(design, np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ValueError):
-        coherency_proxy(design, np.zeros(3))
+        noncollab_law(design, np.zeros((2, 4)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         design_noncollab(reference_model(), delta=-1.0)
+
+
+def test_batched_rows_match_single_agent_calls():
+    # Not bitwise: BLAS picks its kernel by matrix shape, so a one-row
+    # product over the 4-wide estimate can round differently from the same
+    # row inside a five-row product.
+    design = reference_design()
+    rng = np.random.default_rng(23)
+    PS = np.hstack([rng.standard_normal((5, 3)), rng.random((5, 1)) * 4.0])
+    Z = rng.standard_normal((5, 2))
+    # Two agents sit at equilibrium, so the batch straddles the dead zone.
+    PS[1, :3] = Z[1] = 0.0
+    PS[3, :3] = Z[3] = 0.0
+    (dxi1, drho), U, proxy, _ = noncollab_law(design, PS, Z)
+    assert np.any(drho[:, 0] > 0.0) and np.any(drho[:, 0] == 0.0)
+    for i in range(5):
+        (dxi1_i, drho_i), U_i, proxy_i, _ = noncollab_law(design, PS[i : i + 1], Z[i : i + 1])
+        for batched, single in ((dxi1, dxi1_i), (drho, drho_i), (U, U_i), (proxy, proxy_i)):
+            assert np.allclose(batched[i], single[0], rtol=1e-13, atol=1e-15)
 
 
 def test_bad_observer_override_rejected():

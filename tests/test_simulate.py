@@ -1,4 +1,4 @@
-"""Simulation engine: disturbances, coupling, integration, recording."""
+"""Simulation engine: disturbances, integration, recording."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,11 @@ from cohsync.linalg import SolverError
 from cohsync.noncollab import design_noncollab
 from cohsync.simulate import (
     DisturbanceSpec,
+    IntegrationBlowup,
     SimConfig,
+    _disturbance_rows,
     detect_settling,
-    disturbance_value,
     gain_flatness,
-    network_signals,
-    protocol_exchange,
     settling_metric,
     settling_report,
     simulate,
@@ -49,86 +48,45 @@ def demo_noncollab_design(**kwargs):
 # disturbances
 
 
+def one_agent(spec, agent_index, t):
+    """Disturbance row of one agent, through a one-element index array."""
+    return _disturbance_rows(spec, np.array([float(agent_index)]), t, spec.width)[0]
+
+
 def test_disturbance_chirp():
     spec = DisturbanceSpec(kind="chirp")
-    assert disturbance_value(spec, 1, 0.0) == pytest.approx([0.0])
-    assert disturbance_value(spec, 3, 2.0)[0] == pytest.approx(np.sin(0.64), rel=1e-15)
+    assert one_agent(spec, 1, 0.0) == pytest.approx([0.0])
+    assert one_agent(spec, 3, 2.0)[0] == pytest.approx(np.sin(0.64), rel=1e-15)
 
 
 def test_disturbance_sawtooth_rounds_half_to_even():
     spec = DisturbanceSpec(kind="sawtooth")
-    assert disturbance_value(spec, 1, 0.25)[0] == pytest.approx(0.25)
+    assert one_agent(spec, 1, 0.25)[0] == pytest.approx(0.25)
     # 0.5 rounds to 0, 1.5 rounds to 2.
-    assert disturbance_value(spec, 1, 0.5)[0] == pytest.approx(0.5)
-    assert disturbance_value(spec, 1, 1.5)[0] == pytest.approx(-0.5)
-    assert disturbance_value(spec, 2, 0.75)[0] == pytest.approx(-0.5)
+    assert one_agent(spec, 1, 0.5)[0] == pytest.approx(0.5)
+    assert one_agent(spec, 1, 1.5)[0] == pytest.approx(-0.5)
+    assert one_agent(spec, 2, 0.75)[0] == pytest.approx(-0.5)
 
 
 def test_disturbance_zero_and_width():
     spec = DisturbanceSpec(kind="zero", width=3)
-    assert disturbance_value(spec, 5, 1.0) == pytest.approx([0.0, 0.0, 0.0])
+    assert one_agent(spec, 5, 1.0) == pytest.approx([0.0, 0.0, 0.0])
     chirp = DisturbanceSpec(kind="chirp", width=2)
-    vals = disturbance_value(chirp, 2, 1.0)
+    vals = one_agent(chirp, 2, 1.0)
     assert vals.shape == (2,)
     assert vals[0] == vals[1]
 
 
 def test_disturbance_table_interpolates_and_rejects_out_of_range():
     spec = DisturbanceSpec(kind="table", width=1, times=[0.0, 1.0, 2.0], values=[[0.0], [2.0], [0.0]])
-    assert disturbance_value(spec, 1, 0.5)[0] == pytest.approx(1.0)
-    assert disturbance_value(spec, 4, 1.0)[0] == pytest.approx(2.0)
+    assert one_agent(spec, 1, 0.5)[0] == pytest.approx(1.0)
+    assert one_agent(spec, 4, 1.0)[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        disturbance_value(spec, 1, 2.5)
+        one_agent(spec, 1, 2.5)
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="table", width=1, times=[0.0], values=[[1.0]])
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="nonsense")
-
-
-# ---------------------------------------------------------------------------
-# network coupling
-
-
-def test_network_signals_zero_for_agreeing_outputs():
-    g = pair_graph()
-    z = network_signals(g, [[1.5], [1.5]])
-    assert np.all(z == 0.0)
-
-
-def test_network_signals_single_edge():
-    g = DirectedWeightedGraph.from_edges(2, [(0, 1, 1.0)])
-    z = network_signals(g, [[1.0], [0.0]])
-    assert z[0, 0] == 0.0
-    assert z[1, 0] == -1.0
-
-
-def test_network_signals_matches_kron_oracle():
-    rng = np.random.default_rng(2)
-    from cohsync.graphs import generate_circulant, laplacian
-
-    g = generate_circulant(25)
-    Y = rng.standard_normal((25, 2))
-    direct = network_signals(g, Y)
-    L = laplacian(g)
-    oracle = (np.kron(L, np.eye(2)) @ Y.reshape(-1)).reshape(25, 2)
-    assert np.allclose(direct, oracle, atol=1e-12)
-
-
-def test_protocol_exchange_respects_blocks():
-    g = generate_disconnected_composite((3, 4), seed=1)
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((7, 2))
-    full = protocol_exchange(g, X)
-    # Zeroing the other block's states must not change a block's signals.
-    X_masked = X.copy()
-    X_masked[3:] = 0.0
-    assert np.array_equal(protocol_exchange(g, X_masked)[:3], full[:3])
-    single = X.copy()
-    single[:2] = 0.0
-    single[3:] = 0.0
-    sig = protocol_exchange(g, single)
-    L = np.diag(g.adjacency.sum(axis=1)) - g.adjacency
-    assert np.allclose(sig, np.outer(L[:, 2], X[2]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +288,7 @@ def test_growth_warning_without_blowup():
 def test_blowup_aborts_with_diagnostic():
     model = AgentModel([[1.0]], [[1.0]], [[1.0]])
     design = design_noncollab(model, delta=1.0)
-    with pytest.raises(SolverError, match="non-finite"):
+    with pytest.raises(IntegrationBlowup, match="non-finite") as excinfo:
         simulate(
             SimConfig(
                 model=model,
@@ -341,6 +299,8 @@ def test_blowup_aborts_with_diagnostic():
                 initial_states=np.array([[1e3], [-1e3]]),
             )
         )
+    # Callers that catch solver failures in general still see a blow-up.
+    assert isinstance(excinfo.value, SolverError)
 
 
 def test_halving_dt_barely_changes_trajectories():
