@@ -16,6 +16,7 @@ remain available exactly through solve_p_alpha for diagnostics and tests.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,9 @@ class PAlphaGrid:
     A'P + PA - alpha PBB'P + 2 eps P + C'C = 0 for A_shifted = A + eps I.
     Cells are solved on first use, warm-starting Newton from the nearest
     solved neighbour, and inserted atomically (duplicate concurrent solves
-    return identical values, so last-write-wins is safe).
+    return identical values, so last-write-wins is safe).  The runtime law
+    reads the gain rows B'P_k from one contiguous table over the range of
+    cells it has needed so far (gain_rows).
     """
 
     def __init__(self, A_shifted, B, CtC, ratio: float = GRID_RATIO):
@@ -58,6 +61,8 @@ class PAlphaGrid:
         self.ratio = float(ratio)
         self._log_ratio = np.log(self.ratio)
         self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._table = np.zeros((0,) + self.B.T.shape)
+        self._table_lo = 0
 
     def index_for(self, alpha: float) -> int:
         """Largest k with ratio**k <= alpha (nearest grid point below)."""
@@ -110,6 +115,26 @@ class PAlphaGrid:
         for j in range(step, k + step, step):
             entry = self._ensure(j, warm=entry[0])
         return entry
+
+    def gain_rows(self, alphas) -> np.ndarray:
+        """B'P_k at the cell just below each alpha, one (m, n) block per alpha.
+
+        One gather from the table of cells lo..hi.  The table is rebuilt
+        through cell() only when an alpha falls outside it, and then spans
+        the old and the new cells; every cell in that span lies between 0
+        and a needed cell, so the walks of cell() solve it anyway and the
+        cache holds the same cells as with one cell() call per needed cell.
+        """
+        ks = self.indices_for(alphas) - self._table_lo
+        lo, hi = int(ks.min()), int(ks.max())
+        if lo < 0 or hi >= self._table.shape[0]:
+            if self._table.shape[0]:
+                lo, hi = min(lo, 0), max(hi, self._table.shape[0] - 1)
+            first = self._table_lo + lo
+            self._table = np.stack([self.cell(k)[1] for k in range(first, first + hi - lo + 1)])
+            self._table_lo = first
+            ks -= lo
+        return self._table[ks]
 
     def solve_exact(self, alpha: float) -> np.ndarray:
         """P_alpha at the requested alpha itself, not the quantized one.
@@ -180,6 +205,27 @@ class CollabDesign:
     @property
     def p_out(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def law_matrix(self) -> np.ndarray:
+        """Fused linear block of the runtime law, composed on first use.
+
+        Maps a row [x_hat, L x, L x_hat] to [A x_hat, Q C' e,
+        x_hat + zeta_tilde, C zeta_tilde, e], where zeta_tilde = L x_hat is
+        the exchanged sum, zeta = C L x the measured disagreement and
+        e = C zeta_tilde - zeta the mismatch.
+        """
+        n, p = self.n, self.p_out
+        Ct = self.C.T
+        CtCQ = Ct @ self.QCt.T
+        I, On, Op = np.eye(n), np.zeros((n, n)), np.zeros((n, p))
+        return np.vstack(
+            [
+                np.hstack([self.A.T, On, I, Op, Op]),
+                np.hstack([On, -CtCQ, On, Op, -Ct]),
+                np.hstack([On, CtCQ, I, Ct, Ct]),
+            ]
+        )
 
 
 def _uncontrollable_margin(A, B) -> float | None:
@@ -313,49 +359,46 @@ def solve_p_alpha(design: CollabDesign, alpha: float) -> np.ndarray:
     return design.grid.solve_exact(alpha)
 
 
-def collab_law(design: CollabDesign, PS: np.ndarray, Z: np.ndarray, Z_tilde: np.ndarray):
+def collab_law(design: CollabDesign, PS: np.ndarray, LS: np.ndarray, out: np.ndarray):
     """The protocol's runtime law, evaluated on a batch of agents at once.
 
-    Row i of PS is agent i's protocol state [x_hat, rho, alpha], row i of Z
-    its measured disagreement zeta and row i of Z_tilde the exchanged sum
-    zeta_tilde over its neighbours' observer states.
+    Row i of PS is agent i's protocol state [x_hat, rho, alpha] and row i
+    of LS the network sums [L x, L x_hat] over the agents' states and
+    observer states: one Laplacian product gives both the measured
+    disagreement zeta = C (L x) and the exchanged sum zeta_tilde = L x_hat.
+    Everything linear in [x_hat, L x, L x_hat] comes from one product with
+    the design's law_matrix.
 
-    Returns (dPS, U, mismatch, exchange): dPS holds the column blocks
-    (d x_hat / dt, d rho / dt, d alpha / dt) of the protocol-state
-    derivative and U the control rows.  mismatch = |C zeta_tilde - zeta|^2
-    drives rho through the dead zone d; exchange = |C zeta_tilde|^2 drives
-    alpha at rate min(exchange, 1) above d.  Both gains are nondecreasing.
-    The feedback is alpha times the cached gain row at the P_alpha grid
-    point just below alpha; alpha = 0 means no feedback at all.
+    The protocol-state derivative is written into out, an array of PS's
+    shape, whose column blocks (d x_hat / dt, d rho / dt, d alpha / dt)
+    lead the return value (dPS, U, mismatch, exchange), with U the control
+    rows.  d x_hat / dt adds B u last to the observer part, so the
+    observer loop is bitwise the same for every alpha.
+    mismatch = |C zeta_tilde - zeta|^2 drives rho through the dead zone d;
+    exchange = |C zeta_tilde|^2 drives alpha at rate min(exchange, 1)
+    above d.  Both gains are nondecreasing.  The feedback is
+    -alpha B'P_k (x_hat + zeta_tilde) with P_k the P_alpha grid point just
+    below alpha; alpha = 0 means no feedback at all.
     """
-    n = design.n
-    if (
-        PS.shape != (Z.shape[0], n + 2)
-        or Z.shape[1] != design.p_out
-        or Z_tilde.shape != (Z.shape[0], n)
-    ):
+    n, p = design.n, design.p_out
+    if PS.shape != (LS.shape[0], n + 2) or LS.shape[1] != 2 * n:
         raise ValueError(
-            f"expected protocol-state, measurement and exchange rows of widths "
-            f"{n + 2}, {design.p_out} and {n}, got {PS.shape}, {Z.shape} and {Z_tilde.shape}"
+            f"expected protocol-state and network-sum rows of widths {n + 2} and "
+            f"{2 * n}, got {PS.shape} and {LS.shape}"
         )
     grid, d = design.grid, design.d
-    XH = PS[:, :n]
-    RHO = PS[:, n]
+    RHO = PS[:, n : n + 1]
     AL = PS[:, n + 1]
-    CZ = Z_tilde @ design.C.T
-    Esig = CZ - Z
-    mismatch = np.einsum("ij,ij->i", Esig, Esig)
-    exchange = np.einsum("ij,ij->i", CZ, CZ)
-    dRHO = np.where(mismatch >= d, mismatch, 0.0)
-    dAL = np.where(exchange >= 1.0, 1.0, np.where(exchange >= d, exchange, 0.0))
+    F = np.concatenate((PS[:, :n], LS), axis=1) @ design.law_matrix
+    V = F[:, 2 * n : 3 * n]
+    # The squared norms of C zeta_tilde and e, which sit side by side in F.
+    CZ_E = F[:, 3 * n :].reshape(-1, 2, p)
+    exchange, mismatch = np.einsum("ijk,ijk->ji", CZ_E, CZ_E)
     U = np.zeros((PS.shape[0], design.m))
-    active = np.nonzero(AL > 0.0)[0]
-    if active.size:
-        ks = grid.indices_for(AL[active])
-        V = XH[active] + Z_tilde[active]
-        for kk in np.unique(ks):
-            sel = ks == kk
-            gain = grid.cell(int(kk))[1]
-            U[active[sel]] = -AL[active[sel], None] * (V[sel] @ gain.T)
-    dXH = XH @ design.A.T + U @ design.B.T - RHO[:, None] * (Esig @ design.QCt.T)
-    return (dXH, dRHO[:, None], dAL[:, None]), U, mismatch, exchange
+    on = AL > 0.0
+    if on.any():
+        U[on] = -AL[on, None] * np.einsum("imn,in->im", grid.gain_rows(AL[on]), V[on])
+    out[:, :n] = (F[:, :n] - RHO * F[:, n : 2 * n]) + U @ design.B.T
+    out[:, n] = np.where(mismatch >= d, mismatch, 0.0)
+    out[:, n + 1] = np.where(exchange >= 1.0, 1.0, np.where(exchange >= d, exchange, 0.0))
+    return (out[:, :n], out[:, n : n + 1], out[:, n + 1 :]), U, mismatch, exchange

@@ -27,6 +27,8 @@ __all__ = [
     "LaplacianDecomposition",
     "HWeights",
     "laplacian",
+    "SparseLaplacian",
+    "component_laplacians",
     "basic_bicomponents",
     "weakly_connected_components",
     "generate_vicsek_fractal",
@@ -82,6 +84,88 @@ def laplacian(graph: DirectedWeightedGraph) -> np.ndarray:
     L = -A.copy()
     np.fill_diagonal(L, A.sum(axis=1))
     return L
+
+
+class SparseLaplacian:
+    """A Laplacian held by entry slot: row i's j-th entry is vals[j, i, 0]
+    in column cols[j, i], for cols of shape (width, n).
+
+    Each row keeps its entries in column order, diagonal included, and a
+    row with fewer entries than the widest is padded with zero weights in
+    its own column.  So storage and product cost grow with the number of
+    nodes times the largest in-degree, not with its square.
+    """
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray):
+        self.cols, self.vals = cols, vals
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.cols.shape[1]
+        return (n, n)
+
+    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
+        """L @ Y for rows Y, summing each row's terms slot after slot."""
+        terms = np.take(Y, self.cols, axis=0)
+        terms *= self.vals
+        out = terms[0].copy()
+        for term in terms[1:]:
+            out += term
+        return out
+
+
+def component_laplacians(graph: DirectedWeightedGraph, components) -> list[SparseLaplacian]:
+    """The Laplacian of each node set, indexed in the set's own order.
+
+    Each set must hold every in-neighbour of its members (a weakly
+    connected component, or a union of them).  Only the adjacency's
+    nonzeros are read.  The degree is summed over the row's weights in
+    column order.  A row's product adds that row's own terms in column
+    order and then zeros, so it depends on nothing else, and a set listed
+    in increasing order gives the same product rows as the whole graph's
+    matrix, bitwise up to the sign of a zero.
+    """
+    A = graph.adjacency
+    n = A.shape[0]
+    owner = np.full(n, -1)
+    local = np.zeros(n, dtype=np.intp)
+    sizes = []
+    for index, nodes in enumerate(components):
+        nodes = np.asarray(nodes, dtype=np.intp)
+        if np.any(owner[nodes] >= 0):
+            raise ValueError("node sets overlap")
+        owner[nodes] = index
+        local[nodes] = np.arange(nodes.size)
+        sizes.append(nodes.size)
+
+    rows, cols = np.nonzero(A)
+    weights = A[rows, cols]
+    if np.any((owner[rows] >= 0) & (owner[rows] != owner[cols])):
+        raise ValueError("a node set lacks an in-neighbour of one of its members")
+    degree = np.bincount(rows, weights=weights, minlength=n)
+
+    # All entries, diagonal included, ordered by (set, local row, local column).
+    r = np.concatenate([rows, np.arange(n)])
+    c = np.concatenate([cols, np.arange(n)])
+    v = np.concatenate([-weights, degree])
+    keep = owner[r] >= 0
+    r, c, v = r[keep], c[keep], v[keep]
+    order = np.lexsort((local[c], local[r], owner[r]))
+    bounds = np.searchsorted(owner[r[order]], np.arange(len(sizes) + 1))
+    r, c, v = local[r[order]], local[c[order]], v[order]
+
+    out = []
+    for k, size in enumerate(sizes):
+        part = slice(bounds[k], bounds[k + 1])
+        lr, lc, lv = r[part], c[part], v[part]
+        counts = np.bincount(lr, minlength=size)
+        slot = np.arange(lr.size) - (np.cumsum(counts) - counts)[lr]
+        cols_k = np.tile(np.arange(size), (counts.max(), 1))
+        vals_k = np.zeros(cols_k.shape + (1,))
+        cols_k[slot, lr] = lc
+        vals_k[slot, lr, 0] = lv
+        out.append(SparseLaplacian(cols_k, vals_k))
+    return out
 
 
 def _tarjan_scc(succ: list[list[int]]) -> list[list[int]]:

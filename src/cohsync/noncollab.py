@@ -10,6 +10,7 @@ network, so one design object serves every agent on any graph.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,30 @@ class NoncollabDesign:
     @property
     def p_out(self) -> int:
         return self.transform.T.shape[0]
+
+    @cached_property
+    def law_matrix(self) -> np.ndarray:
+        """Fused linear block of the runtime law, composed on first use.
+
+        Maps a row [xi1_hat, zeta] to [d xi1_hat / dt, xi_hat, xi_hat P,
+        -gain_row @ xi_hat], where zeta T' = [zeta_1, zeta_2], xi_hat =
+        [xi1_hat, zeta_2] and d xi1_hat / dt = A11 xi1_hat + A12 zeta_2 +
+        H1 (C1 xi1_hat - zeta_1).
+        """
+        tr = self.transform
+        n1, n = self.n1, self.n
+        k = self.p_out - self.m
+        T1t, T2t = tr.T[:k].T, tr.T[k:].T
+        G = -self.gain_row.T
+        from_xi1 = [tr.A11.T + tr.C1.T @ self.H1.T, np.eye(n1, n), self.P[:n1], G[:n1]]
+        from_zeta = [
+            T2t @ tr.A12.T - T1t @ self.H1.T,
+            np.zeros((self.p_out, n1)),
+            T2t,
+            T2t @ self.P[n1:],
+            T2t @ G[n1:],
+        ]
+        return np.vstack([np.hstack(from_xi1), np.hstack(from_zeta)])
 
     def d_upper_bound(self) -> float:
         """Open upper limit of admissible dead-zone levels for this design."""
@@ -184,38 +209,36 @@ def design_noncollab(
     )
 
 
-def noncollab_law(design: NoncollabDesign, PS: np.ndarray, Z: np.ndarray):
+def noncollab_law(design: NoncollabDesign, PS: np.ndarray, Z: np.ndarray, out: np.ndarray):
     """The protocol's runtime law, evaluated on a batch of agents at once.
 
     Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of Z
     its measured disagreement zeta.  The measurement splits through T into
     (zeta_1, zeta_2); zeta_2 doubles as the directly measured tail of the
     estimate xi_hat = [xi1_hat, zeta_2] that the gain and the trigger see.
+    All of this is linear in [xi1_hat, zeta], so one product with the
+    design's law_matrix gives d xi1_hat / dt, xi_hat, xi_hat P and
+    -gain_row @ xi_hat together.
 
-    Returns (dPS, U, proxy, None): dPS holds the column blocks
-    (d xi1_hat / dt, d rho / dt) of the protocol-state derivative, U the
-    control rows u = -rho * gain_row @ xi_hat, and proxy the trigger
-    xi_hat' P xi_hat.  rho never decreases: its rate is
-    |gain_row @ xi_hat|^2 = xi_hat' kernel xi_hat while proxy >= d, and
-    zero otherwise.  The last slot, the exchange energy of the
-    collaborative law, is empty here.
+    The protocol-state derivative is written into out, an array of PS's
+    shape, whose column blocks (d xi1_hat / dt, d rho / dt) lead the return
+    value (dPS, U, proxy, None): U holds the control rows
+    u = -rho * gain_row @ xi_hat and proxy the trigger xi_hat' P xi_hat.
+    rho never decreases: its rate is |gain_row @ xi_hat|^2 =
+    xi_hat' kernel xi_hat while proxy >= d, and zero otherwise.  The last
+    slot, the exchange energy of the collaborative law, is empty here.
     """
-    tr = design.transform
-    n1, k = tr.n1, design.p_out - design.m
+    n1, n = design.n1, design.n
     if PS.shape != (Z.shape[0], n1 + 1) or Z.shape[1] != design.p_out:
         raise ValueError(
             f"expected protocol-state rows of width {n1 + 1} and measurement rows of "
             f"width {design.p_out}, got {PS.shape} and {Z.shape}"
         )
-    XI1 = PS[:, :n1]
-    RHO = PS[:, n1]
-    ZT = Z @ tr.T.T
-    Z1, Z2 = ZT[:, :k], ZT[:, k:]
-    dXI1 = XI1 @ tr.A11.T + Z2 @ tr.A12.T + (XI1 @ tr.C1.T - Z1) @ design.H1.T
-    XIH = np.hstack([XI1, Z2])
-    GX = XIH @ design.gain_row.T
-    proxy = np.einsum("ij,ij->i", XIH, XIH @ design.P)
-    drive = np.einsum("ij,ij->i", GX, GX)
-    dRHO = np.where(proxy >= design.d, drive, 0.0)
-    U = -RHO[:, None] * GX
-    return (dXI1, dRHO[:, None]), U, proxy, None
+    F = np.concatenate((PS[:, :n1], Z), axis=1) @ design.law_matrix
+    proxy = np.einsum("ij,ij->i", F[:, n1 : n1 + n], F[:, n1 + n : n1 + 2 * n])
+    NGX = F[:, n1 + 2 * n :]
+    drive = np.einsum("ij,ij->i", NGX, NGX)
+    out[:, :n1] = F[:, :n1]
+    out[:, n1] = np.where(proxy >= design.d, drive, 0.0)
+    U = PS[:, n1:] * NGX
+    return (out[:, :n1], out[:, n1:]), U, proxy, None

@@ -6,25 +6,33 @@ classical fourth-order Runge-Kutta scheme on a fixed grid, blow-up and
 growth detection, and recording.  The protocol itself enters only as its
 batched runtime law (noncollab.noncollab_law or collab.collab_law),
 evaluated on all agent rows of a component at once; this module reads
-none of a design's gains.  Dead-zone branches in the gain laws are
-re-evaluated at every substep; no event localization is attempted, since
-crossing a dead zone only switches between nonnegative growth rates.
+none of a design's gains.  Each law evaluation takes one Laplacian
+product (L y for the noncollaborative law, L [x, x_hat] for the
+collaborative one) and writes its stage derivative into a preallocated
+array.  Dead-zone branches in the gain laws are re-evaluated at every
+substep; no event localization is attempted, since crossing a dead zone
+only switches between nonnegative growth rates.
 
-Disconnected graphs are simulated one weakly connected component at a
-time, each component with exactly the arrays a standalone run of that
-component would use.  Together with per-agent seeding of initial states
-and globally indexed disturbances, this makes component trajectories
-bit-identical whether or not the rest of the network is present.
+The Laplacian is held as one sparse matrix per weakly connected component
+(graphs.component_laplacians), built from the adjacency's nonzeros, so a
+step costs time in proportion to the agents times their largest
+in-degree, not to N^2.  Disconnected graphs are simulated one component
+at a time, each component with exactly the arrays a standalone run of
+that component would use: its sparse matrix holds the same entries in the
+same slots either way, so its product is bitwise the same, and the dense
+per-row products see the same array shapes.  Together with per-agent
+seeding of initial states and globally indexed disturbances, this makes
+component trajectories bit-identical whether or not the rest of the network is present.
 """
 
-import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agents import AgentModel
 from .collab import CollabDesign, collab_law
-from .graphs import DirectedWeightedGraph, laplacian, weakly_connected_components
+from .graphs import DirectedWeightedGraph, component_laplacians, weakly_connected_components
 from .linalg import SolverError
 from .noncollab import NoncollabDesign, noncollab_law
 
@@ -152,54 +160,55 @@ class SimulationRun:
 
 
 def _simulate_component(model, law, ps0, L, spec, indices, x0, dt, n_steps, stride):
-    A_T, B_T, E_T, C_T = model.A.T, model.B.T, model.E.T, model.C.T
     n, w = model.n, model.w
+    # The plant rates [x, u, w] -> x' in one product.
+    plant = np.vstack([model.A.T, model.B.T, model.E.T])
 
-    def rhs(t, S):
-        X = S[:, :n]
-        Y = X @ C_T
-        Z = L @ Y
-        dPS, U, proxy, exch = law(S[:, n:], Z, L)
-        W = _disturbance_rows(spec, indices, t, w)
-        dX = X @ A_T + U @ B_T + W @ E_T
-        return np.hstack((dX,) + dPS), (Y, Z, U, proxy, exch)
+    def rhs(t, S, out):
+        """Write dS/dt into out; return a thunk for the recorded signals."""
+        U, signals = law(S, L, out[:, n:])
+        inputs = (S[:, :n], U, _disturbance_rows(spec, indices, t, w))
+        np.matmul(np.concatenate(inputs, axis=1), plant, out=out[:, :n])
+        return signals
 
     # State rows are [x, protocol state]; the protocol state starts at ps0.
     S = np.zeros((L.shape[0], n + ps0.shape[0]))
     S[:, :n] = x0
     S[:, n:] = ps0
+    K = np.empty((4,) + S.shape)  # the four RK4 stage derivatives
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (dt / 6.0)
 
     times, rows, extras = [], [], []
     warnings: list[str] = []
     half = 0.5 * dt
-    sixth = dt / 6.0
+    envelope_old = max(float(np.max(np.abs(S))), 1.0)
 
     for k in range(n_steps + 1):
         t = k * dt
-        k1, signals = rhs(t, S)
+        signals = rhs(t, S, K[0])
         if (k % stride == 0) or (k == n_steps):
             times.append(t)
-            rows.append(S.copy())
-            extras.append(signals)
+            rows.append(S)  # never written to: each step makes a new S
+            extras.append(signals())
         if k == n_steps:
             break
-        k2, _ = rhs(t + half, S + half * k1)
-        k3, _ = rhs(t + half, S + half * k2)
-        k4, _ = rhs(t + dt, S + dt * k3)
-        S_new = S + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(S_new)):
+        rhs(t + half, S + half * K[0], K[1])
+        rhs(t + half, S + half * K[1], K[2])
+        rhs(t + dt, S + dt * K[2], K[3])
+        S_new = S + (weights @ K.reshape(4, -1)).reshape(S.shape)
+        # The maximum is NaN or infinite exactly when some entry is.
+        envelope_new = float(np.max(np.abs(S_new)))
+        if not math.isfinite(envelope_new):
             raise IntegrationBlowup(
                 f"state became non-finite at t={t + dt:.6g}; "
                 "the run blew up (check the design or reduce dt)"
             )
-        envelope_old = max(float(np.max(np.abs(S))), 1.0)
-        envelope_new = float(np.max(np.abs(S_new)))
         if envelope_new > _GROWTH_LIMIT * envelope_old and not warnings:
             warnings.append(
                 f"single-step state growth exceeded {_GROWTH_LIMIT:g}x at "
                 f"t={t + dt:.6g}; dt={dt:g} may be too large"
             )
-        S = S_new
+        S, envelope_old = S_new, max(envelope_new, 1.0)
 
     out = {"t": np.array(times), "S": np.stack(rows), "warnings": warnings}
     for key, column in zip(("y", "z", "u", "proxy", "exch"), zip(*extras)):
@@ -218,14 +227,18 @@ def simulate(config: SimConfig) -> SimulationRun:
     Raises IntegrationBlowup when the state stops being finite.
     """
     model, graph, design = config.model, config.graph, config.design
+    n, C_T = model.n, model.C.T
     if isinstance(design, NoncollabDesign):
         protocol = "noncollaborative"
         if design.n != model.n or design.p_out != model.p or design.m != model.m:
             raise ValueError("design dimensions do not match the model")
         obs_width = design.n1
 
-        def law(PS, Z, L):
-            return noncollab_law(design, PS, Z)
+        def law(S, L, out):
+            Y = S[:, :n] @ C_T
+            Z = L @ Y
+            _, U, proxy, _ = noncollab_law(design, S[:, n:], Z, out)
+            return U, lambda: (Y, Z, U, proxy, None)
 
     elif isinstance(design, CollabDesign):
         protocol = "collaborative"
@@ -237,9 +250,12 @@ def simulate(config: SimConfig) -> SimulationRun:
             raise ValueError("design was built for a different model")
         obs_width = design.n
 
-        def law(PS, Z, L):
-            # Collaborating agents also exchange their observer states.
-            return collab_law(design, PS, Z, L @ PS[:, :obs_width])
+        def law(S, L, out):
+            # Collaborating agents also exchange their observer states: one
+            # product over the [x, x_hat] columns gives L x and L x_hat.
+            LS = L @ S[:, : 2 * n]
+            _, U, mismatch, exchange = collab_law(design, S[:, n:], LS, out)
+            return U, lambda: (S[:, :n] @ C_T, LS[:, :n] @ C_T, U, mismatch, exchange)
 
     else:
         raise TypeError("design must be a NoncollabDesign or CollabDesign")
@@ -290,19 +306,18 @@ def simulate(config: SimConfig) -> SimulationRun:
             ]
         )
 
-    L = laplacian(graph)
     components = weakly_connected_components(graph)
     pieces = []
     # A diverging step is detected and raised inside the component loop;
     # numpy's per-element overflow warnings on the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for comp in components:
+        for comp, L in zip(components, component_laplacians(graph, components)):
             sel = np.asarray(comp, dtype=int)
             piece = _simulate_component(
                 model,
                 law,
                 ps0,
-                L[np.ix_(sel, sel)],
+                L,
                 spec,
                 indices[sel],
                 x0[sel],
@@ -407,27 +422,27 @@ def gain_flatness(run: SimulationRun, fraction: float = 0.1) -> dict:
 
 def write_trajectory_csv(run: SimulationRun, path) -> None:
     """One row per (sample, agent); 17 significant digits for round-tripping."""
-    p, m = run.outputs.shape[2], run.controls.shape[2]
+    n_samples, n_agents, p = run.outputs.shape
+    m = run.controls.shape[2]
     columns = ["t", "agent"]
     columns += [f"y{j + 1}" for j in range(p)]
     columns += ["coherency_norm", "coherency_proxy", "rho"]
+    scalars = [run.coherency_norm, run.coherency_proxy, run.rho]
     if run.alpha is not None:
         columns.append("alpha")
+        scalars.append(run.alpha)
     columns += [f"u{j + 1}" for j in range(m)]
 
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for s in range(run.times.shape[0]):
-        t_str = f"{run.times[s]:.17g}"
-        for a in range(run.n_agents):
-            cells = [t_str, str(int(run.agent_indices[a]))]
-            cells += [f"{v:.17g}" for v in run.outputs[s, a]]
-            cells.append(f"{run.coherency_norm[s, a]:.17g}")
-            cells.append(f"{run.coherency_proxy[s, a]:.17g}")
-            cells.append(f"{run.rho[s, a]:.17g}")
-            if run.alpha is not None:
-                cells.append(f"{run.alpha[s, a]:.17g}")
-            cells += [f"{v:.17g}" for v in run.controls[s, a]]
-            buf.write(",".join(cells) + "\n")
+    def column(values):
+        return np.broadcast_to(values, (n_samples, n_agents))[:, :, None]
+
+    blocks = [column(run.times[:, None]), column(run.agent_indices.astype(float)), run.outputs]
+    blocks += [column(v) for v in scalars] + [run.controls]
+    table = np.concatenate(blocks, axis=2)
+    row = "%.17g,%d" + ",%.17g" * (len(columns) - 2) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+        fh.write(",".join(columns) + "\n")
+        # One sample at a time: the text of the whole table, held at once,
+        # raised the peak memory of a run by up to 9 MB.
+        for sample in table:
+            fh.write("".join([row % tuple(r) for r in sample.tolist()]))

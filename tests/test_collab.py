@@ -182,12 +182,16 @@ def test_solve_p_alpha_on_and_off_grid():
     assert all(abs(design.grid.alpha_at(k) - 1.3) > 1e-9 for k in design.grid.cached_indices())
 
 
+def network_sums(design, Z, Z_tilde):
+    """Rows [L x, L x_hat] whose measured part C (L x) is Z."""
+    return np.hstack([np.asarray(Z, dtype=float) @ np.linalg.pinv(design.C).T, Z_tilde])
+
+
 def one_agent(design, x_hat, rho, alpha, zeta, zeta_tilde):
     """The batched law on a single agent row: (dx_hat, drho, dalpha, u)."""
     PS = np.concatenate([np.asarray(x_hat, dtype=float), [rho, alpha]])[None, :]
-    Z = np.asarray(zeta, dtype=float)[None, :]
-    Z_tilde = np.asarray(zeta_tilde, dtype=float)[None, :]
-    (dx, drho, dalpha), u, _, _ = collab_law(design, PS, Z, Z_tilde)
+    LS = network_sums(design, np.asarray(zeta, dtype=float)[None, :], np.asarray(zeta_tilde)[None, :])
+    (dx, drho, dalpha), u, _, _ = collab_law(design, PS, LS, np.empty(PS.shape))
     return dx[0], drho[0, 0], dalpha[0, 0], u[0]
 
 
@@ -207,7 +211,8 @@ def test_gain_law_branch_boundaries():
         zt = np.array([np.sqrt(exchange_energy), 0.0, 0.0])
         zeta = np.array([design.C @ zt - np.sqrt(mismatch_energy)]).reshape(-1)
         PS = np.concatenate([np.zeros(3), [1.0, 0.0]])[None, :]
-        (_, drho, dalpha), _, mismatch, exchange = collab_law(design, PS, zeta[None, :], zt[None, :])
+        LS = network_sums(design, zeta[None, :], zt[None, :])
+        (_, drho, dalpha), _, mismatch, exchange = collab_law(design, PS, LS, np.empty(PS.shape))
         assert mismatch[0] == pytest.approx(mismatch_energy, rel=1e-12)
         assert exchange[0] == pytest.approx(exchange_energy, rel=1e-12)
         return drho[0, 0], dalpha[0, 0]
@@ -258,19 +263,20 @@ def test_alpha_zero_means_pure_observer():
 
 
 def test_observer_loop_independent_of_feedback_gain():
-    # The observer error dynamics never see u: subtracting the B u term
-    # from dx_hat must give the same vector for any alpha.
+    # The observer error dynamics never see u: the law adds B u last to the
+    # observer part, so dx_hat is the alpha = 0 value plus B u, bitwise.
     design = reference_design()
     rng = np.random.default_rng(5)
-    x_hat = rng.standard_normal(3)
-    zeta = rng.standard_normal(1)
-    zt = rng.standard_normal(3)
-    outs = []
-    for alpha in (0.0, 1.0, 7.3):
-        dx, _, _, u = one_agent(design, x_hat, 1.5, alpha, zeta, zt)
-        outs.append(dx - design.B @ u)
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
+    for _ in range(50):
+        x_hat = rng.standard_normal(3)
+        zeta = rng.standard_normal(1)
+        zt = rng.standard_normal(3)
+        dx0, _, _, u0 = one_agent(design, x_hat, 1.5, 0.0, zeta, zt)
+        assert np.all(u0 == 0.0)
+        for alpha in (1.0, 7.3):
+            dx, _, _, u = one_agent(design, x_hat, 1.5, alpha, zeta, zt)
+            assert np.any(u != 0.0)
+            assert np.array_equal(dx, dx0 + (u[None] @ design.B.T)[0])
 
 
 def test_gains_never_decrease_and_alpha_rate_capped():
@@ -292,13 +298,13 @@ def test_gains_never_decrease_and_alpha_rate_capped():
 def test_dimension_mismatches_rejected():
     design = reference_design()
     with pytest.raises(ValueError):
-        one_agent(design, np.zeros(3), 0.0, 0.0, np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
         one_agent(design, np.zeros(3), 0.0, 0.0, np.zeros(1), np.zeros(2))
     with pytest.raises(ValueError):
         one_agent(design, np.zeros(2), 0.0, 0.0, np.zeros(1), np.zeros(3))
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((2, 5)), np.zeros((3, 1)), np.zeros((3, 3)))
+        collab_law(design, np.zeros((1, 5)), np.zeros((1, 5)), np.empty((1, 5)))
+    with pytest.raises(ValueError):
+        collab_law(design, np.zeros((2, 5)), np.zeros((3, 6)), np.empty((2, 5)))
 
 
 def test_batched_rows_match_single_agent_calls():
@@ -313,11 +319,12 @@ def test_batched_rows_match_single_agent_calls():
     Z = rng.standard_normal((5, 1))
     Z_tilde = rng.standard_normal((5, 3))
     assert len(set(design.grid.indices_for(PS[[0, 1, 2, 4], 4]).tolist())) == 3
-    (dx, drho, dalpha), U, mismatch, exchange = collab_law(design, PS, Z, Z_tilde)
+    LS = network_sums(design, Z, Z_tilde)
+    (dx, drho, dalpha), U, mismatch, exchange = collab_law(design, PS, LS, np.empty(PS.shape))
     for i in range(5):
         rows = slice(i, i + 1)
         (dx_i, drho_i, dalpha_i), U_i, mismatch_i, exchange_i = collab_law(
-            design, PS[rows], Z[rows], Z_tilde[rows]
+            design, PS[rows], LS[rows], np.empty((1, PS.shape[1]))
         )
         pairs = (
             (dx, dx_i),
@@ -329,3 +336,55 @@ def test_batched_rows_match_single_agent_calls():
         )
         for batched, single in pairs:
             assert np.allclose(batched[i], single[0], rtol=1e-13, atol=1e-15)
+
+
+def test_fused_law_matches_written_out_formulas():
+    design = reference_design()
+    n = design.n
+    rng = np.random.default_rng(37)
+    XH = rng.standard_normal((6, n))
+    LX = rng.standard_normal((6, n))
+    LXH = rng.standard_normal((6, n))
+    RHO = rng.random(6) * 3.0
+    AL = np.array([1.0, 1.3, 2.7, 0.0, 1.31, 0.4])  # cells 0, 5, 20, none, 5, -19
+
+    Z = LX @ design.C.T
+    Z_tilde = LXH
+    Esig = Z_tilde @ design.C.T - Z
+    U = np.zeros((6, design.m))
+    for i in np.nonzero(AL)[0]:
+        BtP = design.B.T @ design.grid.cell(design.grid.index_for(AL[i]))[0]
+        U[i] = -AL[i] * (BtP @ (XH[i] + Z_tilde[i]))
+    dXH = XH @ design.A.T + U @ design.B.T - RHO[:, None] * (Esig @ design.QCt.T)
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+    F = np.hstack([XH, LX, LXH]) @ design.law_matrix
+    p = design.p_out
+    assert close(F[:, :n], XH @ design.A.T)
+    assert close(F[:, n : 2 * n], Esig @ design.QCt.T)
+    assert close(F[:, 2 * n : 3 * n] - XH, Z_tilde)
+    assert close(F[:, 3 * n : 3 * n + p], Z_tilde @ design.C.T)
+    assert close(F[:, 3 * n + p :], Esig)
+
+    PS = np.column_stack([XH, RHO, AL])
+    (dx, _, _), U_law, mismatch, exchange = collab_law(design, PS, np.hstack([LX, LXH]), np.empty(PS.shape))
+    assert close(U_law, U)
+    assert np.all(U_law[3] == 0.0)
+    assert close(dx, dXH)
+    assert close(mismatch, np.sum(Esig**2, axis=1))
+    assert close(exchange, np.sum((Z_tilde @ design.C.T) ** 2, axis=1))
+
+
+def test_gain_table_keeps_the_cells_of_per_cell_lookups():
+    # The table only ever spans cells the outward walk from 0 solves anyway.
+    alphas = [np.array([2.0, 2.1]), np.array([0.5]), np.array([3.0, 0.9, 2.05])]
+    per_cell = p_alpha_family(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, 0.1)
+    table = p_alpha_family(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, 0.1)
+    for batch in alphas:
+        rows = table.gain_rows(batch)
+        for a, row in zip(batch, rows):
+            expected = per_cell.cell(per_cell.index_for(a))[1]
+            assert np.array_equal(row, expected)
+        assert table.cached_indices() == per_cell.cached_indices()

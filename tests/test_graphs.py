@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cohsync.graphs import (
     DirectedWeightedGraph,
     basic_bicomponents,
+    component_laplacians,
     compute_h_weights,
     format_edge_list,
     generate_circulant,
@@ -55,8 +56,9 @@ def test_laplacian_row_sums_zero(n, seed):
     assert np.max(np.abs(L.sum(axis=1))) <= 1e-14 * max(1.0, np.max(np.abs(L)))
 
 
-# The simulator forms every network sum (the disagreements zeta = L Y and
-# the collaborative exchange L X_hat) as laplacian(g) @ rows.
+# Network sums (the disagreements zeta = L Y and the collaborative
+# exchange L X_hat) through the dense Laplacian; the sparse products the
+# simulator uses are checked against it further down.
 
 
 def test_laplacian_product_zero_for_agreeing_outputs():
@@ -106,6 +108,62 @@ def test_graph_validation():
         DirectedWeightedGraph(np.array([[0.0, -1.0], [0.0, 0.0]]))  # negative weight
     with pytest.raises(ValueError):
         DirectedWeightedGraph(np.zeros((2, 3)))
+
+
+def awkward_graph(rng, n):
+    """Random weighted digraph with a source node, two isolated nodes and a
+    one-node component, besides whatever components the draw makes."""
+    A = rng.random((n, n)) * (rng.random((n, n)) < 0.25)
+    np.fill_diagonal(A, 0.0)
+    A[0] = 0.0  # node 0 observes nobody
+    A[:, [1, 2]] = 0.0
+    A[[1, 2]] = 0.0  # nodes 1 and 2 are isolated
+    return DirectedWeightedGraph(A)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_laplacian_products_match_dense(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 40))
+    g = awkward_graph(rng, n)
+    comps = weakly_connected_components(g)
+    assert [1] in comps and [2] in comps
+    rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    dense = laplacian(g) @ rows
+    for comp, L in zip(comps, component_laplacians(g, comps)):
+        assert L.shape == (len(comp), len(comp))
+        ours = L @ rows[comp]
+        ref = dense[comp]
+        err = np.linalg.norm(ours - ref) / max(np.linalg.norm(ref), np.finfo(float).tiny)
+        assert err <= 1e-15
+    whole = component_laplacians(g, [list(range(n))])[0]
+    assert np.linalg.norm(whole @ rows - dense) <= 1e-15 * np.linalg.norm(dense)
+    assert np.array_equal((whole @ np.eye(n))[0], np.zeros(n))  # the source row
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_laplacian_rows_bitwise_match_whole_graph(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(6, 40))
+    g = awkward_graph(rng, n)
+    comps = weakly_connected_components(g)
+    rows = rng.standard_normal((n, 4))
+    whole = component_laplacians(g, [list(range(n))])[0] @ rows
+    for comp, L in zip(comps, component_laplacians(g, comps)):
+        assert np.array_equal(L @ rows[comp], whole[comp])
+        # A component stands alone as its own graph, too.
+        alone = DirectedWeightedGraph(g.adjacency[np.ix_(comp, comp)])
+        assert np.array_equal(component_laplacians(alone, [list(range(len(comp)))])[0] @ rows[comp], whole[comp])
+
+
+def test_component_laplacians_reject_bad_node_sets():
+    g = DirectedWeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
+    with pytest.raises(ValueError):
+        component_laplacians(g, [[1, 2]])  # node 1 observes node 0
+    with pytest.raises(ValueError):
+        component_laplacians(g, [[0, 1, 2], [2]])
+    L = component_laplacians(g, [[0, 1, 2]])[0]
+    assert np.array_equal(L @ np.eye(3), laplacian(g))
 
 
 # ---------------------------------------------------------------------------

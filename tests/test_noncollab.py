@@ -109,7 +109,7 @@ def one_agent(design, xi1_hat, rho, zeta):
     """The batched law on a single agent row: (dxi1, drho, u, proxy)."""
     PS = np.append(np.asarray(xi1_hat, dtype=float), rho)[None, :]
     Z = np.asarray(zeta, dtype=float)[None, :]
-    (dxi1, drho), u, proxy, exchange = noncollab_law(design, PS, Z)
+    (dxi1, drho), u, proxy, exchange = noncollab_law(design, PS, Z, np.empty(PS.shape))
     assert exchange is None
     return dxi1[0], drho[0, 0], u[0], proxy[0]
 
@@ -228,7 +228,7 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(ValueError):
         one_agent(design, np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ValueError):
-        noncollab_law(design, np.zeros((2, 4)), np.zeros((3, 2)))
+        noncollab_law(design, np.zeros((2, 4)), np.zeros((3, 2)), np.empty((2, 4)))
     with pytest.raises(ValueError):
         design_noncollab(reference_model(), delta=-1.0)
 
@@ -244,10 +244,12 @@ def test_batched_rows_match_single_agent_calls():
     # Two agents sit at equilibrium, so the batch straddles the dead zone.
     PS[1, :3] = Z[1] = 0.0
     PS[3, :3] = Z[3] = 0.0
-    (dxi1, drho), U, proxy, _ = noncollab_law(design, PS, Z)
+    (dxi1, drho), U, proxy, _ = noncollab_law(design, PS, Z, np.empty(PS.shape))
     assert np.any(drho[:, 0] > 0.0) and np.any(drho[:, 0] == 0.0)
     for i in range(5):
-        (dxi1_i, drho_i), U_i, proxy_i, _ = noncollab_law(design, PS[i : i + 1], Z[i : i + 1])
+        (dxi1_i, drho_i), U_i, proxy_i, _ = noncollab_law(
+            design, PS[i : i + 1], Z[i : i + 1], np.empty((1, PS.shape[1]))
+        )
         for batched, single in ((dxi1, dxi1_i), (drho, drho_i), (U, U_i), (proxy, proxy_i)):
             assert np.allclose(batched[i], single[0], rtol=1e-13, atol=1e-15)
 
@@ -270,3 +272,41 @@ def test_bad_observer_override_rejected():
             t_override=golden.NONCOLLAB_T,
             h1_override=np.zeros((2, 1)),
         )
+
+
+@pytest.mark.parametrize("automatic", [False, True])
+def test_fused_law_matches_written_out_formulas(automatic):
+    # The automatic transform's T mixes the outputs; the reference one is I.
+    design = design_noncollab(reference_model(), delta=1.0) if automatic else reference_design()
+    tr = design.transform
+    assert np.allclose(tr.T, np.eye(2)) != automatic
+    n1, k = design.n1, design.p_out - design.m
+    rng = np.random.default_rng(31)
+    XI1 = rng.standard_normal((7, n1))
+    RHO = rng.random((7, 1)) * 3.0
+    Z = rng.standard_normal((7, design.p_out))
+
+    ZT = Z @ tr.T.T
+    Z1, Z2 = ZT[:, :k], ZT[:, k:]
+    dXI1 = XI1 @ tr.A11.T + Z2 @ tr.A12.T + (XI1 @ tr.C1.T - Z1) @ design.H1.T
+    xi_hat = np.hstack([XI1, Z2])
+    U = -RHO * (xi_hat @ design.gain_row.T)
+    proxy = np.einsum("ij,jk,ik->i", xi_hat, design.P, xi_hat)
+    drho = np.einsum("ij,jk,ik->i", xi_hat, design.kernel, xi_hat)
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b)))
+
+    F = np.hstack([XI1, Z]) @ design.law_matrix
+    assert close(F[:, :n1], dXI1)
+    assert close(F[:, n1 : n1 + design.n], xi_hat)
+    assert close(F[:, n1 + 2 * design.n :], -(xi_hat @ design.gain_row.T))
+
+    PS = np.hstack([XI1, RHO])
+    (dxi1_law, drho_law), U_law, proxy_law, _ = noncollab_law(design, PS, Z, np.empty(PS.shape))
+    assert close(dxi1_law, dXI1)
+    assert close(U_law, U)
+    assert close(proxy_law, proxy)
+    above = proxy >= design.d
+    assert above.any() and close(drho_law[above, 0], drho[above])
+    assert np.all(drho_law[~above] == 0.0)
