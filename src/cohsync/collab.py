@@ -21,7 +21,13 @@ from functools import cached_property
 import numpy as np
 
 from .agents import AgentModel, check_assumptions
-from .linalg import SolverError, min_eigenvalue_sym, solve_care, solve_dual_care_shifted
+from .linalg import (
+    SolverError,
+    min_eigenvalue_sym,
+    row_product,
+    solve_care,
+    solve_dual_care_shifted,
+)
 
 GRID_RATIO = 1.05
 
@@ -389,7 +395,7 @@ def collab_law(design: CollabDesign, PS: np.ndarray, LS: np.ndarray, out: np.nda
     grid, d = design.grid, design.d
     RHO = PS[:, n : n + 1]
     AL = PS[:, n + 1]
-    F = np.concatenate((PS[:, :n], LS), axis=1) @ design.law_matrix
+    F = row_product(np.concatenate((PS[:, :n], LS), axis=1), design.law_matrix)
     V = F[:, 2 * n : 3 * n]
     # The squared norms of C zeta_tilde and e, which sit side by side in F.
     CZ_E = F[:, 3 * n :].reshape(-1, 2, p)
@@ -398,7 +404,7 @@ def collab_law(design: CollabDesign, PS: np.ndarray, LS: np.ndarray, out: np.nda
     on = AL > 0.0
     if on.any():
         U[on] = -AL[on, None] * np.einsum("imn,in->im", grid.gain_rows(AL[on]), V[on])
-    out[:, :n] = (F[:, :n] - RHO * F[:, n : 2 * n]) + U @ design.B.T
+    out[:, :n] = (F[:, :n] - RHO * F[:, n : 2 * n]) + row_product(U, design.B.T)
     out[:, n] = np.where(mismatch >= d, mismatch, 0.0)
     out[:, n + 1] = np.where(exchange >= 1.0, 1.0, np.where(exchange >= d, exchange, 0.0))
     return (out[:, :n], out[:, n : n + 1], out[:, n + 1 :]), U, mismatch, exchange

@@ -123,7 +123,9 @@ def component_laplacians(graph: DirectedWeightedGraph, components) -> list[Spars
     column order.  A row's product adds that row's own terms in column
     order and then zeros, so it depends on nothing else, and a set listed
     in increasing order gives the same product rows as the whole graph's
-    matrix, bitwise up to the sign of a zero.
+    matrix, bitwise.  That includes the sign of a zero: a padding term
+    0 * y_i has the sign of y_i, and a row sums to -0 only when all its
+    terms, the diagonal d_i * y_i among them, are -0.
     """
     A = graph.adjacency
     n = A.shape[0]

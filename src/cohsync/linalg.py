@@ -22,6 +22,7 @@ __all__ = [
     "solve_lyapunov",
     "solve_care",
     "solve_dual_care_shifted",
+    "row_product",
 ]
 
 # Newton iteration control: stop when successive iterates agree to this
@@ -41,6 +42,19 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     max_real_part: float
     is_hurwitz: bool
+
+
+def row_product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X @ B over a batch of rows, each row rounded the same whatever the
+    number of rows.
+
+    numpy hands a one-row product to BLAS dot or gemv, which round
+    differently from the kernels it uses for more rows, so a lone row is
+    computed as the first row of a two-row product.
+    """
+    if X.shape[0] == 1:
+        return (np.concatenate((X, X)) @ B)[:1]
+    return X @ B
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:

@@ -26,6 +26,7 @@ from .linalg import (
     eigenvalues,
     min_eigenvalue_sym,
     operator_norm_2,
+    row_product,
     solve_care,
 )
 
@@ -234,7 +235,7 @@ def noncollab_law(design: NoncollabDesign, PS: np.ndarray, Z: np.ndarray, out: n
             f"expected protocol-state rows of width {n1 + 1} and measurement rows of "
             f"width {design.p_out}, got {PS.shape} and {Z.shape}"
         )
-    F = np.concatenate((PS[:, :n1], Z), axis=1) @ design.law_matrix
+    F = row_product(np.concatenate((PS[:, :n1], Z), axis=1), design.law_matrix)
     proxy = np.einsum("ij,ij->i", F[:, n1 : n1 + n], F[:, n1 + n : n1 + 2 * n])
     NGX = F[:, n1 + 2 * n :]
     drive = np.einsum("ij,ij->i", NGX, NGX)

@@ -5,7 +5,7 @@ the network sums through the graph Laplacian, the disturbance rows, the
 classical fourth-order Runge-Kutta scheme on a fixed grid, blow-up and
 growth detection, and recording.  The protocol itself enters only as its
 batched runtime law (noncollab.noncollab_law or collab.collab_law),
-evaluated on all agent rows of a component at once; this module reads
+evaluated on all agent rows at once; this module reads
 none of a design's gains.  Each law evaluation takes one Laplacian
 product (L y for the noncollaborative law, L [x, x_hat] for the
 collaborative one) and writes its stage derivative into a preallocated
@@ -13,16 +13,18 @@ array.  Dead-zone branches in the gain laws are re-evaluated at every
 substep; no event localization is attempted, since crossing a dead zone
 only switches between nonnegative growth rates.
 
-The Laplacian is held as one sparse matrix per weakly connected component
-(graphs.component_laplacians), built from the adjacency's nonzeros, so a
-step costs time in proportion to the agents times their largest
-in-degree, not to N^2.  Disconnected graphs are simulated one component
-at a time, each component with exactly the arrays a standalone run of
-that component would use: its sparse matrix holds the same entries in the
-same slots either way, so its product is bitwise the same, and the dense
-per-row products see the same array shapes.  Together with per-agent
-seeding of initial states and globally indexed disturbances, this makes
-component trajectories bit-identical whether or not the rest of the network is present.
+All agents are integrated as one batch of rows in node order, through
+one sparse Laplacian of the whole graph (graphs.component_laplacians),
+so a step costs time in proportion to the agents times the largest
+in-degree, not to N^2.  A weakly connected component still evolves
+bitwise as it would alone: a sparse product row adds only its own terms
+in column order, then zero padding, and the dense products (law block,
+plant rates, RK4 combination) round each row the same whatever the
+number of rows (linalg.row_product); the BLAS kernels do this without
+promising it, so the solo-run tests are the gate.  With per-agent seeded
+initial states and globally indexed disturbances, component trajectories
+are bit-identical whether or not the rest of the network is present;
+growth warnings are kept per component to match.
 """
 
 import math
@@ -33,7 +35,7 @@ import numpy as np
 from .agents import AgentModel
 from .collab import CollabDesign, collab_law
 from .graphs import DirectedWeightedGraph, component_laplacians, weakly_connected_components
-from .linalg import SolverError
+from .linalg import SolverError, row_product
 from .noncollab import NoncollabDesign, noncollab_law
 
 # A single RK4 step multiplying the state envelope by more than this is
@@ -159,7 +161,10 @@ class SimulationRun:
         return self.agent_indices.shape[0]
 
 
-def _simulate_component(model, law, ps0, L, spec, indices, x0, dt, n_steps, stride):
+def _integrate(model, law, S, L, spec, indices, dt, n_steps, stride, order, starts):
+    """RK4 from the state rows S: the times, the recorded states and law
+    signals, and the first growth warning of each component, whose rows are
+    order[starts[c]:starts[c + 1]]."""
     n, w = model.n, model.w
     # The plant rates [x, u, w] -> x' in one product.
     plant = np.vstack([model.A.T, model.B.T, model.E.T])
@@ -168,28 +173,37 @@ def _simulate_component(model, law, ps0, L, spec, indices, x0, dt, n_steps, stri
         """Write dS/dt into out; return a thunk for the recorded signals."""
         U, signals = law(S, L, out[:, n:])
         inputs = (S[:, :n], U, _disturbance_rows(spec, indices, t, w))
-        np.matmul(np.concatenate(inputs, axis=1), plant, out=out[:, :n])
+        out[:, :n] = row_product(np.concatenate(inputs, axis=1), plant)
         return signals
 
-    # State rows are [x, protocol state]; the protocol state starts at ps0.
-    S = np.zeros((L.shape[0], n + ps0.shape[0]))
-    S[:, :n] = x0
-    S[:, n:] = ps0
+    def envelopes(S):
+        """max |S| over each component's rows."""
+        return np.maximum.reduceat(np.abs(S).max(axis=1)[order], starts)
+
+    n_samples = n_steps // stride + 1 + (n_steps % stride > 0)
+    times = np.empty(n_samples)
+    states = np.empty((n_samples,) + S.shape)
+    signals = None
     K = np.empty((4,) + S.shape)  # the four RK4 stage derivatives
     weights = np.array([1.0, 2.0, 2.0, 1.0]) * (dt / 6.0)
 
-    times, rows, extras = [], [], []
-    warnings: list[str] = []
+    first_growth: dict[int, str] = {}  # component -> its first growth warning
     half = 0.5 * dt
-    envelope_old = max(float(np.max(np.abs(S))), 1.0)
 
+    sample = 0
     for k in range(n_steps + 1):
         t = k * dt
-        signals = rhs(t, S, K[0])
+        recorded = rhs(t, S, K[0])
         if (k % stride == 0) or (k == n_steps):
-            times.append(t)
-            rows.append(S)  # never written to: each step makes a new S
-            extras.append(signals())
+            times[sample] = t
+            states[sample] = S
+            values = recorded()
+            if signals is None:
+                signals = [None if v is None else np.empty((n_samples,) + v.shape) for v in values]
+            for into, value in zip(signals, values):
+                if into is not None:
+                    into[sample] = value
+            sample += 1
         if k == n_steps:
             break
         rhs(t + half, S + half * K[0], K[1])
@@ -197,24 +211,26 @@ def _simulate_component(model, law, ps0, L, spec, indices, x0, dt, n_steps, stri
         rhs(t + dt, S + dt * K[2], K[3])
         S_new = S + (weights @ K.reshape(4, -1)).reshape(S.shape)
         # The maximum is NaN or infinite exactly when some entry is.
-        envelope_new = float(np.max(np.abs(S_new)))
-        if not math.isfinite(envelope_new):
+        envelope = float(np.max(np.abs(S_new)))
+        if not math.isfinite(envelope):
             raise IntegrationBlowup(
                 f"state became non-finite at t={t + dt:.6g}; "
                 "the run blew up (check the design or reduce dt)"
             )
-        if envelope_new > _GROWTH_LIMIT * envelope_old and not warnings:
-            warnings.append(
-                f"single-step state growth exceeded {_GROWTH_LIMIT:g}x at "
-                f"t={t + dt:.6g}; dt={dt:g} may be too large"
-            )
-        S, envelope_old = S_new, max(envelope_new, 1.0)
+        # A component's growth reference, max(its envelope, 1), is at least
+        # 1, so no component can grow past the limit while max |S| stays
+        # within it.
+        if envelope > _GROWTH_LIMIT:
+            grown = envelopes(S_new) > _GROWTH_LIMIT * np.maximum(envelopes(S), 1.0)
+            for c in np.flatnonzero(grown).tolist():
+                first_growth.setdefault(
+                    c,
+                    f"single-step state growth exceeded {_GROWTH_LIMIT:g}x at "
+                    f"t={t + dt:.6g}; dt={dt:g} may be too large",
+                )
+        S = S_new
 
-    out = {"t": np.array(times), "S": np.stack(rows), "warnings": warnings}
-    for key, column in zip(("y", "z", "u", "proxy", "exch"), zip(*extras)):
-        if column[0] is not None:
-            out[key] = np.stack(column)
-    return out
+    return times, states, signals, [first_growth[c] for c in sorted(first_growth)]
 
 
 def simulate(config: SimConfig) -> SimulationRun:
@@ -228,6 +244,11 @@ def simulate(config: SimConfig) -> SimulationRun:
     """
     model, graph, design = config.model, config.graph, config.design
     n, C_T = model.n, model.C.T
+
+    def outputs(X):
+        """C X[:, :n] for each row: the outputs, or their network sums."""
+        return row_product(X[:, :n], C_T)
+
     if isinstance(design, NoncollabDesign):
         protocol = "noncollaborative"
         if design.n != model.n or design.p_out != model.p or design.m != model.m:
@@ -235,7 +256,7 @@ def simulate(config: SimConfig) -> SimulationRun:
         obs_width = design.n1
 
         def law(S, L, out):
-            Y = S[:, :n] @ C_T
+            Y = outputs(S)
             Z = L @ Y
             _, U, proxy, _ = noncollab_law(design, S[:, n:], Z, out)
             return U, lambda: (Y, Z, U, proxy, None)
@@ -255,7 +276,7 @@ def simulate(config: SimConfig) -> SimulationRun:
             # product over the [x, x_hat] columns gives L x and L x_hat.
             LS = L @ S[:, : 2 * n]
             _, U, mismatch, exchange = collab_law(design, S[:, n:], LS, out)
-            return U, lambda: (S[:, :n] @ C_T, LS[:, :n] @ C_T, U, mismatch, exchange)
+            return U, lambda: (outputs(S), outputs(LS), U, mismatch, exchange)
 
     else:
         raise TypeError("design must be a NoncollabDesign or CollabDesign")
@@ -277,6 +298,8 @@ def simulate(config: SimConfig) -> SimulationRun:
         )
 
     n_agents = graph.n_nodes
+    if n_agents == 0:
+        raise ValueError("the graph has no agents")
     if config.disturbance_indices is None:
         indices = np.arange(1, n_agents + 1, dtype=float)
     else:
@@ -306,64 +329,40 @@ def simulate(config: SimConfig) -> SimulationRun:
             ]
         )
 
+    # State rows are [x, protocol state], in node order.
+    S = np.concatenate([x0, np.broadcast_to(ps0, (n_agents, ps0.shape[0]))], axis=1)
     components = weakly_connected_components(graph)
-    pieces = []
-    # A diverging step is detected and raised inside the component loop;
+    order = np.concatenate(components)
+    starts = np.cumsum([0] + [len(comp) for comp in components[:-1]])
+    (L,) = component_laplacians(graph, [range(n_agents)])
+    # A diverging step is detected and raised inside the integration;
     # numpy's per-element overflow warnings on the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for comp, L in zip(components, component_laplacians(graph, components)):
-            sel = np.asarray(comp, dtype=int)
-            piece = _simulate_component(
-                model,
-                law,
-                ps0,
-                L,
-                spec,
-                indices[sel],
-                x0[sel],
-                config.dt,
-                n_steps,
-                stride,
-            )
-            pieces.append((sel, piece))
+        times, S, (y, z, u, proxy, exch), warnings = _integrate(
+            model, law, S, L, spec, indices, config.dt, n_steps, stride, order, starts
+        )
 
-    times = pieces[0][1]["t"]
-    n_samples = times.shape[0]
-
-    def merge(key, trailing_shape):
-        out = np.zeros((n_samples, n_agents) + trailing_shape)
-        for sel, piece in pieces:
-            out[:, sel] = piece[key]
-        return out
-
-    warnings = []
-    for sel, piece in pieces:
-        warnings.extend(piece["warnings"])
-
-    S = merge("S", (model.n + ps0.shape[0],))
-    rho_col = model.n + obs_width
-    zeta = merge("z", (model.p,))
-    run = SimulationRun(
+    rho_col = n + obs_width
+    return SimulationRun(
         protocol=protocol,
         times=times,
         agent_indices=indices.astype(int),
-        states=S[:, :, : model.n],
-        protocol_states=S[:, :, model.n : rho_col],
-        outputs=merge("y", (model.p,)),
-        controls=merge("u", (model.m,)),
-        zeta=zeta,
+        states=S[:, :, :n],
+        protocol_states=S[:, :, n:rho_col],
+        outputs=y,
+        controls=u,
+        zeta=z,
         rho=S[:, :, rho_col],
-        coherency_norm=np.linalg.norm(zeta, axis=2),
-        coherency_proxy=merge("proxy", ()),
+        coherency_norm=np.linalg.norm(z, axis=2),
+        coherency_proxy=proxy,
         alpha=S[:, :, rho_col + 1] if collaborative else None,
-        exchange_energy=merge("exch", ()) if collaborative else None,
+        exchange_energy=exch,
         dt=config.dt,
         t_end=float(times[-1]),
         record_stride=stride,
         seed=int(config.seed),
         warnings=warnings,
     )
-    return run
 
 
 def detect_settling(times, values, threshold: float, trailing_window: float) -> float | None:

@@ -309,8 +309,8 @@ def test_dimension_mismatches_rejected():
 
 def test_batched_rows_match_single_agent_calls():
     # Rows in three different P_alpha cells and one with alpha = 0 share a
-    # batch; see the noncollaborative twin of this test for why the
-    # comparison is not bitwise.
+    # batch; the comparison is bitwise, as in the noncollaborative twin of
+    # this test.
     design = reference_design()
     rng = np.random.default_rng(29)
     rho = [0.5, 2.0, 0.0, 1.2, 3.0]
@@ -335,7 +335,8 @@ def test_batched_rows_match_single_agent_calls():
             (exchange, exchange_i),
         )
         for batched, single in pairs:
-            assert np.allclose(batched[i], single[0], rtol=1e-13, atol=1e-15)
+            assert np.array_equal(batched[i], single[0])
+            assert np.array_equal(np.signbit(batched[i]), np.signbit(single[0]))
 
 
 def test_fused_law_matches_written_out_formulas():

@@ -10,6 +10,7 @@ from cohsync.linalg import (
     eigenvalues,
     min_eigenvalue_sym,
     operator_norm_2,
+    row_product,
     solve_care,
     solve_dual_care_shifted,
     solve_lyapunov,
@@ -229,3 +230,17 @@ def test_dual_care_eta_scaling():
         resid = operator_norm_2(A.T @ Q + Q @ A - Q @ C.T @ C @ Q + eta * np.eye(3))
         assert resid <= 1e-8 * (1.0 + operator_norm_2(Q) ** 2)
         assert min_eigenvalue_sym(Q) > 0.0
+
+
+@pytest.mark.parametrize("k, m", [(3, 1), (4, 2), (1, 3), (6, 4), (5, 12), (9, 11)])
+def test_row_product_rows_do_not_depend_on_batch_size(k, m):
+    # The simulator's bitwise component independence rests on this.
+    rng = np.random.default_rng(k * 100 + m)
+    B = rng.standard_normal((k, m))
+    for n in range(1, 14):
+        X = rng.standard_normal((n, k))
+        full = row_product(X, B)
+        assert np.allclose(full, X @ B, rtol=1e-14, atol=1e-14)
+        for lo in range(n):
+            for hi in range(lo + 1, n + 1):
+                assert np.array_equal(row_product(X[lo:hi], B), full[lo:hi]), (n, lo, hi)

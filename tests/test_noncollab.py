@@ -234,9 +234,9 @@ def test_dimension_mismatches_rejected():
 
 
 def test_batched_rows_match_single_agent_calls():
-    # Not bitwise: BLAS picks its kernel by matrix shape, so a one-row
-    # product over the 4-wide estimate can round differently from the same
-    # row inside a five-row product.
+    # Bitwise, the sign of a zero included: the law's products compute a
+    # one-row batch as part of a two-row one (linalg.row_product), whose
+    # rows round as in any larger batch.
     design = reference_design()
     rng = np.random.default_rng(23)
     PS = np.hstack([rng.standard_normal((5, 3)), rng.random((5, 1)) * 4.0])
@@ -251,7 +251,8 @@ def test_batched_rows_match_single_agent_calls():
             design, PS[i : i + 1], Z[i : i + 1], np.empty((1, PS.shape[1]))
         )
         for batched, single in ((dxi1, dxi1_i), (drho, drho_i), (U, U_i), (proxy, proxy_i)):
-            assert np.allclose(batched[i], single[0], rtol=1e-13, atol=1e-15)
+            assert np.array_equal(batched[i], single[0])
+            assert np.array_equal(np.signbit(batched[i]), np.signbit(single[0]))
 
 
 def test_bad_observer_override_rejected():

@@ -5,7 +5,12 @@ import pytest
 
 from cohsync.agents import AgentModel
 from cohsync.collab import design_collab
-from cohsync.graphs import DirectedWeightedGraph, generate_disconnected_composite
+from cohsync.graphs import (
+    DirectedWeightedGraph,
+    generate_circulant,
+    generate_disconnected_composite,
+    weakly_connected_components,
+)
 from cohsync.linalg import SolverError
 from cohsync.noncollab import design_noncollab
 from cohsync.simulate import (
@@ -245,6 +250,82 @@ def test_components_simulate_identically_alone():
         assert np.array_equal(full.coherency_proxy[:, lo:hi], solo.coherency_proxy)
 
 
+def mixed_component_graph():
+    """Components of 5, 7, 3, 1 and 1 nodes with different largest
+    in-degrees (circulants with offsets (1, 2) and (1, 2, 3), a random
+    3-node digraph, two isolated nodes), their nodes shuffled together."""
+    rng = np.random.default_rng(4)
+    blocks = [
+        generate_circulant(5, (1, 2)).adjacency,
+        generate_circulant(7, (1, 2, 3)).adjacency,
+        rng.uniform(0.5, 2.0, (3, 3)) * [[0.0, 0.0, 0.7], [1.3, 0.0, 0.0], [0.4, 2.1, 0.0]],
+        np.zeros((1, 1)),
+        np.zeros((1, 1)),
+    ]
+    n = sum(b.shape[0] for b in blocks)
+    A = np.zeros((n, n))
+    lo = 0
+    for b in blocks:
+        A[lo : lo + b.shape[0], lo : lo + b.shape[0]] = b
+        lo += b.shape[0]
+    perm = rng.permutation(n)
+    return DirectedWeightedGraph(A[np.ix_(perm, perm)])
+
+
+def rotated_model(A, B, C, E, seed):
+    """The model in random orthogonal coordinates: no entry is a small
+    integer, so products round as they would for a general model."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(A), len(A))))
+    return AgentModel(Q @ A @ Q.T, Q @ B, C @ Q.T, Q @ E)
+
+
+@pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
+def test_mixed_components_match_solo_runs_bitwise(protocol):
+    if protocol == "noncollaborative":
+        model = rotated_model(
+            golden.NONCOLLAB_A, golden.NONCOLLAB_B, golden.NONCOLLAB_C, golden.NONCOLLAB_E, 1
+        )
+        design = design_noncollab(model, delta=2.0)
+        gains = {}
+    else:
+        model = rotated_model(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, golden.COLLAB_E, 1)
+        design = design_collab(model, delta=2.0)
+        gains = dict(initial_rho=8.0, initial_alpha=4.0)
+    g = mixed_component_graph()
+    cfg = dict(
+        model=model,
+        design=design,
+        disturbance=DisturbanceSpec(kind="chirp"),
+        dt=1e-3,
+        t_end=1.0,
+        seed=3,
+        record_stride=3,
+        **gains,
+    )
+    full = simulate(SimConfig(graph=g, **cfg))
+    components = weakly_connected_components(g)
+    assert sorted(len(c) for c in components) == [1, 1, 3, 5, 7]
+    names = ("states", "protocol_states", "outputs", "controls", "zeta", "rho", "alpha")
+    names += ("coherency_proxy", "exchange_energy")
+    for comp in components:
+        sel = np.asarray(comp)
+        solo = simulate(
+            SimConfig(
+                graph=DirectedWeightedGraph(g.adjacency[np.ix_(sel, sel)]),
+                disturbance_indices=tuple(sel + 1),
+                **cfg,
+            )
+        )
+        for name in names:
+            a, b = getattr(full, name), getattr(solo, name)
+            if a is None:
+                assert b is None and protocol == "noncollaborative", name
+                continue
+            # Bitwise, the sign of a zero included.
+            assert np.array_equal(a[:, sel], b), (name, comp)
+            assert np.array_equal(np.signbit(a[:, sel]), np.signbit(b)), (name, comp)
+
+
 def test_recording_stride_and_final_sample():
     model = scalar_model()
     design = design_noncollab(model, delta=1.0)
@@ -281,6 +362,51 @@ def test_growth_warning_without_blowup():
     )
     assert run.warnings and "growth" in run.warnings[0]
     assert np.all(np.isfinite(run.states))
+
+
+def test_growth_warning_kept_per_component():
+    # Each isolated agent is its own component and grows about 5.5e3-fold
+    # per step; the smaller start crosses the limit one step later.
+    model = AgentModel([[-1.0]], [[1.0]], [[1.0]])
+    design = design_noncollab(model, delta=1.0)
+    starts = [1e-4, 1.0, 2e-4]
+    cfg = dict(model=model, design=design, dt=20.0, t_end=600.0)
+    full = simulate(
+        SimConfig(
+            graph=DirectedWeightedGraph(np.zeros((3, 3))),
+            initial_states=np.array(starts)[:, None],
+            **cfg,
+        )
+    )
+    solo_warnings = []
+    for i, x0 in enumerate(starts):
+        solo = simulate(
+            SimConfig(
+                graph=DirectedWeightedGraph(np.zeros((1, 1))),
+                initial_states=np.array([[x0]]),
+                disturbance_indices=(i + 1,),
+                **cfg,
+            )
+        )
+        assert len(solo.warnings) == 1
+        solo_warnings += solo.warnings
+    assert "t=40" in solo_warnings[0] and "t=20" in solo_warnings[1]
+    assert full.warnings == solo_warnings
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_blowup_in_one_component_aborts_the_run():
+    model = AgentModel([[1.0]], [[1.0]], [[1.0]])
+    design = design_noncollab(model, delta=1.0)
+    cfg = dict(model=model, design=design, dt=5.0, t_end=100.0)
+    with pytest.raises(IntegrationBlowup) as solo:
+        simulate(SimConfig(graph=pair_graph(), initial_states=np.array([[1e3], [-1e3]]), **cfg))
+    # An isolated agent at rest stays at 0; only the pair diverges.
+    g = DirectedWeightedGraph.from_edges(3, [(0, 2, 1.0), (2, 0, 1.0)])
+    with pytest.raises(IntegrationBlowup) as full:
+        simulate(SimConfig(graph=g, initial_states=np.array([[1e3], [0.0], [-1e3]]), **cfg))
+    assert str(full.value) == str(solo.value)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -373,6 +499,9 @@ def test_config_validation():
     other = scalar_model()
     with pytest.raises(ValueError):
         simulate(SimConfig(model=other, graph=g, design=design))
+    empty = DirectedWeightedGraph(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="no agents"):
+        simulate(SimConfig(model=model, graph=empty, design=design))
 
 
 # ---------------------------------------------------------------------------
