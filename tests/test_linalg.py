@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from cohsync import linalg
 from cohsync.linalg import (
     SolverError,
     eigenvalues,
@@ -15,6 +18,7 @@ from cohsync.linalg import (
     solve_dual_care_shifted,
     solve_lyapunov,
 )
+from cohsync.verification import _kronecker_lyapunov
 
 
 def random_hurwitz(rng, n, margin=0.5):
@@ -107,9 +111,88 @@ def test_lyapunov_matches_scipy_seeded():
         assert np.max(np.abs(X - X.T)) == 0.0
 
 
+def test_lyapunov_matches_kronecker_oracle():
+    # The Kronecker solve shares no step with the Schur route.
+    rng = np.random.default_rng(2025)
+    for n in range(2, 7):
+        for k in range(10):
+            A = random_hurwitz(rng, n, margin=0.1 + rng.random())
+            W = rng.standard_normal((n, n))
+            W = 0.5 * (W + W.T)
+            X = solve_lyapunov(A, W)
+            X_oracle = _kronecker_lyapunov(A, W)
+            scale = max(1.0, np.max(np.abs(X_oracle)))
+            assert np.max(np.abs(X - X_oracle)) <= 1e-9 * scale, (n, k)
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_lyapunov_residual_at_larger_n(n):
+    rng = np.random.default_rng(n)
+    A = random_hurwitz(rng, n)
+    W = random_spd(rng, n)
+    X = solve_lyapunov(A, W)
+    assert np.max(np.abs(X - X.T)) == 0.0
+    assert operator_norm_2(A.T @ X + X @ A + W) <= 1e-10 * (1.0 + operator_norm_2(W))
+    assert min_eigenvalue_sym(X) > 0.0
+
+
 def test_lyapunov_rejects_non_hurwitz():
     with pytest.raises(SolverError):
         solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
+
+
+def test_lyapunov_rejects_unstable_complex_pair():
+    # The pair 0.3 +- 2i sits in a 2x2 block of the Schur form, beside a
+    # stable real eigenvalue; a random orthogonal change of coordinates hides
+    # the block structure from the input.
+    rng = np.random.default_rng(17)
+    block = np.array([[0.3, 2.0, 0.0], [-2.0, 0.3, 0.0], [0.0, 0.0, -1.0]])
+    V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    with pytest.raises(SolverError, match="needs a Hurwitz matrix"):
+        solve_lyapunov(V @ block @ V.T, np.eye(3))
+
+
+def test_lyapunov_rejects_pair_on_imaginary_axis():
+    # +-2i beside -1 and -0.5; a permutation keeps the zero real part exact,
+    # where a rotation would leave it at roundoff of either sign.
+    A = np.array(
+        [
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 2.0],
+            [0.0, 0.0, -0.5, 0.0],
+            [0.0, -2.0, 0.0, 0.0],
+        ]
+    )
+    with pytest.raises(SolverError, match=r"max Re\(lambda\) = 0"):
+        solve_lyapunov(A, np.eye(4))
+
+
+def test_lyapunov_rejects_rotated_imaginary_axis_pair():
+    # Rotated, the pair +-2i gets a computed real part of roundoff size and
+    # either sign.  Where it reads negative, the solve is near-singular: the
+    # residual check must turn that into a SolverError like the Hurwitz
+    # check does, never let a LinAlgError or a wrong X through.
+    block = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    for seed in range(100):
+        V, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+        with pytest.raises(SolverError):
+            solve_lyapunov(V @ block @ V.T, np.eye(3))
+
+
+def test_lyapunov_residual_guard_catches_a_bad_sylvester_solve(monkeypatch):
+    rng = np.random.default_rng(8)
+    A = random_hurwitz(rng, 5)
+    W = random_spd(rng, 5)
+    solve_lyapunov(A, W)
+    dtrsyl = linalg.lapack.dtrsyl
+
+    def perturbed(*args, **kwargs):
+        Y, scale, info = dtrsyl(*args, **kwargs)
+        return Y * (1.0 + 1e-6), scale, info
+
+    monkeypatch.setattr(linalg, "lapack", SimpleNamespace(dtrsyl=perturbed))
+    with pytest.raises(SolverError, match="Lyapunov residual"):
+        solve_lyapunov(A, W)
 
 
 def test_lyapunov_residual_postcondition():
@@ -166,6 +249,16 @@ def test_care_idempotent_restart():
     P1 = solve_care(A, B)
     P2 = solve_care(A, B, initial_p=P1)
     assert np.max(np.abs(P2 - P1)) < 1e-12 * max(1.0, np.max(np.abs(P1)))
+
+
+def test_care_ignores_destabilizing_warm_start():
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
+    B = rng.standard_normal((4, 2))
+    P = solve_care(A, B)
+    # the zero start gives A itself, which is unstable
+    assert not eigenvalues(A).is_hurwitz
+    assert np.array_equal(solve_care(A, B, initial_p=np.zeros((4, 4))), P)
 
 
 def test_care_rejects_unstabilizable():
