@@ -2,9 +2,13 @@
 
 Conventions used throughout the package:
 
-* ``adjacency[i, j] = w > 0`` means node i observes node j with weight w,
-  i.e. information flows from j to i.  An edge record ``(i, j, w)`` in the
-  text exchange format is the flow itself: j observes i.
+* A graph is stored as in-neighbour rows: row i lists the nodes i
+  observes, ``cols[indptr[i]:indptr[i + 1]]`` in increasing order, with
+  their positive weights in ``weights`` at the same positions.  Information
+  flows from each listed node j to i.  An edge record ``(i, j, w)`` in the
+  text exchange format is the flow itself: j observes i.  Nothing of size
+  N^2 is stored; the dense ``adjacency[i, j] = w`` is built on request,
+  for small graphs.
 * The Laplacian has row sums zero: ``L[i, i] = sum_j a[i, j]`` and
   ``L[i, j] = -a[i, j]`` off the diagonal, so the network signal
   ``zeta_i = sum_j L[i, j] y_j = sum_j a[i, j] (y_i - y_j)``.
@@ -20,16 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import SolverError, eigenvalues, min_eigenvalue_sym
+from .linalg import SolverError, min_eigenvalue_sym
 
 __all__ = [
     "DirectedWeightedGraph",
-    "LaplacianDecomposition",
     "HWeights",
     "laplacian",
     "SparseLaplacian",
-    "component_laplacians",
-    "basic_bicomponents",
     "weakly_connected_components",
     "generate_vicsek_fractal",
     "generate_circulant",
@@ -41,63 +42,118 @@ __all__ = [
 
 
 class DirectedWeightedGraph:
-    """Immutable directed graph over nodes 0..n-1 with nonnegative weights."""
+    """Immutable directed graph over nodes 0..n-1 with positive weights,
+    held as in-neighbour rows: ``indptr``, ``cols`` and ``weights``."""
 
     def __init__(self, adjacency):
-        A = np.array(adjacency, dtype=float)
+        """From a dense matrix, for small graphs: adjacency[i, j] = w means i observes j."""
+        A = np.asarray(adjacency, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"adjacency must be square, got {A.shape}")
-        if A.size and not np.all(np.isfinite(A)):
-            raise ValueError("adjacency contains non-finite weights")
-        if np.any(A < 0.0):
-            raise ValueError("edge weights must be nonnegative")
-        if np.any(np.diag(A) != 0.0):
-            raise ValueError("self-loops are not allowed")
-        A.setflags(write=False)
-        self._adjacency = A
+        rows, cols = np.nonzero(A)
+        self._store(A.shape[0], cols, rows, A[rows, cols])
+
+    @classmethod
+    def from_flows(cls, n_nodes: int, src, dst, weights) -> "DirectedWeightedGraph":
+        """Build from flow arrays: dst[k] observes src[k] with weight weights[k].
+
+        As in a dense matrix written record by record, a repeated
+        (src, dst) pair keeps its last weight and a zero weight adds no edge.
+        """
+        graph = cls.__new__(cls)
+        graph._store(n_nodes, src, dst, weights)
+        return graph
 
     @classmethod
     def from_edges(cls, n_nodes: int, edges) -> "DirectedWeightedGraph":
         """Build from flow records (src, dst, weight): dst observes src."""
-        A = np.zeros((n_nodes, n_nodes))
-        for src, dst, w in edges:
-            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-                raise ValueError(f"edge ({src}, {dst}) outside node range")
-            A[dst, src] = w
-        return cls(A)
+        records = np.array(list(edges), dtype=float).reshape(-1, 3)
+        return cls.from_flows(n_nodes, records[:, 0], records[:, 1], records[:, 2])
+
+    def _store(self, n_nodes, src, dst, weights):
+        n = int(n_nodes)
+        if n < 0:
+            raise ValueError("the node count must be nonnegative")
+        flows = np.stack([np.asarray(src), np.asarray(dst)])
+        bad = np.flatnonzero(np.any((flows < 0) | (flows >= n) | (flows % 1 != 0), axis=0))
+        if bad.size:
+            raise ValueError(f"edge ({flows[0, bad[0]]}, {flows[1, bad[0]]}) outside node range")
+        # Entries by (row, column); of a repeated pair the last record wins.
+        key = flows[1].astype(np.intp) * n + flows[0].astype(np.intp)
+        order = np.argsort(key, kind="stable")
+        key, w = key[order], np.asarray(weights, dtype=float)[order]
+        last = np.ones(key.size, dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
+        key, w = key[last], w[last]
+        if not np.all(np.isfinite(w)):
+            raise ValueError("adjacency contains non-finite weights")
+        if np.any(w < 0.0):
+            raise ValueError("edge weights must be nonnegative")
+        rows, cols = np.divmod(key, max(n, 1))
+        if np.any((rows == cols) & (w != 0.0)):
+            raise ValueError("self-loops are not allowed")
+        edge = w != 0.0
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[edge], minlength=n))])
+        self.cols, self.weights = cols[edge], w[edge]
+        for array in (self.indptr, self.cols, self.weights):
+            array.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
-        return self._adjacency.shape[0]
+        return self.indptr.size - 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The observing node of each stored entry."""
+        return np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
 
     @property
     def adjacency(self) -> np.ndarray:
-        return self._adjacency
-
-    def is_undirected(self) -> bool:
-        return bool(np.array_equal(self._adjacency, self._adjacency.T))
+        """The dense matrix, built on request: adjacency[i, j] = w means i observes j."""
+        A = np.zeros((self.n_nodes, self.n_nodes))
+        A[self.rows, self.cols] = self.weights
+        return A
 
 
 def laplacian(graph: DirectedWeightedGraph) -> np.ndarray:
-    """Row-sum-zero Laplacian of the observation graph."""
+    """Dense row-sum-zero Laplacian of the observation graph, for small graphs."""
     A = graph.adjacency
-    L = -A.copy()
+    L = -A
     np.fill_diagonal(L, A.sum(axis=1))
     return L
 
 
 class SparseLaplacian:
-    """A Laplacian held by entry slot: row i's j-th entry is vals[j, i, 0]
-    in column cols[j, i], for cols of shape (width, n).
+    """A graph's Laplacian held by entry slot: row i's j-th entry is
+    vals[j, i, 0] in column cols[j, i], for cols of shape (width, n).
 
     Each row keeps its entries in column order, diagonal included, and a
     row with fewer entries than the widest is padded with zero weights in
     its own column.  So storage and product cost grow with the number of
     nodes times the largest in-degree, not with its square.
+
+    The degree is summed over the row's weights in column order.  A row's
+    product adds that row's own terms in column order and then zeros, so
+    it depends on nothing else, and a weakly connected component taken as
+    a graph of its own gives the same product rows as the whole graph,
+    bitwise.  That includes the sign of a zero: a padding term 0 * y_i has
+    the sign of y_i, and a row sums to -0 only when all its terms, the
+    diagonal d_i * y_i among them, are -0.
     """
 
-    def __init__(self, cols: np.ndarray, vals: np.ndarray):
-        self.cols, self.vals = cols, vals
+    def __init__(self, graph: DirectedWeightedGraph):
+        n = graph.n_nodes
+        rows, cols, weights = graph.rows, graph.cols, graph.weights
+        degree = np.bincount(rows, weights=weights, minlength=n)
+        # A row's diagonal follows its in-neighbours of smaller index.
+        diagonal = np.bincount(rows[cols < rows], minlength=n)
+        slot = np.arange(cols.size) - graph.indptr[rows] + (cols > rows)
+        width = int(np.diff(graph.indptr).max(initial=0)) + 1
+        self.cols = np.tile(np.arange(n), (width, 1))
+        self.vals = np.zeros((width, n, 1))
+        self.cols[slot, rows] = cols
+        self.vals[slot, rows, 0] = -weights
+        self.vals[diagonal, np.arange(n), 0] = degree
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -112,62 +168,6 @@ class SparseLaplacian:
         for term in terms[1:]:
             out += term
         return out
-
-
-def component_laplacians(graph: DirectedWeightedGraph, components) -> list[SparseLaplacian]:
-    """The Laplacian of each node set, indexed in the set's own order.
-
-    Each set must hold every in-neighbour of its members (a weakly
-    connected component, or a union of them).  Only the adjacency's
-    nonzeros are read.  The degree is summed over the row's weights in
-    column order.  A row's product adds that row's own terms in column
-    order and then zeros, so it depends on nothing else, and a set listed
-    in increasing order gives the same product rows as the whole graph's
-    matrix, bitwise.  That includes the sign of a zero: a padding term
-    0 * y_i has the sign of y_i, and a row sums to -0 only when all its
-    terms, the diagonal d_i * y_i among them, are -0.
-    """
-    A = graph.adjacency
-    n = A.shape[0]
-    owner = np.full(n, -1)
-    local = np.zeros(n, dtype=np.intp)
-    sizes = []
-    for index, nodes in enumerate(components):
-        nodes = np.asarray(nodes, dtype=np.intp)
-        if np.any(owner[nodes] >= 0):
-            raise ValueError("node sets overlap")
-        owner[nodes] = index
-        local[nodes] = np.arange(nodes.size)
-        sizes.append(nodes.size)
-
-    rows, cols = np.nonzero(A)
-    weights = A[rows, cols]
-    if np.any((owner[rows] >= 0) & (owner[rows] != owner[cols])):
-        raise ValueError("a node set lacks an in-neighbour of one of its members")
-    degree = np.bincount(rows, weights=weights, minlength=n)
-
-    # All entries, diagonal included, ordered by (set, local row, local column).
-    r = np.concatenate([rows, np.arange(n)])
-    c = np.concatenate([cols, np.arange(n)])
-    v = np.concatenate([-weights, degree])
-    keep = owner[r] >= 0
-    r, c, v = r[keep], c[keep], v[keep]
-    order = np.lexsort((local[c], local[r], owner[r]))
-    bounds = np.searchsorted(owner[r[order]], np.arange(len(sizes) + 1))
-    r, c, v = local[r[order]], local[c[order]], v[order]
-
-    out = []
-    for k, size in enumerate(sizes):
-        part = slice(bounds[k], bounds[k + 1])
-        lr, lc, lv = r[part], c[part], v[part]
-        counts = np.bincount(lr, minlength=size)
-        slot = np.arange(lr.size) - (np.cumsum(counts) - counts)[lr]
-        cols_k = np.tile(np.arange(size), (counts.max(), 1))
-        vals_k = np.zeros(cols_k.shape + (1,))
-        cols_k[slot, lr] = lc
-        vals_k[slot, lr, 0] = lv
-        out.append(SparseLaplacian(cols_k, vals_k))
-    return out
 
 
 def _tarjan_scc(succ: list[list[int]]) -> list[list[int]]:
@@ -218,79 +218,32 @@ def _tarjan_scc(succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-@dataclass(frozen=True)
-class LaplacianDecomposition:
-    """Permuted Laplacian exposing the basic-component block structure.
-
-    ``laplacian`` is the permuted matrix: the leading ``nonbasic_block_size``
-    rows form the grounded block (all eigenvalues in the open right half
-    plane), followed by one diagonal block per basic component.
-    ``node_permutation[k]`` is the original id of the node in position k.
-    ``basic_components`` lists original node ids, one list per component.
-    """
-
-    laplacian: np.ndarray
-    node_permutation: np.ndarray
-    basic_components: list[list[int]]
-    nonbasic_block_size: int
-
-
-def basic_bicomponents(graph: DirectedWeightedGraph) -> LaplacianDecomposition:
-    """Split the network into its basic components and the grounded rest."""
-    A = graph.adjacency
-    n = graph.n_nodes
-    succ = [list(np.nonzero(A[i])[0]) for i in range(n)]
-    comps = _tarjan_scc(succ)
-    basic = []
-    nonbasic_nodes = []
-    for ci, comp in enumerate(comps):
-        members = np.array(comp)
-        outside = np.ones(n, dtype=bool)
-        outside[members] = False
-        if np.any(A[np.ix_(members, outside)] > 0.0):
-            nonbasic_nodes.extend(comp)
-        else:
-            basic.append(comp)
-    basic.sort(key=lambda comp: comp[0])
-    nonbasic_nodes.sort()
-    perm = np.array(nonbasic_nodes + [v for comp in basic for v in comp], dtype=int)
-    L = laplacian(graph)
-    L_perm = L[np.ix_(perm, perm)]
-    k = len(nonbasic_nodes)
-    if k:
-        spec = eigenvalues(L_perm[:k, :k])
-        if float(np.min(spec.eigenvalues.real)) <= 1e-12:
-            raise SolverError("grounded block has an eigenvalue off the open right half plane")
-    return LaplacianDecomposition(
-        laplacian=L_perm,
-        node_permutation=perm,
-        basic_components=basic,
-        nonbasic_block_size=k,
-    )
-
-
 def weakly_connected_components(graph: DirectedWeightedGraph) -> list[list[int]]:
-    """Connected components of the underlying undirected structure."""
-    A = graph.adjacency
-    n = graph.n_nodes
-    sym = (A + A.T) > 0.0
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        frontier = [root]
-        seen[root] = True
-        comp = []
-        while frontier:
-            v = frontier.pop()
-            comp.append(v)
-            for w in np.nonzero(sym[v])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(int(w))
-        comps.append(sorted(comp))
-    return comps
+    """Connected components of the underlying undirected structure, each
+    sorted, in order of their smallest node.
+
+    Label propagation with pointer jumping over the edge arrays: each node
+    points at a node of its component no larger than itself.  A round
+    hooks the larger of the two roots an edge joins onto the smaller, then
+    jumps every pointer to its root, until no edge joins two roots.  A
+    component's root is then its smallest node.
+    """
+    u, v = graph.rows, graph.cols
+    root = np.arange(graph.n_nodes)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    order = np.argsort(root, kind="stable")
+    cuts = np.flatnonzero(np.diff(root[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts)] if order.size else []
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +296,6 @@ def generate_vicsek_fractal(generation: int, directed: bool = True) -> DirectedW
     if generation not in (1, 2, 3):
         raise ValueError("generation must be 1, 2 or 3")
     n, edges, center, _ = _vicsek_tree(generation)
-    A = np.zeros((n, n))
     if directed:
         # BFS orientation: child observes parent
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -353,22 +305,22 @@ def generate_vicsek_fractal(generation: int, directed: bool = True) -> DirectedW
         seen = [False] * n
         seen[center] = True
         frontier = [center]
+        flows = []
         while frontier:
             nxt = []
             for parent in frontier:
                 for child in adj[parent]:
                     if not seen[child]:
                         seen[child] = True
-                        A[child, parent] = 1.0
+                        flows.append((parent, child))
                         nxt.append(child)
             frontier = nxt
         if not all(seen):
             raise SolverError("fractal construction produced a disconnected tree")
     else:
-        for u, v in edges:
-            A[u, v] = 1.0
-            A[v, u] = 1.0
-    return DirectedWeightedGraph(A)
+        flows = edges + [(v, u) for u, v in edges]
+    src, dst = np.array(flows).T
+    return DirectedWeightedGraph.from_flows(n, src, dst, np.ones(src.size))
 
 
 def generate_circulant(n_nodes: int, offsets=(1, 2), directed: bool = True) -> DirectedWeightedGraph:
@@ -378,13 +330,11 @@ def generate_circulant(n_nodes: int, offsets=(1, 2), directed: bool = True) -> D
         raise ValueError("offsets must be distinct")
     if any(not (0 < o < n_nodes) for o in offs):
         raise ValueError("offsets must lie strictly between 0 and n_nodes")
-    A = np.zeros((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        for o in offs:
-            A[(i + o) % n_nodes, i] = 1.0
+    src = np.tile(np.arange(n_nodes), len(offs))
+    dst = (src + np.repeat(np.array(offs, dtype=np.intp), n_nodes)) % n_nodes
     if not directed:
-        A = np.maximum(A, A.T)
-    return DirectedWeightedGraph(A)
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    return DirectedWeightedGraph.from_flows(n_nodes, src, dst, np.ones(src.size))
 
 
 def generate_disconnected_composite(component_sizes=(8, 8, 8), seed: int = 0) -> DirectedWeightedGraph:
@@ -398,22 +348,21 @@ def generate_disconnected_composite(component_sizes=(8, 8, 8), seed: int = 0) ->
     sizes = [int(s) for s in component_sizes]
     if any(s < 2 for s in sizes):
         raise ValueError("components need at least 2 nodes")
-    total = sum(sizes)
-    A = np.zeros((total, total))
+    src, dst = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     base = 0
     for ci, size in enumerate(sizes):
-        rng = np.random.default_rng([int(seed), ci])
-        for i in range(size):
-            A[base + (i + 1) % size, base + i] = 1.0
-        for u in range(size):
-            for v in range(size):
-                draw = rng.random()
-                if u == v or A[base + v, base + u] > 0.0:
-                    continue
-                if draw < 0.2:
-                    A[base + v, base + u] = 1.0
+        # One draw per ordered pair (u, v), row by row; u feeds v if it is
+        # below 0.2, unless u == v or u already feeds v along the cycle.
+        extra = np.random.default_rng([int(seed), ci]).random((size, size)) < 0.2
+        ring = np.arange(size)
+        extra[ring, ring] = False
+        extra[ring, (ring + 1) % size] = False
+        u, v = np.nonzero(extra)
+        src += [base + ring, base + u]
+        dst += [base + (ring + 1) % size, base + v]
         base += size
-    return DirectedWeightedGraph(A)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    return DirectedWeightedGraph.from_flows(base, src, dst, np.ones(src.size))
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +436,17 @@ def format_edge_list(graph: DirectedWeightedGraph) -> str:
 
     Node ids are 1-based in the text form; `i j w` means j observes i.
     """
-    A = graph.adjacency
     out = io.StringIO()
     out.write(f"nodes {graph.n_nodes}\n")
-    dst, src = np.nonzero(A)
-    for d, s in zip(dst.tolist(), src.tolist()):
-        out.write(f"{s + 1} {d + 1} {A[d, s]:.17g}\n")
+    for d, s, w in zip(graph.rows.tolist(), graph.cols.tolist(), graph.weights.tolist()):
+        out.write(f"{s + 1} {d + 1} {w:.17g}\n")
     return out.getvalue()
 
 
 def read_edge_list(text: str) -> DirectedWeightedGraph:
     """Parse the format written by format_edge_list."""
     n = None
-    edges = []
+    src, dst, weights = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -508,14 +455,18 @@ def read_edge_list(text: str) -> DirectedWeightedGraph:
         if n is None:
             if parts[0] != "nodes" or len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'nodes <count>' header")
-            n = int(parts[1])
+            n = int(parts[1]) if parts[1].isascii() and parts[1].isdigit() else -1
+            if n < 0:
+                raise ValueError(f"line {lineno}: node count {parts[1]!r} is not a nonnegative integer")
             continue
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'src dst weight'")
-        src, dst, w = int(parts[0]), int(parts[1]), float(parts[2])
-        if not (1 <= src <= n and 1 <= dst <= n):
+        s, d, w = int(parts[0]), int(parts[1]), float(parts[2])
+        if not (1 <= s <= n and 1 <= d <= n):
             raise ValueError(f"line {lineno}: node id outside 1..{n}")
-        edges.append((src - 1, dst - 1, w))
+        src.append(s - 1)
+        dst.append(d - 1)
+        weights.append(w)
     if n is None:
         raise ValueError("missing 'nodes <count>' header")
-    return DirectedWeightedGraph.from_edges(n, edges)
+    return DirectedWeightedGraph.from_flows(n, src, dst, weights)

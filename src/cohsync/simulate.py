@@ -14,7 +14,7 @@ substep; no event localization is attempted, since crossing a dead zone
 only switches between nonnegative growth rates.
 
 All agents are integrated as one batch of rows in node order, through
-one sparse Laplacian of the whole graph (graphs.component_laplacians),
+one sparse Laplacian of the whole graph (graphs.SparseLaplacian),
 so a step costs time in proportion to the agents times the largest
 in-degree, not to N^2.  A weakly connected component still evolves
 bitwise as it would alone: a sparse product row adds only its own terms
@@ -34,7 +34,7 @@ import numpy as np
 
 from .agents import AgentModel
 from .collab import CollabDesign, collab_law
-from .graphs import DirectedWeightedGraph, component_laplacians, weakly_connected_components
+from .graphs import DirectedWeightedGraph, SparseLaplacian, weakly_connected_components
 from .linalg import SolverError, row_product
 from .noncollab import NoncollabDesign, noncollab_law
 
@@ -334,7 +334,7 @@ def simulate(config: SimConfig) -> SimulationRun:
     components = weakly_connected_components(graph)
     order = np.concatenate(components)
     starts = np.cumsum([0] + [len(comp) for comp in components[:-1]])
-    (L,) = component_laplacians(graph, [range(n_agents)])
+    L = SparseLaplacian(graph)
     # A diverging step is detected and raised inside the integration;
     # numpy's per-element overflow warnings on the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,6 @@
 """Manifest parsing, the experiment runner, and the command line surface."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -23,6 +24,7 @@ from cohsync.cli import (
     manifest_from_dict,
     run_experiment,
 )
+from cohsync import graphs
 from cohsync.graphs import format_edge_list, generate_circulant
 
 import golden
@@ -285,6 +287,20 @@ def test_run_experiment_artifacts_and_summary(tmp_path):
     d = build_design(m)
     assert np.array_equal(np.array(design["P"]), d.P)
     assert np.array_equal(np.array(design["gain_row"]), d.gain_row)
+
+
+@pytest.mark.parametrize("name", ["col-disconnected-n24", "noncol-vicsek-n25"])
+def test_run_experiment_builds_no_dense_graph(tmp_path, monkeypatch, name):
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense graph was built")
+
+    monkeypatch.setattr(graphs, "laplacian", dense)
+    monkeypatch.setattr(graphs.DirectedWeightedGraph, "__init__", dense)
+    monkeypatch.setattr(graphs.DirectedWeightedGraph, "adjacency", property(dense))
+    # The whole path from manifest to summary, over a run cut to 6 s.
+    m = dataclasses.replace(load_bundled_manifest(name), t_end=6.0)
+    res = run_experiment(m, tmp_path)
+    assert res.trajectory_path.is_file()
 
 
 def test_run_experiment_collab_summary_has_alpha(tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from cohsync.graphs import (
     DirectedWeightedGraph,
-    basic_bicomponents,
-    component_laplacians,
+    SparseLaplacian,
+    _tarjan_scc,
     compute_h_weights,
     format_edge_list,
     generate_circulant,
@@ -108,6 +108,35 @@ def test_graph_validation():
         DirectedWeightedGraph(np.array([[0.0, -1.0], [0.0, 0.0]]))  # negative weight
     with pytest.raises(ValueError):
         DirectedWeightedGraph(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        DirectedWeightedGraph(np.array([[0.0, np.nan], [0.0, 0.0]]))  # non-finite weight
+    for weight in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            DirectedWeightedGraph.from_edges(2, [(0, 1, weight)])
+    with pytest.raises(ValueError):
+        DirectedWeightedGraph.from_edges(2, [(1, 1, 0.5)])  # self-loop
+    with pytest.raises(ValueError):
+        DirectedWeightedGraph.from_edges(2, [(0, 2, 1.0)])  # outside the node range
+    # A zero-weight self-loop is no edge, as a zero on the diagonal.
+    assert DirectedWeightedGraph.from_edges(2, [(1, 1, 0.0)]).cols.size == 0
+
+
+def test_edge_records_keep_dense_semantics():
+    # As if each record were written into a dense matrix in turn: a repeated
+    # pair keeps its last weight and a zero weight adds no edge.
+    g = DirectedWeightedGraph.from_edges(
+        5, [(0, 1, 2.0), (3, 2, 1.0), (0, 1, 0.5), (1, 2, 0.0), (4, 3, 1.0), (4, 3, 0.0)]
+    )
+    assert g.indptr.tolist() == [0, 0, 1, 2, 2, 2]
+    assert g.cols.tolist() == [0, 3]
+    assert g.weights.tolist() == [0.5, 1.0]
+    # Neither zero record joins two components.
+    assert weakly_connected_components(g) == [[0, 1], [2, 3], [4]]
+    expected = np.zeros((5, 5))
+    expected[1, 0] = 0.5
+    expected[2, 3] = 1.0
+    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(DirectedWeightedGraph(expected).weights, g.weights)
 
 
 def awkward_graph(rng, n):
@@ -130,13 +159,14 @@ def test_component_laplacian_products_match_dense(seed):
     assert [1] in comps and [2] in comps
     rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
     dense = laplacian(g) @ rows
-    for comp, L in zip(comps, component_laplacians(g, comps)):
+    for comp in comps:
+        L = SparseLaplacian(DirectedWeightedGraph(g.adjacency[np.ix_(comp, comp)]))
         assert L.shape == (len(comp), len(comp))
         ours = L @ rows[comp]
         ref = dense[comp]
         err = np.linalg.norm(ours - ref) / max(np.linalg.norm(ref), np.finfo(float).tiny)
         assert err <= 1e-15
-    whole = component_laplacians(g, [list(range(n))])[0]
+    whole = SparseLaplacian(g)
     assert np.linalg.norm(whole @ rows - dense) <= 1e-15 * np.linalg.norm(dense)
     assert np.array_equal((whole @ np.eye(n))[0], np.zeros(n))  # the source row
 
@@ -151,63 +181,75 @@ def test_component_laplacian_rows_bitwise_match_whole_graph(seed):
     # Zeros of both signs, so that some row sums are zeros too.
     rows[rng.random((n, 4)) < 0.4] = 0.0
     rows[rng.random((n, 4)) < 0.3] = -0.0
-    whole = component_laplacians(g, [list(range(n))])[0] @ rows
+    whole = SparseLaplacian(g) @ rows
 
     def same(a, b):
         return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
-    for comp, L in zip(comps, component_laplacians(g, comps)):
-        assert same(L @ rows[comp], whole[comp])
-        # A component stands alone as its own graph, too.
+    for comp in comps:
+        # Each component's Laplacian, taken as a graph of its own.
         alone = DirectedWeightedGraph(g.adjacency[np.ix_(comp, comp)])
-        (L_alone,) = component_laplacians(alone, [list(range(len(comp)))])
-        assert same(L_alone @ rows[comp], whole[comp])
+        assert same(SparseLaplacian(alone) @ rows[comp], whole[comp])
 
 
-def test_component_laplacians_reject_bad_node_sets():
-    g = DirectedWeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
-    with pytest.raises(ValueError):
-        component_laplacians(g, [[1, 2]])  # node 1 observes node 0
-    with pytest.raises(ValueError):
-        component_laplacians(g, [[0, 1, 2], [2]])
-    L = component_laplacians(g, [[0, 1, 2]])[0]
+def test_sparse_laplacian_slots():
+    # Node 2 observes 0 and 1, node 0 observes 2: rows in column order with
+    # the diagonal in place, padded with zero weights in the row's own column.
+    g = DirectedWeightedGraph.from_edges(3, [(0, 2, 1.0), (1, 2, 2.0), (2, 0, 0.5)])
+    L = SparseLaplacian(g)
+    assert L.cols.tolist() == [[0, 1, 0], [2, 1, 1], [0, 1, 2]]
+    assert L.vals[:, :, 0].tolist() == [[0.5, 0.0, -1.0], [-0.5, 0.0, -2.0], [0.0, 0.0, 3.0]]
     assert np.array_equal(L @ np.eye(3), laplacian(g))
-
-
-# ---------------------------------------------------------------------------
-# basic components
-
-
-def test_basic_bicomponents_two_sccs_one_grounded():
-    # cycle {0,1} feeds cycle {2,3}: the second pair observes outside itself
-    g = DirectedWeightedGraph.from_edges(
-        4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0), (0, 2, 1.0)]
-    )
-    dec = basic_bicomponents(g)
-    assert dec.basic_components == [[0, 1]]
-    assert dec.nonbasic_block_size == 2
-    assert sorted(dec.node_permutation[:2].tolist()) == [2, 3]
-    # grounded block eigenvalues strictly in the right half plane
-    L0 = dec.laplacian[:2, :2]
-    assert np.min(np.linalg.eigvals(L0).real) > 0.0
-    # basic rows have no entries outside their own block
-    assert np.array_equal(dec.laplacian[2:, :2], np.zeros((2, 2)))
-    # permutation consistency
-    L = laplacian(g)
-    perm = dec.node_permutation
-    assert np.array_equal(dec.laplacian, L[np.ix_(perm, perm)])
-
-
-def test_basic_bicomponents_strongly_connected_whole():
-    g = random_strongly_connected(np.random.default_rng(0), 6)
-    dec = basic_bicomponents(g)
-    assert dec.nonbasic_block_size == 0
-    assert dec.basic_components == [list(range(6))]
 
 
 def test_weakly_connected_components():
     g = DirectedWeightedGraph.from_edges(5, [(0, 1, 1.0), (3, 4, 2.0)])
     assert weakly_connected_components(g) == [[0, 1], [2], [3, 4]]
+    assert weakly_connected_components(DirectedWeightedGraph(np.zeros((0, 0)))) == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_weakly_connected_components_match_a_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    A = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 0.08))
+    np.fill_diagonal(A, 0.0)
+    perm = rng.permutation(n)
+    g = DirectedWeightedGraph(A[np.ix_(perm, perm)])
+    # Depth-first search over the symmetrized dense pattern.
+    sym = (g.adjacency + g.adjacency.T) > 0.0
+    seen, expected = set(), []
+    for root in range(n):
+        if root in seen:
+            continue
+        comp, stack = [], [root]
+        seen.add(root)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in np.flatnonzero(sym[v]).tolist():
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        expected.append(sorted(comp))
+    assert weakly_connected_components(g) == expected
+
+
+def test_directed_circulant_of_100k_nodes_stays_sparse():
+    n = 100_000
+    g = generate_circulant(n, offsets=(1, 2))
+    edges = 2 * n
+    assert (g.indptr.size, g.cols.size, g.weights.size) == (n + 1, edges, edges)
+    assert weakly_connected_components(g) == [list(range(n))]
+    L = SparseLaplacian(g)
+    # One slot per in-neighbour and one for the diagonal.
+    assert L.cols.shape == (3, n) and L.vals.shape == (3, n, 1)
+    for array in [*vars(g).values(), *vars(L).values()]:
+        assert array.size <= 2 * (n + edges)
+    y = np.arange(n, dtype=float)[:, None]
+    z = L @ y
+    assert np.array_equal(z[2:, 0], np.full(n - 2, 3.0))  # 2 y_i - y_{i-1} - y_{i-2}
+    assert np.array_equal(L @ np.ones((n, 1)), np.zeros((n, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +284,16 @@ def test_vicsek_directed_spanning_tree_and_single_basic(generation):
                 seen.add(int(child))
                 frontier.append(int(child))
     assert len(seen) == n
-    dec = basic_bicomponents(g)
-    assert len(dec.basic_components) == 1
-    assert dec.basic_components[0] == [root]
 
 
 @pytest.mark.parametrize("generation,expected_n", [(1, 5), (2, 25), (3, 121)])
 def test_vicsek_undirected_symmetric(generation, expected_n):
     g = generate_vicsek_fractal(generation, directed=False)
     assert g.n_nodes == expected_n
-    assert g.is_undirected()
+    L = laplacian(g)
+    assert np.array_equal(L, L.T)
     assert int(np.count_nonzero(g.adjacency)) == 2 * (expected_n - 1)
-    assert len(basic_bicomponents(g).basic_components) == 1
+    assert weakly_connected_components(g) == [list(range(expected_n))]
 
 
 def test_circulant_row_sums():
@@ -277,7 +317,19 @@ def test_circulant_spectrum_matches_dft():
 
 def test_circulant_undirected():
     g = generate_circulant(10, offsets=(1,), directed=False)
-    assert g.is_undirected()
+    L = laplacian(g)
+    assert np.array_equal(L, L.T)
+    assert np.all(np.diag(L) == 2.0)
+    # Against the entry-by-entry build, offsets o and n - o both present.
+    for directed in (True, False):
+        expected = np.zeros((10, 10))
+        for i in range(10):
+            for o in (1, 5, 9):
+                expected[(i + o) % 10, i] = 1.0
+        if not directed:
+            expected = np.maximum(expected, expected.T)
+        g = generate_circulant(10, offsets=(1, 5, 9), directed=directed)
+        assert np.array_equal(g.adjacency, expected)
 
 
 def test_circulant_validation():
@@ -295,9 +347,9 @@ def test_disconnected_composite_structure():
     for a, b in [(0, 8), (0, 16), (8, 16)]:
         assert np.count_nonzero(A[a : a + 8, b : b + 8]) == 0
         assert np.count_nonzero(A[b : b + 8, a : a + 8]) == 0
-    dec = basic_bicomponents(g)
-    assert dec.nonbasic_block_size == 0
-    assert [len(c) for c in dec.basic_components] == [8, 8, 8]
+    # Each block is strongly connected, so it is the basic component of its own.
+    observed = [np.nonzero(A[i])[0].tolist() for i in range(24)]
+    assert sorted(_tarjan_scc(observed)) == [list(range(8)), list(range(8, 16)), list(range(16, 24))]
     assert weakly_connected_components(g) == [
         list(range(8)),
         list(range(8, 16)),
@@ -386,3 +438,11 @@ def test_edge_list_header_and_comments():
         read_edge_list("1 2 1.0\n")  # missing header
     with pytest.raises(ValueError):
         read_edge_list("nodes 2\n1 3 1.0\n")  # id out of range
+    for count in ("-3", "2.5", "two"):
+        with pytest.raises(ValueError, match="^line 2: node count"):
+            read_edge_list(f"# demo\nnodes {count}\n1 2 1.0\n")
+    # A large node count costs its edges, not its square.
+    big = read_edge_list("nodes 200000\n1 200000 2.5\n")
+    assert big.n_nodes == 200_000
+    assert big.indptr.size == 200_001
+    assert big.cols.tolist() == [0] and big.weights.tolist() == [2.5]

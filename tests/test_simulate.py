@@ -474,6 +474,26 @@ def test_collab_run_smoke():
     assert settling_metric(run).shape == run.rho.shape
 
 
+def test_collab_run_on_ten_thousand_agents():
+    model = AgentModel(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, golden.COLLAB_E)
+    design = design_collab(model, delta=2.0)
+    n = 10_000
+    run = simulate(
+        SimConfig(
+            model=model,
+            graph=generate_circulant(n, offsets=(1, 2)),
+            design=design,
+            disturbance=DisturbanceSpec(kind="chirp"),
+            dt=1e-3,
+            t_end=2e-3,
+            seed=1,
+        )
+    )
+    assert run.times.tolist() == [0.0, 1e-3, 2e-3]
+    assert run.states.shape == (3, n, model.n)
+    assert np.all(np.isfinite(run.states)) and np.all(np.isfinite(run.alpha))
+
+
 def test_config_validation():
     model, design = demo_noncollab_design()
     g = pair_graph()
