@@ -199,10 +199,11 @@ def manifest_from_dict(data, base_dir=".") -> ExperimentManifest:
     overrides = {k: _matrix(v, k, context) for k, v in overrides_spec.items()}
     dt = float(data.get("dt", 1e-3))
     t_end = float(data.get("t_end", 30.0))
-    rho0 = float(data.get("rho0", 0.0))
-    alpha0 = float(data.get("alpha0", 0.0))
-    if rho0 < 0.0 or alpha0 < 0.0:
-        raise ValueError(f"{context}: initial gains must be nonnegative")
+    rho0, alpha0 = (float(data.get(key, 0.0)) for key in ("rho0", "alpha0"))
+    for key, value in (("rho0", rho0), ("alpha0", alpha0)):
+        # json reads NaN and Infinity; neither is a gain.
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{context}: '{key}' must be nonnegative and finite, got {value}")
     if alpha0 != 0.0 and protocol != "collaborative":
         raise ValueError(f"{context}: 'alpha0' applies to the collaborative protocol only")
     return ExperimentManifest(
@@ -271,12 +272,6 @@ def build_design(manifest: ExperimentManifest):
             h1_override=manifest.overrides.get("H1"),
         )
     return design_collab(manifest.model, delta=manifest.delta, d_override=manifest.d)
-
-
-def _listify(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
 
 
 def design_payload(manifest: ExperimentManifest, design) -> dict:

@@ -72,18 +72,25 @@ class PAlphaGrid:
 
     def index_for(self, alpha: float) -> int:
         """Largest k with ratio**k <= alpha (nearest grid point below)."""
-        if not alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        # The nudge keeps exact powers of the ratio in their own cell
-        # despite the log round-trip landing a few ulps short.
-        return int(np.floor(np.log(alpha) / self._log_ratio + 1e-12))
+        return int(self.indices_for([alpha])[0])
 
     def indices_for(self, alphas) -> np.ndarray:
-        """Vectorized index_for."""
+        """Vectorized index_for.
+
+        Raises ValueError unless every alpha is positive and finite: the
+        index of NaN or infinity is no cell, and cell() would walk towards it.
+        """
         alphas = np.asarray(alphas, dtype=float)
-        if np.any(alphas <= 0.0):
-            raise ValueError("alpha must be positive")
-        return np.floor(np.log(alphas) / self._log_ratio + 1e-12).astype(int)
+        # NaN fails both comparisons.
+        if not (alphas.min(initial=np.inf) > 0.0 and alphas.max(initial=0.0) < np.inf):
+            raise ValueError("alpha must be positive and finite")
+        # floor(log(alpha) / log(ratio) + 1e-12), in place: the nudge keeps
+        # exact powers of the ratio in their own cell despite the log
+        # round-trip landing a few ulps short.
+        k = np.log(alphas)
+        k /= self._log_ratio
+        k += 1e-12
+        return np.floor(k, out=k).astype(int)
 
     def alpha_at(self, k: int) -> float:
         return self.ratio**k
@@ -131,7 +138,8 @@ class PAlphaGrid:
         and a needed cell, so the walks of cell() solve it anyway and the
         cache holds the same cells as with one cell() call per needed cell.
         """
-        ks = self.indices_for(alphas) - self._table_lo
+        ks = self.indices_for(alphas)
+        ks -= self._table_lo
         lo, hi = int(ks.min()), int(ks.max())
         if lo < 0 or hi >= self._table.shape[0]:
             if self._table.shape[0]:
@@ -140,7 +148,7 @@ class PAlphaGrid:
             self._table = np.stack([self.cell(k)[1] for k in range(first, first + hi - lo + 1)])
             self._table_lo = first
             ks -= lo
-        return self._table[ks]
+        return self._table.take(ks, axis=0)
 
     def solve_exact(self, alpha: float) -> np.ndarray:
         """P_alpha at the requested alpha itself, not the quantized one.
@@ -232,6 +240,16 @@ class CollabDesign:
                 np.hstack([On, CtCQ, I, Ct, Ct]),
             ]
         )
+
+    def stage_rows(self, model: AgentModel) -> np.ndarray:
+        """The law's rows of the integrator's stage matrix.
+
+        Maps a row [x_hat, rho, alpha, L x, L x_hat] to law_matrix's
+        outputs.  u depends on each row's P_alpha cell, so B stays out of
+        the product and the model, the design's own, adds nothing.
+        """
+        LM = self.law_matrix
+        return np.vstack([LM[: self.n], np.zeros((2, LM.shape[1])), LM[self.n :]])
 
 
 def _uncontrollable_margin(A, B) -> float | None:
@@ -365,46 +383,50 @@ def solve_p_alpha(design: CollabDesign, alpha: float) -> np.ndarray:
     return design.grid.solve_exact(alpha)
 
 
-def collab_law(design: CollabDesign, PS: np.ndarray, LS: np.ndarray, out: np.ndarray):
+def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndarray):
     """The protocol's runtime law, evaluated on a batch of agents at once.
 
     Row i of PS is agent i's protocol state [x_hat, rho, alpha] and row i
-    of LS the network sums [L x, L x_hat] over the agents' states and
-    observer states: one Laplacian product gives both the measured
-    disagreement zeta = C (L x) and the exchanged sum zeta_tilde = L x_hat.
-    Everything linear in [x_hat, L x, L x_hat] comes from one product with
-    the design's law_matrix.
+    of F its stage product: the integrator's workspace row [x, x_hat, rho,
+    alpha, L x, L x_hat, w] times a stage matrix whose law rows are
+    design.stage_rows(model).  One Laplacian product gives both network
+    sums, so F holds A x + E w and law_matrix's outputs [A x_hat, Q C' e,
+    x_hat + zeta_tilde, C zeta_tilde, e], with zeta = C (L x) the measured
+    disagreement, zeta_tilde = L x_hat the exchanged sum and e = C
+    zeta_tilde - zeta the mismatch.
 
-    The protocol-state derivative is written into out, an array of PS's
-    shape, whose column blocks (d x_hat / dt, d rho / dt, d alpha / dt)
-    lead the return value (dPS, U, mismatch, exchange), with U the control
-    rows.  d x_hat / dt adds B u last to the observer part, so the
-    observer loop is bitwise the same for every alpha.
+    The stage derivative [dx/dt, d x_hat / dt, d rho / dt, d alpha / dt]
+    is written into out; the return value is (U, mismatch, exchange), with
+    U the control rows.  B u is computed once and added last to both
+    A x + E w and the observer part A x_hat - rho Q C' e, so the observer
+    loop is bitwise the same for every alpha.
     mismatch = |C zeta_tilde - zeta|^2 drives rho through the dead zone d;
     exchange = |C zeta_tilde|^2 drives alpha at rate min(exchange, 1)
     above d.  Both gains are nondecreasing.  The feedback is
     -alpha B'P_k (x_hat + zeta_tilde) with P_k the P_alpha grid point just
-    below alpha; alpha = 0 means no feedback at all.
+    below alpha; alpha = 0 means no feedback at all, and u is exactly +0.
     """
     n, p = design.n, design.p_out
-    if PS.shape != (LS.shape[0], n + 2) or LS.shape[1] != 2 * n:
-        raise ValueError(
-            f"expected protocol-state and network-sum rows of widths {n + 2} and "
-            f"{2 * n}, got {PS.shape} and {LS.shape}"
-        )
-    grid, d = design.grid, design.d
+    rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
+    if (PS.shape[1], F.shape, out.shape) != (widths[0], (rows, widths[1]), (rows, widths[2])):
+        raise ValueError(f"expected rows of widths {widths}, got {PS.shape}, {F.shape}, {out.shape}")
+    d = design.d
     RHO = PS[:, n : n + 1]
-    AL = PS[:, n + 1]
-    F = row_product(np.concatenate((PS[:, :n], LS), axis=1), design.law_matrix)
-    V = F[:, 2 * n : 3 * n]
+    AL = PS[:, n + 1 :]
     # The squared norms of C zeta_tilde and e, which sit side by side in F.
-    CZ_E = F[:, 3 * n :].reshape(-1, 2, p)
+    CZ_E = F[:, 4 * n :].reshape(-1, 2, p)
     exchange, mismatch = np.einsum("ijk,ijk->ji", CZ_E, CZ_E)
-    U = np.zeros((PS.shape[0], design.m))
+    # Every row gathers a cell; a row with alpha = 0 reads cell 0 and
+    # discards it.
     on = AL > 0.0
-    if on.any():
-        U[on] = -AL[on, None] * np.einsum("imn,in->im", grid.gain_rows(AL[on]), V[on])
-    out[:, :n] = (F[:, :n] - RHO * F[:, n : 2 * n]) + row_product(U, design.B.T)
-    out[:, n] = np.where(mismatch >= d, mismatch, 0.0)
-    out[:, n + 1] = np.where(exchange >= 1.0, 1.0, np.where(exchange >= d, exchange, 0.0))
-    return (out[:, :n], out[:, n : n + 1], out[:, n + 1 :]), U, mismatch, exchange
+    BtP = design.grid.gain_rows(np.where(on, AL, 1.0)[:, 0])
+    U = np.where(on, -AL * np.einsum("imn,in->im", BtP, F[:, 3 * n : 4 * n]), 0.0)
+    BU = row_product(U, design.B.T)
+    np.add(F[:, :n], BU, out=out[:, :n])
+    dx_hat = out[:, n : 2 * n]
+    np.multiply(RHO, F[:, 2 * n : 3 * n], out=dx_hat)
+    np.subtract(F[:, n : 2 * n], dx_hat, out=dx_hat)
+    dx_hat += BU
+    np.multiply(mismatch, mismatch >= d, out=out[:, 2 * n])
+    out[:, 2 * n + 1] = np.where(exchange >= 1.0, 1.0, np.where(exchange >= d, exchange, 0.0))
+    return U, mismatch, exchange

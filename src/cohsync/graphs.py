@@ -136,9 +136,8 @@ class SparseLaplacian:
     product adds that row's own terms in column order and then zeros, so
     it depends on nothing else, and a weakly connected component taken as
     a graph of its own gives the same product rows as the whole graph,
-    bitwise.  That includes the sign of a zero: a padding term 0 * y_i has
-    the sign of y_i, and a row sums to -0 only when all its terms, the
-    diagonal d_i * y_i among them, are -0.
+    bitwise.  That includes the sign of a zero: numpy's reduction starts
+    from +0, so a row whose terms sum to zero gives +0 whatever their signs.
     """
 
     def __init__(self, graph: DirectedWeightedGraph):
@@ -161,13 +160,14 @@ class SparseLaplacian:
         return (n, n)
 
     def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        """L @ Y for rows Y, summing each row's terms slot after slot."""
-        terms = np.take(Y, self.cols, axis=0)
-        terms *= self.vals
-        out = terms[0].copy()
-        for term in terms[1:]:
-            out += term
-        return out
+        """L @ Y for rows Y, summing each row's terms slot after slot in one
+        reduction."""
+        # Gathered as (columns, slots, rows), so that each operation runs
+        # along the rows; for Y stored column by column the gather reads
+        # contiguous columns as well.
+        terms = np.take(Y.T, self.cols, axis=1)
+        terms *= self.vals[..., 0]
+        return terms.sum(axis=1).T
 
 
 def _tarjan_scc(succ: list[list[int]]) -> list[list[int]]:

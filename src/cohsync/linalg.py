@@ -71,13 +71,17 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
 def eigenvalues(M) -> SpectrumReport:
     """Spectrum of a square matrix.
 
+    Hurwitz means max Re(lambda) < -1e-12 max(||M||_F, 1): roundoff alone
+    moves an eigenvalue on the imaginary axis by about 1e-16 ||M||, to
+    either side, so a verdict without that margin would be a coin toss.
     An empty matrix is vacuously Hurwitz (max real part -inf); this keeps
     degenerate zero-size blocks from the output transform usable.
     """
     M = _as_square(M)
     ev = np.linalg.eigvals(M) if M.size else np.zeros(0, dtype=complex)
     max_re = float(np.max(ev.real)) if ev.size else float("-inf")
-    return SpectrumReport(eigenvalues=ev, max_real_part=max_re, is_hurwitz=max_re < 0.0)
+    margin = 1e-12 * max(float(np.linalg.norm(M)), 1.0)
+    return SpectrumReport(eigenvalues=ev, max_real_part=max_re, is_hurwitz=max_re < -margin)
 
 
 def operator_norm_2(M) -> float:

@@ -26,7 +26,6 @@ from .linalg import (
     eigenvalues,
     min_eigenvalue_sym,
     operator_norm_2,
-    row_product,
     solve_care,
 )
 
@@ -110,6 +109,18 @@ class NoncollabDesign:
             T2t @ G[n1:],
         ]
         return np.vstack([np.hstack(from_xi1), np.hstack(from_zeta)])
+
+    def stage_rows(self, model: AgentModel) -> np.ndarray:
+        """The law's rows of the integrator's stage matrix.
+
+        Maps a row [xi1_hat, rho, L x] to law_matrix's outputs for the
+        measurement zeta = C (L x), then -B gain_row @ xi_hat: u is linear
+        in the row but for the factor rho, so B enters the product too.
+        """
+        n1, m = self.n1, self.m
+        LM = self.law_matrix
+        rows = np.vstack([LM[:n1], np.zeros((1, LM.shape[1])), model.C.T @ LM[n1:]])
+        return np.hstack([rows, rows[:, rows.shape[1] - m :] @ model.B.T])
 
     def d_upper_bound(self) -> float:
         """Open upper limit of admissible dead-zone levels for this design."""
@@ -210,36 +221,37 @@ def design_noncollab(
     )
 
 
-def noncollab_law(design: NoncollabDesign, PS: np.ndarray, Z: np.ndarray, out: np.ndarray):
+def noncollab_law(design: NoncollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndarray):
     """The protocol's runtime law, evaluated on a batch of agents at once.
 
-    Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of Z
-    its measured disagreement zeta.  The measurement splits through T into
-    (zeta_1, zeta_2); zeta_2 doubles as the directly measured tail of the
-    estimate xi_hat = [xi1_hat, zeta_2] that the gain and the trigger see.
-    All of this is linear in [xi1_hat, zeta], so one product with the
-    design's law_matrix gives d xi1_hat / dt, xi_hat, xi_hat P and
-    -gain_row @ xi_hat together.
+    Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of F
+    its stage product: the integrator's workspace row [x, xi1_hat, rho,
+    L x, w] times a stage matrix whose law rows are design.stage_rows(model).
+    The measurement zeta = C (L x) splits through T into (zeta_1, zeta_2);
+    zeta_2 doubles as the directly measured tail of the estimate xi_hat =
+    [xi1_hat, zeta_2] that the gain and the trigger see.  So F holds
+    [A x + E w, d xi1_hat / dt, xi_hat, xi_hat P, -gain_row @ xi_hat,
+    -B gain_row @ xi_hat].
 
-    The protocol-state derivative is written into out, an array of PS's
-    shape, whose column blocks (d xi1_hat / dt, d rho / dt) lead the return
-    value (dPS, U, proxy, None): U holds the control rows
-    u = -rho * gain_row @ xi_hat and proxy the trigger xi_hat' P xi_hat.
-    rho never decreases: its rate is |gain_row @ xi_hat|^2 =
-    xi_hat' kernel xi_hat while proxy >= d, and zero otherwise.  The last
-    slot, the exchange energy of the collaborative law, is empty here.
+    The stage derivative [dx/dt, d xi1_hat / dt, d rho / dt] is written
+    into out, with dx/dt = A x + E w + B u for u = -rho * gain_row @
+    xi_hat.  The return value is (U, proxy, None): U holds the control rows
+    and proxy the trigger xi_hat' P xi_hat.  rho never decreases: its rate
+    is |gain_row @ xi_hat|^2 = xi_hat' kernel xi_hat while proxy >= d, and
+    zero otherwise.  The last slot, the exchange energy of the
+    collaborative law, is empty here.
     """
-    n1, n = design.n1, design.n
-    if PS.shape != (Z.shape[0], n1 + 1) or Z.shape[1] != design.p_out:
-        raise ValueError(
-            f"expected protocol-state rows of width {n1 + 1} and measurement rows of "
-            f"width {design.p_out}, got {PS.shape} and {Z.shape}"
-        )
-    F = row_product(np.concatenate((PS[:, :n1], Z), axis=1), design.law_matrix)
-    proxy = np.einsum("ij,ij->i", F[:, n1 : n1 + n], F[:, n1 + n : n1 + 2 * n])
-    NGX = F[:, n1 + 2 * n :]
+    n1, n, m = design.n1, design.n, design.m
+    rows, widths = PS.shape[0], (n1 + 1, 4 * n + n1 + m, n + n1 + 1)
+    if (PS.shape[1], F.shape, out.shape) != (widths[0], (rows, widths[1]), (rows, widths[2])):
+        raise ValueError(f"expected rows of widths {widths}, got {PS.shape}, {F.shape}, {out.shape}")
+    RHO = PS[:, n1:]
+    i = n + n1  # F's column blocks start at 0, n, i, i + n, i + 2n, i + 2n + m
+    proxy = np.einsum("ij,ij->i", F[:, i : i + n], F[:, i + n : i + 2 * n])
+    NGX = F[:, i + 2 * n : i + 2 * n + m]
     drive = np.einsum("ij,ij->i", NGX, NGX)
-    out[:, :n1] = F[:, :n1]
-    out[:, n1] = np.where(proxy >= design.d, drive, 0.0)
-    U = PS[:, n1:] * NGX
-    return (out[:, :n1], out[:, n1:]), U, proxy, None
+    np.multiply(RHO, F[:, i + 2 * n + m :], out=out[:, :n])
+    out[:, :n] += F[:, :n]
+    out[:, n:i] = F[:, n:i]
+    np.multiply(drive, proxy >= design.d, out=out[:, i])
+    return RHO * NGX, proxy, None

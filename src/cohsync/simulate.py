@@ -4,12 +4,14 @@ The integrator owns what every protocol shares: the agents' plant dynamics,
 the network sums through the graph Laplacian, the disturbance rows, the
 classical fourth-order Runge-Kutta scheme on a fixed grid, blow-up and
 growth detection, and recording.  The protocol itself enters only as its
-batched runtime law (noncollab.noncollab_law or collab.collab_law),
-evaluated on all agent rows at once; this module reads
-none of a design's gains.  Each law evaluation takes one Laplacian
-product (L y for the noncollaborative law, L [x, x_hat] for the
-collaborative one) and writes its stage derivative into a preallocated
-array.  Dead-zone branches in the gain laws are re-evaluated at every
+batched runtime law (noncollab.noncollab_law or collab.collab_law) and
+the law's rows of the stage matrix (design.stage_rows); this module reads
+none of a design's gains.  Each stage fills one preallocated workspace,
+rows [x, protocol state, network sums, w] with the sums L x (and L x_hat
+for the collaborative law), and makes one sparse Laplacian product and
+one dense product with a stage matrix composed once from A, E and the
+law's rows; the law writes the stage derivative in place from that
+product.  Dead-zone branches in the gain laws are re-evaluated at every
 substep; no event localization is attempted, since crossing a dead zone
 only switches between nonnegative growth rates.
 
@@ -18,13 +20,13 @@ one sparse Laplacian of the whole graph (graphs.SparseLaplacian),
 so a step costs time in proportion to the agents times the largest
 in-degree, not to N^2.  A weakly connected component still evolves
 bitwise as it would alone: a sparse product row adds only its own terms
-in column order, then zero padding, and the dense products (law block,
-plant rates, RK4 combination) round each row the same whatever the
-number of rows (linalg.row_product); the BLAS kernels do this without
-promising it, so the solo-run tests are the gate.  With per-agent seeded
-initial states and globally indexed disturbances, component trajectories
-are bit-identical whether or not the rest of the network is present;
-growth warnings are kept per component to match.
+in column order, then zero padding, and the dense products (the stage
+product, the RK4 combination, the collaborative B u) round each row the
+same whatever the number of rows (linalg.row_product); the BLAS kernels
+do this without promising it, so the solo-run tests are the gate.  With
+per-agent seeded initial states and globally indexed disturbances,
+component trajectories are bit-identical whether or not the rest of the
+network is present; growth warnings are kept per component to match.
 """
 
 import math
@@ -91,22 +93,23 @@ class DisturbanceSpec:
                 raise ValueError("table times must be strictly increasing, length >= 2")
 
 
-def _disturbance_rows(spec: DisturbanceSpec, indices: np.ndarray, t: float, width: int) -> np.ndarray:
-    """Vectorized disturbance block, one row per agent."""
-    n_agents = indices.shape[0]
-    if spec.kind == "zero" or width == 0:
-        return np.zeros((n_agents, width))
-    if spec.kind == "chirp":
-        vals = np.sin(0.1 * indices * t + 0.01 * t * t)
-        return np.repeat(vals[:, None], width, axis=1)
-    if spec.kind == "sawtooth":
-        s = indices * t
-        vals = s - np.round(s)
-        return np.repeat(vals[:, None], width, axis=1)
-    if t < spec.times[0] or t > spec.times[-1]:
-        raise ValueError(f"t={t} outside the disturbance table range")
-    row = np.array([np.interp(t, spec.times, spec.values[:, j]) for j in range(width)])
-    return np.tile(row, (n_agents, 1))
+def _disturbance_writer(spec: DisturbanceSpec, indices: np.ndarray):
+    """A function writing w(t) into an (agents, width) block, one row per
+    agent; the zero kind leaves the block as it is."""
+    rate = 0.1 * indices
+
+    def write(t, out):
+        if spec.kind == "chirp":
+            out[:] = np.sin(rate * t + 0.01 * t * t)[:, None]
+        elif spec.kind == "sawtooth":
+            s = indices * t
+            out[:] = (s - np.round(s))[:, None]
+        elif spec.kind == "table":
+            if t < spec.times[0] or t > spec.times[-1]:
+                raise ValueError(f"t={t} outside the disturbance table range")
+            out[:] = [np.interp(t, spec.times, spec.values[:, j]) for j in range(out.shape[1])]
+
+    return write
 
 
 @dataclass
@@ -161,20 +164,15 @@ class SimulationRun:
         return self.agent_indices.shape[0]
 
 
-def _integrate(model, law, S, L, spec, indices, dt, n_steps, stride, order, starts):
+def _integrate(stage, record, S, X, dt, n_steps, stride, order, starts):
     """RK4 from the state rows S: the times, the recorded states and law
     signals, and the first growth warning of each component, whose rows are
-    order[starts[c]:starts[c + 1]]."""
-    n, w = model.n, model.w
-    # The plant rates [x, u, w] -> x' in one product.
-    plant = np.vstack([model.A.T, model.B.T, model.E.T])
+    order[starts[c]:starts[c + 1]].
 
-    def rhs(t, S, out):
-        """Write dS/dt into out; return a thunk for the recorded signals."""
-        U, signals = law(S, L, out[:, n:])
-        inputs = (S[:, :n], U, _disturbance_rows(spec, indices, t, w))
-        out[:, :n] = row_product(np.concatenate(inputs, axis=1), plant)
-        return signals
+    stage(t, out) evaluates the stage whose state rows are in X, writes
+    dS/dt into out and returns the law's signals; record turns those of a
+    step's first stage into the recorded ones.
+    """
 
     def envelopes(S):
         """max |S| over each component's rows."""
@@ -184,7 +182,8 @@ def _integrate(model, law, S, L, spec, indices, dt, n_steps, stride, order, star
     times = np.empty(n_samples)
     states = np.empty((n_samples,) + S.shape)
     signals = None
-    K = np.empty((4,) + S.shape)  # the four RK4 stage derivatives
+    # The four RK4 stage derivatives, each stored column by column like S.
+    K = np.empty((4,) + S.shape[::-1])
     weights = np.array([1.0, 2.0, 2.0, 1.0]) * (dt / 6.0)
 
     first_growth: dict[int, str] = {}  # component -> its first growth warning
@@ -193,11 +192,12 @@ def _integrate(model, law, S, L, spec, indices, dt, n_steps, stride, order, star
     sample = 0
     for k in range(n_steps + 1):
         t = k * dt
-        recorded = rhs(t, S, K[0])
+        X[...] = S
+        law_values = stage(t, K[0].T)
         if (k % stride == 0) or (k == n_steps):
             times[sample] = t
             states[sample] = S
-            values = recorded()
+            values = record(law_values)
             if signals is None:
                 signals = [None if v is None else np.empty((n_samples,) + v.shape) for v in values]
             for into, value in zip(signals, values):
@@ -206,10 +206,11 @@ def _integrate(model, law, S, L, spec, indices, dt, n_steps, stride, order, star
             sample += 1
         if k == n_steps:
             break
-        rhs(t + half, S + half * K[0], K[1])
-        rhs(t + half, S + half * K[1], K[2])
-        rhs(t + dt, S + dt * K[2], K[3])
-        S_new = S + (weights @ K.reshape(4, -1)).reshape(S.shape)
+        for j, h in ((1, half), (2, half), (3, dt)):
+            np.multiply(K[j - 1].T, h, out=X)
+            X += S
+            stage(t + h, K[j].T)
+        S_new = S + (weights @ K.reshape(4, -1)).reshape(K.shape[1:]).T
         # The maximum is NaN or infinite exactly when some entry is.
         envelope = float(np.max(np.abs(S_new)))
         if not math.isfinite(envelope):
@@ -233,6 +234,62 @@ def _integrate(model, law, S, L, spec, indices, dt, n_steps, stride, order, star
     return times, states, signals, [first_growth[c] for c in sorted(first_growth)]
 
 
+def stage_matrix(model: AgentModel, design) -> np.ndarray:
+    """The matrix of a stage's one dense product.
+
+    Maps a workspace row [x, protocol state, network sums, w] to
+    [A x + E w, the law's linear outputs] (design.stage_rows).
+    """
+    n, law_rows = model.n, design.stage_rows(model)
+    w0 = n + law_rows.shape[0]
+    M = np.zeros((w0 + model.w, n + law_rows.shape[1]))
+    M[:n, :n] = model.A.T
+    M[n:w0, n:] = law_rows
+    M[w0:, :n] = model.E.T
+    return M
+
+
+def _stage(model, design, law, sums, graph, spec, indices):
+    """The integrator's stage: (stage, record, X).
+
+    A stage fills the workspace rows [x, protocol state, network sums, w]:
+    the caller writes the state rows into X, stage(t, out) adds the
+    Laplacian product of the first sums columns and w(t), multiplies by
+    stage_matrix, and lets the law write dS/dt into out.  Every array is
+    stored column by column (Fortran order), so that the elementwise work
+    runs along the agents, not along rows of a few columns.  A lone agent
+    gets a zero second row, so that its product rounds as in any larger
+    batch (linalg.row_product).
+    """
+    n, n_agents = model.n, graph.n_nodes
+    L = SparseLaplacian(graph)
+    M = stage_matrix(model, design)
+    width = M.shape[0] - model.w - sums  # [x, protocol state]
+    W = np.zeros((max(n_agents, 2), M.shape[0]), order="F")
+    F = np.empty((W.shape[0], M.shape[1]), order="F")
+    X, PS, F_rows = W[:n_agents, :width], W[:n_agents, n:width], F[:n_agents]
+    NS, WD = W[:n_agents, width : width + sums], W[:n_agents, width + sums :]
+    disturb = _disturbance_writer(spec, indices)
+    C_T = model.C.T
+
+    def stage(t, out):
+        NS[...] = L @ X[:, :sums]
+        disturb(t, WD)
+        np.matmul(M.T, W.T, out=F.T)  # F = W M, written column by column
+        return law(design, PS, F_rows, out)
+
+    def record(law_values):
+        """Outputs C x, measured disagreements C (L x), and the law's signals.
+
+        The rows are copied out first: a product over columns stored one
+        by one need not round each row alike.
+        """
+        XC = np.ascontiguousarray(W[:n_agents, : width + n])
+        return (row_product(XC[:, :n], C_T), row_product(XC[:, width:], C_T)) + law_values
+
+    return stage, record, X
+
+
 def simulate(config: SimConfig) -> SimulationRun:
     """Integrate one configured run and return its recorded trajectories.
 
@@ -243,24 +300,13 @@ def simulate(config: SimConfig) -> SimulationRun:
     Raises IntegrationBlowup when the state stops being finite.
     """
     model, graph, design = config.model, config.graph, config.design
-    n, C_T = model.n, model.C.T
-
-    def outputs(X):
-        """C X[:, :n] for each row: the outputs, or their network sums."""
-        return row_product(X[:, :n], C_T)
-
+    n = model.n
     if isinstance(design, NoncollabDesign):
         protocol = "noncollaborative"
         if design.n != model.n or design.p_out != model.p or design.m != model.m:
             raise ValueError("design dimensions do not match the model")
         obs_width = design.n1
-
-        def law(S, L, out):
-            Y = outputs(S)
-            Z = L @ Y
-            _, U, proxy, _ = noncollab_law(design, S[:, n:], Z, out)
-            return U, lambda: (Y, Z, U, proxy, None)
-
+        law, sums = noncollab_law, n  # the network sums: L x
     elif isinstance(design, CollabDesign):
         protocol = "collaborative"
         if not (
@@ -270,14 +316,9 @@ def simulate(config: SimConfig) -> SimulationRun:
         ):
             raise ValueError("design was built for a different model")
         obs_width = design.n
-
-        def law(S, L, out):
-            # Collaborating agents also exchange their observer states: one
-            # product over the [x, x_hat] columns gives L x and L x_hat.
-            LS = L @ S[:, : 2 * n]
-            _, U, mismatch, exchange = collab_law(design, S[:, n:], LS, out)
-            return U, lambda: (outputs(S), outputs(LS), U, mismatch, exchange)
-
+        # Collaborating agents also exchange their observer states: one
+        # product over the [x, x_hat] columns gives L x and L x_hat.
+        law, sums = collab_law, 2 * n
     else:
         raise TypeError("design must be a NoncollabDesign or CollabDesign")
     collaborative = protocol == "collaborative"
@@ -309,8 +350,8 @@ def simulate(config: SimConfig) -> SimulationRun:
 
     rho0 = float(config.initial_rho)
     alpha0 = float(config.initial_alpha)
-    if rho0 < 0.0 or alpha0 < 0.0:
-        raise ValueError("initial gains must be nonnegative")
+    if not (0.0 <= rho0 < np.inf and 0.0 <= alpha0 < np.inf):
+        raise ValueError("initial gains must be nonnegative and finite")
     if alpha0 != 0.0 and not collaborative:
         raise ValueError("initial_alpha applies only to the collaborative protocol")
     ps0 = np.concatenate([np.zeros(obs_width), [rho0, alpha0] if collaborative else [rho0]])
@@ -329,17 +370,19 @@ def simulate(config: SimConfig) -> SimulationRun:
             ]
         )
 
-    # State rows are [x, protocol state], in node order.
-    S = np.concatenate([x0, np.broadcast_to(ps0, (n_agents, ps0.shape[0]))], axis=1)
+    # State rows are [x, protocol state], in node order, stored column by
+    # column like the stage arrays.
+    S = np.asfortranarray(np.concatenate([x0, np.broadcast_to(ps0, (n_agents, ps0.shape[0]))], axis=1))
     components = weakly_connected_components(graph)
     order = np.concatenate(components)
     starts = np.cumsum([0] + [len(comp) for comp in components[:-1]])
-    L = SparseLaplacian(graph)
+    stage, record, X = _stage(model, design, law, sums, graph, spec, indices)
+
     # A diverging step is detected and raised inside the integration;
     # numpy's per-element overflow warnings on the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         times, S, (y, z, u, proxy, exch), warnings = _integrate(
-            model, law, S, L, spec, indices, config.dt, n_steps, stride, order, starts
+            stage, record, S, X, config.dt, n_steps, stride, order, starts
         )
 
     rho_col = n + obs_width

@@ -368,6 +368,20 @@ def test_cli_design_rejects_impossible_model(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["rho0", "alpha0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_initial_gains_rejected_at_load(tmp_path, capsys, key, value):
+    # json writes and reads the literals NaN and Infinity.
+    path = write_manifest(tmp_path, tiny_collab_dict(**{key: value}))
+    assert ("NaN" if value != value else "Infinity") in path.read_text()
+    with pytest.raises(ValueError, match=f"'{key}' must be nonnegative and finite"):
+        load_manifest(path)
+    code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_simulate_pass(tmp_path, capsys):
     path = write_manifest(tmp_path, tiny_manifest_dict())
     code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run")])

@@ -6,7 +6,8 @@ import pytest
 import cohsync.collab
 from cohsync.agents import AgentModel, check_assumptions
 from cohsync.collab import collab_law, design_collab, p_alpha_family, solve_p_alpha
-from cohsync.linalg import SolverError, min_eigenvalue_sym, solve_care
+from cohsync.linalg import SolverError, min_eigenvalue_sym, row_product, solve_care
+from cohsync.simulate import stage_matrix
 
 import golden
 
@@ -187,11 +188,23 @@ def network_sums(design, Z, Z_tilde):
     return np.hstack([np.asarray(Z, dtype=float) @ np.linalg.pinv(design.C).T, Z_tilde])
 
 
+def law(design, PS, LS):
+    """collab_law on protocol-state rows PS and network sums LS, through the
+    stage product the integrator makes, at x = 0 and w = 0:
+    ((dx_hat, drho, dalpha), U, mismatch, exchange)."""
+    model = reference_model()
+    n, rows = design.n, PS.shape[0]
+    W = np.hstack([np.zeros((rows, n)), PS, LS, np.zeros((rows, model.w))])
+    out = np.empty((rows, n + PS.shape[1]))
+    U, mismatch, exchange = collab_law(design, PS, row_product(W, stage_matrix(model, design)), out)
+    return (out[:, n : 2 * n], out[:, 2 * n : 2 * n + 1], out[:, 2 * n + 1 :]), U, mismatch, exchange
+
+
 def one_agent(design, x_hat, rho, alpha, zeta, zeta_tilde):
     """The batched law on a single agent row: (dx_hat, drho, dalpha, u)."""
     PS = np.concatenate([np.asarray(x_hat, dtype=float), [rho, alpha]])[None, :]
     LS = network_sums(design, np.asarray(zeta, dtype=float)[None, :], np.asarray(zeta_tilde)[None, :])
-    (dx, drho, dalpha), u, _, _ = collab_law(design, PS, LS, np.empty(PS.shape))
+    (dx, drho, dalpha), u, _, _ = law(design, PS, LS)
     return dx[0], drho[0, 0], dalpha[0, 0], u[0]
 
 
@@ -212,7 +225,7 @@ def test_gain_law_branch_boundaries():
         zeta = np.array([design.C @ zt - np.sqrt(mismatch_energy)]).reshape(-1)
         PS = np.concatenate([np.zeros(3), [1.0, 0.0]])[None, :]
         LS = network_sums(design, zeta[None, :], zt[None, :])
-        (_, drho, dalpha), _, mismatch, exchange = collab_law(design, PS, LS, np.empty(PS.shape))
+        (_, drho, dalpha), _, mismatch, exchange = law(design, PS, LS)
         assert mismatch[0] == pytest.approx(mismatch_energy, rel=1e-12)
         assert exchange[0] == pytest.approx(exchange_energy, rel=1e-12)
         return drho[0, 0], dalpha[0, 0]
@@ -302,9 +315,11 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(ValueError):
         one_agent(design, np.zeros(2), 0.0, 0.0, np.zeros(1), np.zeros(3))
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((1, 5)), np.zeros((1, 5)), np.empty((1, 5)))
+        collab_law(design, np.zeros((1, 5)), np.zeros((1, 13)), np.empty((1, 8)))
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((2, 5)), np.zeros((3, 6)), np.empty((2, 5)))
+        collab_law(design, np.zeros((2, 5)), np.zeros((3, 14)), np.empty((2, 8)))
+    with pytest.raises(ValueError):
+        collab_law(design, np.zeros((2, 5)), np.zeros((2, 14)), np.empty((2, 5)))
 
 
 def test_batched_rows_match_single_agent_calls():
@@ -320,12 +335,10 @@ def test_batched_rows_match_single_agent_calls():
     Z_tilde = rng.standard_normal((5, 3))
     assert len(set(design.grid.indices_for(PS[[0, 1, 2, 4], 4]).tolist())) == 3
     LS = network_sums(design, Z, Z_tilde)
-    (dx, drho, dalpha), U, mismatch, exchange = collab_law(design, PS, LS, np.empty(PS.shape))
+    (dx, drho, dalpha), U, mismatch, exchange = law(design, PS, LS)
     for i in range(5):
         rows = slice(i, i + 1)
-        (dx_i, drho_i, dalpha_i), U_i, mismatch_i, exchange_i = collab_law(
-            design, PS[rows], LS[rows], np.empty((1, PS.shape[1]))
-        )
+        (dx_i, drho_i, dalpha_i), U_i, mismatch_i, exchange_i = law(design, PS[rows], LS[rows])
         pairs = (
             (dx, dx_i),
             (drho, drho_i),
@@ -370,7 +383,7 @@ def test_fused_law_matches_written_out_formulas():
     assert close(F[:, 3 * n + p :], Esig)
 
     PS = np.column_stack([XH, RHO, AL])
-    (dx, _, _), U_law, mismatch, exchange = collab_law(design, PS, np.hstack([LX, LXH]), np.empty(PS.shape))
+    (dx, _, _), U_law, mismatch, exchange = law(design, PS, np.hstack([LX, LXH]))
     assert close(U_law, U)
     assert np.all(U_law[3] == 0.0)
     assert close(dx, dXH)
@@ -389,3 +402,65 @@ def test_gain_table_keeps_the_cells_of_per_cell_lookups():
             expected = per_cell.cell(per_cell.index_for(a))[1]
             assert np.array_equal(row, expected)
         assert table.cached_indices() == per_cell.cached_indices()
+
+
+def test_indices_for_rejects_non_finite_and_non_positive_alphas():
+    grid = reference_design().grid
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            grid.indices_for(np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            grid.index_for(bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            grid.gain_rows(np.array([bad, 2.0]))
+    assert grid.cached_indices() == (0,)  # no walk started
+    assert grid.indices_for(np.zeros((0,))).shape == (0,)
+
+
+def test_gather_matches_the_masked_per_cell_path(monkeypatch):
+    # Alphas at exact powers of the ratio, one ulp to either side, and
+    # alpha = 0, in one batch.
+    design = reference_design()
+    grid = design.grid
+    powers = [grid.alpha_at(k) for k in (-4, 1, 6, 13)]
+    alphas = [0.0] + powers + [np.nextafter(a, 0.0) for a in powers]
+    alphas += [np.nextafter(a, np.inf) for a in powers] + [0.0]
+    AL = np.array(alphas)
+    on = AL > 0.0
+    rows = AL.size
+    rng = np.random.default_rng(41)
+    XH, LX, LXH = (rng.standard_normal((rows, design.n)) for _ in range(3))
+    # On the alpha = 0 rows, x_hat + zeta_tilde = +-B'P_0: the feedback of
+    # cell 0 would have either sign there.
+    LXH[~on] = 0.0
+    XH[~on] = np.array([[1.0], [-1.0]]) * grid.cell(0)[1][0]
+    PS = np.column_stack([XH, rng.random(rows) * 2.0, AL])
+
+    gathered = []
+    gain_rows = grid.gain_rows
+
+    def spy(a):
+        blocks = gain_rows(a)
+        gathered.append((np.array(a), blocks))
+        return blocks
+
+    monkeypatch.setattr(grid, "gain_rows", spy)
+    (dx, _, _), U, _, _ = law(design, PS, np.hstack([LX, LXH]))
+    ((a, blocks),) = gathered
+    ks = grid.indices_for(AL[on])
+    assert np.array_equal(grid.indices_for(a)[on], ks)
+    assert set(ks.tolist()) >= {-4, 1, 6, 13}
+    for block, k in zip(blocks[on], ks):
+        assert np.array_equal(block, grid.cell(k)[1])
+
+    # The masked path: gather only the rows with alpha > 0.
+    fresh = reference_design().grid
+    masked = np.zeros((rows, design.m))
+    masked[on] = -AL[on, None] * np.einsum("imn,in->im", fresh.gain_rows(AL[on]), (XH + LXH)[on])
+    assert np.array_equal(U[on], masked[on])
+    assert np.all(U[~on] == 0.0) and not np.any(np.signbit(U[~on]))
+
+    per_cell = reference_design().grid
+    for k in ks:
+        per_cell.cell(int(k))
+    assert grid.cached_indices() == per_cell.cached_indices() == fresh.cached_indices()

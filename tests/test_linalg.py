@@ -57,6 +57,24 @@ def test_hurwitz_flag():
     assert marginal.max_real_part == pytest.approx(0.0, abs=1e-12)
 
 
+def test_hurwitz_verdict_needs_a_margin():
+    # An eigenvalue pair on the imaginary axis, turned by random orthogonal
+    # changes of coordinates: roundoff puts the computed real part on
+    # either side of 0, and no turn may read Hurwitz.
+    rng = np.random.default_rng(0)
+    D = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    negative = 0
+    for _ in range(200):
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        report = eigenvalues(Q @ D @ Q.T)
+        negative += report.max_real_part < 0.0
+        assert not report.is_hurwitz
+    assert negative > 0  # the margin, not luck, decided some verdicts
+    # Clearly stable matrices pass at any scale.
+    for scale in (1e-6, 1.0, 1e6):
+        assert eigenvalues(scale * (D - 0.01 * np.eye(3))).is_hurwitz
+
+
 def test_operator_norm_matches_svd_and_transpose():
     rng = np.random.default_rng(7)
     for _ in range(50):

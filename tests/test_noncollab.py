@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cohsync.agents import AgentModel
-from cohsync.linalg import SolverError
+from cohsync.linalg import SolverError, row_product
 from cohsync.noncollab import design_noncollab, noncollab_law
+from cohsync.simulate import stage_matrix
 
 import golden
 
@@ -105,11 +106,24 @@ def test_assumption_gate_names_failing_condition():
     assert "minimum-phase" in str(excinfo.value)
 
 
+def law(design, PS, Z):
+    """noncollab_law on protocol-state rows PS and measurements Z, through
+    the stage product the integrator makes, at x = 0 and w = 0:
+    ((dxi1, drho), U, proxy, exchange)."""
+    model = reference_model()
+    n, rows = design.n, PS.shape[0]
+    LX = np.asarray(Z, dtype=float) @ np.linalg.pinv(model.C).T  # C (L x) = Z
+    W = np.hstack([np.zeros((rows, n)), PS, LX, np.zeros((rows, model.w))])
+    out = np.empty((rows, n + PS.shape[1]))
+    U, proxy, exchange = noncollab_law(design, PS, row_product(W, stage_matrix(model, design)), out)
+    return (out[:, n : n + design.n1], out[:, n + design.n1 :]), U, proxy, exchange
+
+
 def one_agent(design, xi1_hat, rho, zeta):
     """The batched law on a single agent row: (dxi1, drho, u, proxy)."""
     PS = np.append(np.asarray(xi1_hat, dtype=float), rho)[None, :]
     Z = np.asarray(zeta, dtype=float)[None, :]
-    (dxi1, drho), u, proxy, exchange = noncollab_law(design, PS, Z, np.empty(PS.shape))
+    (dxi1, drho), u, proxy, exchange = law(design, PS, Z)
     assert exchange is None
     return dxi1[0], drho[0, 0], u[0], proxy[0]
 
@@ -228,13 +242,15 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(ValueError):
         one_agent(design, np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ValueError):
-        noncollab_law(design, np.zeros((2, 4)), np.zeros((3, 2)), np.empty((2, 4)))
+        noncollab_law(design, np.zeros((2, 4)), np.zeros((3, 20)), np.empty((2, 8)))
+    with pytest.raises(ValueError):
+        noncollab_law(design, np.zeros((2, 4)), np.zeros((2, 20)), np.empty((2, 4)))
     with pytest.raises(ValueError):
         design_noncollab(reference_model(), delta=-1.0)
 
 
 def test_batched_rows_match_single_agent_calls():
-    # Bitwise, the sign of a zero included: the law's products compute a
+    # Bitwise, the sign of a zero included: the stage product computes a
     # one-row batch as part of a two-row one (linalg.row_product), whose
     # rows round as in any larger batch.
     design = reference_design()
@@ -244,12 +260,10 @@ def test_batched_rows_match_single_agent_calls():
     # Two agents sit at equilibrium, so the batch straddles the dead zone.
     PS[1, :3] = Z[1] = 0.0
     PS[3, :3] = Z[3] = 0.0
-    (dxi1, drho), U, proxy, _ = noncollab_law(design, PS, Z, np.empty(PS.shape))
+    (dxi1, drho), U, proxy, _ = law(design, PS, Z)
     assert np.any(drho[:, 0] > 0.0) and np.any(drho[:, 0] == 0.0)
     for i in range(5):
-        (dxi1_i, drho_i), U_i, proxy_i, _ = noncollab_law(
-            design, PS[i : i + 1], Z[i : i + 1], np.empty((1, PS.shape[1]))
-        )
+        (dxi1_i, drho_i), U_i, proxy_i, _ = law(design, PS[i : i + 1], Z[i : i + 1])
         for batched, single in ((dxi1, dxi1_i), (drho, drho_i), (U, U_i), (proxy, proxy_i)):
             assert np.array_equal(batched[i], single[0])
             assert np.array_equal(np.signbit(batched[i]), np.signbit(single[0]))
@@ -304,7 +318,7 @@ def test_fused_law_matches_written_out_formulas(automatic):
     assert close(F[:, n1 + 2 * design.n :], -(xi_hat @ design.gain_row.T))
 
     PS = np.hstack([XI1, RHO])
-    (dxi1_law, drho_law), U_law, proxy_law, _ = noncollab_law(design, PS, Z, np.empty(PS.shape))
+    (dxi1_law, drho_law), U_law, proxy_law, _ = law(design, PS, Z)
     assert close(dxi1_law, dXI1)
     assert close(U_law, U)
     assert close(proxy_law, proxy)

@@ -4,25 +4,28 @@ import numpy as np
 import pytest
 
 from cohsync.agents import AgentModel
-from cohsync.collab import design_collab
+from cohsync.collab import collab_law, design_collab
 from cohsync.graphs import (
     DirectedWeightedGraph,
     generate_circulant,
     generate_disconnected_composite,
+    laplacian,
     weakly_connected_components,
 )
-from cohsync.linalg import SolverError
-from cohsync.noncollab import design_noncollab
+from cohsync.linalg import SolverError, row_product
+from cohsync.noncollab import design_noncollab, noncollab_law
 from cohsync.simulate import (
     DisturbanceSpec,
     IntegrationBlowup,
     SimConfig,
-    _disturbance_rows,
+    _disturbance_writer,
+    _stage,
     detect_settling,
     gain_flatness,
     settling_metric,
     settling_report,
     simulate,
+    stage_matrix,
     write_trajectory_csv,
 )
 
@@ -49,13 +52,21 @@ def demo_noncollab_design(**kwargs):
     )
 
 
+def demo_collab_design(**kwargs):
+    kwargs.setdefault("delta", 2.0)
+    model = AgentModel(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, golden.COLLAB_E)
+    return model, design_collab(model, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # disturbances
 
 
 def one_agent(spec, agent_index, t):
     """Disturbance row of one agent, through a one-element index array."""
-    return _disturbance_rows(spec, np.array([float(agent_index)]), t, spec.width)[0]
+    out = np.zeros((1, spec.width))
+    _disturbance_writer(spec, np.array([float(agent_index)]))(t, out)
+    return out[0]
 
 
 def test_disturbance_chirp():
@@ -96,6 +107,68 @@ def test_disturbance_table_interpolates_and_rejects_out_of_range():
 
 # ---------------------------------------------------------------------------
 # integration
+
+
+TABLE = DisturbanceSpec(kind="table", times=[0.0, 1.0, 2.0], values=[[0.0], [2.0], [-1.0]])
+
+
+@pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
+@pytest.mark.parametrize("n_agents", [1, 2, 25])
+@pytest.mark.parametrize(
+    "spec", [DisturbanceSpec(), DisturbanceSpec(kind="chirp"), DisturbanceSpec(kind="sawtooth"), TABLE]
+)
+def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
+    # One stage of the integrator against A x + B u + E w, with u and the
+    # protocol-state derivative from the law evaluated at x = 0 and w = 0
+    # on the same network sums, taken through the dense Laplacian.
+    if protocol == "noncollaborative":
+        model, design = demo_noncollab_design()
+        law, sums = noncollab_law, model.n
+    else:
+        model, design = demo_collab_design()
+        law, sums = collab_law, 2 * model.n
+    n = model.n
+    rng = np.random.default_rng(n_agents)
+    edges = [(j, i, rng.random() + 0.5) for i in range(n_agents) for j in (i - 1, i - 3) if j >= 0]
+    graph = DirectedWeightedGraph.from_edges(n_agents, edges)
+    indices = np.arange(1.0, n_agents + 1.0)
+    stage, _, X = _stage(model, design, law, sums, graph, spec, indices)
+    S = rng.standard_normal(X.shape)
+    S[:, n:] = rng.random((n_agents, S.shape[1] - n)) * 3.0  # gains >= 0 ...
+    if protocol == "collaborative":
+        S[:, n : 2 * n] = rng.standard_normal((n_agents, n))  # ... observer states of either sign
+        S[::3, -1] = 0.0  # alpha = 0: no feedback
+    else:
+        S[:, n:-1] = rng.standard_normal((n_agents, S.shape[1] - n - 1))
+    X[...] = S
+    out = np.empty(S.shape)
+    t = 0.7
+    U, signal, exchange = stage(t, out)
+
+    LS = laplacian(graph) @ S[:, :sums]
+    PS = S[:, n:]
+    W = np.hstack([np.zeros((n_agents, n)), PS, LS, np.zeros((n_agents, model.w))])
+    law_out = np.empty(S.shape)
+    u, law_signal, law_exchange = law(design, PS, row_product(W, stage_matrix(model, design)), law_out)
+    if spec.kind == "zero":
+        w = np.zeros(n_agents)
+    elif spec.kind == "chirp":
+        w = np.sin(0.1 * indices * t + 0.01 * t * t)
+    elif spec.kind == "sawtooth":
+        w = indices * t - np.round(indices * t)
+    else:
+        w = np.full(n_agents, np.interp(t, spec.times, spec.values[:, 0]))
+    dx = S[:, :n] @ model.A.T + u @ model.B.T + w[:, None] @ model.E.T
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.max(np.abs(b)))
+
+    assert close(out[:, :n], dx)
+    assert close(out[:, n:], law_out[:, n:])
+    assert close(U, u) and close(signal, law_signal)
+    assert (exchange is None) == (law_exchange is None) == (protocol == "noncollaborative")
+    if exchange is not None:
+        assert close(exchange, law_exchange)
 
 
 def test_sync_manifold_is_invariant():
@@ -522,6 +595,11 @@ def test_config_validation():
     empty = DirectedWeightedGraph(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="no agents"):
         simulate(SimConfig(model=model, graph=empty, design=design))
+    col_model, col_design = demo_collab_design()
+    for key in ("initial_rho", "initial_alpha"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                simulate(SimConfig(model=col_model, graph=g, design=col_design, **{key: value}))
 
 
 # ---------------------------------------------------------------------------
