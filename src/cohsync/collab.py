@@ -241,16 +241,6 @@ class CollabDesign:
             ]
         )
 
-    def stage_rows(self, model: AgentModel) -> np.ndarray:
-        """The law's rows of the integrator's stage matrix.
-
-        Maps a row [x_hat, rho, alpha, L x, L x_hat] to law_matrix's
-        outputs.  u depends on each row's P_alpha cell, so B stays out of
-        the product and the model, the design's own, adds nothing.
-        """
-        LM = self.law_matrix
-        return np.vstack([LM[: self.n], np.zeros((2, LM.shape[1])), LM[self.n :]])
-
 
 def _uncontrollable_margin(A, B) -> float | None:
     """Smallest decay rate among uncontrollable modes; None if controllable."""
@@ -388,12 +378,12 @@ def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndar
 
     Row i of PS is agent i's protocol state [x_hat, rho, alpha] and row i
     of F its stage product: the integrator's workspace row [x, x_hat, rho,
-    alpha, L x, L x_hat, w] times a stage matrix whose law rows are
-    design.stage_rows(model).  One Laplacian product gives both network
-    sums, so F holds A x + E w and law_matrix's outputs [A x_hat, Q C' e,
-    x_hat + zeta_tilde, C zeta_tilde, e], with zeta = C (L x) the measured
-    disagreement, zeta_tilde = L x_hat the exchanged sum and e = C
-    zeta_tilde - zeta the mismatch.
+    alpha, L x, L x_hat, w] times the stage matrix (simulate.stage_matrix),
+    whose law rows are design.law_matrix.  One Laplacian product gives both
+    network sums, so F holds A x + E w and law_matrix's outputs [A x_hat,
+    Q C' e, x_hat + zeta_tilde, C zeta_tilde, e], with zeta = C (L x) the
+    measured disagreement, zeta_tilde = L x_hat the exchanged sum and
+    e = C zeta_tilde - zeta the mismatch.
 
     The stage derivative [dx/dt, d x_hat / dt, d rho / dt, d alpha / dt]
     is written into out; the return value is (U, mismatch, exchange), with

@@ -125,7 +125,7 @@ def laplacian(graph: DirectedWeightedGraph) -> np.ndarray:
 
 class SparseLaplacian:
     """A graph's Laplacian held by entry slot: row i's j-th entry is
-    vals[j, i, 0] in column cols[j, i], for cols of shape (width, n).
+    vals[j, i] in column cols[j, i], both of shape (width, n).
 
     Each row keeps its entries in column order, diagonal included, and a
     row with fewer entries than the widest is padded with zero weights in
@@ -149,10 +149,10 @@ class SparseLaplacian:
         slot = np.arange(cols.size) - graph.indptr[rows] + (cols > rows)
         width = int(np.diff(graph.indptr).max(initial=0)) + 1
         self.cols = np.tile(np.arange(n), (width, 1))
-        self.vals = np.zeros((width, n, 1))
+        self.vals = np.zeros((width, n))
         self.cols[slot, rows] = cols
-        self.vals[slot, rows, 0] = -weights
-        self.vals[diagonal, np.arange(n), 0] = degree
+        self.vals[slot, rows] = -weights
+        self.vals[diagonal, np.arange(n)] = degree
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -166,7 +166,7 @@ class SparseLaplacian:
         # along the rows; for Y stored column by column the gather reads
         # contiguous columns as well.
         terms = np.take(Y.T, self.cols, axis=1)
-        terms *= self.vals[..., 0]
+        terms *= self.vals
         return terms.sum(axis=1).T
 
 

@@ -68,20 +68,26 @@ def _as_square(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def eigenvalues(M) -> SpectrumReport:
-    """Spectrum of a square matrix.
+def _is_hurwitz(M: np.ndarray, max_re: float) -> bool:
+    """The one Hurwitz rule: max Re(lambda) < -1e-12 max(||M||_F, 1).
 
-    Hurwitz means max Re(lambda) < -1e-12 max(||M||_F, 1): roundoff alone
-    moves an eigenvalue on the imaginary axis by about 1e-16 ||M||, to
-    either side, so a verdict without that margin would be a coin toss.
+    Roundoff alone moves an eigenvalue on the imaginary axis by about
+    1e-16 ||M||, to either side, so a verdict without that margin would be
+    a coin toss.
+    """
+    return max_re < -1e-12 * max(float(np.linalg.norm(M)), 1.0)
+
+
+def eigenvalues(M) -> SpectrumReport:
+    """Spectrum of a square matrix, Hurwitz by _is_hurwitz.
+
     An empty matrix is vacuously Hurwitz (max real part -inf); this keeps
     degenerate zero-size blocks from the output transform usable.
     """
     M = _as_square(M)
     ev = np.linalg.eigvals(M) if M.size else np.zeros(0, dtype=complex)
     max_re = float(np.max(ev.real)) if ev.size else float("-inf")
-    margin = 1e-12 * max(float(np.linalg.norm(M)), 1.0)
-    return SpectrumReport(eigenvalues=ev, max_real_part=max_re, is_hurwitz=max_re < -margin)
+    return SpectrumReport(eigenvalues=ev, max_real_part=max_re, is_hurwitz=_is_hurwitz(M, max_re))
 
 
 def operator_norm_2(M) -> float:
@@ -120,10 +126,11 @@ def solve_lyapunov(A, W) -> np.ndarray:
 
     Bartels-Stewart: with the real Schur form A = Z T Z', the equation
     becomes T'Y + YT = -Z'WZ, which trsyl solves by back substitution over
-    the quasi-triangular T; then X = Z Y Z'.  The Hurwitz verdict is read
-    from the diagonal of T, whose standardized 2x2 blocks carry the real
-    part of their complex pair on the diagonal.  The result is symmetrized
-    to scrub roundoff drift before the residual check.
+    the quasi-triangular T; then X = Z Y Z'.  The Hurwitz verdict, by
+    _is_hurwitz as in eigenvalues, is read from the diagonal of T, whose
+    standardized 2x2 blocks carry the real part of their complex pair on
+    the diagonal.  The result is symmetrized to scrub roundoff drift before
+    the residual check.
     """
     A = _as_square(A, "A")
     W = _as_square(W, "W")
@@ -137,7 +144,7 @@ def solve_lyapunov(A, W) -> np.ndarray:
     # _as_square has rejected non-finite entries already.
     T, Z = scipy.linalg.schur(A, output="real", check_finite=False)
     max_re = float(np.max(np.diag(T)))
-    if not max_re < 0.0:
+    if not _is_hurwitz(A, max_re):
         raise SolverError(f"Lyapunov solve needs a Hurwitz matrix; max Re(lambda) = {max_re:.6g}")
     Y, scale, info = lapack.dtrsyl(T, T, -(Z.T @ W @ Z), trana="T")
     if info < 0:

@@ -110,17 +110,14 @@ class NoncollabDesign:
         ]
         return np.vstack([np.hstack(from_xi1), np.hstack(from_zeta)])
 
-    def stage_rows(self, model: AgentModel) -> np.ndarray:
-        """The law's rows of the integrator's stage matrix.
-
-        Maps a row [xi1_hat, rho, L x] to law_matrix's outputs for the
-        measurement zeta = C (L x), then -B gain_row @ xi_hat: u is linear
-        in the row but for the factor rho, so B enters the product too.
-        """
-        n1, m = self.n1, self.m
-        LM = self.law_matrix
-        rows = np.vstack([LM[:n1], np.zeros((1, LM.shape[1])), model.C.T @ LM[n1:]])
-        return np.hstack([rows, rows[:, rows.shape[1] - m :] @ model.B.T])
+    def law_matrix_on_sums(self, C: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """law_matrix on a row [xi1_hat, L x], through the measurement
+        zeta = C (L x), with -B gain_row @ xi_hat as a last column block:
+        u is linear in the row but for the factor rho, so B enters the
+        integrator's stage product too."""
+        n1, LM = self.n1, self.law_matrix
+        rows = np.vstack([LM[:n1], C.T @ LM[n1:]])
+        return np.hstack([rows, rows[:, rows.shape[1] - self.m :] @ B.T])
 
     def d_upper_bound(self) -> float:
         """Open upper limit of admissible dead-zone levels for this design."""
@@ -226,7 +223,8 @@ def noncollab_law(design: NoncollabDesign, PS: np.ndarray, F: np.ndarray, out: n
 
     Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of F
     its stage product: the integrator's workspace row [x, xi1_hat, rho,
-    L x, w] times a stage matrix whose law rows are design.stage_rows(model).
+    L x, w] times the stage matrix (simulate.stage_matrix), whose law rows
+    are design.law_matrix_on_sums(C, B).
     The measurement zeta = C (L x) splits through T into (zeta_1, zeta_2);
     zeta_2 doubles as the directly measured tail of the estimate xi_hat =
     [xi1_hat, zeta_2] that the gain and the trigger see.  So F holds

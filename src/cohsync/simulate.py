@@ -5,15 +5,15 @@ the network sums through the graph Laplacian, the disturbance rows, the
 classical fourth-order Runge-Kutta scheme on a fixed grid, blow-up and
 growth detection, and recording.  The protocol itself enters only as its
 batched runtime law (noncollab.noncollab_law or collab.collab_law) and
-the law's rows of the stage matrix (design.stage_rows); this module reads
-none of a design's gains.  Each stage fills one preallocated workspace,
-rows [x, protocol state, network sums, w] with the sums L x (and L x_hat
-for the collaborative law), and makes one sparse Laplacian product and
-one dense product with a stage matrix composed once from A, E and the
-law's rows; the law writes the stage derivative in place from that
-product.  Dead-zone branches in the gain laws are re-evaluated at every
-substep; no event localization is attempted, since crossing a dead zone
-only switches between nonnegative growth rates.
+the design's law_matrix in the stage matrix; this module reads none of a
+design's gains.  Each stage fills one preallocated workspace, rows [x,
+protocol state, network sums, w] with the sums L x (and L x_hat for the
+collaborative law), and makes one sparse Laplacian product and one dense
+product with a stage matrix composed once from A, E and the law's rows;
+the law writes the stage derivative in place from that product.
+Dead-zone branches in the gain laws are re-evaluated at every substep; no
+event localization is attempted, since crossing a dead zone only switches
+between nonnegative growth rates.
 
 All agents are integrated as one batch of rows in node order, through
 one sparse Laplacian of the whole graph (graphs.SparseLaplacian),
@@ -237,14 +237,23 @@ def _integrate(stage, record, S, X, dt, n_steps, stride, order, starts):
 def stage_matrix(model: AgentModel, design) -> np.ndarray:
     """The matrix of a stage's one dense product.
 
-    Maps a workspace row [x, protocol state, network sums, w] to
-    [A x + E w, the law's linear outputs] (design.stage_rows).
+    Maps a workspace row [x, observer state, gains, network sums, w] to
+    [A x + E w, the law's linear outputs]: the design's law_matrix, or for
+    the noncollaborative law its law_matrix_on_sums(C, B).  The gains (rho,
+    and alpha for the collaborative law) only scale the law's outputs, so
+    their rows are zero.
     """
-    n, law_rows = model.n, design.stage_rows(model)
-    w0 = n + law_rows.shape[0]
+    if isinstance(design, NoncollabDesign):
+        observer, gains, law_rows = design.n1, 1, design.law_matrix_on_sums(model.C, model.B)
+    else:
+        observer, gains, law_rows = design.n, 2, design.law_matrix
+    n = model.n
+    x_hat, sums = n + observer, n + observer + gains
+    w0 = sums + law_rows.shape[0] - observer
     M = np.zeros((w0 + model.w, n + law_rows.shape[1]))
     M[:n, :n] = model.A.T
-    M[n:w0, n:] = law_rows
+    M[n:x_hat, n:] = law_rows[:observer]
+    M[sums:w0, n:] = law_rows[observer:]
     M[w0:, :n] = model.E.T
     return M
 

@@ -198,7 +198,7 @@ def test_sparse_laplacian_slots():
     g = DirectedWeightedGraph.from_edges(3, [(0, 2, 1.0), (1, 2, 2.0), (2, 0, 0.5)])
     L = SparseLaplacian(g)
     assert L.cols.tolist() == [[0, 1, 0], [2, 1, 1], [0, 1, 2]]
-    assert L.vals[:, :, 0].tolist() == [[0.5, 0.0, -1.0], [-0.5, 0.0, -2.0], [0.0, 0.0, 3.0]]
+    assert L.vals.tolist() == [[0.5, 0.0, -1.0], [-0.5, 0.0, -2.0], [0.0, 0.0, 3.0]]
     assert np.array_equal(L @ np.eye(3), laplacian(g))
 
 
@@ -243,7 +243,7 @@ def test_directed_circulant_of_100k_nodes_stays_sparse():
     assert weakly_connected_components(g) == [list(range(n))]
     L = SparseLaplacian(g)
     # One slot per in-neighbour and one for the diagonal.
-    assert L.cols.shape == (3, n) and L.vals.shape == (3, n, 1)
+    assert L.cols.shape == (3, n) and L.vals.shape == (3, n)
     for array in [*vars(g).values(), *vars(L).values()]:
         assert array.size <= 2 * (n + edges)
     y = np.arange(n, dtype=float)[:, None]

@@ -197,6 +197,26 @@ def test_lyapunov_rejects_rotated_imaginary_axis_pair():
             solve_lyapunov(V @ block @ V.T, np.eye(3))
 
 
+def test_lyapunov_and_eigenvalues_share_the_hurwitz_rule():
+    # The rotations that eigenvalues() rejects fail the Lyapunov solve's own
+    # Hurwitz check, not only its residual check.
+    rng = np.random.default_rng(0)
+    D = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    for _ in range(200):
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        with pytest.raises(SolverError, match="needs a Hurwitz matrix"):
+            solve_lyapunov(Q @ D @ Q.T, np.eye(3))
+    # A decay rate inside the margin 1e-12 max(||A||_F, 1) is refused by
+    # both; one just outside it is accepted by both.
+    inside, outside = np.diag([-1e-13, -1.0]), np.diag([-1e-11, -1.0])
+    assert not eigenvalues(inside).is_hurwitz
+    with pytest.raises(SolverError, match="needs a Hurwitz matrix"):
+        solve_lyapunov(inside, np.eye(2))
+    assert eigenvalues(outside).is_hurwitz
+    X = solve_lyapunov(outside, np.eye(2))
+    assert X[0, 0] == pytest.approx(0.5e11, rel=1e-12) and X[1, 1] == pytest.approx(0.5)
+
+
 def test_lyapunov_residual_guard_catches_a_bad_sylvester_solve(monkeypatch):
     rng = np.random.default_rng(8)
     A = random_hurwitz(rng, 5)
