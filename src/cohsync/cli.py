@@ -99,6 +99,45 @@ class ExperimentManifest:
     raw: dict
 
 
+def _as_integer(value, minimum: int):
+    """value as an int of at least minimum, or None; json writes 3 as 3.0
+    at times, but a bool is no count."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and value >= minimum:
+        return value
+    return None
+
+
+def _integer(data, key, context, default, minimum: int) -> int:
+    value = data.get(key, default)
+    count = _as_integer(value, minimum)
+    if count is None:
+        raise ValueError(f"{context}: '{key}' must be an integer of at least {minimum}, got {value!r}")
+    return count
+
+
+def _integers(data, key, context, default, minimum: int) -> tuple[int, ...]:
+    values = data.get(key, default)
+    counts = [_as_integer(v, minimum) for v in values] if isinstance(values, list | tuple) else [None]
+    if None in counts:
+        raise ValueError(
+            f"{context}: '{key}' must be a list of integers of at least {minimum}, got {values!r}"
+        )
+    return tuple(counts)
+
+
+def _real(data, key, context, default, positive: bool) -> float:
+    """data[key] as a finite float, positive or nonnegative; json reads
+    NaN and Infinity, and integers beyond any float."""
+    value = data.get(key, default)
+    ok = isinstance(value, int | float) and not isinstance(value, bool)
+    if not (ok and (0.0 < value if positive else 0.0 <= value) and value <= sys.float_info.max):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{context}: '{key}' must be {sign} and finite, got {value!r}")
+    return float(value)
+
+
 def _matrix(data, key, context):
     try:
         M = np.array(data, dtype=float)
@@ -110,14 +149,14 @@ def _matrix(data, key, context):
 
 
 def _model_from_spec(spec, base_dir, context):
-    if not isinstance(spec, dict):
-        raise ValueError(f"{context}: 'model' must be an object")
-    if "file" in spec:
+    if isinstance(spec, dict) and "file" in spec:
         path = Path(base_dir) / str(spec["file"])
         if not path.is_file():
             raise ValueError(f"{context}: model file not found: {path}")
         with open(path) as fh:
             spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{context}: 'model' must be an object")
     missing = [k for k in ("A", "B", "C") if k not in spec]
     if missing:
         raise ValueError(f"{context}: model is missing {missing}")
@@ -139,20 +178,22 @@ def _graph_from_spec(spec, base_dir, context):
             raise ValueError(f"{context}: edge list file not found: {path}")
         return read_edge_list(path.read_text())
     generator = spec.get("generator")
+    where = f"{context}: graph"
+    directed = spec.get("directed", True)
+    if not isinstance(directed, bool):
+        raise ValueError(f"{where}: 'directed' must be true or false, got {directed!r}")
     if generator == "vicsek":
-        return generate_vicsek_fractal(
-            int(spec.get("generation", 1)), directed=bool(spec.get("directed", True))
-        )
+        return generate_vicsek_fractal(_integer(spec, "generation", where, 1, 1), directed=directed)
     if generator == "circulant":
         return generate_circulant(
-            int(spec["n_nodes"]),
-            offsets=tuple(spec.get("offsets", (1, 2))),
-            directed=bool(spec.get("directed", True)),
+            _integer(spec, "n_nodes", where, None, 1),
+            offsets=_integers(spec, "offsets", where, (1, 2), 1),
+            directed=directed,
         )
     if generator == "disconnected":
         return generate_disconnected_composite(
-            component_sizes=tuple(spec.get("component_sizes", (8, 8, 8))),
-            seed=int(spec.get("seed", 0)),
+            component_sizes=_integers(spec, "component_sizes", where, (8, 8, 8), 2),
+            seed=_integer(spec, "seed", where, 0, 0),
         )
     raise ValueError(
         f"{context}: graph needs 'edge_list' or a generator in "
@@ -165,47 +206,54 @@ def _disturbance_from_spec(spec, context):
         return DisturbanceSpec(kind="zero")
     if not isinstance(spec, dict):
         raise ValueError(f"{context}: 'disturbance' must be an object")
-    kind = spec.get("kind", "zero")
-    times = np.asarray(spec["times"], dtype=float) if "times" in spec else None
-    values = np.asarray(spec["values"], dtype=float) if "values" in spec else None
-    return DisturbanceSpec(kind=kind, width=int(spec.get("width", 1)), times=times, values=values)
+    where = f"{context}: disturbance"
+    arrays = {}
+    for key in ("times", "values"):
+        try:
+            arrays[key] = np.asarray(spec[key], dtype=float) if key in spec else None
+        except (TypeError, ValueError):
+            raise ValueError(f"{where}: '{key}' must be numeric, got {spec[key]!r}") from None
+    width = _integer(spec, "width", where, 1, 0)
+    return DisturbanceSpec(kind=spec.get("kind", "zero"), width=width, **arrays)
 
 
 def manifest_from_dict(data, base_dir=".") -> ExperimentManifest:
     if not isinstance(data, dict):
         raise ValueError("manifest must be a JSON object")
-    name = str(data.get("name", "")).strip()
+    name = data.get("name", "")
+    name = name.strip() if isinstance(name, str) else ""
     context = f"manifest '{name}'" if name else "manifest"
     unknown = sorted(set(data) - _TOP_KEYS)
     if unknown:
         raise ValueError(f"{context}: unknown fields {unknown}")
     if not name:
-        raise ValueError("manifest: 'name' is required")
+        raise ValueError("manifest: 'name' is required, a nonempty string")
     protocol = data.get("protocol")
     if protocol not in _PROTOCOLS:
         raise ValueError(f"{context}: 'protocol' must be one of {_PROTOCOLS}")
     if "model" not in data or "graph" not in data:
         raise ValueError(f"{context}: 'model' and 'graph' are required")
-    delta = None if data.get("delta") is None else float(data["delta"])
-    d = None if data.get("d") is None else float(data["d"])
+    delta, d = (
+        None if data.get(key) is None else _real(data, key, context, None, True) for key in ("delta", "d")
+    )
     if delta is None and d is None:
         raise ValueError(f"{context}: provide 'delta', 'd', or both")
     overrides_spec = data.get("overrides") or {}
+    if not isinstance(overrides_spec, dict):
+        raise ValueError(f"{context}: 'overrides' must be an object")
     if overrides_spec and protocol != "noncollaborative":
         raise ValueError(f"{context}: 'overrides' apply to the noncollaborative design only")
     bad = sorted(set(overrides_spec) - {"S", "T", "H1"})
     if bad:
         raise ValueError(f"{context}: unknown override fields {bad}")
     overrides = {k: _matrix(v, k, context) for k, v in overrides_spec.items()}
-    dt = float(data.get("dt", 1e-3))
-    t_end = float(data.get("t_end", 30.0))
-    rho0, alpha0 = (float(data.get(key, 0.0)) for key in ("rho0", "alpha0"))
-    for key, value in (("rho0", rho0), ("alpha0", alpha0)):
-        # json reads NaN and Infinity; neither is a gain.
-        if not 0.0 <= value < np.inf:
-            raise ValueError(f"{context}: '{key}' must be nonnegative and finite, got {value}")
+    dt, t_end = (_real(data, key, context, value, True) for key, value in (("dt", 1e-3), ("t_end", 30.0)))
+    rho0, alpha0 = (_real(data, key, context, 0.0, False) for key in ("rho0", "alpha0"))
     if alpha0 != 0.0 and protocol != "collaborative":
         raise ValueError(f"{context}: 'alpha0' applies to the collaborative protocol only")
+    out_dir = data.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ValueError(f"{context}: 'out_dir' must be a string, got {out_dir!r}")
     return ExperimentManifest(
         name=name,
         protocol=protocol,
@@ -216,12 +264,12 @@ def manifest_from_dict(data, base_dir=".") -> ExperimentManifest:
         disturbance=_disturbance_from_spec(data.get("disturbance"), context),
         dt=dt,
         t_end=t_end,
-        seed=int(data.get("seed", 0)),
-        record_stride=int(data.get("record_stride", 1)),
+        seed=_integer(data, "seed", context, 0, 0),
+        record_stride=_integer(data, "record_stride", context, 1, 1),
         rho0=rho0,
         alpha0=alpha0,
         overrides=overrides,
-        out_dir=data.get("out_dir"),
+        out_dir=out_dir,
         raw=data,
     )
 
@@ -431,13 +479,13 @@ def _default_out_dir(name: str, explicit=None, manifest_dir=None) -> Path:
 
 
 def _apply_cli_overrides(manifest: ExperimentManifest, args) -> ExperimentManifest:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.t_end is not None:
-        updates["t_end"] = args.t_end
+    flags = {"seed": args.seed, "dt": args.dt, "t_end": args.t_end}
+    updates = {key: value for key, value in flags.items() if value is not None}
+    if "seed" in updates:
+        _integer(updates, "seed", "--seed", None, 0)
+    for key in ("dt", "t_end"):
+        if key in updates:
+            _real(updates, key, f"--{key.replace('_', '-')}", None, True)
     return dataclasses.replace(manifest, **updates) if updates else manifest
 
 

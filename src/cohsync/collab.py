@@ -11,8 +11,9 @@ signal is large.
 Solving a Riccati equation at every integration substep would dwarf the
 simulation itself, so the alpha family is evaluated on a geometric grid
 (ratio 1.05) with lazily cached solutions; the controller holds the
-solution at the grid point just below the current alpha.  Off-grid values
-remain available exactly through solve_p_alpha for diagnostics and tests.
+solution at the grid point at or just below the current alpha.  Off-grid
+values remain available exactly through solve_p_alpha for diagnostics and
+tests.
 """
 
 from dataclasses import dataclass
@@ -49,8 +50,11 @@ class PAlphaGrid:
 
         A_shifted' P + P A_shifted - alpha_k P B B' P + CtC = 0,
 
-    with alpha_k = ratio**k, which is the shifted form of the family
-    A'P + PA - alpha PBB'P + 2 eps P + C'C = 0 for A_shifted = A + eps I.
+    with alpha_k = ratio**k (alpha_at), which is the shifted form of the
+    family A'P + PA - alpha PBB'P + 2 eps P + C'C = 0 for A_shifted =
+    A + eps I.  The cell of an alpha is the largest k with
+    alpha_at(k) <= alpha, decided by comparing with alpha_at itself, so
+    an alpha one ulp below a grid point lies in the cell below it.
     Cells are solved on first use, warm-starting Newton from the nearest
     solved neighbour, and inserted atomically (duplicate concurrent solves
     return identical values, so last-write-wins is safe).  The runtime law
@@ -67,15 +71,18 @@ class PAlphaGrid:
         self.ratio = float(ratio)
         self._log_ratio = np.log(self.ratio)
         self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # The gain table holds B'P_k for the cells k = lo, lo + 1, ...;
+        # _points holds alpha_at(k) for those cells and the one after.
         self._table = np.zeros((0,) + self.B.T.shape)
         self._table_lo = 0
+        self._points = np.zeros(0)
 
     def index_for(self, alpha: float) -> int:
-        """Largest k with ratio**k <= alpha (nearest grid point below)."""
+        """The cell of alpha: the largest k with alpha_at(k) <= alpha."""
         return int(self.indices_for([alpha])[0])
 
     def indices_for(self, alphas) -> np.ndarray:
-        """Vectorized index_for.
+        """Vectorized index_for, exactly: alpha_at(k) <= alpha < alpha_at(k + 1).
 
         Raises ValueError unless every alpha is positive and finite: the
         index of NaN or infinity is no cell, and cell() would walk towards it.
@@ -84,16 +91,20 @@ class PAlphaGrid:
         # NaN fails both comparisons.
         if not (alphas.min(initial=np.inf) > 0.0 and alphas.max(initial=0.0) < np.inf):
             raise ValueError("alpha must be positive and finite")
-        # floor(log(alpha) / log(ratio) + 1e-12), in place: the nudge keeps
-        # exact powers of the ratio in their own cell despite the log
-        # round-trip landing a few ulps short.
-        k = np.log(alphas)
-        k /= self._log_ratio
-        k += 1e-12
-        return np.floor(k, out=k).astype(int)
+        # The log estimate k is within one cell of the answer; comparing
+        # alpha with alpha_at(k) and alpha_at(k + 1) settles it.
+        k = np.floor(np.log(alphas) / self._log_ratio).astype(int)
+        ks, at = np.unique(k, return_inverse=True)
+        points = np.array([[self.alpha_at(j), self.alpha_at(j + 1)] for j in ks.tolist()])
+        k += (points[at.reshape(k.shape)] <= alphas[..., None]).sum(axis=-1) - 1
+        return k
 
     def alpha_at(self, k: int) -> float:
-        return self.ratio**k
+        """The grid point ratio**k; infinite past the largest float."""
+        try:
+            return self.ratio**k
+        except OverflowError:
+            return np.inf
 
     def cached_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self._cells))
@@ -130,23 +141,29 @@ class PAlphaGrid:
         return entry
 
     def gain_rows(self, alphas) -> np.ndarray:
-        """B'P_k at the cell just below each alpha, one (m, n) block per alpha.
+        """B'P_k at the cell of each alpha (index_for), one (m, n) block per
+        alpha.
 
-        One gather from the table of cells lo..hi.  The table is rebuilt
-        through cell() only when an alpha falls outside it, and then spans
-        the old and the new cells; every cell in that span lies between 0
-        and a needed cell, so the walks of cell() solve it anyway and the
-        cache holds the same cells as with one cell() call per needed cell.
+        Each alpha finds its cell among the grid points of the table of
+        cells lo..hi by one binary search, which is the rule of index_for
+        itself, and its block by one gather.  Only when an alpha falls
+        outside the table (or is no valid alpha, which indices_for rejects)
+        is the table rebuilt through cell(), spanning the old and the new
+        cells; every cell in that span lies between 0 and a needed cell, so
+        the walks of cell() solve it anyway and the cache holds the same
+        cells as with one cell() call per needed cell.
         """
-        ks = self.indices_for(alphas)
-        ks -= self._table_lo
-        lo, hi = int(ks.min()), int(ks.max())
-        if lo < 0 or hi >= self._table.shape[0]:
-            if self._table.shape[0]:
-                lo, hi = min(lo, 0), max(hi, self._table.shape[0] - 1)
-            first = self._table_lo + lo
-            self._table = np.stack([self.cell(k)[1] for k in range(first, first + hi - lo + 1)])
-            self._table_lo = first
+        ks = np.searchsorted(self._points, alphas, side="right")
+        ks -= 1
+        size = self._table.shape[0]
+        if ks.min() < 0 or ks.max() >= size:
+            ks = self.indices_for(alphas)
+            lo, hi = int(ks.min()), int(ks.max())
+            if size:
+                lo, hi = min(lo, self._table_lo), max(hi, self._table_lo + size - 1)
+            self._table = np.stack([self.cell(k)[1] for k in range(lo, hi + 1)])
+            self._points = np.array([self.alpha_at(k) for k in range(lo, hi + 2)])
+            self._table_lo = lo
             ks -= lo
         return self._table.take(ks, axis=0)
 
@@ -391,10 +408,11 @@ def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndar
     A x + E w and the observer part A x_hat - rho Q C' e, so the observer
     loop is bitwise the same for every alpha.
     mismatch = |C zeta_tilde - zeta|^2 drives rho through the dead zone d;
-    exchange = |C zeta_tilde|^2 drives alpha at rate min(exchange, 1)
-    above d.  Both gains are nondecreasing.  The feedback is
-    -alpha B'P_k (x_hat + zeta_tilde) with P_k the P_alpha grid point just
-    below alpha; alpha = 0 means no feedback at all, and u is exactly +0.
+    exchange = |C zeta_tilde|^2 drives alpha at rate min(exchange, 1) at
+    or above d and not at all below it.  Both gains are nondecreasing.  The
+    feedback is -alpha B'P_k (x_hat + zeta_tilde) with k the grid cell of
+    alpha (PAlphaGrid.index_for); alpha = 0 means no feedback at all, and u
+    is exactly +0.
     """
     n, p = design.n, design.p_out
     rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
@@ -411,12 +429,15 @@ def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndar
     on = AL > 0.0
     BtP = design.grid.gain_rows(np.where(on, AL, 1.0)[:, 0])
     U = np.where(on, -AL * np.einsum("imn,in->im", BtP, F[:, 3 * n : 4 * n]), 0.0)
-    BU = row_product(U, design.B.T)
+    # B u stored column by column like F and out: the rows of U B' as the
+    # columns of B U', a lone row as part of a two-row product.
+    BU = row_product(U, design.B.T) if rows == 1 else (design.B @ U.T).T
     np.add(F[:, :n], BU, out=out[:, :n])
     dx_hat = out[:, n : 2 * n]
     np.multiply(RHO, F[:, 2 * n : 3 * n], out=dx_hat)
     np.subtract(F[:, n : 2 * n], dx_hat, out=dx_hat)
     dx_hat += BU
     np.multiply(mismatch, mismatch >= d, out=out[:, 2 * n])
-    out[:, 2 * n + 1] = np.where(exchange >= 1.0, 1.0, np.where(exchange >= d, exchange, 0.0))
+    # min(exchange, 1) at or above d, else min(exchange, 0) = 0.
+    np.minimum(exchange, exchange >= d, out=out[:, 2 * n + 1])
     return U, mismatch, exchange

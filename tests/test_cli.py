@@ -1,14 +1,20 @@
 """Manifest parsing, the experiment runner, and the command line surface."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cohsync.cli import (
+    _TOP_KEYS,
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_PASS,
@@ -382,6 +388,20 @@ def test_non_finite_initial_gains_rejected_at_load(tmp_path, capsys, key, value)
     assert not (tmp_path / "run").exists()
 
 
+def test_negative_seed_rejected_at_load(tmp_path):
+    path = write_manifest(tmp_path, tiny_collab_dict(seed=-1))
+    with pytest.raises(ValueError, match="'seed' must be an integer of at least 0, got -1"):
+        load_manifest(path)
+
+
+def test_negative_seed_flag_rejected_before_any_artifact(tmp_path, capsys):
+    path = write_manifest(tmp_path, tiny_collab_dict())
+    code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run"), "--seed", "-1"])
+    assert code == EXIT_CONFIG
+    assert "--seed: 'seed' must be an integer of at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_simulate_pass(tmp_path, capsys):
     path = write_manifest(tmp_path, tiny_manifest_dict())
     code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run")])
@@ -479,3 +499,98 @@ def test_out_root_env_used_by_simulate(tmp_path, monkeypatch):
     code = main(["simulate", "--manifest", str(path)])
     assert code == EXIT_PASS
     assert (tmp_path / "envroot" / "tiny" / "summary.json").is_file()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed manifests: every malformed one is a configuration error
+
+_NOT_NUMBERS = st.sampled_from([None, True, False, "", "1", [], [1.0], {}, {"x": 1}])
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_NEGATIVE = st.one_of(
+    st.integers(max_value=-1), st.floats(max_value=-1e-6, allow_nan=False, allow_infinity=False)
+)
+_NOT_COUNTS = st.one_of(_NOT_NUMBERS, _NON_FINITE, _NEGATIVE, st.floats(0.1, 0.9), st.floats(1.1, 1.9))
+_NOT_REALS = st.one_of(_NOT_NUMBERS, _NON_FINITE, _NEGATIVE, st.just(10**400))  # beyond any float
+_NOT_POSITIVE = st.one_of(_NOT_REALS, st.sampled_from([0, 0.0]))
+_NOT_LISTS = st.one_of(
+    _NOT_NUMBERS.filter(lambda v: not isinstance(v, list)), st.lists(_NOT_COUNTS, min_size=1, max_size=3)
+)
+_NOT_OBJECTS = st.sampled_from([3, "x", [1, 2], True])
+_NOT_STRINGS = st.sampled_from([3, 2.5, [1, 2], True, {}])
+_NOT_MATRICES = st.one_of(
+    _NOT_OBJECTS,
+    st.sampled_from([[[1.0, "x"]], [[1.0], [1.0, 2.0]], [[float("nan")]], [[float("inf"), 0.0]], [], {}]),
+)
+# Bad disturbance table columns, against times [0, 20] and values [0, 0.1].
+_NOT_TABLES = st.sampled_from(
+    [None, "x", {}, [], [0.0, "x"], [0.0, float("nan")], [float("-inf"), 20.0], [0.0, 20.0, 30.0]]
+)
+
+
+def _not_one_of(*valid):
+    return st.one_of(_NOT_STRINGS, st.none(), st.text(max_size=10)).filter(lambda v: v not in valid)
+
+
+# (where, key, graph to start from, bad values); where is None for top-level keys.
+_MUTATIONS = [
+    (None, "delta", None, _NOT_POSITIVE.filter(lambda v: v is not None)),  # null: no delta
+    (None, "d", None, _NOT_POSITIVE),
+    (None, "dt", None, _NOT_POSITIVE),
+    (None, "t_end", None, _NOT_POSITIVE),
+    (None, "rho0", None, _NOT_REALS),
+    (None, "alpha0", None, _NOT_REALS),
+    (None, "seed", None, _NOT_COUNTS),
+    (None, "record_stride", None, st.one_of(_NOT_COUNTS, st.just(0))),
+    (None, "name", None, st.one_of(_NOT_STRINGS, st.sampled_from([None, "", "  "]))),
+    (None, "protocol", None, _not_one_of("noncollaborative", "collaborative")),
+    (None, "model", None, st.one_of(_NOT_OBJECTS, st.none())),
+    (None, "graph", None, st.one_of(_NOT_OBJECTS, st.none())),
+    (None, "disturbance", None, _NOT_OBJECTS),
+    (None, "overrides", None, _NOT_OBJECTS),
+    (None, "out_dir", None, _NOT_STRINGS),
+    ("model", "A", None, st.one_of(_NOT_MATRICES, st.none())),
+    ("model", "B", None, st.one_of(_NOT_MATRICES, st.none())),
+    ("model", "C", None, st.one_of(_NOT_MATRICES, st.none())),
+    ("model", "E", None, _NOT_MATRICES),
+    ("graph", "generation", {"generator": "vicsek"}, st.one_of(_NOT_COUNTS, st.integers(4, 10))),
+    ("graph", "directed", {"generator": "vicsek"}, _not_one_of(True, False)),
+    ("graph", "n_nodes", {"generator": "circulant", "n_nodes": 6}, _NOT_COUNTS),
+    ("graph", "offsets", {"generator": "circulant", "n_nodes": 6}, _NOT_LISTS),
+    ("graph", "component_sizes", {"generator": "disconnected"}, _NOT_LISTS),
+    ("graph", "seed", {"generator": "disconnected", "component_sizes": [3, 3]}, _NOT_COUNTS),
+    ("graph", "generator", {}, _not_one_of("vicsek", "circulant", "disconnected")),
+    ("disturbance", "kind", None, _not_one_of("zero", "chirp", "sawtooth", "table")),
+    ("disturbance", "width", None, st.one_of(_NOT_COUNTS, st.integers(2, 5))),
+    ("disturbance", "times", None, _NOT_TABLES),
+    ("disturbance", "values", None, _NOT_TABLES),
+]
+
+
+@st.composite
+def malformed_manifests(draw):
+    """A small valid collaborative manifest with one key made bad or one
+    unknown key added."""
+    table = {"kind": "table", "width": 1, "times": [0.0, 20.0], "values": [0.0, 0.1]}
+    data = tiny_collab_dict(disturbance=table)
+    if draw(st.booleans()):
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in _TOP_KEYS))
+        data[key] = draw(st.one_of(_NOT_OBJECTS, _NOT_NUMBERS))
+        return data
+    where, key, graph, bad = draw(st.sampled_from(_MUTATIONS))
+    if graph is not None:
+        data["graph"] = dict(graph)
+    (data if where is None else data[where])[key] = draw(bad)
+    return data
+
+
+@settings(max_examples=200, deadline=1000, suppress_health_check=[HealthCheck.too_slow])
+@given(malformed_manifests())
+def test_malformed_manifests_exit_two_without_traceback(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(data))  # json writes NaN and Infinity literals
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--manifest", str(path), "--out", str(Path(tmp) / "run")])
+    assert code == EXIT_CONFIG, data
+    assert err.getvalue().startswith("error: ")

@@ -242,6 +242,19 @@ def test_gain_law_branch_boundaries():
     assert dalpha == 1.0
 
 
+def test_alpha_rate_keeps_its_dead_zone_above_one():
+    design = reference_design(delta=4.0)  # d = 2
+    assert design.d == 2.0
+    for exchange_energy, rate in ((1.0, 0.0), (1.5, 0.0), (1.99, 0.0), (2.5, 1.0), (3.0, 1.0)):
+        PS = np.concatenate([np.zeros(3), [1.0, 0.5]])[None, :]
+        zt = np.array([np.sqrt(exchange_energy), 0.0, 0.0])
+        LS = network_sums(design, (design.C @ zt)[None, :], zt[None, :])
+        (_, drho, dalpha), _, mismatch, exchange = law(design, PS, LS)
+        assert exchange[0] == pytest.approx(exchange_energy, rel=1e-12)
+        assert mismatch[0] < 1e-20 and drho[0, 0] == 0.0
+        assert dalpha[0, 0] == rate
+
+
 def test_feedback_uses_quantized_grid_cell():
     design = reference_design()
     x_hat = np.array([0.4, -0.2, 0.1])
@@ -464,3 +477,43 @@ def test_gather_matches_the_masked_per_cell_path(monkeypatch):
     for k in ks:
         per_cell.cell(int(k))
     assert grid.cached_indices() == per_cell.cached_indices() == fresh.cached_indices()
+
+
+def test_cell_rule_is_exact_at_and_beside_grid_points():
+    grid = reference_design().grid
+    points = [grid.alpha_at(k) for k in range(-300, 300)]
+    alphas = np.array([a for p in points for a in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))])
+    ks = grid.indices_for(alphas)
+    for a, k in zip(alphas.tolist(), ks.tolist()):
+        assert grid.index_for(a) == k
+        assert grid.alpha_at(k) <= a < grid.alpha_at(k + 1)
+    assert np.array_equal(ks, np.repeat(np.arange(-300, 300), 3) + np.tile([-1, 0, 0], 600))
+    huge = grid.index_for(np.finfo(float).max)
+    assert grid.alpha_at(huge) <= np.finfo(float).max < grid.alpha_at(huge + 1) == np.inf
+
+
+def test_searchsorted_gather_equals_indices_for(monkeypatch):
+    grid = reference_design().grid
+    per_cell = reference_design().grid
+    grid.gain_rows(np.array([grid.alpha_at(-12), grid.alpha_at(12)]))  # the table spans -12..12
+    points = [grid.alpha_at(k) for k in range(-12, 13)]
+    inside = np.array([a for p in points for a in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))][1:])
+    inside = np.append(inside, np.nextafter(grid.alpha_at(13), 0.0))
+    ks = grid.indices_for(inside)
+
+    def no_lookup(alphas):
+        raise AssertionError("an alpha inside the table took the rebuild path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, "indices_for", no_lookup)
+        blocks = grid.gain_rows(inside)
+    for block, k in zip(blocks, ks.tolist()):
+        assert np.array_equal(block, grid.cell(k)[1])
+    # Just outside the table on either side, and far outside: rebuilt.
+    outside = np.array([np.nextafter(grid.alpha_at(-12), 0.0), grid.alpha_at(13), 2.0**10])
+    blocks = grid.gain_rows(outside)
+    for block, k in zip(blocks, grid.indices_for(outside).tolist()):
+        assert np.array_equal(block, grid.cell(k)[1])
+    for k in np.concatenate([ks, grid.indices_for(outside)]).tolist():
+        per_cell.cell(k)
+    assert grid.cached_indices() == per_cell.cached_indices()

@@ -19,6 +19,7 @@ from cohsync.simulate import (
     IntegrationBlowup,
     SimConfig,
     _disturbance_writer,
+    _keyed_uniform,
     _stage,
     detect_settling,
     gain_flatness,
@@ -595,11 +596,29 @@ def test_config_validation():
     empty = DirectedWeightedGraph(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="no agents"):
         simulate(SimConfig(model=model, graph=empty, design=design))
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        simulate(SimConfig(model=model, graph=g, design=design, seed=-1))
+    with pytest.raises(ValueError, match="below 2"):
+        simulate(SimConfig(model=model, graph=g, design=design, disturbance_indices=(1, 2**32)))
     col_model, col_design = demo_collab_design()
     for key in ("initial_rho", "initial_alpha"):
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 simulate(SimConfig(model=col_model, graph=g, design=col_design, **{key: value}))
+
+
+# ---------------------------------------------------------------------------
+# keyed initial states
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**100 + 7])
+def test_keyed_draw_matches_default_rng_bitwise(seed):
+    rng = np.random.default_rng(7)
+    keys = np.concatenate([np.arange(1, 2001), rng.integers(2001, 10**5 + 1, 50), [10**5, 2**32 - 1]])
+    for n in range(1, 9):
+        drawn = _keyed_uniform(seed, keys.astype(float), n)
+        expected = np.stack([np.random.default_rng([seed, int(g)]).uniform(-1.0, 1.0, n) for g in keys])
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64)), n
 
 
 # ---------------------------------------------------------------------------
