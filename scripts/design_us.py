@@ -1,0 +1,91 @@
+"""Time of the design solves on minimum-phase models of growing dimension.
+
+For each dimension n in SIZES the models are the first DRAWS draws of
+verification.seeded_minimum_phase_model (generator keys [n, 0], [n, 1],
+...) whose A has Frobenius norm at most MAX_NORM, as in the benchmark's
+design sweep.  On each model it times:
+
+  lyapunov   solve_lyapunov(A - (max Re lambda(A) + 1) I, I)
+  care       solve_care(A, B), identity weight
+  cell       cell 0 of a fresh P_alpha grid of (A, B, C), epsilon 0.1
+  noncollab  design_noncollab(model, delta=DELTA)
+  collab     design_collab(model, delta=DELTA)
+
+A figure is the minimum over REPEATS calls on one model, in microseconds;
+the table gives its median over the models, and "failed" counts the
+models on which a call raised SolverError.  Set OPENBLAS_NUM_THREADS=1 for
+figures comparable across hosts.
+
+    PYTHONPATH=src python3 scripts/design_us.py
+"""
+
+import json
+import statistics
+import time
+
+import numpy as np
+
+from cohsync.collab import design_collab, p_alpha_family
+from cohsync.linalg import SolverError, solve_care, solve_lyapunov
+from cohsync.noncollab import design_noncollab
+from cohsync.verification import seeded_minimum_phase_model
+
+SIZES = (4, 8, 12, 16, 24)
+DRAWS = 5
+MAX_NORM = 200.0
+REPEATS = 5
+DELTA = 1.0
+
+
+def models(n):
+    found, key = [], 0
+    while len(found) < DRAWS:
+        model, _ = seeded_minimum_phase_model(np.random.default_rng([n, key]), n)
+        if np.linalg.norm(model.A) <= MAX_NORM:
+            found.append(model)
+        key += 1
+    return found
+
+
+def operations(model):
+    n = model.n
+    A_stable = model.A - (np.max(np.linalg.eigvals(model.A).real) + 1.0) * np.eye(n)
+    return {
+        "lyapunov": lambda: solve_lyapunov(A_stable, np.eye(n)),
+        "care": lambda: solve_care(model.A, model.B),
+        "cell": lambda: p_alpha_family(model.A, model.B, model.C, 0.1).cell(0),
+        "noncollab": lambda: design_noncollab(model, delta=DELTA),
+        "collab": lambda: design_collab(model, delta=DELTA),
+    }
+
+
+def best_us(call):
+    best = float("inf")
+    for _ in range(REPEATS):
+        t = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t)
+    return 1e6 * best
+
+
+def main():
+    table = {}
+    for n in SIZES:
+        times = {}
+        for model in models(n):
+            for name, call in operations(model).items():
+                try:
+                    us = best_us(call)
+                except SolverError:
+                    us = None
+                times.setdefault(name, []).append(us)
+        table[str(n)] = {}
+        for name, ts in times.items():
+            ok = [us for us in ts if us is not None]
+            median = round(statistics.median(ok), 1) if ok else None
+            table[str(n)][name] = {"us": median, "failed": len(ts) - len(ok)}
+    print(json.dumps(table, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -41,6 +41,7 @@ from .simulate import (
     DisturbanceSpec,
     IntegrationBlowup,
     SimConfig,
+    check_run,
     gain_flatness,
     settling_metric,
     settling_report,
@@ -374,11 +375,12 @@ def _write_json(path: Path, payload: dict) -> None:
 def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
     """Design, simulate, and judge one manifest; writes the three artifacts.
 
-    Raises SolverError from the design phase (assumption or solver
-    failures) before any artifact is written; a blow-up during integration
-    leaves design.json in place, which is intentional: the design was fine,
-    the run was not.
+    Raises ValueError (check_run) before making out_dir, and SolverError
+    from the design phase before writing any artifact; a blow-up during
+    integration leaves design.json in place, which is intentional: the
+    design was fine, the run was not.
     """
+    check_run(manifest.model, manifest.disturbance, manifest.dt, manifest.t_end)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     design = build_design(manifest)
@@ -515,13 +517,8 @@ def _cmd_design(args) -> int:
 def _cmd_simulate(args) -> int:
     try:
         manifest = _apply_cli_overrides(_resolve_manifest(args.manifest), args)
-        out_dir = _default_out_dir(manifest.name, args.out, manifest.out_dir)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = run_experiment(manifest, out_dir)
-    except (ValueError, OSError) as exc:
+        result = run_experiment(manifest, _default_out_dir(manifest.name, args.out, manifest.out_dir))
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationBlowup as exc:

@@ -55,11 +55,11 @@ class PAlphaGrid:
     A + eps I.  The cell of an alpha is the largest k with
     alpha_at(k) <= alpha, decided by comparing with alpha_at itself, so
     an alpha one ulp below a grid point lies in the cell below it.
-    Cells are solved on first use, warm-starting Newton from the nearest
-    solved neighbour, and inserted atomically (duplicate concurrent solves
-    return identical values, so last-write-wins is safe).  The runtime law
-    reads the gain rows B'P_k from one contiguous table over the range of
-    cells it has needed so far (gain_rows).
+    Cells are solved on first use, each by its own solve_care, and
+    inserted atomically (duplicate concurrent solves return identical
+    values, so last-write-wins is safe).  The runtime law reads the gain
+    rows B'P_k from one contiguous table over the range of cells it has
+    needed so far (gain_rows).
     """
 
     def __init__(self, A_shifted, B, CtC, ratio: float = GRID_RATIO):
@@ -109,35 +109,21 @@ class PAlphaGrid:
     def cached_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self._cells))
 
-    def _nearest_cached(self, k: int) -> int | None:
-        if not self._cells:
-            return None
-        return min(self._cells, key=lambda c: abs(c - k))
-
-    def _ensure(self, k: int, warm=None) -> tuple[np.ndarray, np.ndarray]:
-        entry = self._cells.get(k)
-        if entry is None:
-            P = solve_care(
-                self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(k), initial_p=warm
-            )
-            entry = self._cells.setdefault(k, (P, self.B.T @ P))
-        return entry
-
     def cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Solution pair (P_k, B'P_k) for grid cell k, solving on first use.
 
-        Missing cells are filled by walking outward from cell 0, each solve
-        warm-started from its inner neighbour.  The walk makes every cached
-        value a function of the cell index alone, never of the order in
-        which callers asked, which keeps repeated runs bit-identical.
+        Missing cells are filled by walking from cell 0 to k, so the cache
+        always holds one unbroken run of cells around 0.  Each cell is
+        solved on its own, so its value is a function of its index alone,
+        never of the order in which callers asked, which keeps repeated
+        runs bit-identical.
         """
-        entry = self._cells.get(k)
-        if entry is not None:
-            return entry
-        entry = self._ensure(0)
         step = 1 if k > 0 else -1
-        for j in range(step, k + step, step):
-            entry = self._ensure(j, warm=entry[0])
+        for j in range(0, k + step, step):
+            entry = self._cells.get(j)
+            if entry is None:
+                P = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(j))
+                entry = self._cells.setdefault(j, (P, self.B.T @ P))
         return entry
 
     def gain_rows(self, alphas) -> np.ndarray:
@@ -171,17 +157,13 @@ class PAlphaGrid:
         """P_alpha at the requested alpha itself, not the quantized one.
 
         Grid points are answered from (and stored in) the cache; off-grid
-        values are solved fresh with a warm start and never cached.
+        values are solved fresh and never cached.
         """
         k = self.index_for(alpha)
         ak = self.alpha_at(k)
         if abs(alpha - ak) <= 1e-9 * ak:
             return self.cell(k)[0]
-        near = self._nearest_cached(k)
-        warm = self._cells[near][0] if near is not None else None
-        return solve_care(
-            self.A_shifted, self.B, w_state=self.CtC, gain_scale=float(alpha), initial_p=warm
-        )
+        return solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=float(alpha))
 
 
 def p_alpha_family(A, B, C, epsilon: float) -> PAlphaGrid:

@@ -3,8 +3,10 @@
 The models this package targets have a handful of states, so every solver
 here is dense and direct.  Lyapunov equations are solved by Bartels-Stewart:
 one real Schur form of A and a triangular Sylvester solve (LAPACK trsyl),
-O(n^3).  Riccati equations are solved by Newton-Kleinman iteration on top of
-that.  Every solve checks its residual before it returns.
+O(n^3).  A Riccati solve starts from the Schur-method solution (one ordered
+real Schur form of the Hamiltonian) and takes Newton-Kleinman steps on top
+of it, usually one Lyapunov solve.  Every solve checks its residual before
+it returns.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ __all__ = [
     "row_product",
 ]
 
-# Newton iteration control: stop when successive iterates agree to this
-# max-norm level (relative to the iterate scale), give up after the cap.
+# Newton stops when successive iterates agree to NEWTON_TOL in max norm,
+# relative to the iterate scale, or when a step fails to shrink a gap below
+# NEWTON_FLOOR, where roundoff of ill-scaled problems keeps it; it gives up
+# after the cap.
 NEWTON_TOL = 1e-12
+NEWTON_FLOOR = 1e-8
 NEWTON_MAX_ITER = 200
 
 
@@ -162,11 +167,11 @@ def solve_lyapunov(A, W) -> np.ndarray:
 def _newton_care(A, B, W, g, P0):
     """Newton-Kleinman iteration from a stabilizing start.
 
-    Returns the converged solution, or None if the iteration stalls or an
-    inner Lyapunov solve hits a non-Hurwitz closed loop (both mean the
-    caller must find a better start).
+    Returns the converged solution, or None if the iteration hits its cap
+    or an inner Lyapunov solve hits a non-Hurwitz closed loop.
     """
     P = 0.5 * (P0 + P0.T)
+    last_gap = np.inf
     for _ in range(NEWTON_MAX_ITER):
         K = g * (B.T @ P)
         A_cl = A - B @ K
@@ -176,14 +181,35 @@ def _newton_care(A, B, W, g, P0):
             P_next = solve_lyapunov(A_cl, rhs)
         except SolverError:
             return None
-        gap = float(np.max(np.abs(P_next - P)))
+        gap = float(np.max(np.abs(P_next - P))) / max(1.0, float(np.max(np.abs(P_next))))
         P = P_next
-        if gap < NEWTON_TOL * max(1.0, float(np.max(np.abs(P_next)))):
+        if gap < NEWTON_TOL or last_gap <= gap < NEWTON_FLOOR:
             return P
+        last_gap = gap
     return None
 
 
-def solve_care(A, B, w_state=None, gain_scale: float = 1.0, initial_p=None) -> np.ndarray:
+def _schur_start(A, B, W, g) -> np.ndarray:
+    """The Schur-method solution U21 U11^-1: the first n Schur vectors
+    [U11; U21] of the Hamiltonian [[A, -g BB'], [-W, -A']], ordered with
+    its stable eigenvalues first, span its stable invariant subspace."""
+    n = A.shape[0]
+    H = np.block([[A, -g * (B @ B.T)], [-W, -A.T]])
+    _, U, sdim = scipy.linalg.schur(H, output="real", sort="lhp", check_finite=False)
+    if sdim != n:
+        raise SolverError(f"the Hamiltonian has {sdim} stable eigenvalues, not {n}: no stabilizing solution")
+    try:
+        # P0 U11 = U21, solved as U11' P0' = U21'.
+        P0 = np.linalg.solve(U[:n, :n].T, U[n:, :n].T).T
+    except np.linalg.LinAlgError:
+        P0 = np.full((n, n), np.nan)
+    # An inf or NaN start would reach solve_lyapunov as a ValueError.
+    if not np.all(np.isfinite(P0)):
+        raise SolverError("U11 of the Hamiltonian's stable subspace is singular: no stabilizing solution")
+    return P0
+
+
+def solve_care(A, B, w_state=None, gain_scale: float = 1.0) -> np.ndarray:
     """Stabilizing solution of  A'P + PA - g PBB'P + W = 0.
 
     Args:
@@ -192,9 +218,6 @@ def solve_care(A, B, w_state=None, gain_scale: float = 1.0, initial_p=None) -> n
             Lyapunov solve.
         w_state: symmetric state weight W, identity when omitted.
         gain_scale: positive scalar g on the quadratic term.
-        initial_p: optional warm start.  Used when the gain it implies
-            already stabilizes A (one Newton run, no continuation),
-            silently ignored otherwise.
 
     Returns:
         Symmetric P >= 0 whose closed loop A - g BB'P is Hurwitz, with
@@ -204,10 +227,11 @@ def solve_care(A, B, w_state=None, gain_scale: float = 1.0, initial_p=None) -> n
         SolverError: no stabilizing solution is reachable (unstabilizable
             pair, indefinite data, or iteration cap hit).
 
-    The initial stabilizing gain is produced internally: shift A by
-    sigma*I until Hurwitz, solve, and walk sigma back to zero reusing each
-    solution as the next start.  Each step keeps the closed loop Hurwitz
-    because the shift shrinks by only half the current stability margin.
+    The Schur method (Laub 1979) gives the start, Newton-Kleinman
+    (Kleinman 1968) refines it, usually in one step, down to NEWTON_TOL
+    or the roundoff floor, and _validate_care checks the contract above.  Where the Hamiltonian has eigenvalues on
+    the imaginary axis, roundoff can still give a start, but its closed
+    loop fails Newton's Hurwitz check or the contract.
     """
     A = _as_square(A, "A")
     B = np.asarray(B, dtype=float)
@@ -224,31 +248,10 @@ def solve_care(A, B, w_state=None, gain_scale: float = 1.0, initial_p=None) -> n
         raise ValueError("gain_scale must be positive")
     if n == 0:
         return np.zeros((0, 0))
-
-    if initial_p is not None:
-        P0 = np.asarray(initial_p, dtype=float)
-        if P0.shape == (n, n):
-            # A start whose gain does not stabilize A fails the first
-            # Lyapunov solve, and Newton returns None.
-            P = _newton_care(A, B, W, g, P0)
-            if P is not None:
-                return _validate_care(A, B, W, g, P)
-
-    sigma = max(0.0, eigenvalues(A).max_real_part + 1.0)
-    P = np.zeros((n, n))
-    for _ in range(NEWTON_MAX_ITER):
-        A_s = A - sigma * np.eye(n)
-        P_new = _newton_care(A_s, B, W, g, P)
-        if P_new is None:
-            raise SolverError("Riccati iteration failed to converge")
-        P = P_new
-        if sigma == 0.0:
-            return _validate_care(A, B, W, g, P)
-        margin = -eigenvalues(A_s - g * (B @ (B.T @ P))).max_real_part
-        if margin <= 0.0:
-            raise SolverError("Riccati continuation lost stability")
-        sigma = 0.0 if margin > sigma else sigma - 0.5 * margin
-    raise SolverError("Riccati shift continuation did not reach sigma = 0")
+    P = _newton_care(A, B, W, g, _schur_start(A, B, W, g))
+    if P is None:
+        raise SolverError("Riccati iteration failed to converge")
+    return _validate_care(A, B, W, g, P)
 
 
 def _validate_care(A, B, W, g, P) -> np.ndarray:
@@ -266,7 +269,7 @@ def _validate_care(A, B, W, g, P) -> np.ndarray:
 def solve_dual_care_shifted(A, C, eta: float) -> np.ndarray:
     """Observer-side Riccati solve  A'Q + QA - Q C'C Q + eta I = 0.
 
-    Same Newton machinery as solve_care with the output map C' standing in
+    Same route as solve_care with the output map C' standing in
     for the input matrix and the shift eta scaling the constant term.
     eta must be positive; smaller eta shrinks Q roughly linearly.
     """

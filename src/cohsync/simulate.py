@@ -113,7 +113,9 @@ def _disturbance_writer(spec: DisturbanceSpec, indices: np.ndarray):
             s = indices * t
             out[:] = (s - np.round(s))[:, None]
         elif spec.kind == "table":
-            if t < spec.times[0] or t > spec.times[-1]:
+            # The last step ends at (n - 1) dt + dt, which can round a few
+            # ulps past n dt; np.interp reads the last value there.
+            if t < spec.times[0] or t > spec.times[-1] + 4.0 * np.spacing(abs(spec.times[-1])):
                 raise ValueError(f"t={t} outside the disturbance table range")
             out[:] = [np.interp(t, spec.times, spec.values[:, j]) for j in range(out.shape[1])]
 
@@ -406,6 +408,27 @@ def _stage(model, design, law, sums, graph, spec, indices):
     return stage, record, X
 
 
+def check_run(model: AgentModel, spec: DisturbanceSpec, dt: float, t_end: float) -> int:
+    """The run's number of steps; ValueError unless 0 < dt <= t_end with
+    t_end / dt finite, a nonzero disturbance has one channel per column of
+    E, and a table covers the run's horizon [0, n_steps dt]."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if not t_end >= dt:
+        raise ValueError("t_end must be at least dt")
+    if not t_end / dt < np.inf:
+        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is no finite number of steps")
+    if spec.kind != "zero" and spec.width != model.w:
+        raise ValueError(f"disturbance width {spec.width} does not match the model's {model.w} channels")
+    n_steps = int(round(t_end / dt))
+    if spec.kind == "table" and not (spec.times[0] <= 0.0 and n_steps * dt <= spec.times[-1]):
+        raise ValueError(
+            f"the disturbance table covers [{float(spec.times[0])!r}, {float(spec.times[-1])!r}], "
+            f"not the run's [0, {n_steps * dt!r}]"
+        )
+    return n_steps
+
+
 def simulate(config: SimConfig) -> SimulationRun:
     """Integrate one configured run and return its recorded trajectories.
 
@@ -439,23 +462,14 @@ def simulate(config: SimConfig) -> SimulationRun:
         raise TypeError("design must be a NoncollabDesign or CollabDesign")
     collaborative = protocol == "collaborative"
 
-    if not config.dt > 0.0:
-        raise ValueError("dt must be positive")
-    if config.t_end < config.dt:
-        raise ValueError("t_end must be at least dt")
+    spec = config.disturbance
+    n_steps = check_run(model, spec, config.dt, config.t_end)
     seed = int(config.seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     stride = int(config.record_stride)
     if stride < 1:
         raise ValueError("record_stride must be at least 1")
-    n_steps = int(round(config.t_end / config.dt))
-
-    spec = config.disturbance
-    if spec.kind != "zero" and spec.width != model.w:
-        raise ValueError(
-            f"disturbance width {spec.width} does not match the model's {model.w} channels"
-        )
 
     n_agents = graph.n_nodes
     if n_agents == 0:

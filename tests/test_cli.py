@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -399,6 +400,30 @@ def test_negative_seed_flag_rejected_before_any_artifact(tmp_path, capsys):
     code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run"), "--seed", "-1"])
     assert code == EXIT_CONFIG
     assert "--seed: 'seed' must be an integer of at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, flags, message",
+    [
+        ({"disturbance": {"kind": "chirp", "width": 2}}, [], "disturbance width 2 does not match"),
+        ({}, ["--t-end", "0.001"], "t_end must be at least dt"),
+        ({}, ["--dt", "1e-300", "--t-end", "1e300"], "is no finite number of steps"),
+        (
+            {"disturbance": {"kind": "table", "times": [0.0, 12.0], "values": [0.0, 1.0]}},
+            ["--t-end", "13"],
+            r"covers \[0.0, 12.0\], not the run's \[0, 13.0\]",
+        ),
+    ],
+    ids=["width", "t-end-below-dt", "steps-overflow", "table-range"],
+)
+def test_run_settings_rejected_before_any_artifact(tmp_path, capsys, extra, flags, message):
+    # These settings are checked after the flags apply and before the
+    # design, so the output directory is never made.
+    path = write_manifest(tmp_path, tiny_collab_dict(**extra))
+    code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run"), *flags])
+    assert code == EXIT_CONFIG
+    assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "run").exists()
 
 

@@ -8,6 +8,7 @@ from cohsync.agents import AgentModel, check_assumptions
 from cohsync.collab import collab_law, design_collab, p_alpha_family, solve_p_alpha
 from cohsync.linalg import SolverError, min_eigenvalue_sym, row_product, solve_care
 from cohsync.simulate import stage_matrix
+from cohsync.verification import seeded_minimum_phase_model
 
 import golden
 
@@ -38,6 +39,13 @@ def test_design_reproduces_known_observer_riccati():
 def test_eta_search_stops_at_one_here():
     design = reference_design()
     assert design.eta == 1.0
+
+
+def test_eta_search_stops_at_one_on_an_ill_scaled_draw():
+    # Frobenius norm of A about 1e3: the observer Riccati solve at eta = 1
+    # succeeds, so no halving is needed.
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([5, 10]), 10)
+    assert design_collab(model, delta=1.0).eta == 1.0
 
 
 def test_epsilon_respects_zero_and_controllability_margins():
@@ -152,6 +160,22 @@ def test_grid_psd_monotone_and_vanishing():
     for k in (100, 200, 300, 380):
         P, _ = grid.cell(k)
     assert np.linalg.norm(grid.cell(380)[0], 2) < 1e-3
+
+
+def test_cells_depend_on_their_index_alone():
+    # A fresh grid asked for cell k, a grid that walked there past other
+    # requests, and a lone solve at alpha_at(k) give bitwise equal cells.
+    fresh = p_alpha_family(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, 0.1)
+    walked = p_alpha_family(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, 0.1)
+    for k in (-9, 20, 5, -3):
+        walked.cell(k)
+    for k in (12, -6, 0):
+        P, BtP = fresh.cell(k)
+        assert np.array_equal(P, walked.cell(k)[0]) and np.array_equal(BtP, walked.cell(k)[1])
+        lone = solve_care(fresh.A_shifted, fresh.B, w_state=fresh.CtC, gain_scale=fresh.alpha_at(k))
+        assert np.array_equal(P, lone)
+    # The walk from 0 still leaves no gap in the cache.
+    assert fresh.cached_indices() == tuple(range(-6, 13))
 
 
 def test_solve_p_alpha_scalar_closed_forms():

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from cohsync.linalg import (
     solve_dual_care_shifted,
     solve_lyapunov,
 )
-from cohsync.verification import _kronecker_lyapunov
+from cohsync.verification import _kronecker_lyapunov, seeded_minimum_phase_model
 
 
 def random_hurwitz(rng, n, margin=0.5):
@@ -280,31 +281,86 @@ def test_care_closed_loop_hurwitz_and_psd():
     assert eigenvalues(A - B @ (B.T @ P)).is_hurwitz
 
 
-def test_care_idempotent_restart():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((4, 4))
-    B = rng.standard_normal((4, 2))
-    P1 = solve_care(A, B)
-    P2 = solve_care(A, B, initial_p=P1)
-    assert np.max(np.abs(P2 - P1)) < 1e-12 * max(1.0, np.max(np.abs(P1)))
+def test_care_takes_one_lyapunov_solve_from_the_schur_start(monkeypatch):
+    # From the Schur-method start, the first Newton step already meets the
+    # gap test: one Lyapunov solve per Riccati solve, for the feedback
+    # family at alpha = 1 and 1.05**30 and for the observer.
+    calls = []
+    lyapunov = linalg.solve_lyapunov
+
+    def counted(A, W):
+        calls.append(A.shape[0])
+        return lyapunov(A, W)
+
+    monkeypatch.setattr(linalg, "solve_lyapunov", counted)
+    for n in (4, 8, 12):
+        for seed in range(8):
+            model, zeros = seeded_minimum_phase_model(np.random.default_rng([seed, n]), n)
+            A_shifted = model.A + min(0.1, 0.5 * float(np.min(-zeros.real))) * np.eye(n)
+            for solve in (
+                lambda: solve_care(A_shifted, model.B, w_state=model.C.T @ model.C),
+                lambda: solve_care(A_shifted, model.B, w_state=model.C.T @ model.C, gain_scale=1.05**30),
+                lambda: solve_dual_care_shifted(model.A, model.C, 1.0),
+            ):
+                calls.clear()
+                solve()
+                assert calls == [n], (n, seed)
 
 
-def test_care_ignores_destabilizing_warm_start():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-    B = rng.standard_normal((4, 2))
-    P = solve_care(A, B)
-    # the zero start gives A itself, which is unstable
-    assert not eigenvalues(A).is_hurwitz
-    assert np.array_equal(solve_care(A, B, initial_p=np.zeros((4, 4))), P)
+def test_newton_stops_at_the_roundoff_floor_of_an_ill_scaled_draw(monkeypatch):
+    # Frobenius norm of A about 6.8e3: from the Schur start the Newton gap
+    # falls to about 1e-10 and then wanders there, never below 1e-12 in
+    # 200 steps; the floor rule stops it and the contract still holds.
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([23, 14]), 14)
+    A_shifted = model.A + 0.1 * np.eye(14)
+    calls = []
+    lyapunov = linalg.solve_lyapunov
+    monkeypatch.setattr(linalg, "solve_lyapunov", lambda A, W: calls.append(1) or lyapunov(A, W))
+    P = solve_care(A_shifted, model.B, w_state=model.C.T @ model.C)
+    assert 1 < len(calls) <= 5
+    P_oracle = scipy.linalg.solve_continuous_are(A_shifted, model.B, model.C.T @ model.C, np.eye(1))
+    assert np.max(np.abs(P - P_oracle)) <= 1e-9 * np.max(np.abs(P_oracle))
+
+
+def test_observer_riccati_of_an_ill_scaled_draw_matches_scipy():
+    # Frobenius norm of A about 1.1e3; a shift continuation from P = 0
+    # failed to converge here.
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([38, 8]), 8)
+    Q = solve_dual_care_shifted(model.A, model.C, 1.0)
+    Q_oracle = scipy.linalg.solve_continuous_are(model.A, model.C.T, np.eye(8), np.eye(1))
+    assert np.max(np.abs(Q - Q_oracle)) <= 1e-10 * np.max(np.abs(Q_oracle))
+
+
+def test_care_rejects_hamiltonian_eigenvalues_on_the_imaginary_axis():
+    # The undamped oscillator is unreachable from B = e3, so the Hamiltonian
+    # has the pair +-i twice.  Roundoff splits each pair to about +-1e-8
+    # off the axis and the ordered Schur form can count 3 stable
+    # eigenvalues, so the start exists; its closed loop keeps +-i, and the
+    # solve must refuse it, at once, in any coordinates.
+    A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    B = np.array([[0.0], [0.0], [1.0]])
+    H = np.block([[A, -B @ B.T], [-np.eye(3), -A.T]])
+    assert scipy.linalg.schur(H, sort="lhp")[2] == 3
+    for seed in range(20):
+        V = np.eye(3) if seed == 0 else np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+        start = time.perf_counter()
+        with pytest.raises(SolverError):
+            solve_care(V @ A @ V.T, V @ B)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_care_rejects_unstabilizable():
     # second mode is unstable and unreachable
     A = np.diag([1.0, 1.0])
     B = np.array([[1.0], [0.0]])
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="U11 of the Hamiltonian's stable subspace is singular"):
         solve_care(A, B)
+    # An unreachable mode at 0 gives the Hamiltonian a double eigenvalue
+    # 0, so it has fewer than n stable ones.
+    with pytest.raises(SolverError, match="has 1 stable eigenvalues, not 2"):
+        solve_care(np.array([[0.0, 1.0], [0.0, 0.0]]), B)
+    with pytest.raises(SolverError, match="has 0 stable eigenvalues, not 1"):
+        solve_care(np.array([[0.0]]), np.zeros((1, 0)))
 
 
 def test_care_zero_width_input_is_lyapunov():

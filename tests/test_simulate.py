@@ -21,6 +21,7 @@ from cohsync.simulate import (
     _disturbance_writer,
     _keyed_uniform,
     _stage,
+    check_run,
     detect_settling,
     gain_flatness,
     settling_metric,
@@ -104,6 +105,22 @@ def test_disturbance_table_interpolates_and_rejects_out_of_range():
         DisturbanceSpec(kind="table", width=1, times=[0.0], values=[[1.0]])
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="nonsense")
+
+
+def test_a_table_covering_the_horizon_runs_to_its_end():
+    # With dt 0.1 the last step ends at 29 * 0.1 + 0.1 = 3.0000000000000004,
+    # an ulp past the horizon 30 * 0.1 = 3 that the table covers.
+    model, design = demo_collab_design()
+    graph = generate_circulant(3, (1,), directed=True)
+    for end, ok in ((3.0, True), (2.9, False)):
+        table = DisturbanceSpec(kind="table", times=[0.0, 1.0, end], values=[[0.0], [2.0], [-1.0]])
+        config = SimConfig(model=model, graph=graph, design=design, disturbance=table, dt=0.1, t_end=3.0)
+        if ok:
+            assert check_run(model, table, 0.1, 3.0) == 30
+            assert simulate(config).times[-1] == 3.0
+        else:
+            with pytest.raises(ValueError, match=r"covers \[0.0, 2.9\], not the run's \[0, 3.0\]"):
+                simulate(config)
 
 
 # ---------------------------------------------------------------------------
