@@ -380,7 +380,14 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
     integration leaves design.json in place, which is intentional: the
     design was fine, the run was not.
     """
-    check_run(manifest.model, manifest.disturbance, manifest.dt, manifest.t_end)
+    check_run(
+        manifest.model,
+        manifest.disturbance,
+        manifest.dt,
+        manifest.t_end,
+        manifest.graph.n_nodes,
+        manifest.record_stride,
+    )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     design = build_design(manifest)
@@ -492,15 +499,11 @@ def _apply_cli_overrides(manifest: ExperimentManifest, args) -> ExperimentManife
 
 
 def _cmd_design(args) -> int:
-    try:
-        manifest = _resolve_manifest(args.manifest)
-        design = build_design(manifest)
-        out_dir = _default_out_dir(manifest.name, args.out, manifest.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "design.json", design_payload(manifest, design))
-    except (ValueError, OSError, json.JSONDecodeError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    manifest = _resolve_manifest(args.manifest)
+    design = build_design(manifest)
+    out_dir = _default_out_dir(manifest.name, args.out, manifest.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "design.json", design_payload(manifest, design))
     print(f"design written: {out_dir / 'design.json'}")
     print(f"protocol: {manifest.protocol}")
     print(f"d = {design.d!r}")
@@ -515,18 +518,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        manifest = _apply_cli_overrides(_resolve_manifest(args.manifest), args)
-        result = run_experiment(manifest, _default_out_dir(manifest.name, args.out, manifest.out_dir))
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrationBlowup as exc:
-        print(f"error: simulation blew up: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except SolverError as exc:
-        print(f"error: design failed: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    manifest = _apply_cli_overrides(_resolve_manifest(args.manifest), args)
+    result = run_experiment(manifest, _default_out_dir(manifest.name, args.out, manifest.out_dir))
     print(f"design written: {result.design_path}")
     print(f"trajectory written: {result.trajectory_path}")
     print(f"summary written: {result.summary_path}")
@@ -539,31 +532,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    try:
-        manifest = _resolve_manifest(args.manifest)
-        text = format_edge_list(manifest.graph)
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "graph.txt").write_text(text)
-            print(f"graph written: {out_dir / 'graph.txt'}")
-        else:
-            sys.stdout.write(text)
-    except (ValueError, OSError, json.JSONDecodeError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    manifest = _resolve_manifest(args.manifest)
+    text = format_edge_list(manifest.graph)
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "graph.txt").write_text(text)
+        print(f"graph written: {out_dir / 'graph.txt'}")
+    else:
+        sys.stdout.write(text)
     return EXIT_PASS
 
 
 def _cmd_verify(args) -> int:
-    try:
-        text, ok = run_verification_suite(seed=args.seed or 0, self_test=args.self_test)
-        out_dir = _default_out_dir("verify", args.out, None)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(text)
-    except (ValueError, OSError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    text, ok = run_verification_suite(seed=args.seed or 0, self_test=args.self_test)
+    out_dir = _default_out_dir("verify", args.out, None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.txt").write_text(text)
     sys.stdout.write(text)
     print(f"report written: {out_dir / 'report.txt'}")
     return EXIT_PASS if ok else EXIT_FAIL
@@ -609,8 +594,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exceptions map to exit codes here alone."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IntegrationBlowup as exc:  # a SolverError, so caught first
+        print(f"error: simulation blew up: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (ValueError, OSError, SolverError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

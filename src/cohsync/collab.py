@@ -10,10 +10,10 @@ signal is large.
 
 Solving a Riccati equation at every integration substep would dwarf the
 simulation itself, so the alpha family is evaluated on a geometric grid
-(ratio 1.05) with lazily cached solutions; the controller holds the
-solution at the grid point at or just below the current alpha.  Off-grid
-values remain available exactly through solve_p_alpha for diagnostics and
-tests.
+(ratio 1.05) whose cells are solved on first use and kept as one unbroken
+run around cell 0; the controller holds the solution at the grid point at
+or just below the current alpha.  Off-grid values remain available exactly
+through PAlphaGrid.solve_exact for diagnostics and tests.
 """
 
 from dataclasses import dataclass
@@ -32,8 +32,9 @@ from .linalg import (
 
 GRID_RATIO = 1.05
 
-# Halving search for the observer Riccati shift stops after this many trials.
-_ETA_TRIALS = 60
+# The constant term eta I of the observer Riccati equation.  Any eta > 0
+# admits a stabilizing solution once the pair (A, C') is stabilizable.
+ETA = 1.0
 
 _REQUIRED_CONDITIONS = (
     ("stabilizable", "stabilizable"),
@@ -55,11 +56,9 @@ class PAlphaGrid:
     A + eps I.  The cell of an alpha is the largest k with
     alpha_at(k) <= alpha, decided by comparing with alpha_at itself, so
     an alpha one ulp below a grid point lies in the cell below it.
-    Cells are solved on first use, each by its own solve_care, and
-    inserted atomically (duplicate concurrent solves return identical
-    values, so last-write-wins is safe).  The runtime law reads the gain
-    rows B'P_k from one contiguous table over the range of cells it has
-    needed so far (gain_rows).
+    The cache is one unbroken run of cells lo, lo + 1, ..., hi around 0,
+    each solved by its own solve_care on first use (cell).  The runtime
+    law reads the gain rows B'P_k from the run's stacked table (gain_rows).
     """
 
     def __init__(self, A_shifted, B, CtC, ratio: float = GRID_RATIO):
@@ -70,11 +69,12 @@ class PAlphaGrid:
             raise ValueError("grid ratio must exceed 1")
         self.ratio = float(ratio)
         self._log_ratio = np.log(self.ratio)
-        self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # The gain table holds B'P_k for the cells k = lo, lo + 1, ...;
-        # _points holds alpha_at(k) for those cells and the one after.
+        # _run[i] is the pair (P_k, B'P_k) of cell k = _lo + i; _table
+        # stacks its B'P_k, and _points holds alpha_at(k) for its cells and
+        # the one after.
+        self._run: list[tuple[np.ndarray, np.ndarray]] = []
+        self._lo = 0
         self._table = np.zeros((0,) + self.B.T.shape)
-        self._table_lo = 0
         self._points = np.zeros(0)
 
     def index_for(self, alpha: float) -> int:
@@ -107,50 +107,45 @@ class PAlphaGrid:
             return np.inf
 
     def cached_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._cells))
+        return tuple(range(self._lo, self._lo + len(self._run)))
+
+    def _solve(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        P = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(k))
+        return P, self.B.T @ P
 
     def cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Solution pair (P_k, B'P_k) for grid cell k, solving on first use.
 
-        Missing cells are filled by walking from cell 0 to k, so the cache
-        always holds one unbroken run of cells around 0.  Each cell is
-        solved on its own, so its value is a function of its index alone,
-        never of the order in which callers asked, which keeps repeated
-        runs bit-identical.
+        The run is extended to k, and to cell 0 when it is empty.  Each
+        cell is solved on its own, so its value is a function of its index
+        alone, never of the order in which callers asked, which keeps
+        repeated runs bit-identical.
         """
-        step = 1 if k > 0 else -1
-        for j in range(0, k + step, step):
-            entry = self._cells.get(j)
-            if entry is None:
-                P = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(j))
-                entry = self._cells.setdefault(j, (P, self.B.T @ P))
-        return entry
+        lo, hi = self._lo, self._lo + len(self._run) - 1
+        if not lo <= k <= hi:
+            self._run[:0] = [self._solve(j) for j in range(min(k, 0), lo)]
+            self._run += [self._solve(j) for j in range(hi + 1, max(k, 0) + 1)]
+            self._lo = lo = min(lo, k)
+            self._table = np.stack([BtP for _, BtP in self._run])
+            self._points = np.array([self.alpha_at(j) for j in range(lo, lo + len(self._run) + 1)])
+        return self._run[k - lo]
 
     def gain_rows(self, alphas) -> np.ndarray:
         """B'P_k at the cell of each alpha (index_for), one (m, n) block per
         alpha.
 
-        Each alpha finds its cell among the grid points of the table of
-        cells lo..hi by one binary search, which is the rule of index_for
-        itself, and its block by one gather.  Only when an alpha falls
-        outside the table (or is no valid alpha, which indices_for rejects)
-        is the table rebuilt through cell(), spanning the old and the new
-        cells; every cell in that span lies between 0 and a needed cell, so
-        the walks of cell() solve it anyway and the cache holds the same
-        cells as with one cell() call per needed cell.
+        Each alpha finds its cell among the grid points of the run by one
+        binary search, which is the rule of index_for itself, and its block
+        by one gather.  Only when an alpha falls outside the run (or is no
+        valid alpha, which indices_for rejects) is the run extended to it.
         """
         ks = np.searchsorted(self._points, alphas, side="right")
         ks -= 1
-        size = self._table.shape[0]
-        if ks.min() < 0 or ks.max() >= size:
+        if ks.min() < 0 or ks.max() >= self._table.shape[0]:
             ks = self.indices_for(alphas)
-            lo, hi = int(ks.min()), int(ks.max())
-            if size:
-                lo, hi = min(lo, self._table_lo), max(hi, self._table_lo + size - 1)
-            self._table = np.stack([self.cell(k)[1] for k in range(lo, hi + 1)])
-            self._points = np.array([self.alpha_at(k) for k in range(lo, hi + 2)])
-            self._table_lo = lo
-            ks -= lo
+            self.cell(int(ks.min()))
+            self.cell(int(ks.max()))
+            ks -= self._lo
         return self._table.take(ks, axis=0)
 
     def solve_exact(self, alpha: float) -> np.ndarray:
@@ -257,15 +252,14 @@ def design_collab(
     model: AgentModel,
     delta: float | None = None,
     d_override: float | None = None,
-    eta_override: float | None = None,
 ) -> CollabDesign:
     """Build the collaborative protocol constants for one agent model.
 
-    The observer Riccati shift eta defaults to the largest value in
-    {1, 1/2, 1/4, ...} whose solution is positive definite.  The feedback
-    shift epsilon is min(0.1, half the slowest invariant-zero decay, half
-    the slowest uncontrollable-mode decay), which keeps the shifted model
-    minimum-phase and stabilizable.
+    The observer Riccati equation is solved once, at eta = ETA, and its
+    solution must be positive definite.  The feedback shift epsilon is
+    min(0.1, half the slowest invariant-zero decay, half the slowest
+    uncontrollable-mode decay), which keeps the shifted model minimum-phase
+    and stabilizable.
 
     Exactly one of `delta` or `d_override` must be given, or both: with
     only d the level is delta = sqrt(8 d); with both, an override violating
@@ -290,39 +284,16 @@ def design_collab(
         )
     # solve_dual_care_shifted hands the pair (A, C') to solve_care, which
     # has no stabilizing solution for any eta unless that pair is
-    # stabilizable; reject such models before the eta search.
+    # stabilizable; reject such models before the solve.
     margin = _uncontrollable_margin(model.A, model.C.T)
     if margin is not None and margin <= 0.0:
         raise SolverError(
             "observer Riccati pair (A, C') is not stabilizable, so no eta admits "
             "a positive definite observer Riccati solution"
         )
-
-    if eta_override is not None:
-        if not eta_override > 0.0:
-            raise ValueError("eta must be positive")
-        Q = solve_dual_care_shifted(model.A, model.C, eta_override)
-        if min_eigenvalue_sym(Q) <= 0.0:
-            raise SolverError(f"observer Riccati solution not positive definite at eta={eta_override}")
-        eta = float(eta_override)
-    else:
-        eta = None
-        trial = 1.0
-        for _ in range(_ETA_TRIALS):
-            try:
-                Q = solve_dual_care_shifted(model.A, model.C, trial)
-            except SolverError:
-                trial /= 2.0
-                continue
-            if min_eigenvalue_sym(Q) > 0.0:
-                eta = trial
-                break
-            trial /= 2.0
-        if eta is None:
-            raise SolverError(
-                "no eta in the halving sequence from 1 admits a positive "
-                "definite observer Riccati solution"
-            )
+    Q = solve_dual_care_shifted(model.A, model.C, ETA)
+    if min_eigenvalue_sym(Q) <= 0.0:
+        raise SolverError(f"observer Riccati solution not positive definite at eta={ETA}")
 
     candidates = [0.1]
     zeros = report.invariant_zeros
@@ -359,17 +330,12 @@ def design_collab(
         Q=Q,
         QCt=Q @ model.C.T,
         CtC=CtC,
-        eta=eta,
+        eta=ETA,
         epsilon=float(epsilon),
         d=d,
         delta=float(delta),
         grid=grid,
     )
-
-
-def solve_p_alpha(design: CollabDesign, alpha: float) -> np.ndarray:
-    """Exact P_alpha for this design; cached when alpha is a grid point."""
-    return design.grid.solve_exact(alpha)
 
 
 def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndarray):

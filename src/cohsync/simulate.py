@@ -36,6 +36,7 @@ building one generator per agent, which cost 2 s at 10^5 agents.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,6 +269,11 @@ def _keyed_uniform(seed: int, keys: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _sample_count(n_steps: int, stride: int) -> int:
+    """Samples recorded: every stride steps from step 0, and the last step."""
+    return n_steps // stride + 1 + (n_steps % stride > 0)
+
+
 def _integrate(stage, record, S, X, dt, n_steps, stride, order, starts):
     """RK4 from the state rows S: the times, the recorded states and law
     signals, and the first growth warning of each component, whose rows are
@@ -282,7 +288,7 @@ def _integrate(stage, record, S, X, dt, n_steps, stride, order, starts):
         """max |S| over each component's rows."""
         return np.maximum.reduceat(np.abs(S).max(axis=1)[order], starts)
 
-    n_samples = n_steps // stride + 1 + (n_steps % stride > 0)
+    n_samples = _sample_count(n_steps, stride)
     times = np.empty(n_samples)
     states = np.empty((n_samples,) + S.shape)
     signals = None
@@ -408,16 +414,21 @@ def _stage(model, design, law, sums, graph, spec, indices):
     return stage, record, X
 
 
-def check_run(model: AgentModel, spec: DisturbanceSpec, dt: float, t_end: float) -> int:
+def check_run(
+    model: AgentModel, spec: DisturbanceSpec, dt: float, t_end: float, n_agents: int, stride: int
+) -> int:
     """The run's number of steps; ValueError unless 0 < dt <= t_end with
-    t_end / dt finite, a nonzero disturbance has one channel per column of
-    E, and a table covers the run's horizon [0, n_steps dt]."""
+    t_end / dt finite, stride >= 1, a nonzero disturbance has one channel
+    per column of E, a table covers the run's horizon [0, n_steps dt], and
+    the recorded states of n_agents agents fit in physical memory."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if not t_end >= dt:
         raise ValueError("t_end must be at least dt")
     if not t_end / dt < np.inf:
         raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} is no finite number of steps")
+    if stride < 1:
+        raise ValueError("record_stride must be at least 1")
     if spec.kind != "zero" and spec.width != model.w:
         raise ValueError(f"disturbance width {spec.width} does not match the model's {model.w} channels")
     n_steps = int(round(t_end / dt))
@@ -425,6 +436,15 @@ def check_run(model: AgentModel, spec: DisturbanceSpec, dt: float, t_end: float)
         raise ValueError(
             f"the disturbance table covers [{float(spec.times[0])!r}, {float(spec.times[-1])!r}], "
             f"not the run's [0, {n_steps * dt!r}]"
+        )
+    n_samples = _sample_count(n_steps, stride)
+    states_bytes = n_samples * n_agents * model.n * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if states_bytes > memory:
+        raise ValueError(
+            f"the {n_samples} recorded samples of {n_agents} agents need {states_bytes / 2**30:.3g} GiB "
+            f"for their states alone, more than the {memory / 2**30:.3g} GiB of physical memory; "
+            "raise record_stride or shorten the run"
         )
     return n_steps
 
@@ -463,15 +483,12 @@ def simulate(config: SimConfig) -> SimulationRun:
     collaborative = protocol == "collaborative"
 
     spec = config.disturbance
-    n_steps = check_run(model, spec, config.dt, config.t_end)
+    n_agents = graph.n_nodes
+    stride = int(config.record_stride)
+    n_steps = check_run(model, spec, config.dt, config.t_end, n_agents, stride)
     seed = int(config.seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    stride = int(config.record_stride)
-    if stride < 1:
-        raise ValueError("record_stride must be at least 1")
-
-    n_agents = graph.n_nodes
     if n_agents == 0:
         raise ValueError("the graph has no agents")
     if config.disturbance_indices is None:

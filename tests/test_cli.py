@@ -453,6 +453,15 @@ def test_cli_simulate_window_overrun_is_config_error(tmp_path, capsys):
     assert "trailing window" in capsys.readouterr().err
 
 
+def test_cli_simulate_oversized_recording_exits_two(tmp_path, capsys):
+    # 1e12 steps of dt 0.001 would record terabytes of states.
+    out = tmp_path / "run"
+    code = main(["simulate", "--manifest", "noncol-vicsek-n5", "--out", str(out), "--t-end", "1e9"])
+    assert code == EXIT_CONFIG
+    assert "record_stride" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_blowup_exits_one(tmp_path, capsys):
     data = tiny_manifest_dict(dt=10.0, t_end=1300.0, record_stride=1)
     path = write_manifest(tmp_path, data)

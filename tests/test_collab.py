@@ -5,7 +5,7 @@ import pytest
 
 import cohsync.collab
 from cohsync.agents import AgentModel, check_assumptions
-from cohsync.collab import collab_law, design_collab, p_alpha_family, solve_p_alpha
+from cohsync.collab import collab_law, design_collab, p_alpha_family
 from cohsync.linalg import SolverError, min_eigenvalue_sym, row_product, solve_care
 from cohsync.simulate import stage_matrix
 from cohsync.verification import seeded_minimum_phase_model
@@ -23,7 +23,7 @@ def reference_design(**kwargs):
 
 
 def test_design_reproduces_known_observer_riccati():
-    design = reference_design(eta_override=1.0)
+    design = reference_design()
     assert np.allclose(design.Q, golden.COLLAB_Q_REF, atol=1e-3)
     assert np.allclose(design.QCt, golden.COLLAB_QCT_REF, atol=1e-3)
     residual = (
@@ -36,16 +36,34 @@ def test_design_reproduces_known_observer_riccati():
     assert min_eigenvalue_sym(design.Q) > 0.0
 
 
-def test_eta_search_stops_at_one_here():
-    design = reference_design()
-    assert design.eta == 1.0
+def test_one_observer_solve_at_eta_one(monkeypatch):
+    # On the reference model and on a draw whose A has Frobenius norm about
+    # 1e3, the design solves the observer Riccati equation once, at eta = 1.
+    etas = []
+    solve = cohsync.collab.solve_dual_care_shifted
+
+    def spy(A, C, eta):
+        etas.append(eta)
+        return solve(A, C, eta)
+
+    monkeypatch.setattr(cohsync.collab, "solve_dual_care_shifted", spy)
+    ill_scaled, _ = seeded_minimum_phase_model(np.random.default_rng([5, 10]), 10)
+    for model in (reference_model(), ill_scaled):
+        etas.clear()
+        assert design_collab(model, delta=1.0).eta == 1.0
+        assert etas == [1.0]
 
 
-def test_eta_search_stops_at_one_on_an_ill_scaled_draw():
-    # Frobenius norm of A about 1e3: the observer Riccati solve at eta = 1
-    # succeeds, so no halving is needed.
-    model, _ = seeded_minimum_phase_model(np.random.default_rng([5, 10]), 10)
-    assert design_collab(model, delta=1.0).eta == 1.0
+def test_observer_solve_failures_are_not_retried(monkeypatch):
+    def fail(A, C, eta):
+        raise SolverError("no stabilizing solution")
+
+    monkeypatch.setattr(cohsync.collab, "solve_dual_care_shifted", fail)
+    with pytest.raises(SolverError, match="no stabilizing solution"):
+        reference_design()
+    monkeypatch.setattr(cohsync.collab, "solve_dual_care_shifted", lambda A, C, eta: -np.eye(3))
+    with pytest.raises(SolverError, match="not positive definite at eta=1.0"):
+        reference_design()
 
 
 def test_epsilon_respects_zero_and_controllability_margins():
@@ -75,8 +93,6 @@ def test_delta_and_d_selection_rules():
         design_collab(reference_model())
     with pytest.raises(ValueError):
         reference_design(delta=None, d_override=-1.0)
-    with pytest.raises(ValueError):
-        reference_design(eta_override=-1.0)
 
 
 def test_assumption_gate_names_observability():
@@ -97,16 +113,15 @@ def test_uniform_rank_gate():
     assert "uniform rank" in str(excinfo.value)
 
 
-def test_unstabilizable_observer_pair_rejected_before_eta_search(monkeypatch):
+def test_unstabilizable_observer_pair_rejected_before_observer_solve(monkeypatch):
     # The double integrator admits the protocol's structural conditions, but
     # the pair (A, C') that the observer Riccati solve is handed has an
     # uncontrollable mode at 0, so no eta can succeed.
     calls = []
     monkeypatch.setattr(cohsync.collab, "solve_dual_care_shifted", lambda *args: calls.append(args))
     model = AgentModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]])
-    for eta_override in (None, 1.0):
-        with pytest.raises(SolverError, match="not stabilizable"):
-            design_collab(model, delta=1.0, eta_override=eta_override)
+    with pytest.raises(SolverError, match="not stabilizable"):
+        design_collab(model, delta=1.0)
     assert calls == []
 
 
@@ -191,10 +206,10 @@ def test_solve_p_alpha_scalar_closed_forms():
 
 def test_solve_p_alpha_on_and_off_grid():
     design = reference_design()
-    on_grid = solve_p_alpha(design, design.grid.alpha_at(3))
+    on_grid = design.grid.solve_exact(design.grid.alpha_at(3))
     assert design.grid.cell(3)[0] is on_grid
 
-    off = solve_p_alpha(design, 1.3)
+    off = design.grid.solve_exact(1.3)
     residual = (
         design.A.T @ off
         + off @ design.A

@@ -116,12 +116,24 @@ def test_a_table_covering_the_horizon_runs_to_its_end():
         table = DisturbanceSpec(kind="table", times=[0.0, 1.0, end], values=[[0.0], [2.0], [-1.0]])
         config = SimConfig(model=model, graph=graph, design=design, disturbance=table, dt=0.1, t_end=3.0)
         if ok:
-            assert check_run(model, table, 0.1, 3.0) == 30
+            assert check_run(model, table, 0.1, 3.0, 3, 1) == 30
             assert simulate(config).times[-1] == 3.0
         else:
             with pytest.raises(ValueError, match=r"covers \[0.0, 2.9\], not the run's \[0, 3.0\]"):
                 simulate(config)
 
+
+
+def test_a_recording_beyond_physical_memory_is_rejected_from_its_settings():
+    # dt 0.001 over 1e9 s at stride 10 records 1e11 samples: terabytes of
+    # states, refused by arithmetic on the settings, before any allocation.
+    model = AgentModel(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, golden.COLLAB_E)
+    zero = DisturbanceSpec(kind="zero")
+    with pytest.raises(ValueError, match="physical memory; raise record_stride"):
+        check_run(model, zero, 0.001, 1e9, 5, 10)
+    assert check_run(model, zero, 0.001, 30.0, 5, 10) == 30000
+    with pytest.raises(ValueError, match="record_stride must be at least 1"):
+        check_run(model, zero, 0.001, 30.0, 5, 0)
 
 # ---------------------------------------------------------------------------
 # integration
