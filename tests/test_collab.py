@@ -36,9 +36,8 @@ def test_design_reproduces_known_observer_riccati():
     assert min_eigenvalue_sym(design.Q) > 0.0
 
 
-def test_one_observer_solve_at_eta_one(monkeypatch):
-    # On the reference model and on a draw whose A has Frobenius norm about
-    # 1e3, the design solves the observer Riccati equation once, at eta = 1.
+def observer_solve_etas(monkeypatch, model):
+    # Design on model and return the eta of every observer Riccati solve.
     etas = []
     solve = cohsync.collab.solve_dual_care_shifted
 
@@ -47,11 +46,19 @@ def test_one_observer_solve_at_eta_one(monkeypatch):
         return solve(A, C, eta)
 
     monkeypatch.setattr(cohsync.collab, "solve_dual_care_shifted", spy)
-    ill_scaled, _ = seeded_minimum_phase_model(np.random.default_rng([5, 10]), 10)
-    for model in (reference_model(), ill_scaled):
-        etas.clear()
-        assert design_collab(model, delta=1.0).eta == 1.0
-        assert etas == [1.0]
+    assert design_collab(model, delta=1.0).eta == 1.0
+    return etas
+
+
+def test_eta_search_stops_at_one_here(monkeypatch):
+    # There is no search any more: one observer solve, at eta = 1.
+    assert observer_solve_etas(monkeypatch, reference_model()) == [1.0]
+
+
+def test_eta_search_stops_at_one_on_an_ill_scaled_draw(monkeypatch):
+    # Frobenius norm of A about 1e3: still one observer solve, at eta = 1.
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([5, 10]), 10)
+    assert observer_solve_etas(monkeypatch, model) == [1.0]
 
 
 def test_observer_solve_failures_are_not_retried(monkeypatch):
