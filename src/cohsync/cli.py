@@ -375,19 +375,16 @@ def _write_json(path: Path, payload: dict) -> None:
 def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
     """Design, simulate, and judge one manifest; writes the three artifacts.
 
-    Raises ValueError (check_run) before making out_dir, and SolverError
-    from the design phase before writing any artifact; a blow-up during
-    integration leaves design.json in place, which is intentional: the
-    design was fine, the run was not.
+    Raises ValueError (check_run, or a run shorter than the settling
+    window) before making out_dir, and SolverError from the design phase
+    before writing any artifact; a blow-up during integration leaves
+    design.json in place: the design was fine, the run was not.
     """
-    check_run(
-        manifest.model,
-        manifest.disturbance,
-        manifest.dt,
-        manifest.t_end,
-        manifest.graph.n_nodes,
-        manifest.record_stride,
+    n_steps = check_run(
+        manifest.model, manifest.disturbance, manifest.dt, manifest.t_end, manifest.graph.n_nodes, manifest.record_stride
     )
+    if n_steps * manifest.dt < SETTLING_WINDOW:
+        raise ValueError(f"trailing window longer than the recorded run, which ends at {n_steps * manifest.dt!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     design = build_design(manifest)

@@ -139,9 +139,9 @@ class PAlphaGrid:
         by one gather.  Only when an alpha falls outside the run (or is no
         valid alpha, which indices_for rejects) is the run extended to it.
         """
-        ks = np.searchsorted(self._points, alphas, side="right")
+        ks = self._points.searchsorted(alphas, side="right")
         ks -= 1
-        if ks.min() < 0 or ks.max() >= self._table.shape[0]:
+        if np.minimum.reduce(ks) < 0 or np.maximum.reduce(ks) >= self._table.shape[0]:
             ks = self.indices_for(alphas)
             self.cell(int(ks.min()))
             self.cell(int(ks.max()))
@@ -338,8 +338,9 @@ def design_collab(
     )
 
 
-def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndarray):
-    """The protocol's runtime law, evaluated on a batch of agents at once.
+def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, outs):
+    """The protocol's runtime law on a batch of agents, bound once to a
+    run's arrays: (rates, signals).
 
     Row i of PS is agent i's protocol state [x_hat, rho, alpha] and row i
     of F its stage product: the integrator's workspace row [x, x_hat, rho,
@@ -350,42 +351,54 @@ def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndar
     measured disagreement, zeta_tilde = L x_hat the exchanged sum and
     e = C zeta_tilde - zeta the mismatch.
 
-    The stage derivative [dx/dt, d x_hat / dt, d rho / dt, d alpha / dt]
-    is written into out; the return value is (U, mismatch, exchange), with
-    U the control rows.  B u is computed once and added last to both
-    A x + E w and the observer part A x_hat - rho Q C' e, so the observer
-    loop is bitwise the same for every alpha.
+    rates(j) writes the stage derivative [dx/dt, d x_hat / dt, d rho / dt,
+    d alpha / dt] of the current PS and F into outs[j].  B u is computed
+    once and added last to both A x + E w and the observer part
+    A x_hat - rho Q C' e, so the observer loop is bitwise the same for
+    every alpha.
     mismatch = |C zeta_tilde - zeta|^2 drives rho through the dead zone d;
     exchange = |C zeta_tilde|^2 drives alpha at rate min(exchange, 1) at
     or above d and not at all below it.  Both gains are nondecreasing.  The
     feedback is -alpha B'P_k (x_hat + zeta_tilde) with k the grid cell of
     alpha (PAlphaGrid.index_for); alpha = 0 means no feedback at all, and u
-    is exactly +0.
+    is exactly +0.  signals() gives what rates last kept: (U, mismatch,
+    exchange), U the control rows.
     """
     n, p = design.n, design.p_out
     rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
-    if (PS.shape[1], F.shape, out.shape) != (widths[0], (rows, widths[1]), (rows, widths[2])):
-        raise ValueError(f"expected rows of widths {widths}, got {PS.shape}, {F.shape}, {out.shape}")
-    d = design.d
-    RHO = PS[:, n : n + 1]
-    AL = PS[:, n + 1 :]
+    if (PS.shape[1], F.shape) != (widths[0], (rows, widths[1])) or {o.shape for o in outs} != {(rows, widths[2])}:
+        got = ", ".join(str(a.shape) for a in (PS, F, *outs))
+        raise ValueError(f"expected rows of widths {widths}, got {got}")
+    d, B, BT, gain_rows = design.d, design.B, design.B.T, design.grid.gain_rows
+    RHO, AL = PS[:, n : n + 1], PS[:, n + 1 :]
+    AXW, AXH, QCE, XZ = (F[:, k * n : (k + 1) * n] for k in range(4))
     # The squared norms of C zeta_tilde and e, which sit side by side in F.
     CZ_E = F[:, 4 * n :].reshape(-1, 2, p)
-    exchange, mismatch = np.einsum("ijk,ijk->ji", CZ_E, CZ_E)
-    # Every row gathers a cell; a row with alpha = 0 reads cell 0 and
-    # discards it.
-    on = AL > 0.0
-    BtP = design.grid.gain_rows(np.where(on, AL, 1.0)[:, 0])
-    U = np.where(on, -AL * np.einsum("imn,in->im", BtP, F[:, 3 * n : 4 * n]), 0.0)
-    # B u stored column by column like F and out: the rows of U B' as the
-    # columns of B U', a lone row as part of a two-row product.
-    BU = row_product(U, design.B.T) if rows == 1 else (design.B @ U.T).T
-    np.add(F[:, :n], BU, out=out[:, :n])
-    dx_hat = out[:, n : 2 * n]
-    np.multiply(RHO, F[:, 2 * n : 3 * n], out=dx_hat)
-    np.subtract(F[:, n : 2 * n], dx_hat, out=dx_hat)
-    dx_hat += BU
-    np.multiply(mismatch, mismatch >= d, out=out[:, 2 * n])
-    # min(exchange, 1) at or above d, else min(exchange, 0) = 0.
-    np.minimum(exchange, exchange >= d, out=out[:, 2 * n + 1])
-    return U, mismatch, exchange
+    blocks = [(out[:, :n], out[:, n : 2 * n], out[:, 2 * n], out[:, 2 * n + 1]) for out in outs]
+    recorded = None
+
+    def rates(j):
+        nonlocal recorded
+        dx, dx_hat, drho, dalpha = blocks[j]
+        exchange, mismatch = np.einsum("ijk,ijk->ji", CZ_E, CZ_E)
+        # Every row gathers a cell; a row with alpha = 0 reads cell 0 and
+        # discards it.
+        on = AL > 0.0
+        BtP = gain_rows(np.where(on, AL, 1.0)[:, 0])
+        U = np.where(on, -AL * np.einsum("imn,in->im", BtP, XZ), 0.0)
+        # B u stored column by column like F and out: the rows of U B' as
+        # the columns of B U', a lone row as part of a two-row product.
+        BU = row_product(U, BT) if rows == 1 else (B @ U.T).T
+        np.add(AXW, BU, out=dx)
+        np.multiply(RHO, QCE, out=dx_hat)
+        np.subtract(AXH, dx_hat, out=dx_hat)
+        dx_hat += BU
+        np.multiply(mismatch, mismatch >= d, out=drho)
+        # min(exchange, 1) at or above d, else min(exchange, 0) = 0.
+        np.minimum(exchange, exchange >= d, out=dalpha)
+        recorded = U, mismatch, exchange
+
+    def signals():
+        return recorded
+
+    return rates, signals

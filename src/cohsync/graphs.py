@@ -160,14 +160,26 @@ class SparseLaplacian:
         return (n, n)
 
     def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        """L @ Y for rows Y, summing each row's terms slot after slot in one
-        reduction."""
+        """L @ Y for rows Y."""
+        out = np.empty(Y.shape, order="F")
+        self.bind(Y, out)()
+        return out
+
+    def bind(self, Y: np.ndarray, out: np.ndarray):
+        """A function writing L @ Y into out for whatever Y then holds,
+        summing each row's terms slot after slot in one reduction."""
         # Gathered as (columns, slots, rows), so that each operation runs
         # along the rows; for Y stored column by column the gather reads
         # contiguous columns as well.
-        terms = np.take(Y.T, self.cols, axis=1)
-        terms *= self.vals
-        return terms.sum(axis=1).T
+        source, cols, vals, into = Y.T, self.cols, self.vals, out.T
+        terms = np.empty((source.shape[0],) + cols.shape)
+
+        def product():
+            source.take(cols, axis=1, out=terms, mode="clip")  # "raise" would buffer out
+            np.multiply(terms, vals, out=terms)
+            np.add.reduce(terms, axis=1, out=into)
+
+        return product
 
 
 def _tarjan_scc(succ: list[list[int]]) -> list[list[int]]:

@@ -218,8 +218,9 @@ def design_noncollab(
     )
 
 
-def noncollab_law(design: NoncollabDesign, PS: np.ndarray, F: np.ndarray, out: np.ndarray):
-    """The protocol's runtime law, evaluated on a batch of agents at once.
+def noncollab_law(design: NoncollabDesign, PS: np.ndarray, F: np.ndarray, outs):
+    """The protocol's runtime law on a batch of agents, bound once to a
+    run's arrays: (rates, signals).
 
     Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of F
     its stage product: the integrator's workspace row [x, xi1_hat, rho,
@@ -231,25 +232,37 @@ def noncollab_law(design: NoncollabDesign, PS: np.ndarray, F: np.ndarray, out: n
     [A x + E w, d xi1_hat / dt, xi_hat, xi_hat P, -gain_row @ xi_hat,
     -B gain_row @ xi_hat].
 
-    The stage derivative [dx/dt, d xi1_hat / dt, d rho / dt] is written
-    into out, with dx/dt = A x + E w + B u for u = -rho * gain_row @
-    xi_hat.  The return value is (U, proxy, None): U holds the control rows
-    and proxy the trigger xi_hat' P xi_hat.  rho never decreases: its rate
-    is |gain_row @ xi_hat|^2 = xi_hat' kernel xi_hat while proxy >= d, and
-    zero otherwise.  The last slot, the exchange energy of the
-    collaborative law, is empty here.
+    rates(j) writes the stage derivative [dx/dt, d xi1_hat / dt,
+    d rho / dt] of the current PS and F into outs[j], with dx/dt = A x +
+    E w + B u for u = -rho * gain_row @ xi_hat.  rho never decreases: its
+    rate is |gain_row @ xi_hat|^2 = xi_hat' kernel xi_hat while the trigger
+    proxy = xi_hat' P xi_hat is at least d, and zero otherwise.  signals()
+    gives (U, proxy, None) of the stage rates last wrote, while PS and F
+    still hold it; only signals() forms U, the control rows.
     """
     n1, n, m = design.n1, design.n, design.m
     rows, widths = PS.shape[0], (n1 + 1, 4 * n + n1 + m, n + n1 + 1)
-    if (PS.shape[1], F.shape, out.shape) != (widths[0], (rows, widths[1]), (rows, widths[2])):
-        raise ValueError(f"expected rows of widths {widths}, got {PS.shape}, {F.shape}, {out.shape}")
-    RHO = PS[:, n1:]
-    i = n + n1  # F's column blocks start at 0, n, i, i + n, i + 2n, i + 2n + m
-    proxy = np.einsum("ij,ij->i", F[:, i : i + n], F[:, i + n : i + 2 * n])
-    NGX = F[:, i + 2 * n : i + 2 * n + m]
-    drive = np.einsum("ij,ij->i", NGX, NGX)
-    np.multiply(RHO, F[:, i + 2 * n + m :], out=out[:, :n])
-    out[:, :n] += F[:, :n]
-    out[:, n:i] = F[:, n:i]
-    np.multiply(drive, proxy >= design.d, out=out[:, i])
-    return RHO * NGX, proxy, None
+    if (PS.shape[1], F.shape) != (widths[0], (rows, widths[1])) or {o.shape for o in outs} != {(rows, widths[2])}:
+        got = ", ".join(str(a.shape) for a in (PS, F, *outs))
+        raise ValueError(f"expected rows of widths {widths}, got {got}")
+    d, RHO = design.d, PS[:, n1:]
+    i = n + n1
+    cuts = (0, n, i, i + n, i + 2 * n, i + 2 * n + m, F.shape[1])
+    AXW, DXI1, XH, XHP, NGX, NBGX = (F[:, a:b] for a, b in zip(cuts, cuts[1:]))
+    blocks = [(out[:, :n], out[:, n:i], out[:, i]) for out in outs]
+    proxy = None
+
+    def rates(j):
+        nonlocal proxy
+        dx, dxi1, drho = blocks[j]
+        proxy = np.einsum("ij,ij->i", XH, XHP)
+        drive = np.einsum("ij,ij->i", NGX, NGX)
+        np.multiply(RHO, NBGX, out=dx)
+        dx += AXW
+        dxi1[...] = DXI1
+        np.multiply(drive, proxy >= d, out=drho)
+
+    def signals():
+        return RHO * NGX, proxy, None
+
+    return rates, signals

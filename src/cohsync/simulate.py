@@ -10,7 +10,9 @@ design's gains.  Each stage fills one preallocated workspace, rows [x,
 protocol state, network sums, w] with the sums L x (and L x_hat for the
 collaborative law), and makes one sparse Laplacian product and one dense
 product with a stage matrix composed once from A, E and the law's rows;
-the law writes the stage derivative in place from that product.
+the law, bound to the workspace once per run, writes the stage derivative
+in place.  What only recording reads (the noncollaborative controls, C x
+and C (L x)) is formed only for recorded samples.
 Dead-zone branches in the gain laws are re-evaluated at every substep; no
 event localization is attempted, since crossing a dead zone only switches
 between nonnegative growth rates.
@@ -104,7 +106,9 @@ class DisturbanceSpec:
 
 def _disturbance_writer(spec: DisturbanceSpec, indices: np.ndarray):
     """A function writing w(t) into an (agents, width) block, one row per
-    agent; the zero kind leaves the block as it is."""
+    agent; None for the zero kind, whose block stays as it is."""
+    if spec.kind == "zero":
+        return None
     rate = 0.1 * indices
 
     def write(t, out):
@@ -274,14 +278,14 @@ def _sample_count(n_steps: int, stride: int) -> int:
     return n_steps // stride + 1 + (n_steps % stride > 0)
 
 
-def _integrate(stage, record, S, X, dt, n_steps, stride, order, starts):
-    """RK4 from the state rows S: the times, the recorded states and law
-    signals, and the first growth warning of each component, whose rows are
+def _integrate(stage, record, S, X, K, dt, n_steps, stride, order, starts):
+    """RK4 from the state rows S: the times, the recorded states and stage
+    values, and the first growth warning of each component, whose rows are
     order[starts[c]:starts[c + 1]].
 
-    stage(t, out) evaluates the stage whose state rows are in X, writes
-    dS/dt into out and returns the law's signals; record turns those of a
-    step's first stage into the recorded ones.
+    stage(t, j) evaluates the stage whose state rows are in X and writes
+    dS/dt into K[j].T, the j-th RK4 stage derivative; record() gives what a
+    sample keeps of a recorded step's first stage, and is called only then.
     """
 
     def envelopes(S):
@@ -289,12 +293,12 @@ def _integrate(stage, record, S, X, dt, n_steps, stride, order, starts):
         return np.maximum.reduceat(np.abs(S).max(axis=1)[order], starts)
 
     n_samples = _sample_count(n_steps, stride)
-    times = np.empty(n_samples)
-    states = np.empty((n_samples,) + S.shape)
-    signals = None
-    # The four RK4 stage derivatives, each stored column by column like S.
-    K = np.empty((4,) + S.shape[::-1])
+    times, states, recorded = np.empty(n_samples), np.empty((n_samples,) + S.shape), None
+    KT = [Kj.T for Kj in K]
     weights = np.array([1.0, 2.0, 2.0, 1.0]) * (dt / 6.0)
+    # Buffers for the weighted sum of the K[j], the next S and its |S|.
+    K_flat, dS, S_next, magnitude = K.reshape(4, -1), np.empty(K[0].size), np.empty_like(S), np.empty_like(S)
+    dS_T = dS.reshape(K.shape[1:]).T
 
     first_growth: dict[int, str] = {}  # component -> its first growth warning
     half = 0.5 * dt
@@ -303,26 +307,27 @@ def _integrate(stage, record, S, X, dt, n_steps, stride, order, starts):
     for k in range(n_steps + 1):
         t = k * dt
         X[...] = S
-        law_values = stage(t, K[0].T)
+        stage(t, 0)
         if (k % stride == 0) or (k == n_steps):
             times[sample] = t
             states[sample] = S
-            values = record(law_values)
-            if signals is None:
-                signals = [None if v is None else np.empty((n_samples,) + v.shape) for v in values]
-            for into, value in zip(signals, values):
+            values = record()
+            if recorded is None:
+                recorded = [None if v is None else np.empty((n_samples,) + v.shape) for v in values]
+            for into, value in zip(recorded, values):
                 if into is not None:
                     into[sample] = value
             sample += 1
         if k == n_steps:
             break
         for j, h in ((1, half), (2, half), (3, dt)):
-            np.multiply(K[j - 1].T, h, out=X)
+            np.multiply(KT[j - 1], h, out=X)
             X += S
-            stage(t + h, K[j].T)
-        S_new = S + (weights @ K.reshape(4, -1)).reshape(K.shape[1:]).T
+            stage(t + h, j)
+        np.matmul(weights, K_flat, out=dS)
+        np.add(S, dS_T, out=S_next)
         # The maximum is NaN or infinite exactly when some entry is.
-        envelope = float(np.max(np.abs(S_new)))
+        envelope = float(np.maximum.reduce(np.abs(S_next, out=magnitude), axis=None))
         if not math.isfinite(envelope):
             raise IntegrationBlowup(
                 f"state became non-finite at t={t + dt:.6g}; "
@@ -332,16 +337,16 @@ def _integrate(stage, record, S, X, dt, n_steps, stride, order, starts):
         # 1, so no component can grow past the limit while max |S| stays
         # within it.
         if envelope > _GROWTH_LIMIT:
-            grown = envelopes(S_new) > _GROWTH_LIMIT * np.maximum(envelopes(S), 1.0)
+            grown = envelopes(S_next) > _GROWTH_LIMIT * np.maximum(envelopes(S), 1.0)
             for c in np.flatnonzero(grown).tolist():
                 first_growth.setdefault(
                     c,
                     f"single-step state growth exceeded {_GROWTH_LIMIT:g}x at "
                     f"t={t + dt:.6g}; dt={dt:g} may be too large",
                 )
-        S = S_new
+        S, S_next = S_next, S
 
-    return times, states, signals, [first_growth[c] for c in sorted(first_growth)]
+    return times, states, recorded, [first_growth[c] for c in sorted(first_growth)]
 
 
 def stage_matrix(model: AgentModel, design) -> np.ndarray:
@@ -369,49 +374,47 @@ def stage_matrix(model: AgentModel, design) -> np.ndarray:
 
 
 def _stage(model, design, law, sums, graph, spec, indices):
-    """The integrator's stage: (stage, record, X).
+    """The integrator's stage, bound once per run: (stage, record, X, K).
 
     A stage fills the workspace rows [x, protocol state, network sums, w]:
-    the caller writes the state rows into X, stage(t, out) adds the
+    the caller writes the state rows into X, and stage(t, j) adds the
     Laplacian product of the first sums columns and w(t), multiplies by
-    stage_matrix, and lets the law write dS/dt into out.  Every array is
-    stored column by column (Fortran order), so that the elementwise work
-    runs along the agents, not along rows of a few columns.  A lone agent
-    gets a zero second row, so that its product rounds as in any larger
-    batch (linalg.row_product).  w(t) is written only when t differs from
-    the previous stage's time: RK4 stages 2 and 3 share theirs.
+    stage_matrix, and has the law's rates write dS/dt into K[j].T, the
+    j-th RK4 stage derivative.  The product, w and the law are bound to
+    the workspace here, so a stage takes no views and checks no shapes.
+    Arrays are stored column by column, so that elementwise work runs
+    along the agents.  A lone agent gets a zero second row, so that its
+    product rounds as in any larger batch (linalg.row_product).  w(t) is
+    written only when t changes (RK4 stages 2 and 3 share theirs), never
+    for the zero kind.  record() gives the L x block and the law's signals.
     """
     n, n_agents = model.n, graph.n_nodes
-    L = SparseLaplacian(graph)
     M = stage_matrix(model, design)
     width = M.shape[0] - model.w - sums  # [x, protocol state]
     W = np.zeros((max(n_agents, 2), M.shape[0]), order="F")
     F = np.empty((W.shape[0], M.shape[1]), order="F")
-    X, PS, F_rows = W[:n_agents, :width], W[:n_agents, n:width], F[:n_agents]
+    K = np.empty((4, width, n_agents))
+    X, PS = W[:n_agents, :width], W[:n_agents, n:width]
     NS, WD = W[:n_agents, width : width + sums], W[:n_agents, width + sums :]
+    laplacian_product = SparseLaplacian(graph).bind(X[:, :sums], NS)
+    rates, signals = law(design, PS, F[:n_agents], [Kj.T for Kj in K])
     disturb = _disturbance_writer(spec, indices)
-    C_T = model.C.T
+    MT, WT, FT, LX = M.T, W.T, F.T, NS[:, :n]
     w_time = None  # the time whose w the workspace holds
 
-    def stage(t, out):
+    def stage(t, j):
         nonlocal w_time
-        NS[...] = L @ X[:, :sums]
-        if t != w_time:  # RK4 stages 2 and 3 share their time
+        laplacian_product()
+        if disturb is not None and t != w_time:  # RK4 stages 2 and 3 share their time
             disturb(t, WD)
             w_time = t
-        np.matmul(M.T, W.T, out=F.T)  # F = W M, written column by column
-        return law(design, PS, F_rows, out)
+        np.matmul(MT, WT, out=FT)  # F = W M, written column by column
+        rates(j)
 
-    def record(law_values):
-        """Outputs C x, measured disagreements C (L x), and the law's signals.
+    def record():
+        return (LX,) + signals()
 
-        The rows are copied out first: a product over columns stored one
-        by one need not round each row alike.
-        """
-        XC = np.ascontiguousarray(W[:n_agents, : width + n])
-        return (row_product(XC[:, :n], C_T), row_product(XC[:, width:], C_T)) + law_values
-
-    return stage, record, X
+    return stage, record, X, K
 
 
 def check_run(
@@ -468,11 +471,7 @@ def simulate(config: SimConfig) -> SimulationRun:
         law, sums = noncollab_law, n  # the network sums: L x
     elif isinstance(design, CollabDesign):
         protocol = "collaborative"
-        if not (
-            np.array_equal(design.A, model.A)
-            and np.array_equal(design.B, model.B)
-            and np.array_equal(design.C, model.C)
-        ):
+        if not all(np.array_equal(getattr(design, k), getattr(model, k)) for k in "ABC"):
             raise ValueError("design was built for a different model")
         obs_width = design.n
         # Collaborating agents also exchange their observer states: one
@@ -500,8 +499,7 @@ def simulate(config: SimConfig) -> SimulationRun:
             raise ValueError("disturbance_indices must list one 1-based index per agent, below 2**32")
         indices = np.asarray(indices, dtype=float)
 
-    rho0 = float(config.initial_rho)
-    alpha0 = float(config.initial_alpha)
+    rho0, alpha0 = float(config.initial_rho), float(config.initial_alpha)
     if not (0.0 <= rho0 < np.inf and 0.0 <= alpha0 < np.inf):
         raise ValueError("initial gains must be nonnegative and finite")
     if alpha0 != 0.0 and not collaborative:
@@ -523,14 +521,18 @@ def simulate(config: SimConfig) -> SimulationRun:
     components = weakly_connected_components(graph)
     order = np.concatenate(components)
     starts = np.cumsum([0] + [len(comp) for comp in components[:-1]])
-    stage, record, X = _stage(model, design, law, sums, graph, spec, indices)
+    stage, record, X, K = _stage(model, design, law, sums, graph, spec, indices)
 
     # A diverging step is detected and raised inside the integration;
     # numpy's per-element overflow warnings on the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        times, S, (y, z, u, proxy, exch), warnings = _integrate(
-            stage, record, S, X, config.dt, n_steps, stride, order, starts
+        times, S, (LX, u, proxy, exch), warnings = _integrate(
+            stage, record, S, X, K, config.dt, n_steps, stride, order, starts
         )
+    # The outputs C x and the measured disagreements C (L x) of all samples
+    # at once, from rows recorded one after another: each row rounds as in
+    # any other batch (linalg.row_product).
+    y, z = (row_product(V.reshape(-1, n), model.C.T).reshape(V.shape[:2] + (-1,)) for V in (S[:, :, :n], LX))
 
     rho_col = n + obs_width
     return SimulationRun(
@@ -611,27 +613,20 @@ def gain_flatness(run: SimulationRun, fraction: float = 0.1) -> dict:
 
 def write_trajectory_csv(run: SimulationRun, path) -> None:
     """One row per (sample, agent); 17 significant digits for round-tripping."""
-    n_samples, n_agents, p = run.outputs.shape
-    m = run.controls.shape[2]
-    columns = ["t", "agent"]
-    columns += [f"y{j + 1}" for j in range(p)]
-    columns += ["coherency_norm", "coherency_proxy", "rho"]
-    scalars = [run.coherency_norm, run.coherency_proxy, run.rho]
+    scalars = {"coherency_norm": run.coherency_norm, "coherency_proxy": run.coherency_proxy, "rho": run.rho}
     if run.alpha is not None:
-        columns.append("alpha")
-        scalars.append(run.alpha)
-    columns += [f"u{j + 1}" for j in range(m)]
-
-    def column(values):
-        return np.broadcast_to(values, (n_samples, n_agents))[:, :, None]
-
-    blocks = [column(run.times[:, None]), column(run.agent_indices.astype(float)), run.outputs]
-    blocks += [column(v) for v in scalars] + [run.controls]
-    table = np.concatenate(blocks, axis=2)
-    row = "%.17g,%d" + ",%.17g" * (len(columns) - 2) + "\n"
+        scalars["alpha"] = run.alpha
+    columns = ["t", "agent"] + [f"y{j + 1}" for j in range(run.outputs.shape[2])] + list(scalars)
+    columns += [f"u{j + 1}" for j in range(run.controls.shape[2])]
+    table = np.concatenate([run.outputs] + [v[:, :, None] for v in scalars.values()] + [run.controls], axis=2)
+    # One text per run for a sample's rows: each agent's index written
+    # once, the time a placeholder that each sample fills in once before
+    # its one % formatting.
+    fields = ",%.17g" * table.shape[2] + "\n"
+    template = "".join([f"\0,{agent}{fields}" for agent in run.agent_indices.tolist()])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         # One sample at a time: the text of the whole table, held at once,
         # raised the peak memory of a run by up to 9 MB.
-        for sample in table:
-            fh.write("".join([row % tuple(r) for r in sample.tolist()]))
+        for t, sample in zip(run.times.tolist(), table):
+            fh.write(template.replace("\0", "%.17g" % t) % tuple(sample.ravel().tolist()))

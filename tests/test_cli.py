@@ -446,11 +446,14 @@ def test_cli_simulate_fail_when_horizon_too_short(tmp_path, capsys):
 
 
 def test_cli_simulate_window_overrun_is_config_error(tmp_path, capsys):
-    # a 4 s run cannot contain the 5 s trailing window at all
+    # a 4 s run cannot contain the 5 s trailing window at all, which is
+    # known before the design and the run
     path = write_manifest(tmp_path, tiny_manifest_dict(t_end=4.0))
-    code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run")])
+    out = tmp_path / "run"
+    code = main(["simulate", "--manifest", str(path), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "trailing window" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_oversized_recording_exits_two(tmp_path, capsys):

@@ -242,7 +242,9 @@ def law(design, PS, LS):
     n, rows = design.n, PS.shape[0]
     W = np.hstack([np.zeros((rows, n)), PS, LS, np.zeros((rows, model.w))])
     out = np.empty((rows, n + PS.shape[1]))
-    U, mismatch, exchange = collab_law(design, PS, row_product(W, stage_matrix(model, design)), out)
+    rates, signals = collab_law(design, PS, row_product(W, stage_matrix(model, design)), [out])
+    rates(0)
+    U, mismatch, exchange = signals()
     return (out[:, n : 2 * n], out[:, 2 * n : 2 * n + 1], out[:, 2 * n + 1 :]), U, mismatch, exchange
 
 
@@ -374,11 +376,11 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(ValueError):
         one_agent(design, np.zeros(2), 0.0, 0.0, np.zeros(1), np.zeros(3))
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((1, 5)), np.zeros((1, 13)), np.empty((1, 8)))
+        collab_law(design, np.zeros((1, 5)), np.zeros((1, 13)), [np.empty((1, 8))])
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((2, 5)), np.zeros((3, 14)), np.empty((2, 8)))
+        collab_law(design, np.zeros((2, 5)), np.zeros((3, 14)), [np.empty((2, 8))])
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((2, 5)), np.zeros((2, 14)), np.empty((2, 5)))
+        collab_law(design, np.zeros((2, 5)), np.zeros((2, 14)), [np.empty((2, 5))])
 
 
 def test_batched_rows_match_single_agent_calls():

@@ -115,7 +115,9 @@ def law(design, PS, Z):
     LX = np.asarray(Z, dtype=float) @ np.linalg.pinv(model.C).T  # C (L x) = Z
     W = np.hstack([np.zeros((rows, n)), PS, LX, np.zeros((rows, model.w))])
     out = np.empty((rows, n + PS.shape[1]))
-    U, proxy, exchange = noncollab_law(design, PS, row_product(W, stage_matrix(model, design)), out)
+    rates, signals = noncollab_law(design, PS, row_product(W, stage_matrix(model, design)), [out])
+    rates(0)
+    U, proxy, exchange = signals()
     return (out[:, n : n + design.n1], out[:, n + design.n1 :]), U, proxy, exchange
 
 
@@ -242,9 +244,9 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(ValueError):
         one_agent(design, np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ValueError):
-        noncollab_law(design, np.zeros((2, 4)), np.zeros((3, 20)), np.empty((2, 8)))
+        noncollab_law(design, np.zeros((2, 4)), np.zeros((3, 20)), [np.empty((2, 8))])
     with pytest.raises(ValueError):
-        noncollab_law(design, np.zeros((2, 4)), np.zeros((2, 20)), np.empty((2, 4)))
+        noncollab_law(design, np.zeros((2, 4)), np.zeros((2, 20)), [np.empty((2, 4))])
     with pytest.raises(ValueError):
         design_noncollab(reference_model(), delta=-1.0)
 

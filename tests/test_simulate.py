@@ -67,7 +67,9 @@ def demo_collab_design(**kwargs):
 def one_agent(spec, agent_index, t):
     """Disturbance row of one agent, through a one-element index array."""
     out = np.zeros((1, spec.width))
-    _disturbance_writer(spec, np.array([float(agent_index)]))(t, out)
+    write = _disturbance_writer(spec, np.array([float(agent_index)]))
+    if write is not None:  # the zero kind leaves the row at zero
+        write(t, out)
     return out[0]
 
 
@@ -162,7 +164,7 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
     edges = [(j, i, rng.random() + 0.5) for i in range(n_agents) for j in (i - 1, i - 3) if j >= 0]
     graph = DirectedWeightedGraph.from_edges(n_agents, edges)
     indices = np.arange(1.0, n_agents + 1.0)
-    stage, _, X = _stage(model, design, law, sums, graph, spec, indices)
+    stage, record, X, K = _stage(model, design, law, sums, graph, spec, indices)
     S = rng.standard_normal(X.shape)
     S[:, n:] = rng.random((n_agents, S.shape[1] - n)) * 3.0  # gains >= 0 ...
     if protocol == "collaborative":
@@ -171,15 +173,21 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
     else:
         S[:, n:-1] = rng.standard_normal((n_agents, S.shape[1] - n - 1))
     X[...] = S
-    out = np.empty(S.shape)
     t = 0.7
-    U, signal, exchange = stage(t, out)
+    # Each of the four RK4 stages writes its own derivative.
+    for j in range(4):
+        stage(t, j)
+    assert all(np.array_equal(K[j], K[0]) for j in range(4))
+    out = K[0].T
+    lx, U, signal, exchange = record()
 
     LS = laplacian(graph) @ S[:, :sums]
     PS = S[:, n:]
     W = np.hstack([np.zeros((n_agents, n)), PS, LS, np.zeros((n_agents, model.w))])
     law_out = np.empty(S.shape)
-    u, law_signal, law_exchange = law(design, PS, row_product(W, stage_matrix(model, design)), law_out)
+    rates, signals = law(design, PS, row_product(W, stage_matrix(model, design)), [law_out])
+    rates(0)
+    u, law_signal, law_exchange = signals()
     if spec.kind == "zero":
         w = np.zeros(n_agents)
     elif spec.kind == "chirp":
@@ -193,6 +201,7 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
     def close(a, b):
         return np.allclose(a, b, rtol=1e-13, atol=1e-13 * np.max(np.abs(b)))
 
+    assert close(lx, LS[:, :n])
     assert close(out[:, :n], dx)
     assert close(out[:, n:], law_out[:, n:])
     assert close(U, u) and close(signal, law_signal)
@@ -447,6 +456,38 @@ def test_recording_stride_and_final_sample():
     assert run.times[-1] == pytest.approx(0.1, rel=1e-12)
     assert run.times[1] == pytest.approx(7e-3, rel=1e-12)
     assert run.record_stride == 7
+
+
+@pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
+def test_strided_recording_is_every_stride_th_sample_bitwise(protocol):
+    # The recorded signals are formed only at recorded steps; they must be
+    # the ones every step would give.
+    model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
+    runs = [
+        simulate(
+            SimConfig(
+                model=model,
+                graph=generate_circulant(5, (1, 2), directed=True),
+                design=design,
+                disturbance=DisturbanceSpec(kind="chirp"),
+                dt=1e-2,
+                t_end=0.3,
+                record_stride=stride,
+                initial_rho=1.0,
+                initial_alpha=0.5 if protocol == "collaborative" else 0.0,
+            )
+        )
+        for stride in (1, 3)
+    ]
+    every, third = (vars(run) for run in runs)
+    arrays = [name for name, value in every.items() if isinstance(value, np.ndarray)]
+    assert len(arrays) == (12 if protocol == "collaborative" else 10)
+    assert np.any(every["controls"] != 0.0)
+    for name in arrays:
+        a = every[name] if name == "agent_indices" else every[name][::3]
+        b = third[name]
+        assert a.shape == b.shape and np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 def test_growth_warning_without_blowup():
