@@ -1,4 +1,5 @@
-"""Per-step and per-recorded-sample time of simulate for both protocols.
+"""Per-step and per-recorded-sample time of simulate for both protocols,
+and the time of the artifact layer.
 
 The graph is a directed circulant with offsets (1, 2) of each size in
 SIZES; each protocol runs the design of its bundled n25 manifest (chirp
@@ -7,18 +8,38 @@ figure is the minimum over REPEATS runs of the run's wall time divided by
 its steps, in microseconds, for a run that records only its two ends.  A
 recorded sample's figure, at RECORD_AGENTS agents, is the minimum time
 over RECORD_REPEATS runs that record every step less that of as many runs
-recording only the ends, divided by the STEPS - 1 samples more.  Set
-OPENBLAS_NUM_THREADS=1 for figures comparable across hosts.
+recording only the ends, divided by the STEPS - 1 samples more.
+
+The artifact layer is timed on one collaborative run of ARTIFACT_RUN at
+each size in ARTIFACT_SIZES: write_trajectory_csv in nanoseconds per
+field of the file, and cli.agent_summaries (settling, gain flatness and
+the maxima after settling of every agent) in milliseconds, each the
+minimum over REPEATS calls.
+
+Every minimum is normalized as perfbench does: divided by the mean time
+of its reference kernel (perfbench/run.py's ReferenceKernel, which runs
+no cohsync code) right before and right after the repeats it is taken
+over, times REFERENCE_S, so that the host's switches between a fast and
+a ~1.7x slower state cancel.  The kernel is not run between repeats: its
+800 x 800 products would leave every timed call a cold cache.  Importing
+perfbench/run.py also fixes BLAS at one thread, before numpy is imported.
 
     PYTHONPATH=src python3 scripts/step_us.py
 """
 
 import json
+import math
+import sys
+import tempfile
 import time
+from pathlib import Path
 
-from cohsync.cli import build_design, load_bundled_manifest
-from cohsync.graphs import generate_circulant
-from cohsync.simulate import SimConfig, simulate
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import REFERENCE_S, ReferenceKernel  # noqa: E402
+
+from cohsync.cli import agent_summaries, build_design, load_bundled_manifest  # noqa: E402
+from cohsync.graphs import generate_circulant  # noqa: E402
+from cohsync.simulate import SimConfig, simulate, write_trajectory_csv  # noqa: E402
 
 SIZES = (5, 6, 25, 121, 800, 3000)  # 6: the design sweep's closed-loop runs
 RECORD_AGENTS = 25
@@ -26,38 +47,78 @@ STEPS = 200
 REPEATS = 3
 RECORD_REPEATS = 7
 PROTOCOLS = (("noncollaborative", "noncol-vicsek-n25"), ("collaborative", "col-vicsek-n25"))
+ARTIFACT_SIZES = (25, 800)
+ARTIFACT_RUN = ("col-vicsek-n25", {"t_end": 6.0, "dt": 0.01, "record_stride": 2})  # 301 samples
+
+REFERENCE = ReferenceKernel()
 
 
-def run_seconds(manifest, design, n_agents, stride):
-    """The wall time of one run of STEPS steps, in seconds."""
-    config = SimConfig(
+def normalized_min(calls, repeats):
+    """Each call's minimum wall time over repeats rounds of the calls, in
+    seconds, normalized by the reference kernel around the rounds."""
+    before = REFERENCE()
+    best = [math.inf] * len(calls)
+    for _ in range(repeats):
+        for j, call in enumerate(calls):
+            t = time.perf_counter()
+            call()
+            best[j] = min(best[j], time.perf_counter() - t)
+    scale = REFERENCE_S / (0.5 * (before + REFERENCE()))
+    return [seconds * scale for seconds in best]
+
+
+def config(manifest, design, n_agents, **changes):
+    settings = dict(dt=manifest.dt, t_end=STEPS * manifest.dt, record_stride=STEPS)
+    settings.update(changes)
+    return SimConfig(
         model=manifest.model,
         graph=generate_circulant(n_agents, (1, 2), directed=True),
         design=design,
         disturbance=manifest.disturbance,
-        dt=manifest.dt,
-        t_end=STEPS * manifest.dt,
-        record_stride=stride,
         initial_rho=manifest.rho0,
         initial_alpha=manifest.alpha0,
+        **settings,
     )
-    t = time.perf_counter()
-    simulate(config)
-    return time.perf_counter() - t
+
+
+def artifact_layer():
+    """{agents: (CSV ns per field, summary ms)} for ARTIFACT_RUN."""
+    name, changes = ARTIFACT_RUN
+    manifest = load_bundled_manifest(name)
+    design = build_design(manifest)
+    threshold = 2.0 * float(design.d)
+    figures = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        for n in ARTIFACT_SIZES:
+            run = simulate(config(manifest, design, n, **changes))
+            csv_s, summary_s = normalized_min(
+                [lambda: write_trajectory_csv(run, path), lambda: agent_summaries(run, threshold)], REPEATS
+            )
+            with open(path) as fh:
+                fields = run.times.shape[0] * n * len(fh.readline().split(","))
+            figures[str(n)] = (round(1e9 * csv_s / fields, 1), round(1e3 * summary_s, 2))
+    return figures
 
 
 def main():
+    REFERENCE()  # warm up
     table = {"step_us": {}, f"record_us_n{RECORD_AGENTS}": {}}
     for protocol, name in PROTOCOLS:
         manifest = load_bundled_manifest(name)
         design = build_design(manifest)
-        step = {n: min(run_seconds(manifest, design, n, STEPS) for _ in range(REPEATS)) for n in SIZES}
+        step = {}
+        for n in SIZES:
+            run = config(manifest, design, n)
+            (step[n],) = normalized_min([lambda: simulate(run)], REPEATS)
         table["step_us"][protocol] = {str(n): round(1e6 * s / STEPS, 1) for n, s in step.items()}
-        ends, every = [], []
-        for _ in range(RECORD_REPEATS):  # alternating, so that both see the host alike
-            ends.append(run_seconds(manifest, design, RECORD_AGENTS, STEPS))
-            every.append(run_seconds(manifest, design, RECORD_AGENTS, 1))
-        table[f"record_us_n{RECORD_AGENTS}"][protocol] = round(1e6 * (min(every) - min(ends)) / (STEPS - 1), 1)
+        ends, every = config(manifest, design, RECORD_AGENTS), config(manifest, design, RECORD_AGENTS, record_stride=1)
+        # alternating, so that both see the host alike
+        ends_s, every_s = normalized_min([lambda: simulate(ends), lambda: simulate(every)], RECORD_REPEATS)
+        table[f"record_us_n{RECORD_AGENTS}"][protocol] = round(1e6 * (every_s - ends_s) / (STEPS - 1), 1)
+    layer = artifact_layer()
+    table["csv_ns_per_field"] = {n: csv for n, (csv, _) in layer.items()}
+    table["summary_ms"] = {n: summary for n, (_, summary) in layer.items()}
     print(json.dumps(table, indent=1))
 
 

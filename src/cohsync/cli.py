@@ -41,6 +41,7 @@ from .simulate import (
     DisturbanceSpec,
     IntegrationBlowup,
     SimConfig,
+    SimulationRun,
     check_run,
     gain_flatness,
     settling_metric,
@@ -372,6 +373,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def agent_summaries(run: SimulationRun, threshold: float) -> list[dict]:
+    """summary.json's verdict of each agent: its settling time at threshold
+    over SETTLING_WINDOW, its final gains and their flatness, and its
+    maxima after settling, each column from one whole-array reduction."""
+    times = settling_report(run, threshold, SETTLING_WINDOW)
+    settled = np.array([t is not None for t in times])
+    flat = gain_flatness(run, FLATNESS_FRACTION)
+    flat_ok = flat["rho"] < FLATNESS_TOL
+    columns = {
+        "agent": run.agent_indices.tolist(),
+        "settling_time": times,
+        "final_rho": run.rho[-1].tolist(),
+        "rho_flatness": flat["rho"].tolist(),
+    }
+    if run.alpha is not None:
+        columns["final_alpha"] = run.alpha[-1].tolist()
+        columns["alpha_flatness"] = flat["alpha"].tolist()
+        flat_ok &= flat["alpha"] < FLATNESS_TOL
+    # Each agent's maxima from its settling time on, or over the whole run.
+    after = run.times[:, None] >= np.array([run.times[0] if t is None else t for t in times])
+    for key, series in (("max_coherency_after_settling", run.coherency_norm), ("max_metric_after_settling", settling_metric(run))):
+        columns[key] = np.where(after, series, -np.inf).max(axis=0).tolist()
+    columns["pass"] = (settled & flat_ok).tolist()
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
 def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
     """Design, simulate, and judge one manifest; writes the three artifacts.
 
@@ -381,7 +408,13 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
     design.json in place: the design was fine, the run was not.
     """
     n_steps = check_run(
-        manifest.model, manifest.disturbance, manifest.dt, manifest.t_end, manifest.graph.n_nodes, manifest.record_stride
+        manifest.model,
+        manifest.disturbance,
+        manifest.dt,
+        manifest.t_end,
+        manifest.graph.n_nodes,
+        manifest.record_stride,
+        manifest.protocol,
     )
     if n_steps * manifest.dt < SETTLING_WINDOW:
         raise ValueError(f"trailing window longer than the recorded run, which ends at {n_steps * manifest.dt!r}")
@@ -409,28 +442,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir) -> ExperimentResult:
     write_trajectory_csv(run, trajectory_path)
 
     threshold = 2.0 * float(design.d)
-    times = settling_report(run, threshold, SETTLING_WINDOW)
-    flat = gain_flatness(run, FLATNESS_FRACTION)
-    metric = settling_metric(run)
-    agents = []
-    for i in range(run.n_agents):
-        settled = times[i] is not None
-        entry = {
-            "agent": int(run.agent_indices[i]),
-            "settling_time": times[i],
-            "final_rho": float(run.rho[-1, i]),
-            "rho_flatness": float(flat["rho"][i]),
-        }
-        flat_ok = flat["rho"][i] < FLATNESS_TOL
-        if run.alpha is not None:
-            entry["final_alpha"] = float(run.alpha[-1, i])
-            entry["alpha_flatness"] = float(flat["alpha"][i])
-            flat_ok = flat_ok and flat["alpha"][i] < FLATNESS_TOL
-        window = run.times >= (times[i] if settled else run.times[0])
-        entry["max_coherency_after_settling"] = float(np.max(run.coherency_norm[window, i]))
-        entry["max_metric_after_settling"] = float(np.max(metric[window, i]))
-        entry["pass"] = bool(settled and flat_ok)
-        agents.append(entry)
+    agents = agent_summaries(run, threshold)
     all_pass = all(a["pass"] for a in agents)
     summary = {
         "name": manifest.name,

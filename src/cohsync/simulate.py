@@ -35,8 +35,19 @@ np.random.default_rng([seed, g]).uniform(-1, 1, n), bit for bit, but all
 agents are drawn in one vectorized pass (_keyed_uniform) that repeats
 numpy's SeedSequence and PCG64 arithmetic on arrays of keys instead of
 building one generator per agent, which cost 2 s at 10^5 agents.
+
+trajectory.csv is written by an array formatter whose text is "%.17g" %
+value, byte for byte, for every double (_g17_records): the 17 digits of
+each value come from an error-free double-double product with a power of
+ten (Dekker 1971), and the few values that product cannot certify, as in
+Grisu3 (Loitsch 2010), go to "%.17g" itself.  The writer lays out at most
+_CSV_CHUNK fields at a time as fixed-width records, with each row's time
+and agent index formatted once per run, and one pass over the chunk's
+bytes drops the records' zero padding before the chunk is written.  The per-agent
+settling report is one pass over the (samples, agents) metric.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -418,12 +429,13 @@ def _stage(model, design, law, sums, graph, spec, indices):
 
 
 def check_run(
-    model: AgentModel, spec: DisturbanceSpec, dt: float, t_end: float, n_agents: int, stride: int
+    model: AgentModel, spec: DisturbanceSpec, dt: float, t_end: float, n_agents: int, stride: int, protocol: str
 ) -> int:
     """The run's number of steps; ValueError unless 0 < dt <= t_end with
     t_end / dt finite, stride >= 1, a nonzero disturbance has one channel
     per column of E, a table covers the run's horizon [0, n_steps dt], and
-    the recorded states of n_agents agents fit in physical memory."""
+    what a run of the protocol records for n_agents agents fits in
+    physical memory."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if not t_end >= dt:
@@ -440,13 +452,20 @@ def check_run(
             f"the disturbance table covers [{float(spec.times[0])!r}, {float(spec.times[-1])!r}], "
             f"not the run's [0, {n_steps * dt!r}]"
         )
+    # Per sample and agent a run keeps the state row [x, protocol state]
+    # (observer x_hat and rho, alpha, or the n - m observer states and rho),
+    # L x, the law's signals (u, the settling proxy, the exchange energy),
+    # and then the outputs, the disagreements C L x and their norm.
+    n, m, p = model.n, model.m, model.p
+    collaborative = protocol == "collaborative"
+    state, signals = (2 * n + 2, m + 2) if collaborative else (2 * n - m + 1, m + 1)
     n_samples = _sample_count(n_steps, stride)
-    states_bytes = n_samples * n_agents * model.n * 8
+    record_bytes = 8 * n_samples * (1 + n_agents * (state + n + signals + 2 * p + 1))  # 1: the time
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if states_bytes > memory:
+    if record_bytes > memory:
         raise ValueError(
-            f"the {n_samples} recorded samples of {n_agents} agents need {states_bytes / 2**30:.3g} GiB "
-            f"for their states alone, more than the {memory / 2**30:.3g} GiB of physical memory; "
+            f"the {n_samples} recorded samples of {n_agents} agents need {record_bytes / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory; "
             "raise record_stride or shorten the run"
         )
     return n_steps
@@ -484,7 +503,7 @@ def simulate(config: SimConfig) -> SimulationRun:
     spec = config.disturbance
     n_agents = graph.n_nodes
     stride = int(config.record_stride)
-    n_steps = check_run(model, spec, config.dt, config.t_end, n_agents, stride)
+    n_steps = check_run(model, spec, config.dt, config.t_end, n_agents, stride, protocol)
     seed = int(config.seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
@@ -591,12 +610,18 @@ def settling_metric(run: SimulationRun) -> np.ndarray:
 
 
 def settling_report(run: SimulationRun, threshold: float, trailing_window: float):
-    """detect_settling per agent on the protocol's settling metric."""
-    metric = settling_metric(run)
-    return [
-        detect_settling(run.times, metric[:, i], threshold, trailing_window)
-        for i in range(run.n_agents)
-    ]
+    """detect_settling for every agent at once, on the protocol's settling
+    metric: one pass over the (samples, agents) metric finds each agent's
+    last sample not at or below threshold."""
+    times = run.times
+    if trailing_window > times[-1] - times[0]:
+        raise ValueError("trailing window longer than the recorded run")
+    n_samples = times.shape[0]
+    # 1 + the index of each agent's last sample not at or below threshold, or 0.
+    first_ok = np.where(settling_metric(run) <= threshold, 0, np.arange(1, n_samples + 1)[:, None]).max(axis=0)
+    start = times[np.minimum(first_ok, n_samples - 1)]
+    settled = (first_ok < n_samples) & ~(times[-1] - start < trailing_window)
+    return [t if ok else None for t, ok in zip(start.tolist(), settled.tolist())]
 
 
 def gain_flatness(run: SimulationRun, fraction: float = 0.1) -> dict:
@@ -611,22 +636,198 @@ def gain_flatness(run: SimulationRun, fraction: float = 0.1) -> dict:
     return out
 
 
+# The exact %.17g of whole arrays.  A value's text is a record of six
+# uint64 words, 48 bytes, padded with zero bytes anywhere:
+#   word 0    sign, the "0.000" of -4 <= E <= -1, the first digit and the
+#             point after it;
+#   words 1-4 the other 16 digits, four to a word at even bytes, each
+#             followed by the point or a zero byte;
+#   word 5    the exponent of E < -4 or E >= 17, then, in its last byte,
+#             the separator that ends the field in the file.
+# A compaction removes the padding.  Digits are exact, with no big-integer
+# arithmetic, for 10^_E_LO <= |x| < 10^(_E_HI + 1).
+_E_LO, _E_HI = -270, 280
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into 26-bit halves
+_CSV_CHUNK = 2**13  # fields formatted and written at a time
+_RECORD = np.dtype("<u8")  # words of a record, read byte by byte in this order
+
+
+def _bytes_word(text: bytes, at: int = 0) -> int:
+    """The word whose bytes from at on are text."""
+    return int.from_bytes(text, "little") << (8 * at)
+
+
+@functools.cache
+def _g17_tables():
+    """The formatter's tables, built on first use.
+
+    For each exponent E from _E_LO - 1 to _E_HI + 1 (row E - _E_LO + 1):
+    10^E, and 10^(16 - E) as a double-double, its head split in halves.
+    The texts: word 0 of each (E, first digit, sign, digits follow);
+    word 5 of each E; the words of every 4-digit group in five variants;
+    and for each of words 1-4 and each (E, digits follow), its variant's
+    offset and the point bits to add.
+    """
+    E = np.arange(_E_LO - 1, _E_HI + 2)
+    head, tail = np.empty(E.size), np.empty(E.size)
+    for row, k in enumerate((16 - E).tolist()):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        head[row] = num / den  # correctly rounded
+        a, b = head[row].as_integer_ratio()
+        tail[row] = (num * b - a * den) / (den * b)
+    c = head * _SPLIT
+    head_hi = c - (c - head)
+    pow10 = np.array([float(10**e) if e >= 0 else 1 / 10**-e for e in E.tolist()])  # correctly rounded
+
+    # Group variants: 0 strips the group's trailing zeros; 1 writes its four
+    # digits, as does every group with a nonzero digit after it; 1 + v, for
+    # v = 1..3, keeps v digits, strips trailing zeros after them and puts
+    # the point after digit v if a nonzero digit follows in the group.
+    # With a nonzero digit after the group, the point after digit v comes
+    # from the point bits.
+    g = np.arange(10000)
+    strip = np.zeros((5, 10000), _RECORD)  # keeps the first v digits
+    for j in range(4):
+        digit = (48 + (g // 10 ** (3 - j)) % 10).astype(_RECORD) << (16 * j)
+        for v in range(5):
+            strip[v] |= np.where((j >= v) & (g % 10 ** (4 - j) == 0), 0, digit)
+    point = [None] + [np.uint64(_bytes_word(b".", 2 * v - 1)) for v in range(1, 5)]
+    groups = [strip[0], strip[4]]
+    groups += [strip[v] | np.where(g % 10 ** (4 - v) != 0, point[v], np.uint64(0)) for v in (1, 2, 3)]
+
+    word0 = np.zeros((E.size, 10, 2, 2), _RECORD)
+    word5 = np.zeros(E.size, _RECORD)
+    variant = np.zeros((4, E.size, 2), np.intp)
+    variant[:, :, 1] = 1
+    points = np.zeros((4, E.size, 2), _RECORD)
+    for row, e in enumerate(E.tolist()):
+        lead = _bytes_word(b"0." + b"0" * (-e - 1), 1) if -4 <= e <= -1 else 0
+        for first in range(1, 10):
+            for sign in (0, 1):
+                word0[row, first, sign] = lead | _bytes_word(b"-" if sign else b"") | _bytes_word(b"%d" % first, 6)
+        if e == 0 or not -4 <= e <= 16:
+            word0[row, :, :, 1] |= _bytes_word(b".", 7)
+        if not -4 <= e <= 16:
+            word5[row] = _bytes_word(b"e%+03d" % e)
+        for k in range(1, 5):  # word k holds digits 4k - 3 .. 4k; fixed notation's point follows digit e
+            v = e - 4 * k + 4  # the word's digits before the point
+            if 1 <= v <= 4:
+                variant[k - 1, row, 0] = 1 + v if v < 4 else 1
+                points[k - 1, row, 1] = point[v]
+            elif v > 4 and e <= 16:
+                variant[k - 1, row, 0] = 1
+    variant, points = 10000 * variant.reshape(4, -1), points.reshape(4, -1)
+    tables = head, head_hi, head - head_hi, tail, pow10, np.concatenate(groups), variant, points, word0.reshape(-1), word5
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _text_records(texts) -> np.ndarray:
+    """The records of ASCII texts of at most 40 bytes."""
+    return np.frombuffer(b"".join(t.ljust(48, b"\0") for t in texts), _RECORD).reshape(-1, 6)
+
+
+def _decimal_digits(x: np.ndarray):
+    """(row, D, certified) for every v of the 1-D float array x: the table
+    row of the exponent E of %.17g, the 17 digits D of |v| 10^(16 - E),
+    and whether D is certified exact.
+
+    For 10^_E_LO <= |v| < 10^(_E_HI + 1), E = floor(log10 |v|), corrected
+    by one against 10^E and 10^(E + 1), and |v| 10^(16 - E) = p + t with p
+    the rounded product of |v| and the double-double power's head and t
+    its exact error (Dekker 1971) plus |v| times the power's tail; p is an
+    integer, since 10^16 > 2^53, and t is off by less than 1e-13.  D =
+    p + rint(t), rounded half to even.  Not certified: t within 1e-9 of a
+    tie, p + t outside [10^16, 10^17 - 1/2), and zeros, inf, nan,
+    subnormals and values off the table.
+    """
+    head, head_hi, head_lo, tail, pow10, *_ = _g17_tables()
+    ax = np.abs(x)
+    certified = (ax >= 10.0**_E_LO) & (ax < 10.0 ** (_E_HI + 1))
+    ax[~certified] = 1.0
+    row = np.floor(np.log10(ax)).astype(np.intp) - (_E_LO - 1)
+    row -= ax < pow10[row]
+    row += ax >= pow10[row + 1]
+    p = ax * head[row]
+    c = ax * _SPLIT
+    x_hi = c - (c - ax)
+    x_lo = ax - x_hi
+    h_hi, h_lo = head_hi[row], head_lo[row]
+    t = ((x_hi * h_hi - p) + x_hi * h_lo + x_lo * h_hi) + x_lo * h_lo + ax * tail[row]
+    r = np.rint(t)
+    D = p.astype(np.int64) + r.astype(np.int64)
+    # From 10^16 - 0.01 up, D = 10^16 is also the correct rounding of the
+    # 17 digits at E - 1.
+    certified &= (D < 10**17) & ((D > 10**16) | ((p - 1e16) + t >= -0.01)) & (np.abs(t - r) < 0.5 - 1e-9)
+    return row, D, certified
+
+
+def _g17_records(x: np.ndarray) -> np.ndarray:
+    """The records of "%.17g" % v for every v of the 1-D float array x:
+    digits from _decimal_digits where certified, zeros written as 0 and
+    -0, and every other value by "%.17g" itself."""
+    *_, groups, variant, points, word0, word5 = _g17_tables()
+    row, D, certified = _decimal_digits(x)
+    rec = np.empty((x.shape[0], 6), _RECORD)
+    at = 2 * row  # (row, a nonzero digit follows) indexes the variant offsets
+    later = np.zeros(x.shape[0], bool)
+    for k in (4, 3, 2, 1):  # word k holds digits 4k - 3 .. 4k
+        rest = D // 10**4
+        group = D - rest * 10**4
+        i = at + later
+        rec[:, k] = groups[group + variant[k - 1][i]] | points[k - 1][i]
+        later |= group != 0
+        D = rest
+    rec[:, 0] = word0[40 * row + 4 * D + 2 * np.signbit(x) + later]
+    rec[:, 5] = word5[row]
+    zero = x == 0.0
+    rec[zero] = _text_records([b"0", b"-0"])[np.signbit(x[zero]).astype(np.intp)]
+    slow = np.flatnonzero(~(certified | zero))
+    if slow.size:
+        rec[slow] = _text_records([b"%.17g" % v for v in x[slow].tolist()])
+    return rec
+
+
 def write_trajectory_csv(run: SimulationRun, path) -> None:
-    """One row per (sample, agent); 17 significant digits for round-tripping."""
+    """One row per (sample, agent), every number as "%.17g" % value, which
+    round-trips.
+
+    Rows are written _CSV_CHUNK fields at a time: the chunk's values as
+    one array of records (_g17_records), beside the time's record of each
+    row's sample and the agent's record, formatted once per run; deleting
+    the zero bytes of the chunk's records leaves its text.
+    """
     scalars = {"coherency_norm": run.coherency_norm, "coherency_proxy": run.coherency_proxy, "rho": run.rho}
     if run.alpha is not None:
         scalars["alpha"] = run.alpha
     columns = ["t", "agent"] + [f"y{j + 1}" for j in range(run.outputs.shape[2])] + list(scalars)
     columns += [f"u{j + 1}" for j in range(run.controls.shape[2])]
-    table = np.concatenate([run.outputs] + [v[:, :, None] for v in scalars.values()] + [run.controls], axis=2)
-    # One text per run for a sample's rows: each agent's index written
-    # once, the time a placeholder that each sample fills in once before
-    # its one % formatting.
-    fields = ",%.17g" * table.shape[2] + "\n"
-    template = "".join([f"\0,{agent}{fields}" for agent in run.agent_indices.tolist()])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        # One sample at a time: the text of the whole table, held at once,
-        # raised the peak memory of a run by up to 9 MB.
-        for t, sample in zip(run.times.tolist(), table):
-            fh.write(template.replace("\0", "%.17g" % t) % tuple(sample.ravel().tolist()))
+    # (samples x agents, width) blocks, rows in file order.
+    blocks = [run.outputs] + [v[:, :, None] for v in scalars.values()] + [run.controls]
+    blocks = [b.reshape(-1, b.shape[2]) for b in blocks]
+    n_agents, width = run.n_agents, len(columns)
+    times = _g17_records(run.times)
+    agents = _text_records([b"%d" % a for a in run.agent_indices.tolist()])
+    separators = np.full(width, _bytes_word(b",", 7), _RECORD)
+    separators[-1] = _bytes_word(b"\n", 7)
+    step = max(1, _CSV_CHUNK // width)  # rows a chunk
+
+    def chunk(start):
+        """The text of the chunk's rows from start; a function, so that no
+        array of one chunk is alive while the next is formatted."""
+        values = np.concatenate([b[start : start + step] for b in blocks], axis=1)
+        sample, agent = np.divmod(np.arange(start, start + values.shape[0]), n_agents)
+        rec = np.empty((values.shape[0], width, 6), _RECORD)
+        rec[:, 0] = times[sample]
+        rec[:, 1] = agents[agent]
+        rec[:, 2:] = _g17_records(values.reshape(-1)).reshape(values.shape + (6,))
+        rec[:, :, 5] |= separators
+        # One C pass deletes the padding.  np.compress would build an int64
+        # index of every byte kept, 1.2 MB a chunk.
+        return rec.tobytes().translate(None, b"\0")
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for start in range(0, blocks[0].shape[0], step):
+            fh.write(chunk(start))

@@ -465,6 +465,21 @@ def test_cli_simulate_oversized_recording_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_simulate_record_beyond_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # Physical memory for four times the recorded x block, less than the
+    # whole record: exit 2 before the output directory exists.
+    path = write_manifest(tmp_path, tiny_manifest_dict())
+    manifest = load_manifest(path)
+    samples = int(round(manifest.t_end / manifest.dt)) // manifest.record_stride + 1
+    x_block = 8 * samples * manifest.graph.n_nodes * manifest.model.n
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * x_block}.__getitem__)
+    out = tmp_path / "run"
+    code = main(["simulate", "--manifest", str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "physical memory; raise record_stride" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_blowup_exits_one(tmp_path, capsys):
     data = tiny_manifest_dict(dt=10.0, t_end=1300.0, record_stride=1)
     path = write_manifest(tmp_path, data)

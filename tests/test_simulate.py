@@ -1,7 +1,12 @@
 """Simulation engine: disturbances, integration, recording."""
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsync.agents import AgentModel
 from cohsync.collab import collab_law, design_collab
@@ -19,6 +24,7 @@ from cohsync.simulate import (
     IntegrationBlowup,
     SimConfig,
     _disturbance_writer,
+    _g17_records,
     _keyed_uniform,
     _stage,
     check_run,
@@ -118,7 +124,7 @@ def test_a_table_covering_the_horizon_runs_to_its_end():
         table = DisturbanceSpec(kind="table", times=[0.0, 1.0, end], values=[[0.0], [2.0], [-1.0]])
         config = SimConfig(model=model, graph=graph, design=design, disturbance=table, dt=0.1, t_end=3.0)
         if ok:
-            assert check_run(model, table, 0.1, 3.0, 3, 1) == 30
+            assert check_run(model, table, 0.1, 3.0, 3, 1, "collaborative") == 30
             assert simulate(config).times[-1] == 3.0
         else:
             with pytest.raises(ValueError, match=r"covers \[0.0, 2.9\], not the run's \[0, 3.0\]"):
@@ -132,10 +138,40 @@ def test_a_recording_beyond_physical_memory_is_rejected_from_its_settings():
     model = AgentModel(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, golden.COLLAB_E)
     zero = DisturbanceSpec(kind="zero")
     with pytest.raises(ValueError, match="physical memory; raise record_stride"):
-        check_run(model, zero, 0.001, 1e9, 5, 10)
-    assert check_run(model, zero, 0.001, 30.0, 5, 10) == 30000
+        check_run(model, zero, 0.001, 1e9, 5, 10, "collaborative")
+    assert check_run(model, zero, 0.001, 30.0, 5, 10, "collaborative") == 30000
     with pytest.raises(ValueError, match="record_stride must be at least 1"):
-        check_run(model, zero, 0.001, 30.0, 5, 0)
+        check_run(model, zero, 0.001, 30.0, 5, 0, "collaborative")
+
+
+def physical_memory(monkeypatch, n_bytes):
+    """Make os.sysconf report n_bytes of physical memory in 1-byte pages."""
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": n_bytes}.__getitem__)
+
+
+@pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
+def test_the_memory_rule_counts_the_whole_record(monkeypatch, protocol):
+    # The rule's bound is what a run holds at once at its end: the arrays
+    # of the SimulationRun (states, rho and alpha are views of the one
+    # state-row record) and the recorded L x block, n doubles a sample and
+    # agent, from which simulate forms zeta.
+    model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
+    graph = generate_circulant(4, offsets=(1, 2))
+    run = simulate(SimConfig(model=model, graph=graph, design=design, dt=0.01, t_end=0.2, record_stride=3))
+    arrays = [v for v in vars(run).values() if isinstance(v, np.ndarray) and v.shape[0] == run.times.shape[0]]
+    buffers = {id(a if a.base is None else a.base): (a if a.base is None else a.base).nbytes for a in arrays}
+    x_block = run.states.nbytes  # as large as the L x block
+    held = sum(buffers.values()) + x_block
+    physical_memory(monkeypatch, held)
+    assert check_run(model, DisturbanceSpec(), 0.01, 0.2, 4, 3, protocol) == 20
+    physical_memory(monkeypatch, held - 1)
+    with pytest.raises(ValueError, match="physical memory; raise record_stride"):
+        check_run(model, DisturbanceSpec(), 0.01, 0.2, 4, 3, protocol)
+    # The x block alone fits twice over; the old rule counted only it.
+    assert 2 * x_block < held - 1
+    with pytest.raises(ValueError, match="physical memory"):
+        simulate(SimConfig(model=model, graph=graph, design=design, dt=0.01, t_end=0.2, record_stride=3))
+
 
 # ---------------------------------------------------------------------------
 # integration
@@ -708,6 +744,82 @@ def test_detect_settling_cases():
         detect_settling(times, zero, 0.5, 11.0)
 
 
+@pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
+def test_settling_report_equals_detect_settling_per_agent(protocol):
+    rng = np.random.default_rng(12)
+    times = np.cumsum(rng.uniform(0.05, 0.15, 120))
+    threshold = 0.5
+    window = times[-1] - times[70]  # a tail from sample 70 on is exactly one window long
+    metric = np.where(rng.random((120, 60)) < 0.9, rng.uniform(0.0, 0.5, (120, 60)), rng.uniform(0.5, 2.0, (120, 60)))
+    for agent in range(60):  # each agent's last bad sample at a random index, or none
+        last = rng.integers(-1, 120)
+        metric[last + 1 :, agent] = np.minimum(metric[last + 1 :, agent], threshold)
+    metric[:, 0] = threshold  # exactly at the threshold throughout
+    metric[-1, 1] = 1.0  # never settles: bad at the end
+    metric[:, 2:5] = 0.1
+    metric[69, 2] = 1.0  # settles at sample 70: a tail of exactly one window
+    metric[70, 3] = 1.0  # settles at sample 71: a tail just short of it
+    metric[0, 4] = 1.0  # only the first sample is bad
+    metric[50, 5] = np.nan  # not at or below the threshold either
+    if protocol == "collaborative":
+        proxy, exchange = metric * rng.random(metric.shape), metric
+    else:
+        proxy, exchange = metric, None
+    run = SimpleNamespace(protocol=protocol, times=times, coherency_proxy=proxy, exchange_energy=exchange, n_agents=60)
+    expected = [detect_settling(times, metric[:, i], threshold, window) for i in range(60)]
+    assert settling_report(run, threshold, window) == expected
+    assert expected[:5] == [times[0], None, times[70], None, times[1]]
+    assert sum(t is None for t in expected) > 5 and sum(t is not None for t in expected) > 20
+    with pytest.raises(ValueError, match="trailing window longer"):
+        settling_report(run, threshold, times[-1] - times[0] + 0.1)
+
+
+# ---------------------------------------------------------------------------
+# number text
+
+
+def g17_texts(values) -> list[str]:
+    """The texts of _g17_records: each record's bytes less its zero bytes."""
+    records = _g17_records(np.asarray(values, dtype=float))
+    records[:, 5] |= np.uint64(ord("\n")) << np.uint64(56)
+    text = records.reshape(-1).view(np.uint8)
+    return text[text != 0].tobytes().decode().split("\n")[:-1]
+
+
+def test_g17_edge_cases():
+    tiny, huge = np.nextafter(0.0, 1.0), np.finfo(float).max
+    edges = [0.0, -0.0, tiny, -tiny, 3 * tiny, 2.2250738585072014e-308, 2.225073858507201e-308, huge, -huge]
+    edges += [np.inf, -np.inf, np.nan, -np.nan, 0.5, -0.5, 123.0, 1230.0, 0.25, 1e-300, 1e300, 1e-270, 1e281]
+    edges += [1 + 2.0**-17, 1 + 3 * 2.0**-17, 2.5, 0.125, 2.0**-24]  # exact ties at 17 digits, and exact values
+    for v in (1e-5, 1e-4, 1e16, 1e17):
+        edges += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf), -v]
+    for k in range(-320, 309):  # powers of ten and their neighbours
+        edges += [10.0**k, np.nextafter(10.0**k, 0.0), np.nextafter(10.0**k, np.inf)]
+    edges += (2.0**53 + np.arange(-40.0, 40.0)).tolist() + (2.0**54 + 4 * np.arange(-5.0, 5.0)).tolist()
+    edges += [k * 10.0**e for k in (1, 2, 5, 25, 125, 999, 1001) for e in range(-25, 25)]  # trailing zeros
+    assert g17_texts(edges) == ["%.17g" % v for v in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_g17_matches_percent_formatting(values):
+    assert g17_texts(values) == ["%.17g" % v for v in values]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_g17_matches_percent_formatting_on_a_million_doubles(seed):
+    # 20 examples of 50 000 doubles: every bit pattern is as likely as any
+    # other (all exponents, subnormals, inf and nan), then decimal
+    # exponents from -330 to 330 drawn evenly.
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, 25_000, dtype=np.uint64, endpoint=False).view(float)
+    with np.errstate(over="ignore"):  # past 1.8e308: inf
+        spread = rng.uniform(1.0, 10.0, 25_000) * 10.0 ** rng.integers(-330, 331, 25_000) * rng.choice([-1, 1], 25_000)
+    values = np.concatenate([bits, spread])
+    assert g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # trajectory files
 
@@ -748,3 +860,54 @@ def test_trajectory_csv_collab_has_alpha_column(tmp_path):
     write_trajectory_csv(run, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,agent,y1,coherency_norm,coherency_proxy,rho,alpha,u1"
+
+
+def reference_csv(run) -> str:
+    """trajectory.csv formatted one field at a time with "%.17g"."""
+    columns = [run.outputs] + [v[:, :, None] for v in (run.coherency_norm, run.coherency_proxy, run.rho)]
+    columns += [] if run.alpha is None else [run.alpha[:, :, None]]
+    table = np.concatenate(columns + [run.controls], axis=2)
+    lines = []
+    for s, t in enumerate(run.times.tolist()):
+        for i, agent in enumerate(run.agent_indices.tolist()):
+            lines.append(",".join(["%.17g" % t, str(agent)] + ["%.17g" % v for v in table[s, i].tolist()]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "protocol, scale, alpha0, n_agents",
+    [
+        ("noncollaborative", 1.0, 0.0, 5),
+        ("noncollaborative", 3e-6, 0.0, 5),
+        ("collaborative", 1.0, 4.0, 5),
+        ("collaborative", 2e-6, 0.0, 5),
+        ("collaborative", 1.0, 4.0, 333),  # chunks end inside samples
+    ],
+)
+def test_trajectory_csv_bytes_equal_per_field_formatting(tmp_path, protocol, scale, alpha0, n_agents):
+    model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
+    graph = generate_circulant(n_agents, offsets=(1, 2))
+    run = simulate(
+        SimConfig(
+            model=model,
+            graph=graph,
+            design=design,
+            disturbance=DisturbanceSpec(kind="chirp"),
+            dt=1e-2,
+            t_end=0.2,
+            seed=3,
+            initial_states=scale * _keyed_uniform(3, np.arange(1, n_agents + 1), model.n),
+            initial_rho=1.5,
+            initial_alpha=alpha0,
+        )
+    )
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(run, path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert body == reference_csv(run).encode()
+    fields = body.decode().replace("\n", ",").split(",")
+    # Both %g styles occur, and a zero control of an alpha0 = 0 run is +0.
+    assert any("e-" in f for f in fields) or scale == 1.0
+    assert any("." in f and "e" not in f for f in fields)
+    if protocol == "collaborative" and alpha0 == 0.0:
+        assert "0" in fields
