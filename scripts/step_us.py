@@ -2,8 +2,13 @@
 and the time of the artifact layer.
 
 The graph is a directed circulant with offsets (1, 2) of each size in
-SIZES; each protocol runs the design of its bundled n25 manifest (chirp
-disturbance, rho0 and alpha0 as bundled) for STEPS steps of dt.  A step's
+SIZES; each row of ROWS runs the design of a bundled n25 manifest (chirp
+disturbance, rho0 and alpha0 as bundled) for STEPS steps of dt, from the
+run's own seeded initial states scaled by the row's factor.  At factor 1
+the collaborative gains adapt on nearly every step; at FROZEN_SCALE both
+stay at their initial values, which the script asserts for alpha (the
+gains never decrease, so equal ends mean a constant alpha), and the row
+times the collaborative law with frozen gains.  A step's
 figure is the minimum over REPEATS runs of the run's wall time divided by
 its steps, in microseconds, for a run that records only its two ends.  A
 recorded sample's figure, at RECORD_AGENTS agents, is the minimum time
@@ -37,6 +42,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from run import REFERENCE_S, ReferenceKernel  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from cohsync.cli import agent_summaries, build_design, load_bundled_manifest  # noqa: E402
 from cohsync.graphs import generate_circulant  # noqa: E402
 from cohsync.simulate import SimConfig, simulate, write_trajectory_csv  # noqa: E402
@@ -46,7 +53,12 @@ RECORD_AGENTS = 25
 STEPS = 200
 REPEATS = 3
 RECORD_REPEATS = 7
-PROTOCOLS = (("noncollaborative", "noncol-vicsek-n25"), ("collaborative", "col-vicsek-n25"))
+FROZEN_SCALE = 0.1
+ROWS = (
+    ("noncollaborative", "noncol-vicsek-n25", 1.0),
+    ("collaborative, adapting", "col-vicsek-n25", 1.0),
+    ("collaborative, frozen", "col-vicsek-n25", FROZEN_SCALE),
+)
 ARTIFACT_SIZES = (25, 800)
 ARTIFACT_RUN = ("col-vicsek-n25", {"t_end": 6.0, "dt": 0.01, "record_stride": 2})  # 301 samples
 
@@ -67,9 +79,12 @@ def normalized_min(calls, repeats):
     return [seconds * scale for seconds in best]
 
 
-def config(manifest, design, n_agents, **changes):
+def config(manifest, design, n_agents, scale=1.0, **changes):
     settings = dict(dt=manifest.dt, t_end=STEPS * manifest.dt, record_stride=STEPS)
     settings.update(changes)
+    if scale != 1.0:
+        start = config(manifest, design, n_agents, t_end=manifest.dt)
+        settings["initial_states"] = scale * simulate(start).states[0]
     return SimConfig(
         model=manifest.model,
         graph=generate_circulant(n_agents, (1, 2), directed=True),
@@ -104,18 +119,22 @@ def artifact_layer():
 def main():
     REFERENCE()  # warm up
     table = {"step_us": {}, f"record_us_n{RECORD_AGENTS}": {}}
-    for protocol, name in PROTOCOLS:
+    for label, name, scale in ROWS:
         manifest = load_bundled_manifest(name)
         design = build_design(manifest)
         step = {}
         for n in SIZES:
-            run = config(manifest, design, n)
+            run = config(manifest, design, n, scale)
+            if scale == FROZEN_SCALE:
+                alpha = simulate(run).alpha
+                assert np.array_equal(alpha[0], alpha[-1]), f"alpha moved at N = {n}"
             (step[n],) = normalized_min([lambda: simulate(run)], REPEATS)
-        table["step_us"][protocol] = {str(n): round(1e6 * s / STEPS, 1) for n, s in step.items()}
-        ends, every = config(manifest, design, RECORD_AGENTS), config(manifest, design, RECORD_AGENTS, record_stride=1)
+        table["step_us"][label] = {str(n): round(1e6 * s / STEPS, 1) for n, s in step.items()}
+        ends = config(manifest, design, RECORD_AGENTS, scale)
+        every = config(manifest, design, RECORD_AGENTS, scale, record_stride=1)
         # alternating, so that both see the host alike
         ends_s, every_s = normalized_min([lambda: simulate(ends), lambda: simulate(every)], RECORD_REPEATS)
-        table[f"record_us_n{RECORD_AGENTS}"][protocol] = round(1e6 * (every_s - ends_s) / (STEPS - 1), 1)
+        table[f"record_us_n{RECORD_AGENTS}"][label] = round(1e6 * (every_s - ends_s) / (STEPS - 1), 1)
     layer = artifact_layer()
     table["csv_ns_per_field"] = {n: csv for n, (csv, _) in layer.items()}
     table["summary_ms"] = {n: summary for n, (_, summary) in layer.items()}

@@ -363,6 +363,15 @@ def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, outs):
     alpha (PAlphaGrid.index_for); alpha = 0 means no feedback at all, and u
     is exactly +0.  signals() gives what rates last kept: (U, mismatch,
     exchange), U the control rows.
+
+    The gains stop moving once every agent is inside the dead zone, so the
+    gain part of a stage is keyed on the bits of the alpha column
+    (AL.tobytes()): while they equal those of the last stage that formed
+    it, rates reuses that stage's gathered B'P_k rows, its alpha > 0 mask
+    and its -alpha, and when every alpha is positive it skips the masking
+    of U, whose selection of every row would return U's own bits.  Any
+    changed bit, a sign of zero included, forms them again.  Either way U
+    is bitwise what forming them afresh gives.
     """
     n, p = design.n, design.p_out
     rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
@@ -376,16 +385,26 @@ def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, outs):
     CZ_E = F[:, 4 * n :].reshape(-1, 2, p)
     blocks = [(out[:, :n], out[:, n : 2 * n], out[:, 2 * n], out[:, 2 * n + 1]) for out in outs]
     recorded = None
+    # The bytes of the alpha column the gains were last formed from, and
+    # those gains: (B'P_k rows, -alpha, the alpha > 0 mask or None when
+    # every row is on).
+    key, gains = None, None
 
     def rates(j):
-        nonlocal recorded
+        nonlocal recorded, key, gains
         dx, dx_hat, drho, dalpha = blocks[j]
         exchange, mismatch = np.einsum("ijk,ijk->ji", CZ_E, CZ_E)
-        # Every row gathers a cell; a row with alpha = 0 reads cell 0 and
-        # discards it.
-        on = AL > 0.0
-        BtP = gain_rows(np.where(on, AL, 1.0)[:, 0])
-        U = np.where(on, -AL * np.einsum("imn,in->im", BtP, XZ), 0.0)
+        bits = AL.tobytes()
+        if bits != key:
+            # Every row gathers a cell; a row with alpha = 0 reads cell 0
+            # and discards it.
+            on = AL > 0.0
+            gains = gain_rows(np.where(on, AL, 1.0)[:, 0]), -AL, None if on.all() else on
+            key = bits
+        BtP, minus_alpha, on = gains
+        U = minus_alpha * np.einsum("imn,in->im", BtP, XZ)
+        if on is not None:  # selecting every row would return U's own bits
+            U = np.where(on, U, 0.0)
         # B u stored column by column like F and out: the rows of U B' as
         # the columns of B U', a lone row as part of a two-row product.
         BU = row_product(U, BT) if rows == 1 else (B @ U.T).T

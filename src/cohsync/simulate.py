@@ -12,7 +12,9 @@ collaborative law), and makes one sparse Laplacian product and one dense
 product with a stage matrix composed once from A, E and the law's rows;
 the law, bound to the workspace once per run, writes the stage derivative
 in place.  What only recording reads (the noncollaborative controls, C x
-and C (L x)) is formed only for recorded samples.
+and C (L x)) is formed only for recorded samples, and the collaborative
+law's gain work (the P_alpha rows, the alpha > 0 mask, -alpha) runs only
+when a bit of the alpha column moves.
 Dead-zone branches in the gain laws are re-evaluated at every substep; no
 event localization is attempted, since crossing a dead zone only switches
 between nonnegative growth rates.
@@ -464,7 +466,7 @@ def check_run(
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if record_bytes > memory:
         raise ValueError(
-            f"the {n_samples} recorded samples of {n_agents} agents need {record_bytes / 2**30:.3g} GiB, "
+            f"the {n_samples:.3g} recorded samples of {n_agents} agents need {record_bytes / 2**30:.3g} GiB, "
             f"more than the {memory / 2**30:.3g} GiB of physical memory; "
             "raise record_stride or shorten the run"
         )

@@ -465,6 +465,17 @@ def test_cli_simulate_oversized_recording_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_simulate_oversized_recording_message_stays_short(tmp_path, capsys):
+    # About 1e301 samples: the count is printed to three digits, not as a
+    # 301-digit integer.
+    out = tmp_path / "run"
+    code = main(["simulate", "--manifest", "col-vicsek-n5", "--out", str(out), "--dt", "1e-300"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "record_stride" in err and len(err) < 300
+    assert not out.exists()
+
+
 def test_cli_simulate_record_beyond_memory_exits_two(tmp_path, capsys, monkeypatch):
     # Physical memory for four times the recorded x block, less than the
     # whole record: exit 2 before the output directory exists.

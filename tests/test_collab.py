@@ -565,3 +565,64 @@ def test_searchsorted_gather_equals_indices_for(monkeypatch):
     for k in np.concatenate([ks, grid.indices_for(outside)]).tolist():
         per_cell.cell(k)
     assert grid.cached_indices() == per_cell.cached_indices()
+
+
+def test_gains_reused_while_the_alpha_column_keeps_its_bits(monkeypatch):
+    # One binding driven through a sequence of alpha columns must give,
+    # after every stage, the bits of a law freshly bound on copies of the
+    # same arrays, and gather B'P_k only when the column's bits change.
+    design, fresh_design = reference_design(), reference_design()
+    grid, model = design.grid, reference_model()
+    n, rows = design.n, 6
+    k3 = grid.alpha_at(3)
+    columns = [[0.0, 0.0, 1.0, 2.5, k3, 0.7]]
+    columns.append(columns[-1])  # unchanged
+    columns.append(columns[-1])
+    columns.append([0.0, 0.0, 1.0, 2.5, np.nextafter(k3, 0.0), 0.7])  # cell 3 -> 2
+    columns.append([0.3, 0.0, 1.0, 2.5, np.nextafter(k3, 0.0), 0.7])  # the mask changes
+    columns.append([0.3, -0.0, 1.0, 2.5, np.nextafter(k3, 0.0), 0.7])  # only a sign bit
+    columns.append([0.3, 1.2, 1.0, 2.5, np.nextafter(k3, 0.0), 0.7])  # every row on
+    columns.append(columns[-1])
+    columns.append([0.3, 1.2, 0.0, 2.5, 0.0, 0.7])  # on and off rows mixed
+    columns.append(columns[-1])
+
+    gathered = []
+    gain_rows = grid.gain_rows
+
+    def spy(a):
+        gathered.append(np.array(a))
+        return gain_rows(a)
+
+    monkeypatch.setattr(grid, "gain_rows", spy)
+    M = stage_matrix(model, design)
+    W = np.zeros((rows, M.shape[0]))
+    PS = W[:, n : 2 * n + 2]
+    F = row_product(W, M)
+    outs = [np.empty((rows, 2 * n + 2)) for _ in range(4)]
+    rates, signals = collab_law(design, PS, F, outs)
+    rng = np.random.default_rng(43)
+    expected_gathers = 0
+    for step, column in enumerate(columns):
+        XH, LX, LXH = (rng.standard_normal((rows, n)) for _ in range(3))
+        XH[2] = -LXH[2]  # x_hat + zeta_tilde = +0: U is -0 there while alpha > 0
+        W[:, : PS.shape[1] + n] = np.column_stack([np.zeros((rows, n)), XH, rng.random(rows), column])
+        W[:, 2 * n + 2 : 4 * n + 2] = np.hstack([LX, LXH])
+        F[:] = row_product(W, M)
+        j = step % 4
+        rates(j)
+        U, mismatch, exchange = signals()
+
+        fresh_out = np.empty_like(outs[j])
+        fresh_rates, fresh_signals = collab_law(fresh_design, PS.copy(), F.copy(), [fresh_out])
+        fresh_rates(0)
+        assert outs[j].tobytes() == fresh_out.tobytes()
+        for got, want in zip((U, mismatch, exchange), fresh_signals()):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        AL = PS[:, -1:]
+        assert U.tobytes() == np.where(AL > 0.0, U, 0.0).tobytes()
+        assert not np.any(np.signbit(U[AL[:, 0] <= 0.0]))
+        assert np.all(U[2] == 0.0) and np.all(np.signbit(U[2]) == (column[2] > 0.0))
+
+        expected_gathers += step == 0 or np.array(column).tobytes() != np.array(columns[step - 1]).tobytes()
+        assert len(gathered) == expected_gathers
+    assert expected_gathers == 6
