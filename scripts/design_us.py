@@ -8,6 +8,9 @@ design sweep.  On each model it times:
   lyapunov   solve_lyapunov(A - (max Re lambda(A) + 1) I, I)
   care       solve_care(A, B), identity weight
   cell       cell 0 of a fresh P_alpha grid of (A, B, C), epsilon 0.1
+  gather     the first gain_rows([4.0]) on such a grid with cell 0 seeded,
+             as design_collab leaves it: the first gather of every bundled
+             collaborative run (alpha0 = 4), timed without the grid's set-up
   noncollab  design_noncollab(model, delta=DELTA)
   collab     design_collab(model, delta=DELTA)
 
@@ -15,6 +18,11 @@ A figure is the minimum over REPEATS calls on one model, in microseconds;
 the table gives its median over the models, and "failed" counts the
 models on which a call raised SolverError.  Set OPENBLAS_NUM_THREADS=1 for
 figures comparable across hosts.
+
+The gather row is the one that shows which P_alpha cells a run's first
+gather solves.  scripts/step_us.py cannot show that: its minimum over
+repeats is taken on runs that share one design, so every repeat after the
+first gathers from a warm grid.
 
     PYTHONPATH=src python3 scripts/design_us.py
 """
@@ -48,22 +56,32 @@ def models(n):
 
 
 def operations(model):
+    """name -> (call, prepare): call(prepare()) is timed, prepare() is not."""
     n = model.n
     A_stable = model.A - (np.max(np.linalg.eigvals(model.A).real) + 1.0) * np.eye(n)
+
+    def seeded_grid():
+        grid = p_alpha_family(model.A, model.B, model.C, 0.1)
+        grid.cell(0)
+        return grid
+
+    first_alpha = np.array([4.0])
     return {
-        "lyapunov": lambda: solve_lyapunov(A_stable, np.eye(n)),
-        "care": lambda: solve_care(model.A, model.B),
-        "cell": lambda: p_alpha_family(model.A, model.B, model.C, 0.1).cell(0),
-        "noncollab": lambda: design_noncollab(model, delta=DELTA),
-        "collab": lambda: design_collab(model, delta=DELTA),
+        "lyapunov": (lambda _: solve_lyapunov(A_stable, np.eye(n)), None),
+        "care": (lambda _: solve_care(model.A, model.B), None),
+        "cell": (lambda _: p_alpha_family(model.A, model.B, model.C, 0.1).cell(0), None),
+        "gather": (lambda grid: grid.gain_rows(first_alpha), seeded_grid),
+        "noncollab": (lambda _: design_noncollab(model, delta=DELTA), None),
+        "collab": (lambda _: design_collab(model, delta=DELTA), None),
     }
 
 
-def best_us(call):
+def best_us(call, prepare):
     best = float("inf")
     for _ in range(REPEATS):
+        arg = prepare() if prepare else None
         t = time.perf_counter()
-        call()
+        call(arg)
         best = min(best, time.perf_counter() - t)
     return 1e6 * best
 
@@ -73,9 +91,9 @@ def main():
     for n in SIZES:
         times = {}
         for model in models(n):
-            for name, call in operations(model).items():
+            for name, (call, prepare) in operations(model).items():
                 try:
-                    us = best_us(call)
+                    us = best_us(call, prepare)
                 except SolverError:
                     us = None
                 times.setdefault(name, []).append(us)

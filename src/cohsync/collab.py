@@ -10,10 +10,11 @@ signal is large.
 
 Solving a Riccati equation at every integration substep would dwarf the
 simulation itself, so the alpha family is evaluated on a geometric grid
-(ratio 1.05) whose cells are solved on first use and kept as one unbroken
-run around cell 0; the controller holds the solution at the grid point at
-or just below the current alpha.  Off-grid values remain available exactly
-through PAlphaGrid.solve_exact for diagnostics and tests.
+(ratio 1.05) whose cells are solved on first use, only those that an
+alpha of the run indexes; the controller holds the solution at the grid
+point at or just below the current alpha.  Off-grid values remain
+available exactly through PAlphaGrid.solve_exact for diagnostics and
+tests.
 """
 
 from dataclasses import dataclass
@@ -56,9 +57,13 @@ class PAlphaGrid:
     A + eps I.  The cell of an alpha is the largest k with
     alpha_at(k) <= alpha, decided by comparing with alpha_at itself, so
     an alpha one ulp below a grid point lies in the cell below it.
-    The cache is one unbroken run of cells lo, lo + 1, ..., hi around 0,
-    each solved by its own solve_care on first use (cell).  The runtime
-    law reads the gain rows B'P_k from the run's stacked table (gain_rows).
+    The cache holds the solved cells by index, with gaps allowed; each
+    cell is solved by its own solve_care on first use, so its value is a
+    function of its index alone, never of the order in which callers
+    asked, which keeps repeated runs bit-identical.  cell(k) fills every
+    missing cell between 0 and k; the runtime law's gather (gain_rows)
+    solves only the cells its alphas index and reads the gain rows B'P_k
+    from one stacked table over the span of the cache.
     """
 
     def __init__(self, A_shifted, B, CtC, ratio: float = GRID_RATIO):
@@ -69,13 +74,17 @@ class PAlphaGrid:
             raise ValueError("grid ratio must exceed 1")
         self.ratio = float(ratio)
         self._log_ratio = np.log(self.ratio)
-        # _run[i] is the pair (P_k, B'P_k) of cell k = _lo + i; _table
-        # stacks its B'P_k, and _points holds alpha_at(k) for its cells and
-        # the one after.
-        self._run: list[tuple[np.ndarray, np.ndarray]] = []
+        # _cells maps k to the pair (P_k, B'P_k).  Over the span lo..hi of
+        # its keys, _points holds alpha_at(lo), ..., alpha_at(hi + 1), and
+        # the right-side searchsorted of an alpha among them is 1 + k - lo
+        # for its cell k, 0 below the span and hi - lo + 2 above it.  _table
+        # and _solved are indexed by that position: B'P_k (zeros where no
+        # cell is cached) and whether cell k is cached (never at either end).
+        self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._lo = 0
-        self._table = np.zeros((0,) + self.B.T.shape)
-        self._points = np.zeros(0)
+        self._points = np.ones(1)
+        self._solved = np.zeros(2, dtype=bool)
+        self._table = np.zeros((2,) + self.B.T.shape)
 
     def index_for(self, alpha: float) -> int:
         """The cell of alpha: the largest k with alpha_at(k) <= alpha."""
@@ -107,46 +116,51 @@ class PAlphaGrid:
             return np.inf
 
     def cached_indices(self) -> tuple[int, ...]:
-        return tuple(range(self._lo, self._lo + len(self._run)))
+        return tuple(sorted(self._cells))
 
-    def _solve(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        P = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(k))
-        return P, self.B.T @ P
+    def _fill(self, indices) -> None:
+        """Solve every cell of indices that is not cached yet, then rebuild
+        the gather table over the cache's span."""
+        for k in [k for k in indices if k not in self._cells]:
+            P = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(k))
+            self._cells[k] = P, self.B.T @ P
+        lo, hi = min(self._cells), max(self._cells)
+        at = [1 + k - lo for k in self._cells]
+        self._lo = lo
+        self._points = np.array([self.alpha_at(j) for j in range(lo, hi + 2)])
+        self._solved = np.zeros(hi - lo + 3, dtype=bool)
+        self._solved[at] = True
+        self._table = np.zeros((hi - lo + 3,) + self.B.T.shape)
+        self._table[at] = [BtP for _, BtP in self._cells.values()]
 
     def cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Solution pair (P_k, B'P_k) for grid cell k, solving on first use.
 
-        The run is extended to k, and to cell 0 when it is empty.  Each
-        cell is solved on its own, so its value is a function of its index
-        alone, never of the order in which callers asked, which keeps
-        repeated runs bit-identical.
+        A cell not cached yet is solved together with every missing cell
+        between 0 and k, so a walk leaves no gap between cell 0 and the
+        cells it asked for.
         """
-        lo, hi = self._lo, self._lo + len(self._run) - 1
-        if not lo <= k <= hi:
-            self._run[:0] = [self._solve(j) for j in range(min(k, 0), lo)]
-            self._run += [self._solve(j) for j in range(hi + 1, max(k, 0) + 1)]
-            self._lo = lo = min(lo, k)
-            self._table = np.stack([BtP for _, BtP in self._run])
-            self._points = np.array([self.alpha_at(j) for j in range(lo, lo + len(self._run) + 1)])
-        return self._run[k - lo]
+        if k not in self._cells:
+            self._fill(range(min(k, 0), max(k, 0) + 1))
+        return self._cells[k]
 
     def gain_rows(self, alphas) -> np.ndarray:
         """B'P_k at the cell of each alpha (index_for), one (m, n) block per
         alpha.
 
-        Each alpha finds its cell among the grid points of the run by one
-        binary search, which is the rule of index_for itself, and its block
-        by one gather.  Only when an alpha falls outside the run (or is no
-        valid alpha, which indices_for rejects) is the run extended to it.
+        Each alpha finds its cell among the grid points of the cache's span
+        by one binary search, which is the rule of index_for itself, and its
+        block by one gather.  Only when an alpha falls outside the span or
+        on a cell not cached (or is no valid alpha, which indices_for
+        rejects) are the distinct missing cells of the alphas solved, and
+        those alone.
         """
-        ks = self._points.searchsorted(alphas, side="right")
-        ks -= 1
-        if np.minimum.reduce(ks) < 0 or np.maximum.reduce(ks) >= self._table.shape[0]:
+        at = self._points.searchsorted(alphas, side="right")
+        if not self._solved.take(at).all():
             ks = self.indices_for(alphas)
-            self.cell(int(ks.min()))
-            self.cell(int(ks.max()))
-            ks -= self._lo
-        return self._table.take(ks, axis=0)
+            self._fill(np.unique(ks).tolist())
+            at = ks - (self._lo - 1)
+        return self._table.take(at, axis=0)
 
     def solve_exact(self, alpha: float) -> np.ndarray:
         """P_alpha at the requested alpha itself, not the quantized one.

@@ -236,9 +236,11 @@ def noncollab_law(design: NoncollabDesign, PS: np.ndarray, F: np.ndarray, outs):
     d rho / dt] of the current PS and F into outs[j], with dx/dt = A x +
     E w + B u for u = -rho * gain_row @ xi_hat.  rho never decreases: its
     rate is |gain_row @ xi_hat|^2 = xi_hat' kernel xi_hat while the trigger
-    proxy = xi_hat' P xi_hat is at least d, and zero otherwise.  signals()
-    gives (U, proxy, None) of the stage rates last wrote, while PS and F
-    still hold it; only signals() forms U, the control rows.
+    proxy = xi_hat' P xi_hat is at least d, and zero otherwise.  Both
+    quadratic forms are summed over their terms from +0 in column order.
+    signals() gives (U, proxy, None) of the stage rates last wrote, while
+    PS and F still hold it; only signals() forms U, the control rows, and
+    proxy is the binding's own buffer, which the next rates overwrites.
     """
     n1, n, m = design.n1, design.n, design.m
     rows, widths = PS.shape[0], (n1 + 1, 4 * n + n1 + m, n + n1 + 1)
@@ -250,17 +252,29 @@ def noncollab_law(design: NoncollabDesign, PS: np.ndarray, F: np.ndarray, outs):
     cuts = (0, n, i, i + n, i + 2 * n, i + 2 * n + m, F.shape[1])
     AXW, DXI1, XH, XHP, NGX, NBGX = (F[:, a:b] for a, b in zip(cuts, cuts[1:]))
     blocks = [(out[:, :n], out[:, n:i], out[:, i]) for out in outs]
-    proxy = None
+    # The terms of proxy (xi_hat times xi_hat P) and of drive (gain_row
+    # xi_hat squared), agents along the fast axis, each half summed over
+    # its columns from +0 in column order by one reduction; the columns
+    # the drive half does not use stay +0 and add nothing.  A lone agent
+    # gets a second, zero agent column: numpy sums a contiguous axis
+    # pairwise, which would round a lone row's sums apart from a batch's.
+    span = max(rows, 2)
+    terms = np.zeros((2, max(n, m), span))
+    sums, on = np.empty((2, span)), np.empty(rows, dtype=bool)
+    proxy, drive = sums[:, :rows]
+    XHT, XHPT, NGXT = XH.T, XHP.T, NGX.T
+    proxy_terms, drive_terms = terms[0, :n, :rows], terms[1, :m, :rows]
 
     def rates(j):
-        nonlocal proxy
         dx, dxi1, drho = blocks[j]
-        proxy = np.einsum("ij,ij->i", XH, XHP)
-        drive = np.einsum("ij,ij->i", NGX, NGX)
+        np.multiply(XHT, XHPT, out=proxy_terms)
+        np.multiply(NGXT, NGXT, out=drive_terms)
+        np.add.reduce(terms, axis=1, initial=0.0, out=sums)
         np.multiply(RHO, NBGX, out=dx)
         dx += AXW
         dxi1[...] = DXI1
-        np.multiply(drive, proxy >= d, out=drho)
+        np.greater_equal(proxy, d, out=on)
+        np.multiply(drive, on, out=drho)
 
     def signals():
         return RHO * NGX, proxy, None

@@ -25,6 +25,7 @@ from cohsync.cli import (
     build_design,
     bundled_manifest_names,
     design_payload,
+    json_text,
     load_bundled_manifest,
     load_manifest,
     main,
@@ -308,6 +309,33 @@ def test_run_experiment_builds_no_dense_graph(tmp_path, monkeypatch, name):
     m = dataclasses.replace(load_bundled_manifest(name), t_end=6.0)
     res = run_experiment(m, tmp_path)
     assert res.trajectory_path.is_file()
+
+
+@pytest.mark.parametrize("name", bundled_manifest_names())
+def test_summary_json_is_the_indented_dump(tmp_path, name):
+    # Every bundled manifest, over a run cut to 6 s: summary.json holds the
+    # bytes of json.dumps(summary, indent=2) and a newline.
+    res = run_experiment(dataclasses.replace(load_bundled_manifest(name), t_end=6.0), tmp_path)
+    assert res.summary_path.read_text() == json.dumps(res.summary, indent=2) + "\n"
+    assert json_text(res.summary) == json.dumps(res.summary, indent=2)
+
+
+def test_json_text_equals_the_indented_dump_on_odd_values():
+    agents = [
+        {"agent": 1, "settling_time": None, "final_rho": np.inf, "rho_flatness": np.nan, "pass": False},
+        {"agent": 2, "settling_time": 0.1, "final_rho": -np.inf, "rho_flatness": -0.0, "pass": True},
+        {"agent": 3, "settling_time": 1e-300, "final_rho": 2.0**70, "rho_flatness": 5e-324, "pass": True},
+    ]
+    summary = {
+        "name": "odd, \"quoted\"\n",
+        "warnings": ["state of agent 3 grew, then settled", "caf\u00e9"],
+        "all_pass": False,
+        "agents": agents,
+    }
+    assert json_text(summary) == json.dumps(summary, indent=2)
+    # Anything else, as json itself gives it.
+    for payload in ({}, {"agents": agents}, {"agents": [], "n": 1}, {"n": 1, "agents": []}, {"n": 1, "agents": [{}]}):
+        assert json_text(payload) == json.dumps(payload, indent=2)
 
 
 def test_run_experiment_collab_summary_has_alpha(tmp_path):

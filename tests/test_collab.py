@@ -1,13 +1,16 @@
 """Collaborative protocol design, the alpha-Riccati grid, and the batched runtime law."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cohsync.collab
 from cohsync.agents import AgentModel, check_assumptions
+from cohsync.cli import build_design, load_bundled_manifest
 from cohsync.collab import collab_law, design_collab, p_alpha_family
 from cohsync.linalg import SolverError, min_eigenvalue_sym, row_product, solve_care
-from cohsync.simulate import stage_matrix
+from cohsync.simulate import SimConfig, simulate, stage_matrix
 from cohsync.verification import seeded_minimum_phase_model
 
 import golden
@@ -453,16 +456,101 @@ def test_fused_law_matches_written_out_formulas():
 
 
 def test_gain_table_keeps_the_cells_of_per_cell_lookups():
-    # The table only ever spans cells the outward walk from 0 solves anyway.
+    # The gather caches exactly the cells its alphas index, and its rows are
+    # those of per-cell lookups, which walk from 0.
     alphas = [np.array([2.0, 2.1]), np.array([0.5]), np.array([3.0, 0.9, 2.05])]
     per_cell = p_alpha_family(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, 0.1)
     table = p_alpha_family(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, 0.1)
+    gathered = set()
     for batch in alphas:
         rows = table.gain_rows(batch)
         for a, row in zip(batch, rows):
             expected = per_cell.cell(per_cell.index_for(a))[1]
             assert np.array_equal(row, expected)
-        assert table.cached_indices() == per_cell.cached_indices()
+        gathered |= set(table.indices_for(batch).tolist())
+        assert table.cached_indices() == tuple(sorted(gathered))
+
+
+def care_solve_alphas(monkeypatch):
+    # The gain_scale of every Riccati solve the grid makes from now on.
+    alphas = []
+    solve = cohsync.collab.solve_care
+
+    def spy(*args, **kwargs):
+        alphas.append(kwargs["gain_scale"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cohsync.collab, "solve_care", spy)
+    return alphas
+
+
+def test_a_run_caches_only_the_cells_its_gathers_index(monkeypatch):
+    # A short run from the bundled alpha0 = 4, from ten times the seeded
+    # states so that alpha crosses cells: the grid ends with cell 0, which
+    # the design seeds, and the cells of the alphas gain_rows received,
+    # each solved once; none of the cells 1..27 below them.
+    solved = care_solve_alphas(monkeypatch)
+    manifest = dataclasses.replace(load_bundled_manifest("col-vicsek-n5"), t_end=1.0)
+    design = build_design(manifest)
+    grid = design.grid
+    received = []
+    gain_rows = grid.gain_rows
+
+    def spy(a):
+        received.append(np.array(a))
+        return gain_rows(a)
+
+    monkeypatch.setattr(grid, "gain_rows", spy)
+    g = np.arange(1, manifest.graph.n_nodes + 1)
+    x0 = 10.0 * np.stack([np.random.default_rng([manifest.seed, i]).uniform(-1.0, 1.0, design.n) for i in g])
+    run = simulate(
+        SimConfig(
+            model=manifest.model,
+            graph=manifest.graph,
+            design=design,
+            disturbance=manifest.disturbance,
+            dt=manifest.dt,
+            t_end=manifest.t_end,
+            seed=manifest.seed,
+            record_stride=manifest.record_stride,
+            initial_states=x0,
+            initial_alpha=manifest.alpha0,
+        )
+    )
+    assert manifest.alpha0 == 4.0 and run.alpha[-1].max() > grid.alpha_at(29)
+    cells = set(grid.indices_for(np.concatenate(received)).tolist())
+    assert len(cells) >= 2 and min(cells) == grid.index_for(4.0) == 28
+    assert grid.cached_indices() == tuple(sorted(cells | {0}))
+    assert sorted(solved) == [grid.alpha_at(k) for k in grid.cached_indices()]
+
+
+def test_a_gather_far_below_cell_0_solves_its_cell_alone(monkeypatch):
+    grid = reference_design().grid
+    solved = care_solve_alphas(monkeypatch)
+    k = grid.index_for(1e-6)
+    assert k == -284
+    row = grid.gain_rows(np.array([1e-6]))
+    assert solved == [grid.alpha_at(k)]  # not the 285 cells of the walk to 0
+    assert grid.cached_indices() == (k, 0)
+    lone = solve_care(grid.A_shifted, grid.B, w_state=grid.CtC, gain_scale=grid.alpha_at(k))
+    assert np.array_equal(row[0], grid.B.T @ lone)
+
+
+def test_cell_walk_fills_the_gaps_gathers_leave(monkeypatch):
+    grid = reference_design().grid
+    solved = care_solve_alphas(monkeypatch)
+    rows = grid.gain_rows(np.array([grid.alpha_at(9), grid.alpha_at(-5), 2.0]))
+    assert grid.cached_indices() == (-5, 0, 9, 14)
+    grid.cell(12)
+    assert grid.cached_indices() == (-5, *range(13), 14)
+    grid.cell(-8)
+    assert grid.cached_indices() == (*range(-8, 13), 14)
+    # Each cell solved once, and the gathered rows are those of the cells.
+    assert sorted(solved) == [grid.alpha_at(k) for k in grid.cached_indices() if k != 0]
+    for row, k in zip(rows, (9, -5, 14)):
+        assert np.array_equal(row, grid.cell(k)[1])
+    assert np.array_equal(grid.gain_rows(np.array([grid.alpha_at(3)]))[0], grid.cell(3)[1])
+    assert len(solved) == 21
 
 
 def test_indices_for_rejects_non_finite_and_non_positive_alphas():
@@ -521,10 +609,8 @@ def test_gather_matches_the_masked_per_cell_path(monkeypatch):
     assert np.array_equal(U[on], masked[on])
     assert np.all(U[~on] == 0.0) and not np.any(np.signbit(U[~on]))
 
-    per_cell = reference_design().grid
-    for k in ks:
-        per_cell.cell(int(k))
-    assert grid.cached_indices() == per_cell.cached_indices() == fresh.cached_indices()
+    # Both grids hold the gathered cells and the cell 0 their design seeded.
+    assert grid.cached_indices() == fresh.cached_indices() == tuple(sorted({0, *ks.tolist()}))
 
 
 def test_cell_rule_is_exact_at_and_beside_grid_points():
@@ -542,8 +628,8 @@ def test_cell_rule_is_exact_at_and_beside_grid_points():
 
 def test_searchsorted_gather_equals_indices_for(monkeypatch):
     grid = reference_design().grid
-    per_cell = reference_design().grid
-    grid.gain_rows(np.array([grid.alpha_at(-12), grid.alpha_at(12)]))  # the table spans -12..12
+    grid.cell(-12)
+    grid.cell(12)  # the table spans -12..12, every cell solved
     points = [grid.alpha_at(k) for k in range(-12, 13)]
     inside = np.array([a for p in points for a in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))][1:])
     inside = np.append(inside, np.nextafter(grid.alpha_at(13), 0.0))
@@ -562,9 +648,8 @@ def test_searchsorted_gather_equals_indices_for(monkeypatch):
     blocks = grid.gain_rows(outside)
     for block, k in zip(blocks, grid.indices_for(outside).tolist()):
         assert np.array_equal(block, grid.cell(k)[1])
-    for k in np.concatenate([ks, grid.indices_for(outside)]).tolist():
-        per_cell.cell(k)
-    assert grid.cached_indices() == per_cell.cached_indices()
+    expected = set(range(-12, 13)) | set(grid.indices_for(outside).tolist())
+    assert grid.cached_indices() == tuple(sorted(expected))
 
 
 def test_gains_reused_while_the_alpha_column_keeps_its_bits(monkeypatch):

@@ -7,6 +7,7 @@ from cohsync.agents import AgentModel
 from cohsync.linalg import SolverError, row_product
 from cohsync.noncollab import design_noncollab, noncollab_law
 from cohsync.simulate import stage_matrix
+from cohsync.verification import seeded_minimum_phase_model
 
 import golden
 
@@ -269,6 +270,41 @@ def test_batched_rows_match_single_agent_calls():
         for batched, single in ((dxi1, dxi1_i), (drho, drho_i), (U, U_i), (proxy, proxy_i)):
             assert np.array_equal(batched[i], single[0])
             assert np.array_equal(np.signbit(batched[i]), np.signbit(single[0]))
+
+
+def test_trigger_sums_add_their_terms_in_column_order():
+    # proxy = xi_hat' P xi_hat over n = 12 terms and the rho rate's
+    # |gain_row xi_hat|^2 are sums from +0 in column order, for a batch
+    # and for each of its agents alone, so a lone agent's row is its row
+    # in the batch bit for bit, also when its row is contiguous (where
+    # einsum's vectorized loop would round it otherwise).
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([12, 0]), 12)
+    design = design_noncollab(model, delta=1.0)
+    n, n1, m, rows = design.n, design.n1, design.m, 25
+    rng = np.random.default_rng(29)
+    width = 4 * n + n1 + m
+    F = np.asfortranarray(rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 4, width))
+    PS = rng.random((rows, n1 + 1))
+    i = n + n1
+    XH, XHP, NGX = F[:, i : i + n], F[:, i + n : i + 2 * n], F[:, i + 2 * n : i + 2 * n + m]
+
+    def column_sum(terms):
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+
+    proxy = [column_sum(a * b for a, b in zip(x, y)) for x, y in zip(XH.tolist(), XHP.tolist())]
+    drive = [column_sum(g * g for g in row) for row in NGX.tolist()]
+    drho = np.array([r if p >= design.d else 0.0 for r, p in zip(drive, proxy)])
+    assert np.any(drho > 0.0) and np.any(drho == 0.0)
+    lone = [slice(j, j + 1) for j in range(rows)]
+    for batch, FB in [(slice(0, rows), F)] + [(b, F[b]) for b in lone] + [(b, F[b].copy()) for b in lone]:
+        out = np.empty((n + n1 + 1, batch.stop - batch.start)).T
+        rates, signals = noncollab_law(design, PS[batch], FB, [out])
+        rates(0)
+        assert signals()[1].tobytes() == np.array(proxy[batch]).tobytes()
+        assert out[:, -1].tobytes() == drho[batch].tobytes()
 
 
 def test_bad_observer_override_rejected():
