@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verification
 from .agents import AgentModel
 from .collab import CollabDesign, design_collab
 from .graphs import (
@@ -501,6 +500,9 @@ def _demo_collab_model() -> AgentModel:
 
 def run_verification_suite(seed: int = 0, self_test: bool = False):
     """All theory checks plus solver oracle equivalences; returns (text, ok)."""
+    # Imported here, so that the other commands never load the suite.
+    from . import verification
+
     text, ok, _ = verification.run_suite(
         seed=seed, demo_model=_demo_collab_model(), self_test=self_test
     )

@@ -120,9 +120,16 @@ class PAlphaGrid:
 
     def _fill(self, indices) -> None:
         """Solve every cell of indices that is not cached yet, then rebuild
-        the gather table over the cache's span."""
+        the gather table over the cache's span.
+
+        Raises SolverError naming the cell and its alpha when a cell's
+        solve fails, however it fails.
+        """
         for k in [k for k in indices if k not in self._cells]:
-            P = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(k))
+            try:
+                P = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(k))
+            except (SolverError, np.linalg.LinAlgError, ValueError) as exc:
+                raise SolverError(f"P_alpha cell {k} (alpha {self.alpha_at(k):.6g}) has no solution: {exc}") from exc
             self._cells[k] = P, self.B.T @ P
         lo, hi = min(self._cells), max(self._cells)
         at = [1 + k - lo for k in self._cells]

@@ -194,7 +194,11 @@ def _schur_start(A, B, W, g) -> np.ndarray:
     [U11; U21] of the Hamiltonian [[A, -g BB'], [-W, -A']], ordered with
     its stable eigenvalues first, span its stable invariant subspace."""
     n = A.shape[0]
-    H = np.block([[A, -g * (B @ B.T)], [-W, -A.T]])
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A
+    H[:n, n:] = -g * (B @ B.T)
+    H[n:, :n] = -W
+    H[n:, n:] = -A.T
     _, U, sdim = scipy.linalg.schur(H, output="real", sort="lhp", check_finite=False)
     if sdim != n:
         raise SolverError(f"the Hamiltonian has {sdim} stable eigenvalues, not {n}: no stabilizing solution")

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -529,6 +531,20 @@ def test_cli_simulate_blowup_exits_one(tmp_path, capsys):
     assert (tmp_path / "run" / "design.json").is_file()
 
 
+def test_cli_simulate_names_an_unsolvable_palpha_cell(tmp_path, capsys):
+    # No P_alpha cell near alpha = 1e43 of this model has a stabilizing
+    # solution: the run exits 2 with the cell of alpha0 and its alpha,
+    # after design.json.
+    manifest = load_bundled_manifest("col-vicsek-n25")
+    path = write_manifest(tmp_path, dict(manifest.raw, alpha0=1e43))
+    code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    grid = build_design(manifest).grid
+    k = grid.index_for(1e43)
+    assert f"error: P_alpha cell {k} (alpha {grid.alpha_at(k):.6g}) has no solution" in capsys.readouterr().err
+    assert (tmp_path / "run" / "design.json").is_file()
+
+
 def test_cli_simulate_overrides_seed_dt_tend(tmp_path):
     path = write_manifest(tmp_path, tiny_manifest_dict())
     code = main(
@@ -573,6 +589,15 @@ def test_cli_verify_writes_report(tmp_path, capsys):
     assert "verification suite (seed=0)" in report
     assert "overall: PASS" in report
     assert capsys.readouterr().out.count("PASS") >= 5
+
+
+def test_importing_cli_leaves_the_verification_suite_unloaded():
+    # A fresh interpreter, so that no other test has imported the suite.
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    code = "import sys, cohsync.cli; print('cohsync.verification' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_out_dir_precedence(tmp_path, monkeypatch):

@@ -711,3 +711,20 @@ def test_gains_reused_while_the_alpha_column_keeps_its_bits(monkeypatch):
         expected_gathers += step == 0 or np.array(column).tobytes() != np.array(columns[step - 1]).tobytes()
         assert len(gathered) == expected_gathers
     assert expected_gathers == 6
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [SolverError("no convergence"), np.linalg.LinAlgError("schur failed"), ValueError("W contains non-finite entries")],
+)
+def test_an_unsolvable_cell_names_itself(monkeypatch, failure):
+    grid = p_alpha_family(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, 0.1)
+
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cohsync.collab, "solve_care", fail)
+    with pytest.raises(SolverError, match=r"P_alpha cell 7 \(alpha 1\.4071\) has no solution: " + str(failure)) as info:
+        grid.gain_rows(np.array([1.05**7 * 1.01]))
+    assert info.value.__cause__ is failure
+    assert grid.cached_indices() == ()

@@ -307,6 +307,33 @@ def test_care_takes_one_lyapunov_solve_from_the_schur_start(monkeypatch):
                 assert calls == [n], (n, seed)
 
 
+def test_schur_start_hamiltonian_equals_the_block_form(monkeypatch):
+    # The Hamiltonian handed to the ordered Schur form, and the start P0,
+    # bitwise those of np.block([[A, -g BB'], [-W, -A']]).
+    hamiltonians = []
+    schur = scipy.linalg.schur
+
+    def spy(H, *args, **kwargs):
+        hamiltonians.append(H)
+        return schur(H, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    rng = np.random.default_rng(71)
+    for n, m in ((1, 1), (2, 1), (3, 2), (5, 1), (6, 3), (9, 2)):
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, m))
+        W = rng.standard_normal((n, n))
+        W = W @ W.T + np.eye(n)
+        g = float(rng.uniform(0.1, 10.0))
+        hamiltonians.clear()
+        P0 = linalg._schur_start(A, B, W, g)
+        H = np.block([[A, -g * (B @ B.T)], [-W, -A.T]])
+        (got,) = hamiltonians
+        assert got.tobytes() == H.tobytes() and got.flags.c_contiguous
+        _, U, _ = schur(H, output="real", sort="lhp", check_finite=False)
+        assert P0.tobytes() == np.linalg.solve(U[:n, :n].T, U[n:, :n].T).T.tobytes()
+
+
 def test_newton_stops_at_the_roundoff_floor_of_an_ill_scaled_draw(monkeypatch):
     # Frobenius norm of A about 6.8e3: from the Schur start the Newton gap
     # falls to about 1e-10 and then wanders there, never below 1e-12 in

@@ -1,9 +1,13 @@
 """Tests for the proof-level verification checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import cohsync.collab
 from cohsync.agents import AgentModel, check_assumptions, invariant_zeros
+from cohsync.cli import load_bundled_manifest
 from cohsync.collab import design_collab, p_alpha_family
 from cohsync.graphs import DirectedWeightedGraph, compute_h_weights, laplacian
 from cohsync.linalg import SolverError
@@ -245,3 +249,116 @@ def test_suite_without_demo_model_still_runs():
     assert ok
     assert "demo model" not in text
     assert all("negative control" not in o.name for o in outcomes)
+
+
+# Frozen run_suite reports: however the suite arranges its work, its
+# figures stay bit for bit the same.  The demo model is that of the
+# bundled col-vicsek-n5, as `cohsync verify` runs it.
+SUITE_SEED_0_DEMO_SELF_TEST = """\
+verification suite (seed=0)
+PASS  h-weights certificate                 graphs=20 worst_margin=-5.850e-14
+PASS  qrho-monotone cycle-3                 vectors=100 worst_derivative=-7.068e-05 restricted_min=6.220e-01
+PASS  qrho-monotone random-10               vectors=100 worst_derivative=-1.122e-07 restricted_min=5.604e-01
+PASS  palpha-scaling double-integrator      slope=-0.2544 band_ratio=2.414e+00
+PASS  palpha scalar closed form             max_rel_err=0.000e+00
+PASS  palpha-scaling demo model             slope=-0.4493 band_ratio=4.768e+02
+PASS  palpha PSD-monotone demo grid         pairs=20 worst_margin=1.711e-05
+PASS  alpha-palpha monotone demo grid       pairs=20 worst_margin=4.038e-05
+PASS  alpha-palpha monotone random model    pairs=9 worst_margin=1.849e-06
+PASS  lyapunov dual-route                   cases=50 worst_abs_diff kronecker=7.105e-15 scipy=7.772e-15
+PASS  invariant-zeros dual-route            cases=20 worst_distance=7.770e-13
+PASS  negative control (corrupted Riccati)  perturbed residual=1.511e-01, must be flagged
+overall: PASS (12/12)
+"""
+
+SUITE_SEED_3 = """\
+verification suite (seed=3)
+PASS  h-weights certificate               graphs=20 worst_margin=-2.383e-14
+PASS  qrho-monotone cycle-3               vectors=100 worst_derivative=-8.991e-05 restricted_min=6.220e-01
+PASS  qrho-monotone random-10             vectors=100 worst_derivative=-1.794e-07 restricted_min=6.285e-01
+PASS  palpha-scaling double-integrator    slope=-0.2544 band_ratio=2.414e+00
+PASS  palpha scalar closed form           max_rel_err=0.000e+00
+PASS  alpha-palpha monotone random model  pairs=9 worst_margin=1.849e-06
+PASS  lyapunov dual-route                 cases=50 worst_abs_diff kronecker=6.883e-15 scipy=8.882e-15
+PASS  invariant-zeros dual-route          cases=20 worst_distance=4.263e-14
+overall: PASS (8/8)
+"""
+
+
+def test_run_suite_reports_the_frozen_texts():
+    demo = load_bundled_manifest("col-vicsek-n5").model
+    assert run_suite(seed=0, demo_model=demo, self_test=True)[0] == SUITE_SEED_0_DEMO_SELF_TEST
+    assert run_suite(seed=3)[0] == SUITE_SEED_3
+
+
+def test_run_suite_solves_each_demo_grid_cell_once(monkeypatch):
+    # Every Riccati solve the suite asks of the P_alpha family, keyed by
+    # its shifted A and its alpha: none repeats, and the demo grid's cells
+    # 0..40 are among them.
+    demo = load_bundled_manifest("col-vicsek-n5").model
+    grid = design_collab(demo, delta=2.0).grid
+    solves = Counter()
+    solve = cohsync.collab.solve_care
+
+    def spy(A_shifted, B, **kwargs):
+        solves[A_shifted.tobytes(), kwargs["gain_scale"]] += 1
+        return solve(A_shifted, B, **kwargs)
+
+    monkeypatch.setattr(cohsync.collab, "solve_care", spy)
+    run_suite(seed=0, demo_model=demo)
+    assert max(solves.values()) == 1
+    assert {(grid.A_shifted.tobytes(), grid.alpha_at(k)) for k in range(41)} <= set(solves)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def loop_qrho_monotone(probe, n_vectors=100, seed=0, rel_step=1e-6, tol=1e-8):
+    """The probe as a loop over vectors and gains, forming each Q_rho by
+    np.diag and np.outer: the reference for verify_qrho_monotone."""
+
+    def q_rho(rho):
+        hr = probe.h / rho
+        mu = 1.0 / float(hr.sum())
+        return np.diag(hr) - mu * np.outer(hr, hr)
+
+    rng = np.random.default_rng(seed)
+    n = probe.rho.shape[0]
+    worst = -np.inf
+    violations = []
+    checked = 0
+    for v in range(n_vectors):
+        z = rng.standard_normal(n)
+        for i in range(n):
+            step = rel_step * probe.rho[i]
+            hi = probe.rho.copy()
+            hi[i] += step
+            lo = probe.rho.copy()
+            lo[i] -= step
+            f_hi = float(z @ q_rho(hi) @ z)
+            f_lo = float(z @ q_rho(lo) @ z)
+            deriv = (f_hi - f_lo) / (2.0 * step)
+            worst = max(worst, deriv)
+            checked += 1
+            if deriv > tol:
+                violations.append((v, i, deriv))
+    return q_rho(probe.rho), checked, worst, violations
+
+
+@pytest.mark.parametrize("n", range(3, 18))
+def test_batched_qrho_probe_equals_the_loop(n):
+    # tol = -inf makes every finite derivative a violation, so the order
+    # of the violations is compared too.
+    rng = np.random.default_rng([n, 29])
+    L = laplacian(random_strongly_connected(rng, n))
+    probe = build_q_rho(L, compute_h_weights(L), 0.5 + 2.5 * rng.random(n))
+    for seed, tol in ((n, 1e-8), (n + 100, -np.inf)):
+        Q, checked, worst, violations = loop_qrho_monotone(probe, n_vectors=40, seed=seed, tol=tol)
+        report = verify_qrho_monotone(probe, n_vectors=40, seed=seed, tol=tol)
+        assert probe.Q_rho.tobytes() == Q.tobytes()
+        assert report.checked == checked == 40 * n
+        assert _bits(report.worst) == _bits(worst)
+        assert [(v, i) for v, i, _ in report.violations] == [(v, i) for v, i, _ in violations]
+        assert [_bits(d) for _, _, d in report.violations] == [_bits(d) for _, _, d in violations]
+    assert len(report.violations) == 40 * n
