@@ -20,12 +20,13 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .agents import AgentModel
-from .collab import CollabDesign, design_collab
+from .collab import design_collab
 from .graphs import (
     DirectedWeightedGraph,
     format_edge_list,
@@ -35,8 +36,9 @@ from .graphs import (
     read_edge_list,
 )
 from .linalg import SolverError
-from .noncollab import NoncollabDesign, design_noncollab
+from .noncollab import design_noncollab
 from .simulate import (
+    PROTOCOLS,
     DisturbanceSpec,
     IntegrationBlowup,
     SimConfig,
@@ -58,7 +60,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-_PROTOCOLS = ("noncollaborative", "collaborative")
 _TOP_KEYS = {
     "name",
     "protocol",
@@ -229,9 +230,10 @@ def manifest_from_dict(data, base_dir=".") -> ExperimentManifest:
         raise ValueError(f"{context}: unknown fields {unknown}")
     if not name:
         raise ValueError("manifest: 'name' is required, a nonempty string")
-    protocol = data.get("protocol")
-    if protocol not in _PROTOCOLS:
-        raise ValueError(f"{context}: 'protocol' must be one of {_PROTOCOLS}")
+    protocol, names = data.get("protocol"), tuple(PROTOCOLS)
+    if protocol not in names:  # a tuple: a list or an object is unhashable
+        raise ValueError(f"{context}: 'protocol' must be one of {names}")
+    declared = PROTOCOLS[protocol]
     if "model" not in data or "graph" not in data:
         raise ValueError(f"{context}: 'model' and 'graph' are required")
     delta, d = (
@@ -242,15 +244,15 @@ def manifest_from_dict(data, base_dir=".") -> ExperimentManifest:
     overrides_spec = data.get("overrides") or {}
     if not isinstance(overrides_spec, dict):
         raise ValueError(f"{context}: 'overrides' must be an object")
-    if overrides_spec and protocol != "noncollaborative":
+    if overrides_spec and not declared.overrides:
         raise ValueError(f"{context}: 'overrides' apply to the noncollaborative design only")
-    bad = sorted(set(overrides_spec) - {"S", "T", "H1"})
+    bad = sorted(set(overrides_spec) - set(declared.overrides))
     if bad:
         raise ValueError(f"{context}: unknown override fields {bad}")
     overrides = {k: _matrix(v, k, context) for k, v in overrides_spec.items()}
     dt, t_end = (_real(data, key, context, value, True) for key, value in (("dt", 1e-3), ("t_end", 30.0)))
     rho0, alpha0 = (_real(data, key, context, 0.0, False) for key in ("rho0", "alpha0"))
-    if alpha0 != 0.0 and protocol != "collaborative":
+    if alpha0 != 0.0 and "alpha" not in declared.gains:
         raise ValueError(f"{context}: 'alpha0' applies to the collaborative protocol only")
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -311,49 +313,17 @@ def _resolve_manifest(arg: str) -> ExperimentManifest:
 
 
 def build_design(manifest: ExperimentManifest):
-    if manifest.protocol == "noncollaborative":
-        return design_noncollab(
-            manifest.model,
-            delta=manifest.delta,
-            d_override=manifest.d,
-            s_override=manifest.overrides.get("S"),
-            t_override=manifest.overrides.get("T"),
-            h1_override=manifest.overrides.get("H1"),
-        )
-    return design_collab(manifest.model, delta=manifest.delta, d_override=manifest.d)
+    design_for = design_noncollab if manifest.protocol == "noncollaborative" else design_collab
+    # Each manifest override X is the design function's x_override.
+    overrides = {f"{key.lower()}_override": value for key, value in manifest.overrides.items()}
+    return design_for(manifest.model, delta=manifest.delta, d_override=manifest.d, **overrides)
 
 
 def design_payload(manifest: ExperimentManifest, design) -> dict:
-    payload = {
-        "name": manifest.name,
-        "protocol": manifest.protocol,
-        "d": float(design.d),
-        "delta": float(design.delta),
-    }
-    if isinstance(design, NoncollabDesign):
-        payload.update(
-            {
-                "delta_1": float(design.delta_1),
-                "delta_bar": float(design.delta_bar),
-                "lambda_min_p": float(design.lambda_min_p),
-                "cs_norm": float(design.cs_norm),
-                "S": design.transform.S.tolist(),
-                "T": design.transform.T.tolist(),
-                "H1": design.H1.tolist(),
-                "P": design.P.tolist(),
-                "gain_row": design.gain_row.tolist(),
-                "kernel": design.kernel.tolist(),
-            }
-        )
-    else:
-        payload.update(
-            {
-                "eta": float(design.eta),
-                "epsilon": float(design.epsilon),
-                "Q": design.Q.tolist(),
-                "QCt": design.QCt.tolist(),
-            }
-        )
+    payload = {"name": manifest.name, "protocol": manifest.protocol}
+    for path in ("d", "delta") + design.payload:  # arrays as nested lists, scalars as floats
+        value = attrgetter(path)(design)
+        payload[path.split(".")[-1]] = value.tolist() if isinstance(value, np.ndarray) else float(value)
     payload["manifest"] = manifest.raw
     return payload
 
@@ -403,17 +373,15 @@ def agent_summaries(run: SimulationRun, threshold: float) -> list[dict]:
     times = settling_report(run, threshold, SETTLING_WINDOW)
     settled = np.array([t is not None for t in times])
     flat = gain_flatness(run, FLATNESS_FRACTION)
-    flat_ok = flat["rho"] < FLATNESS_TOL
+    flat_ok = True
     columns = {
         "agent": run.agent_indices.tolist(),
         "settling_time": times,
-        "final_rho": run.rho[-1].tolist(),
-        "rho_flatness": flat["rho"].tolist(),
     }
-    if run.alpha is not None:
-        columns["final_alpha"] = run.alpha[-1].tolist()
-        columns["alpha_flatness"] = flat["alpha"].tolist()
-        flat_ok &= flat["alpha"] < FLATNESS_TOL
+    for gain, change in flat.items():
+        columns[f"final_{gain}"] = getattr(run, gain)[-1].tolist()
+        columns[f"{gain}_flatness"] = change.tolist()
+        flat_ok &= change < FLATNESS_TOL
     # Each agent's maxima from its settling time on, or over the whole run.
     after = run.times[:, None] >= np.array([run.times[0] if t is None else t for t in times])
     for key, series in (("max_coherency_after_settling", run.coherency_norm), ("max_metric_after_settling", settling_metric(run))):
@@ -541,14 +509,8 @@ def _cmd_design(args) -> int:
     _write_json(out_dir / "design.json", design_payload(manifest, design))
     print(f"design written: {out_dir / 'design.json'}")
     print(f"protocol: {manifest.protocol}")
-    print(f"d = {design.d!r}")
-    print(f"delta = {design.delta!r}")
-    if isinstance(design, NoncollabDesign):
-        print(f"delta_1 = {design.delta_1!r}")
-        print(f"lambda_min(P) = {design.lambda_min_p!r}")
-    else:
-        print(f"eta = {design.eta!r}")
-        print(f"epsilon = {design.epsilon!r}")
+    for label, attr in (("d", "d"), ("delta", "delta")) + design.printed:
+        print(f"{label} = {getattr(design, attr)!r}")
     return EXIT_PASS
 
 

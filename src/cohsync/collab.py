@@ -61,9 +61,10 @@ class PAlphaGrid:
     cell is solved by its own solve_care on first use, so its value is a
     function of its index alone, never of the order in which callers
     asked, which keeps repeated runs bit-identical.  cell(k) fills every
-    missing cell between 0 and k; the runtime law's gather (gain_rows)
-    solves only the cells its alphas index and reads the gain rows B'P_k
-    from one stacked table over the span of the cache.
+    missing cell between 0 and k, and cells(ks) only the cells of ks; the
+    runtime law's gather (gain_rows) solves only the cells its alphas
+    index and reads the gain rows B'P_k from one stacked table over the
+    span of the cache.
     """
 
     def __init__(self, A_shifted, B, CtC, ratio: float = GRID_RATIO):
@@ -118,9 +119,10 @@ class PAlphaGrid:
     def cached_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self._cells))
 
-    def _fill(self, indices) -> None:
-        """Solve every cell of indices that is not cached yet, then rebuild
-        the gather table over the cache's span.
+    def cells(self, indices) -> list[np.ndarray]:
+        """P_k of each cell k of indices, solving on first use those cells
+        alone, with no walk between them; the gather table is rebuilt over
+        the cache's span.
 
         Raises SolverError naming the cell and its alpha when a cell's
         solve fails, however it fails.
@@ -139,6 +141,7 @@ class PAlphaGrid:
         self._solved[at] = True
         self._table = np.zeros((hi - lo + 3,) + self.B.T.shape)
         self._table[at] = [BtP for _, BtP in self._cells.values()]
+        return [self._cells[k][0] for k in indices]
 
     def cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Solution pair (P_k, B'P_k) for grid cell k, solving on first use.
@@ -148,7 +151,7 @@ class PAlphaGrid:
         cells it asked for.
         """
         if k not in self._cells:
-            self._fill(range(min(k, 0), max(k, 0) + 1))
+            self.cells(range(min(k, 0), max(k, 0) + 1))
         return self._cells[k]
 
     def gain_rows(self, alphas) -> np.ndarray:
@@ -165,7 +168,7 @@ class PAlphaGrid:
         at = self._points.searchsorted(alphas, side="right")
         if not self._solved.take(at).all():
             ks = self.indices_for(alphas)
-            self._fill(np.unique(ks).tolist())
+            self.cells(np.unique(ks).tolist())
             at = ks - (self._lo - 1)
         return self._table.take(at, axis=0)
 
@@ -211,6 +214,14 @@ class CollabDesign:
     The grid carries the feedback family for A + epsilon I.
     """
 
+    # The protocol's declaration (simulate.PROTOCOLS).
+    protocol = "collaborative"
+    gains = ("rho", "alpha")
+    overrides = ()
+    settles = ("coherency_proxy", "exchange_energy")
+    payload = ("eta", "epsilon", "Q", "QCt")
+    printed = (("eta", "eta"), ("epsilon", "epsilon"))
+
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
@@ -255,6 +266,105 @@ class CollabDesign:
                 np.hstack([On, CtCQ, I, Ct, Ct]),
             ]
         )
+
+    @staticmethod
+    def widths(n: int, m: int) -> tuple[int, int, int]:
+        """Per agent of a model with n states and m inputs: observer states
+        x_hat, network-sum columns L x and L x_hat (one product over the [x,
+        x_hat] columns), and signal columns u, mismatch and exchange energy."""
+        return n, 2 * n, m + 2
+
+    def check_model(self, model: AgentModel) -> None:
+        if not all(np.array_equal(getattr(self, k), getattr(model, k)) for k in "ABC"):
+            raise ValueError("design was built for a different model")
+
+    def law_rows(self, model: AgentModel) -> np.ndarray:
+        """law_matrix, whose row [x_hat, L x, L x_hat] is in workspace order."""
+        return self.law_matrix
+
+    def law(self, PS: np.ndarray, F: np.ndarray, outs):
+        """The protocol's runtime law on a batch of agents, bound once to a
+        run's arrays: (rates, signals).
+
+        Row i of PS is agent i's protocol state [x_hat, rho, alpha] and row i
+        of F its stage product: the integrator's workspace row [x, x_hat, rho,
+        alpha, L x, L x_hat, w] times the stage matrix (simulate.stage_matrix),
+        whose law rows are law_matrix.  One Laplacian product gives both
+        network sums, so F holds A x + E w and law_matrix's outputs [A x_hat,
+        Q C' e, x_hat + zeta_tilde, C zeta_tilde, e], with zeta = C (L x) the
+        measured disagreement, zeta_tilde = L x_hat the exchanged sum and
+        e = C zeta_tilde - zeta the mismatch.
+
+        rates(j) writes the stage derivative [dx/dt, d x_hat / dt, d rho / dt,
+        d alpha / dt] of the current PS and F into outs[j].  B u is computed
+        once and added last to both A x + E w and the observer part
+        A x_hat - rho Q C' e, so the observer loop is bitwise the same for
+        every alpha.
+        mismatch = |C zeta_tilde - zeta|^2 drives rho through the dead zone d;
+        exchange = |C zeta_tilde|^2 drives alpha at rate min(exchange, 1) at
+        or above d and not at all below it.  Both gains are nondecreasing.  The
+        feedback is -alpha B'P_k (x_hat + zeta_tilde) with k the grid cell of
+        alpha (PAlphaGrid.index_for); alpha = 0 means no feedback at all, and u
+        is exactly +0.  signals() gives what rates last kept: (U, mismatch,
+        exchange), U the control rows.
+
+        The gains stop moving once every agent is inside the dead zone, so the
+        gain part of a stage is keyed on the bits of the alpha column
+        (AL.tobytes()): while they equal those of the last stage that formed
+        it, rates reuses that stage's gathered B'P_k rows, its alpha > 0 mask
+        and its -alpha, and when every alpha is positive it skips the masking
+        of U, whose selection of every row would return U's own bits.  Any
+        changed bit, a sign of zero included, forms them again.  Either way U
+        is bitwise what forming them afresh gives.
+        """
+        n, p = self.n, self.p_out
+        rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
+        if (PS.shape[1], F.shape) != (widths[0], (rows, widths[1])) or {o.shape for o in outs} != {(rows, widths[2])}:
+            got = ", ".join(str(a.shape) for a in (PS, F, *outs))
+            raise ValueError(f"expected rows of widths {widths}, got {got}")
+        d, B, BT, gain_rows = self.d, self.B, self.B.T, self.grid.gain_rows
+        RHO, AL = PS[:, n : n + 1], PS[:, n + 1 :]
+        AXW, AXH, QCE, XZ = (F[:, k * n : (k + 1) * n] for k in range(4))
+        # The squared norms of C zeta_tilde and e, which sit side by side in F.
+        CZ_E = F[:, 4 * n :].reshape(-1, 2, p)
+        blocks = [(out[:, :n], out[:, n : 2 * n], out[:, 2 * n], out[:, 2 * n + 1]) for out in outs]
+        recorded = None
+        # The bytes of the alpha column the gains were last formed from, and
+        # those gains: (B'P_k rows, -alpha, the alpha > 0 mask or None when
+        # every row is on).
+        key, gains = None, None
+
+        def rates(j):
+            nonlocal recorded, key, gains
+            dx, dx_hat, drho, dalpha = blocks[j]
+            exchange, mismatch = np.einsum("ijk,ijk->ji", CZ_E, CZ_E)
+            bits = AL.tobytes()
+            if bits != key:
+                # Every row gathers a cell; a row with alpha = 0 reads cell 0
+                # and discards it.
+                on = AL > 0.0
+                gains = gain_rows(np.where(on, AL, 1.0)[:, 0]), -AL, None if on.all() else on
+                key = bits
+            BtP, minus_alpha, on = gains
+            U = minus_alpha * np.einsum("imn,in->im", BtP, XZ)
+            if on is not None:  # selecting every row would return U's own bits
+                U = np.where(on, U, 0.0)
+            # B u stored column by column like F and out: the rows of U B' as
+            # the columns of B U', a lone row as part of a two-row product.
+            BU = row_product(U, BT) if rows == 1 else (B @ U.T).T
+            np.add(AXW, BU, out=dx)
+            np.multiply(RHO, QCE, out=dx_hat)
+            np.subtract(AXH, dx_hat, out=dx_hat)
+            dx_hat += BU
+            np.multiply(mismatch, mismatch >= d, out=drho)
+            # min(exchange, 1) at or above d, else min(exchange, 0) = 0.
+            np.minimum(exchange, exchange >= d, out=dalpha)
+            recorded = U, mismatch, exchange
+
+        def signals():
+            return recorded
+
+        return rates, signals
 
 
 def _uncontrollable_margin(A, B) -> float | None:
@@ -357,88 +467,3 @@ def design_collab(
         delta=float(delta),
         grid=grid,
     )
-
-
-def collab_law(design: CollabDesign, PS: np.ndarray, F: np.ndarray, outs):
-    """The protocol's runtime law on a batch of agents, bound once to a
-    run's arrays: (rates, signals).
-
-    Row i of PS is agent i's protocol state [x_hat, rho, alpha] and row i
-    of F its stage product: the integrator's workspace row [x, x_hat, rho,
-    alpha, L x, L x_hat, w] times the stage matrix (simulate.stage_matrix),
-    whose law rows are design.law_matrix.  One Laplacian product gives both
-    network sums, so F holds A x + E w and law_matrix's outputs [A x_hat,
-    Q C' e, x_hat + zeta_tilde, C zeta_tilde, e], with zeta = C (L x) the
-    measured disagreement, zeta_tilde = L x_hat the exchanged sum and
-    e = C zeta_tilde - zeta the mismatch.
-
-    rates(j) writes the stage derivative [dx/dt, d x_hat / dt, d rho / dt,
-    d alpha / dt] of the current PS and F into outs[j].  B u is computed
-    once and added last to both A x + E w and the observer part
-    A x_hat - rho Q C' e, so the observer loop is bitwise the same for
-    every alpha.
-    mismatch = |C zeta_tilde - zeta|^2 drives rho through the dead zone d;
-    exchange = |C zeta_tilde|^2 drives alpha at rate min(exchange, 1) at
-    or above d and not at all below it.  Both gains are nondecreasing.  The
-    feedback is -alpha B'P_k (x_hat + zeta_tilde) with k the grid cell of
-    alpha (PAlphaGrid.index_for); alpha = 0 means no feedback at all, and u
-    is exactly +0.  signals() gives what rates last kept: (U, mismatch,
-    exchange), U the control rows.
-
-    The gains stop moving once every agent is inside the dead zone, so the
-    gain part of a stage is keyed on the bits of the alpha column
-    (AL.tobytes()): while they equal those of the last stage that formed
-    it, rates reuses that stage's gathered B'P_k rows, its alpha > 0 mask
-    and its -alpha, and when every alpha is positive it skips the masking
-    of U, whose selection of every row would return U's own bits.  Any
-    changed bit, a sign of zero included, forms them again.  Either way U
-    is bitwise what forming them afresh gives.
-    """
-    n, p = design.n, design.p_out
-    rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
-    if (PS.shape[1], F.shape) != (widths[0], (rows, widths[1])) or {o.shape for o in outs} != {(rows, widths[2])}:
-        got = ", ".join(str(a.shape) for a in (PS, F, *outs))
-        raise ValueError(f"expected rows of widths {widths}, got {got}")
-    d, B, BT, gain_rows = design.d, design.B, design.B.T, design.grid.gain_rows
-    RHO, AL = PS[:, n : n + 1], PS[:, n + 1 :]
-    AXW, AXH, QCE, XZ = (F[:, k * n : (k + 1) * n] for k in range(4))
-    # The squared norms of C zeta_tilde and e, which sit side by side in F.
-    CZ_E = F[:, 4 * n :].reshape(-1, 2, p)
-    blocks = [(out[:, :n], out[:, n : 2 * n], out[:, 2 * n], out[:, 2 * n + 1]) for out in outs]
-    recorded = None
-    # The bytes of the alpha column the gains were last formed from, and
-    # those gains: (B'P_k rows, -alpha, the alpha > 0 mask or None when
-    # every row is on).
-    key, gains = None, None
-
-    def rates(j):
-        nonlocal recorded, key, gains
-        dx, dx_hat, drho, dalpha = blocks[j]
-        exchange, mismatch = np.einsum("ijk,ijk->ji", CZ_E, CZ_E)
-        bits = AL.tobytes()
-        if bits != key:
-            # Every row gathers a cell; a row with alpha = 0 reads cell 0
-            # and discards it.
-            on = AL > 0.0
-            gains = gain_rows(np.where(on, AL, 1.0)[:, 0]), -AL, None if on.all() else on
-            key = bits
-        BtP, minus_alpha, on = gains
-        U = minus_alpha * np.einsum("imn,in->im", BtP, XZ)
-        if on is not None:  # selecting every row would return U's own bits
-            U = np.where(on, U, 0.0)
-        # B u stored column by column like F and out: the rows of U B' as
-        # the columns of B U', a lone row as part of a two-row product.
-        BU = row_product(U, BT) if rows == 1 else (B @ U.T).T
-        np.add(AXW, BU, out=dx)
-        np.multiply(RHO, QCE, out=dx_hat)
-        np.subtract(AXH, dx_hat, out=dx_hat)
-        dx_hat += BU
-        np.multiply(mismatch, mismatch >= d, out=drho)
-        # min(exchange, 1) at or above d, else min(exchange, 0) = 0.
-        np.minimum(exchange, exchange >= d, out=dalpha)
-        recorded = U, mismatch, exchange
-
-    def signals():
-        return recorded
-
-    return rates, signals

@@ -57,6 +57,16 @@ class NoncollabDesign:
     0 < d < delta_bar / ||C S^-1||.
     """
 
+    # The protocol's declaration (simulate.PROTOCOLS).
+    protocol = "noncollaborative"
+    gains = ("rho",)
+    overrides = ("S", "T", "H1")
+    settles = ("coherency_proxy",)
+    payload = (
+        "delta_1", "delta_bar", "lambda_min_p", "cs_norm", "transform.S", "transform.T", "H1", "P", "gain_row", "kernel"
+    )
+    printed = (("delta_1", "delta_1"), ("lambda_min(P)", "lambda_min_p"))
+
     transform: OutputTransform
     H1: np.ndarray
     P: np.ndarray
@@ -110,18 +120,91 @@ class NoncollabDesign:
         ]
         return np.vstack([np.hstack(from_xi1), np.hstack(from_zeta)])
 
-    def law_matrix_on_sums(self, C: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """law_matrix on a row [xi1_hat, L x], through the measurement
-        zeta = C (L x), with -B gain_row @ xi_hat as a last column block:
-        u is linear in the row but for the factor rho, so B enters the
-        integrator's stage product too."""
+    @staticmethod
+    def widths(n: int, m: int) -> tuple[int, int, int]:
+        """Per agent of a model with n states and m inputs: observer states
+        xi1_hat, network-sum columns L x, and signal columns u and proxy."""
+        return n - m, n, m + 1
+
+    def check_model(self, model: AgentModel) -> None:
+        if (self.n, self.p_out, self.m) != (model.n, model.p, model.m):
+            raise ValueError("design dimensions do not match the model")
+
+    def law_rows(self, model: AgentModel) -> np.ndarray:
+        """The stage matrix's law rows: law_matrix on a row [xi1_hat, L x],
+        through the measurement zeta = C (L x), with -B gain_row @ xi_hat
+        as a last column block: u is linear in the row but for the factor
+        rho, so B enters the integrator's stage product too."""
         n1, LM = self.n1, self.law_matrix
-        rows = np.vstack([LM[:n1], C.T @ LM[n1:]])
-        return np.hstack([rows, rows[:, rows.shape[1] - self.m :] @ B.T])
+        rows = np.vstack([LM[:n1], model.C.T @ LM[n1:]])
+        return np.hstack([rows, rows[:, rows.shape[1] - self.m :] @ model.B.T])
 
     def d_upper_bound(self) -> float:
         """Open upper limit of admissible dead-zone levels for this design."""
         return self.delta_bar / self.cs_norm
+
+    def law(self, PS: np.ndarray, F: np.ndarray, outs):
+        """The protocol's runtime law on a batch of agents, bound once to a
+        run's arrays: (rates, signals).
+
+        Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of F
+        its stage product: the integrator's workspace row [x, xi1_hat, rho,
+        L x, w] times the stage matrix (simulate.stage_matrix), whose law rows
+        are law_rows(model).
+        The measurement zeta = C (L x) splits through T into (zeta_1, zeta_2);
+        zeta_2 doubles as the directly measured tail of the estimate xi_hat =
+        [xi1_hat, zeta_2] that the gain and the trigger see.  So F holds
+        [A x + E w, d xi1_hat / dt, xi_hat, xi_hat P, -gain_row @ xi_hat,
+        -B gain_row @ xi_hat].
+
+        rates(j) writes the stage derivative [dx/dt, d xi1_hat / dt,
+        d rho / dt] of the current PS and F into outs[j], with dx/dt = A x +
+        E w + B u for u = -rho * gain_row @ xi_hat.  rho never decreases: its
+        rate is |gain_row @ xi_hat|^2 = xi_hat' kernel xi_hat while the trigger
+        proxy = xi_hat' P xi_hat is at least d, and zero otherwise.  Both
+        quadratic forms are summed over their terms from +0 in column order.
+        signals() gives (U, proxy, None) of the stage rates last wrote, while
+        PS and F still hold it; only signals() forms U, the control rows, and
+        proxy is the binding's own buffer, which the next rates overwrites.
+        """
+        n1, n, m = self.n1, self.n, self.m
+        rows, widths = PS.shape[0], (n1 + 1, 4 * n + n1 + m, n + n1 + 1)
+        if (PS.shape[1], F.shape) != (widths[0], (rows, widths[1])) or {o.shape for o in outs} != {(rows, widths[2])}:
+            got = ", ".join(str(a.shape) for a in (PS, F, *outs))
+            raise ValueError(f"expected rows of widths {widths}, got {got}")
+        d, RHO = self.d, PS[:, n1:]
+        i = n + n1
+        cuts = (0, n, i, i + n, i + 2 * n, i + 2 * n + m, F.shape[1])
+        AXW, DXI1, XH, XHP, NGX, NBGX = (F[:, a:b] for a, b in zip(cuts, cuts[1:]))
+        blocks = [(out[:, :n], out[:, n:i], out[:, i]) for out in outs]
+        # The terms of proxy (xi_hat times xi_hat P) and of drive (gain_row
+        # xi_hat squared), agents along the fast axis, each half summed over
+        # its columns from +0 in column order by one reduction; the columns
+        # the drive half does not use stay +0 and add nothing.  A lone agent
+        # gets a second, zero agent column: numpy sums a contiguous axis
+        # pairwise, which would round a lone row's sums apart from a batch's.
+        span = max(rows, 2)
+        terms = np.zeros((2, max(n, m), span))
+        sums, on = np.empty((2, span)), np.empty(rows, dtype=bool)
+        proxy, drive = sums[:, :rows]
+        XHT, XHPT, NGXT = XH.T, XHP.T, NGX.T
+        proxy_terms, drive_terms = terms[0, :n, :rows], terms[1, :m, :rows]
+
+        def rates(j):
+            dx, dxi1, drho = blocks[j]
+            np.multiply(XHT, XHPT, out=proxy_terms)
+            np.multiply(NGXT, NGXT, out=drive_terms)
+            np.add.reduce(terms, axis=1, initial=0.0, out=sums)
+            np.multiply(RHO, NBGX, out=dx)
+            dx += AXW
+            dxi1[...] = DXI1
+            np.greater_equal(proxy, d, out=on)
+            np.multiply(drive, on, out=drho)
+
+        def signals():
+            return RHO * NGX, proxy, None
+
+        return rates, signals
 
 
 def design_noncollab(
@@ -216,67 +299,3 @@ def design_noncollab(
         lambda_min_p=float(lambda_min_p),
         cs_norm=float(cs_norm),
     )
-
-
-def noncollab_law(design: NoncollabDesign, PS: np.ndarray, F: np.ndarray, outs):
-    """The protocol's runtime law on a batch of agents, bound once to a
-    run's arrays: (rates, signals).
-
-    Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of F
-    its stage product: the integrator's workspace row [x, xi1_hat, rho,
-    L x, w] times the stage matrix (simulate.stage_matrix), whose law rows
-    are design.law_matrix_on_sums(C, B).
-    The measurement zeta = C (L x) splits through T into (zeta_1, zeta_2);
-    zeta_2 doubles as the directly measured tail of the estimate xi_hat =
-    [xi1_hat, zeta_2] that the gain and the trigger see.  So F holds
-    [A x + E w, d xi1_hat / dt, xi_hat, xi_hat P, -gain_row @ xi_hat,
-    -B gain_row @ xi_hat].
-
-    rates(j) writes the stage derivative [dx/dt, d xi1_hat / dt,
-    d rho / dt] of the current PS and F into outs[j], with dx/dt = A x +
-    E w + B u for u = -rho * gain_row @ xi_hat.  rho never decreases: its
-    rate is |gain_row @ xi_hat|^2 = xi_hat' kernel xi_hat while the trigger
-    proxy = xi_hat' P xi_hat is at least d, and zero otherwise.  Both
-    quadratic forms are summed over their terms from +0 in column order.
-    signals() gives (U, proxy, None) of the stage rates last wrote, while
-    PS and F still hold it; only signals() forms U, the control rows, and
-    proxy is the binding's own buffer, which the next rates overwrites.
-    """
-    n1, n, m = design.n1, design.n, design.m
-    rows, widths = PS.shape[0], (n1 + 1, 4 * n + n1 + m, n + n1 + 1)
-    if (PS.shape[1], F.shape) != (widths[0], (rows, widths[1])) or {o.shape for o in outs} != {(rows, widths[2])}:
-        got = ", ".join(str(a.shape) for a in (PS, F, *outs))
-        raise ValueError(f"expected rows of widths {widths}, got {got}")
-    d, RHO = design.d, PS[:, n1:]
-    i = n + n1
-    cuts = (0, n, i, i + n, i + 2 * n, i + 2 * n + m, F.shape[1])
-    AXW, DXI1, XH, XHP, NGX, NBGX = (F[:, a:b] for a, b in zip(cuts, cuts[1:]))
-    blocks = [(out[:, :n], out[:, n:i], out[:, i]) for out in outs]
-    # The terms of proxy (xi_hat times xi_hat P) and of drive (gain_row
-    # xi_hat squared), agents along the fast axis, each half summed over
-    # its columns from +0 in column order by one reduction; the columns
-    # the drive half does not use stay +0 and add nothing.  A lone agent
-    # gets a second, zero agent column: numpy sums a contiguous axis
-    # pairwise, which would round a lone row's sums apart from a batch's.
-    span = max(rows, 2)
-    terms = np.zeros((2, max(n, m), span))
-    sums, on = np.empty((2, span)), np.empty(rows, dtype=bool)
-    proxy, drive = sums[:, :rows]
-    XHT, XHPT, NGXT = XH.T, XHP.T, NGX.T
-    proxy_terms, drive_terms = terms[0, :n, :rows], terms[1, :m, :rows]
-
-    def rates(j):
-        dx, dxi1, drho = blocks[j]
-        np.multiply(XHT, XHPT, out=proxy_terms)
-        np.multiply(NGXT, NGXT, out=drive_terms)
-        np.add.reduce(terms, axis=1, initial=0.0, out=sums)
-        np.multiply(RHO, NBGX, out=dx)
-        dx += AXW
-        dxi1[...] = DXI1
-        np.greater_equal(proxy, d, out=on)
-        np.multiply(drive, on, out=drho)
-
-    def signals():
-        return RHO * NGX, proxy, None
-
-    return rates, signals

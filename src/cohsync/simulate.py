@@ -3,18 +3,19 @@
 The integrator owns what every protocol shares: the agents' plant dynamics,
 the network sums through the graph Laplacian, the disturbance rows, the
 classical fourth-order Runge-Kutta scheme on a fixed grid, blow-up and
-growth detection, and recording.  The protocol itself enters only as its
-batched runtime law (noncollab.noncollab_law or collab.collab_law) and
-the design's law_matrix in the stage matrix; this module reads none of a
-design's gains.  Each stage fills one preallocated workspace, rows [x,
-protocol state, network sums, w] with the sums L x (and L x_hat for the
-collaborative law), and makes one sparse Laplacian product and one dense
-product with a stage matrix composed once from A, E and the law's rows;
-the law, bound to the workspace once per run, writes the stage derivative
-in place.  What only recording reads (the noncollaborative controls, C x
-and C (L x)) is formed only for recorded samples, and the collaborative
-law's gain work (the P_alpha rows, the alpha > 0 mask, -alpha) runs only
-when a bit of the alpha column moves.
+growth detection, and recording.  The protocol itself enters only through
+the declaration of its design class, found by name in PROTOCOLS: its
+gains, its per-agent widths, its model check, its stage rows (law_rows),
+its batched runtime law (law) and the series that must settle; this
+module reads none of a design's gains and never asks which protocol it
+runs.  Each stage fills one preallocated workspace, rows [x, protocol
+state, network sums, w], and makes one sparse Laplacian product and one
+dense product with a stage matrix composed once from A, E and the law's
+rows; the law, bound to the workspace once per run, writes the stage
+derivative in place.  What only recording reads (the noncollaborative
+controls, C x and C (L x)) is formed only for recorded samples, and the
+collaborative law's gain work (the P_alpha rows, the alpha > 0 mask,
+-alpha) runs only when a bit of the alpha column moves.
 Dead-zone branches in the gain laws are re-evaluated at every substep; no
 event localization is attempted, since crossing a dead zone only switches
 between nonnegative growth rates.
@@ -57,16 +58,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import AgentModel
-from .collab import CollabDesign, collab_law
+from .collab import CollabDesign
 from .graphs import DirectedWeightedGraph, SparseLaplacian, weakly_connected_components
 from .linalg import SolverError, row_product
-from .noncollab import NoncollabDesign, noncollab_law
+from .noncollab import NoncollabDesign
 
 # A single RK4 step multiplying the state envelope by more than this is
 # reported as a step-size warning.
 _GROWTH_LIMIT = 1e3
 
 _DISTURBANCE_KINDS = ("zero", "chirp", "sawtooth", "table")
+
+# Each protocol's design class by the protocol's name.  The class declares
+# all that the integrator and the command line need of the protocol: its
+# name (protocol); its adaptive gains, in state-row order (gains); the
+# manifest overrides its design takes (overrides); the run series whose
+# pointwise maximum must settle (settles); the attributes design.json holds
+# after d and delta, by dotted path (payload); the (label, attribute) lines
+# `cohsync design` prints after them (printed); its per-agent widths
+# (widths); its model check (check_model); its stage rows (law_rows); and
+# its runtime law (law), bound once per run.
+PROTOCOLS = {cls.protocol: cls for cls in (NoncollabDesign, CollabDesign)}
 
 
 class IntegrationBlowup(SolverError):
@@ -366,27 +378,24 @@ def stage_matrix(model: AgentModel, design) -> np.ndarray:
     """The matrix of a stage's one dense product.
 
     Maps a workspace row [x, observer state, gains, network sums, w] to
-    [A x + E w, the law's linear outputs]: the design's law_matrix, or for
-    the noncollaborative law its law_matrix_on_sums(C, B).  The gains (rho,
-    and alpha for the collaborative law) only scale the law's outputs, so
-    their rows are zero.
+    [A x + E w, the law's linear outputs]: the design's law_rows, those of
+    the observer state and then those of the sums.  The gains only scale
+    the law's outputs, so their rows are zero.
     """
-    if isinstance(design, NoncollabDesign):
-        observer, gains, law_rows = design.n1, 1, design.law_matrix_on_sums(model.C, model.B)
-    else:
-        observer, gains, law_rows = design.n, 2, design.law_matrix
     n = model.n
-    x_hat, sums = n + observer, n + observer + gains
-    w0 = sums + law_rows.shape[0] - observer
+    observer, sums, _ = design.widths(n, model.m)
+    law_rows = design.law_rows(model)
+    x_hat, s0 = n + observer, n + observer + len(design.gains)
+    w0 = s0 + sums
     M = np.zeros((w0 + model.w, n + law_rows.shape[1]))
     M[:n, :n] = model.A.T
     M[n:x_hat, n:] = law_rows[:observer]
-    M[sums:w0, n:] = law_rows[observer:]
+    M[s0:w0, n:] = law_rows[observer:]
     M[w0:, :n] = model.E.T
     return M
 
 
-def _stage(model, design, law, sums, graph, spec, indices):
+def _stage(model, design, graph, spec, indices):
     """The integrator's stage, bound once per run: (stage, record, X, K).
 
     A stage fills the workspace rows [x, protocol state, network sums, w]:
@@ -402,6 +411,7 @@ def _stage(model, design, law, sums, graph, spec, indices):
     for the zero kind.  record() gives the L x block and the law's signals.
     """
     n, n_agents = model.n, graph.n_nodes
+    sums = design.widths(n, model.m)[1]
     M = stage_matrix(model, design)
     width = M.shape[0] - model.w - sums  # [x, protocol state]
     W = np.zeros((max(n_agents, 2), M.shape[0]), order="F")
@@ -410,7 +420,7 @@ def _stage(model, design, law, sums, graph, spec, indices):
     X, PS = W[:n_agents, :width], W[:n_agents, n:width]
     NS, WD = W[:n_agents, width : width + sums], W[:n_agents, width + sums :]
     laplacian_product = SparseLaplacian(graph).bind(X[:, :sums], NS)
-    rates, signals = law(design, PS, F[:n_agents], [Kj.T for Kj in K])
+    rates, signals = design.law(PS, F[:n_agents], [Kj.T for Kj in K])
     disturb = _disturbance_writer(spec, indices)
     MT, WT, FT, LX = M.T, W.T, F.T, NS[:, :n]
     w_time = None  # the time whose w the workspace holds
@@ -433,11 +443,13 @@ def _stage(model, design, law, sums, graph, spec, indices):
 def check_run(
     model: AgentModel, spec: DisturbanceSpec, dt: float, t_end: float, n_agents: int, stride: int, protocol: str
 ) -> int:
-    """The run's number of steps; ValueError unless 0 < dt <= t_end with
-    t_end / dt finite, stride >= 1, a nonzero disturbance has one channel
-    per column of E, a table covers the run's horizon [0, n_steps dt], and
-    what a run of the protocol records for n_agents agents fits in
-    physical memory."""
+    """The run's number of steps; ValueError unless there are agents,
+    0 < dt <= t_end with t_end / dt finite, stride >= 1, a nonzero
+    disturbance has one channel per column of E, a table covers the run's
+    horizon [0, n_steps dt], and what a run of the named protocol records
+    for n_agents agents fits in physical memory."""
+    if n_agents == 0:
+        raise ValueError("the graph has no agents")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if not t_end >= dt:
@@ -454,13 +466,11 @@ def check_run(
             f"the disturbance table covers [{float(spec.times[0])!r}, {float(spec.times[-1])!r}], "
             f"not the run's [0, {n_steps * dt!r}]"
         )
-    # Per sample and agent a run keeps the state row [x, protocol state]
-    # (observer x_hat and rho, alpha, or the n - m observer states and rho),
-    # L x, the law's signals (u, the settling proxy, the exchange energy),
-    # and then the outputs, the disagreements C L x and their norm.
-    n, m, p = model.n, model.m, model.p
-    collaborative = protocol == "collaborative"
-    state, signals = (2 * n + 2, m + 2) if collaborative else (2 * n - m + 1, m + 1)
+    # Per sample and agent a run keeps the state row, L x, the law's
+    # signals, the outputs, the disagreements C L x and their norm.
+    n, p, declared = model.n, model.p, PROTOCOLS[protocol]
+    observer, _, signals = declared.widths(n, model.m)
+    state = n + observer + len(declared.gains)
     n_samples = _sample_count(n_steps, stride)
     record_bytes = 8 * n_samples * (1 + n_agents * (state + n + signals + 2 * p + 1))  # 1: the time
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -483,34 +493,19 @@ def simulate(config: SimConfig) -> SimulationRun:
     Raises IntegrationBlowup when the state stops being finite.
     """
     model, graph, design = config.model, config.graph, config.design
-    n = model.n
-    if isinstance(design, NoncollabDesign):
-        protocol = "noncollaborative"
-        if design.n != model.n or design.p_out != model.p or design.m != model.m:
-            raise ValueError("design dimensions do not match the model")
-        obs_width = design.n1
-        law, sums = noncollab_law, n  # the network sums: L x
-    elif isinstance(design, CollabDesign):
-        protocol = "collaborative"
-        if not all(np.array_equal(getattr(design, k), getattr(model, k)) for k in "ABC"):
-            raise ValueError("design was built for a different model")
-        obs_width = design.n
-        # Collaborating agents also exchange their observer states: one
-        # product over the [x, x_hat] columns gives L x and L x_hat.
-        law, sums = collab_law, 2 * n
-    else:
+    if type(design) not in PROTOCOLS.values():
         raise TypeError("design must be a NoncollabDesign or CollabDesign")
-    collaborative = protocol == "collaborative"
+    design.check_model(model)
+    n = model.n
+    observer = design.widths(n, model.m)[0]
 
     spec = config.disturbance
     n_agents = graph.n_nodes
     stride = int(config.record_stride)
-    n_steps = check_run(model, spec, config.dt, config.t_end, n_agents, stride, protocol)
+    n_steps = check_run(model, spec, config.dt, config.t_end, n_agents, stride, design.protocol)
     seed = int(config.seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    if n_agents == 0:
-        raise ValueError("the graph has no agents")
     if config.disturbance_indices is None:
         indices = np.arange(1, n_agents + 1, dtype=float)
     else:
@@ -520,12 +515,12 @@ def simulate(config: SimConfig) -> SimulationRun:
             raise ValueError("disturbance_indices must list one 1-based index per agent, below 2**32")
         indices = np.asarray(indices, dtype=float)
 
-    rho0, alpha0 = float(config.initial_rho), float(config.initial_alpha)
-    if not (0.0 <= rho0 < np.inf and 0.0 <= alpha0 < np.inf):
+    gains0 = {"rho": float(config.initial_rho), "alpha": float(config.initial_alpha)}
+    if not all(0.0 <= g < np.inf for g in gains0.values()):
         raise ValueError("initial gains must be nonnegative and finite")
-    if alpha0 != 0.0 and not collaborative:
+    if gains0["alpha"] != 0.0 and "alpha" not in design.gains:
         raise ValueError("initial_alpha applies only to the collaborative protocol")
-    ps0 = np.concatenate([np.zeros(obs_width), [rho0, alpha0] if collaborative else [rho0]])
+    ps0 = np.concatenate([np.zeros(observer), [gains0[g] for g in design.gains]])
 
     if config.initial_states is not None:
         x0 = np.asarray(config.initial_states, dtype=float)
@@ -542,7 +537,7 @@ def simulate(config: SimConfig) -> SimulationRun:
     components = weakly_connected_components(graph)
     order = np.concatenate(components)
     starts = np.cumsum([0] + [len(comp) for comp in components[:-1]])
-    stage, record, X, K = _stage(model, design, law, sums, graph, spec, indices)
+    stage, record, X, K = _stage(model, design, graph, spec, indices)
 
     # A diverging step is detected and raised inside the integration;
     # numpy's per-element overflow warnings on the way there are noise.
@@ -555,20 +550,20 @@ def simulate(config: SimConfig) -> SimulationRun:
     # any other batch (linalg.row_product).
     y, z = (row_product(V.reshape(-1, n), model.C.T).reshape(V.shape[:2] + (-1,)) for V in (S[:, :, :n], LX))
 
-    rho_col = n + obs_width
+    gains = {g: S[:, :, n + observer + i] for i, g in enumerate(design.gains)}
     return SimulationRun(
-        protocol=protocol,
+        protocol=design.protocol,
         times=times,
         agent_indices=indices.astype(int),
         states=S[:, :, :n],
-        protocol_states=S[:, :, n:rho_col],
+        protocol_states=S[:, :, n : n + observer],
         outputs=y,
         controls=u,
         zeta=z,
-        rho=S[:, :, rho_col],
+        rho=gains["rho"],
         coherency_norm=np.linalg.norm(z, axis=2),
         coherency_proxy=proxy,
-        alpha=S[:, :, rho_col + 1] if collaborative else None,
+        alpha=gains.get("alpha"),
         exchange_energy=exch,
         dt=config.dt,
         t_end=float(times[-1]),
@@ -601,14 +596,9 @@ def detect_settling(times, values, threshold: float, trailing_window: float) -> 
 
 
 def settling_metric(run: SimulationRun) -> np.ndarray:
-    """Per-agent series compared against the 2d acceptance threshold.
-
-    Collaborative runs must keep both the mismatch energy and the exchange
-    energy small, so the metric is their pointwise maximum.
-    """
-    if run.protocol == "collaborative":
-        return np.maximum(run.coherency_proxy, run.exchange_energy)
-    return run.coherency_proxy
+    """Per-agent series compared against the 2d acceptance threshold: the
+    pointwise maximum of the series the protocol declares must settle."""
+    return functools.reduce(np.maximum, [getattr(run, series) for series in PROTOCOLS[run.protocol].settles])
 
 
 def settling_report(run: SimulationRun, threshold: float, trailing_window: float):
@@ -632,10 +622,8 @@ def gain_flatness(run: SimulationRun, fraction: float = 0.1) -> dict:
         raise ValueError("fraction must be in (0, 1]")
     t0, t1 = float(run.times[0]), float(run.times[-1])
     tail = run.times >= t1 - fraction * (t1 - t0)
-    out = {"rho": run.rho[tail].max(axis=0) - run.rho[tail].min(axis=0)}
-    if run.alpha is not None:
-        out["alpha"] = run.alpha[tail].max(axis=0) - run.alpha[tail].min(axis=0)
-    return out
+    tails = {gain: getattr(run, gain)[tail] for gain in PROTOCOLS[run.protocol].gains}
+    return {gain: series.max(axis=0) - series.min(axis=0) for gain, series in tails.items()}
 
 
 # The exact %.17g of whole arrays.  A value's text is a record of six
@@ -800,9 +788,8 @@ def write_trajectory_csv(run: SimulationRun, path) -> None:
     row's sample and the agent's record, formatted once per run; deleting
     the zero bytes of the chunk's records leaves its text.
     """
-    scalars = {"coherency_norm": run.coherency_norm, "coherency_proxy": run.coherency_proxy, "rho": run.rho}
-    if run.alpha is not None:
-        scalars["alpha"] = run.alpha
+    scalars = {"coherency_norm": run.coherency_norm, "coherency_proxy": run.coherency_proxy}
+    scalars.update((gain, getattr(run, gain)) for gain in PROTOCOLS[run.protocol].gains)
     columns = ["t", "agent"] + [f"y{j + 1}" for j in range(run.outputs.shape[2])] + list(scalars)
     columns += [f"u{j + 1}" for j in range(run.controls.shape[2])]
     # (samples x agents, width) blocks, rows in file order.

@@ -405,6 +405,32 @@ def test_cli_design_rejects_impossible_model(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "protocol, lines",
+    [("noncollaborative", ("delta_1 = ", "lambda_min(P) = ")), ("collaborative", ("eta = ", "epsilon = "))],
+)
+def test_cli_design_prints_the_protocol_constants(tmp_path, capsys, protocol, lines):
+    data = tiny_manifest_dict() if protocol == "noncollaborative" else tiny_collab_dict()
+    code = main(["design", "--manifest", str(write_manifest(tmp_path, data)), "--out", str(tmp_path / "out")])
+    assert code == EXIT_PASS
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"design written: {tmp_path / 'out' / 'design.json'}"
+    assert printed[1:3] == [f"protocol: {protocol}", "d = 0.5"]
+    labels = ("delta = ",) + lines
+    assert len(printed) == 3 + len(labels)
+    assert all(line.startswith(label) for line, label in zip(printed[3:], labels))
+
+
+@pytest.mark.parametrize("protocol", [[1, 2], {}], ids=["list", "object"])
+def test_unhashable_protocols_exit_two_without_traceback(tmp_path, capsys, protocol):
+    path = write_manifest(tmp_path, tiny_collab_dict(protocol=protocol))
+    code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'protocol' must be one of" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("key", ["rho0", "alpha0"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_initial_gains_rejected_at_load(tmp_path, capsys, key, value):
@@ -454,6 +480,17 @@ def test_run_settings_rejected_before_any_artifact(tmp_path, capsys, extra, flag
     code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run"), *flags])
     assert code == EXIT_CONFIG
     assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_graph_without_agents_is_rejected_before_any_artifact(tmp_path, capsys):
+    # The collaborative design of this model succeeds, so only a check made
+    # before the design keeps design.json and its directory from being made.
+    (tmp_path / "empty.txt").write_text("nodes 0\n")
+    path = write_manifest(tmp_path, tiny_collab_dict(graph={"edge_list": "empty.txt"}))
+    code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert "the graph has no agents" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 import cohsync.collab
 from cohsync.agents import AgentModel, check_assumptions
 from cohsync.cli import build_design, load_bundled_manifest
-from cohsync.collab import collab_law, design_collab, p_alpha_family
+from cohsync.collab import design_collab, p_alpha_family
 from cohsync.linalg import SolverError, min_eigenvalue_sym, row_product, solve_care
 from cohsync.simulate import SimConfig, simulate, stage_matrix
 from cohsync.verification import seeded_minimum_phase_model
@@ -245,7 +245,7 @@ def law(design, PS, LS):
     n, rows = design.n, PS.shape[0]
     W = np.hstack([np.zeros((rows, n)), PS, LS, np.zeros((rows, model.w))])
     out = np.empty((rows, n + PS.shape[1]))
-    rates, signals = collab_law(design, PS, row_product(W, stage_matrix(model, design)), [out])
+    rates, signals = design.law(PS, row_product(W, stage_matrix(model, design)), [out])
     rates(0)
     U, mismatch, exchange = signals()
     return (out[:, n : 2 * n], out[:, 2 * n : 2 * n + 1], out[:, 2 * n + 1 :]), U, mismatch, exchange
@@ -379,11 +379,11 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(ValueError):
         one_agent(design, np.zeros(2), 0.0, 0.0, np.zeros(1), np.zeros(3))
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((1, 5)), np.zeros((1, 13)), [np.empty((1, 8))])
+        design.law(np.zeros((1, 5)), np.zeros((1, 13)), [np.empty((1, 8))])
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((2, 5)), np.zeros((3, 14)), [np.empty((2, 8))])
+        design.law(np.zeros((2, 5)), np.zeros((3, 14)), [np.empty((2, 8))])
     with pytest.raises(ValueError):
-        collab_law(design, np.zeros((2, 5)), np.zeros((2, 14)), [np.empty((2, 5))])
+        design.law(np.zeros((2, 5)), np.zeros((2, 14)), [np.empty((2, 5))])
 
 
 def test_batched_rows_match_single_agent_calls():
@@ -553,6 +553,16 @@ def test_cell_walk_fills_the_gaps_gathers_leave(monkeypatch):
     assert len(solved) == 21
 
 
+def test_cells_solves_the_cells_asked_for_alone(monkeypatch):
+    grid = reference_design().grid
+    solved = care_solve_alphas(monkeypatch)
+    Ps = grid.cells(range(0, 9, 4))
+    assert solved == [grid.alpha_at(4), grid.alpha_at(8)]  # cell 0 was cached, and no walk
+    assert grid.cached_indices() == (0, 4, 8)
+    fresh = reference_design().grid
+    assert all(np.array_equal(P, fresh.cell(k)[0]) for P, k in zip(Ps, (0, 4, 8)))
+
+
 def test_indices_for_rejects_non_finite_and_non_positive_alphas():
     grid = reference_design().grid
     for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
@@ -684,7 +694,7 @@ def test_gains_reused_while_the_alpha_column_keeps_its_bits(monkeypatch):
     PS = W[:, n : 2 * n + 2]
     F = row_product(W, M)
     outs = [np.empty((rows, 2 * n + 2)) for _ in range(4)]
-    rates, signals = collab_law(design, PS, F, outs)
+    rates, signals = design.law(PS, F, outs)
     rng = np.random.default_rng(43)
     expected_gathers = 0
     for step, column in enumerate(columns):
@@ -698,7 +708,7 @@ def test_gains_reused_while_the_alpha_column_keeps_its_bits(monkeypatch):
         U, mismatch, exchange = signals()
 
         fresh_out = np.empty_like(outs[j])
-        fresh_rates, fresh_signals = collab_law(fresh_design, PS.copy(), F.copy(), [fresh_out])
+        fresh_rates, fresh_signals = fresh_design.law(PS.copy(), F.copy(), [fresh_out])
         fresh_rates(0)
         assert outs[j].tobytes() == fresh_out.tobytes()
         for got, want in zip((U, mismatch, exchange), fresh_signals()):

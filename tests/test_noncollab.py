@@ -5,7 +5,7 @@ import pytest
 
 from cohsync.agents import AgentModel
 from cohsync.linalg import SolverError, row_product
-from cohsync.noncollab import design_noncollab, noncollab_law
+from cohsync.noncollab import design_noncollab
 from cohsync.simulate import stage_matrix
 from cohsync.verification import seeded_minimum_phase_model
 
@@ -116,7 +116,7 @@ def law(design, PS, Z):
     LX = np.asarray(Z, dtype=float) @ np.linalg.pinv(model.C).T  # C (L x) = Z
     W = np.hstack([np.zeros((rows, n)), PS, LX, np.zeros((rows, model.w))])
     out = np.empty((rows, n + PS.shape[1]))
-    rates, signals = noncollab_law(design, PS, row_product(W, stage_matrix(model, design)), [out])
+    rates, signals = design.law(PS, row_product(W, stage_matrix(model, design)), [out])
     rates(0)
     U, proxy, exchange = signals()
     return (out[:, n : n + design.n1], out[:, n + design.n1 :]), U, proxy, exchange
@@ -245,9 +245,9 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(ValueError):
         one_agent(design, np.zeros(2), 0.0, np.zeros(2))
     with pytest.raises(ValueError):
-        noncollab_law(design, np.zeros((2, 4)), np.zeros((3, 20)), [np.empty((2, 8))])
+        design.law(np.zeros((2, 4)), np.zeros((3, 20)), [np.empty((2, 8))])
     with pytest.raises(ValueError):
-        noncollab_law(design, np.zeros((2, 4)), np.zeros((2, 20)), [np.empty((2, 4))])
+        design.law(np.zeros((2, 4)), np.zeros((2, 20)), [np.empty((2, 4))])
     with pytest.raises(ValueError):
         design_noncollab(reference_model(), delta=-1.0)
 
@@ -301,7 +301,7 @@ def test_trigger_sums_add_their_terms_in_column_order():
     lone = [slice(j, j + 1) for j in range(rows)]
     for batch, FB in [(slice(0, rows), F)] + [(b, F[b]) for b in lone] + [(b, F[b].copy()) for b in lone]:
         out = np.empty((n + n1 + 1, batch.stop - batch.start)).T
-        rates, signals = noncollab_law(design, PS[batch], FB, [out])
+        rates, signals = design.law(PS[batch], FB, [out])
         rates(0)
         assert signals()[1].tobytes() == np.array(proxy[batch]).tobytes()
         assert out[:, -1].tobytes() == drho[batch].tobytes()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohsync.agents import AgentModel
-from cohsync.collab import collab_law, design_collab
+from cohsync.collab import design_collab
 from cohsync.graphs import (
     DirectedWeightedGraph,
     generate_circulant,
@@ -18,8 +18,9 @@ from cohsync.graphs import (
     weakly_connected_components,
 )
 from cohsync.linalg import SolverError, row_product
-from cohsync.noncollab import design_noncollab, noncollab_law
+from cohsync.noncollab import design_noncollab
 from cohsync.simulate import (
+    PROTOCOLS,
     DisturbanceSpec,
     IntegrationBlowup,
     SimConfig,
@@ -189,18 +190,13 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
     # One stage of the integrator against A x + B u + E w, with u and the
     # protocol-state derivative from the law evaluated at x = 0 and w = 0
     # on the same network sums, taken through the dense Laplacian.
-    if protocol == "noncollaborative":
-        model, design = demo_noncollab_design()
-        law, sums = noncollab_law, model.n
-    else:
-        model, design = demo_collab_design()
-        law, sums = collab_law, 2 * model.n
-    n = model.n
+    model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
+    n, sums = model.n, design.widths(model.n, model.m)[1]
     rng = np.random.default_rng(n_agents)
     edges = [(j, i, rng.random() + 0.5) for i in range(n_agents) for j in (i - 1, i - 3) if j >= 0]
     graph = DirectedWeightedGraph.from_edges(n_agents, edges)
     indices = np.arange(1.0, n_agents + 1.0)
-    stage, record, X, K = _stage(model, design, law, sums, graph, spec, indices)
+    stage, record, X, K = _stage(model, design, graph, spec, indices)
     S = rng.standard_normal(X.shape)
     S[:, n:] = rng.random((n_agents, S.shape[1] - n)) * 3.0  # gains >= 0 ...
     if protocol == "collaborative":
@@ -221,7 +217,7 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
     PS = S[:, n:]
     W = np.hstack([np.zeros((n_agents, n)), PS, LS, np.zeros((n_agents, model.w))])
     law_out = np.empty(S.shape)
-    rates, signals = law(design, PS, row_product(W, stage_matrix(model, design)), [law_out])
+    rates, signals = design.law(PS, row_product(W, stage_matrix(model, design)), [law_out])
     rates(0)
     u, law_signal, law_exchange = signals()
     if spec.kind == "zero":
@@ -244,6 +240,27 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
     assert (exchange is None) == (law_exchange is None) == (protocol == "noncollaborative")
     if exchange is not None:
         assert close(exchange, law_exchange)
+
+
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_each_protocol_declares_the_widths_its_run_and_law_use(protocol):
+    model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
+    assert type(design) is PROTOCOLS[protocol] and design.protocol == protocol
+    n, rows = model.n, 3
+    observer, sums, signals = design.widths(n, model.m)
+    run = simulate(SimConfig(model=model, graph=generate_circulant(rows, (1,)), design=design, dt=0.01, t_end=0.05))
+    assert run.protocol == protocol and run.protocol_states.shape[2] == observer
+    assert [gain for gain in ("rho", "alpha") if getattr(run, gain) is not None] == list(design.gains)
+    # The signals: u, the settling proxy and, where recorded, the exchange energy.
+    assert run.controls.shape[2] + 1 + (run.exchange_energy is not None) == signals
+    M = stage_matrix(model, design)
+    state = observer + len(design.gains)
+    assert M.shape[0] == n + state + sums + model.w
+    # The law's shape check accepts the declared widths and no others.
+    F = np.zeros((rows, M.shape[1]))
+    design.law(np.zeros((rows, state)), F, [np.empty((rows, n + state))])
+    with pytest.raises(ValueError, match="expected rows of widths"):
+        design.law(np.zeros((rows, state + 1)), F, [np.empty((rows, n + state + 1))])
 
 
 def test_sync_manifold_is_invariant():
@@ -711,6 +728,20 @@ def test_config_validation():
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 simulate(SimConfig(model=col_model, graph=g, design=col_design, **{key: value}))
+
+
+def test_simulate_refuses_a_design_that_does_not_fit_the_run():
+    model, design = demo_noncollab_design()
+    _, col_design = demo_collab_design()
+    g = pair_graph()
+    with pytest.raises(TypeError, match="design must be"):
+        simulate(SimConfig(model=model, graph=g, design=SimpleNamespace(d=0.5, delta=2.0)))
+    with pytest.raises(ValueError, match="design dimensions do not match the model"):
+        simulate(SimConfig(model=scalar_model(), graph=g, design=design))
+    with pytest.raises(ValueError, match="design was built for a different model"):
+        simulate(SimConfig(model=model, graph=g, design=col_design))
+    with pytest.raises(ValueError, match="initial_alpha applies only to the collaborative protocol"):
+        simulate(SimConfig(model=model, graph=g, design=design, initial_alpha=1.0))
 
 
 # ---------------------------------------------------------------------------
