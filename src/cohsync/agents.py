@@ -12,18 +12,19 @@ candidates) so that squaring-down artifacts cannot leak into the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import SolverError, eigenvalues, solve_care, solve_lyapunov
+from .linalg import SolverError, eigenvalues, solve_care
 
 __all__ = [
     "AgentModel",
     "AssumptionReport",
     "OutputTransform",
     "check_assumptions",
+    "require_conditions",
     "build_output_transform",
     "design_observer_gain",
     "invariant_zeros",
@@ -101,19 +102,15 @@ class AssumptionReport:
     minimum_phase: bool
     uniform_rank: bool | None
     invariant_zeros: np.ndarray
-    rank_warnings: list[str] = field(default_factory=list)
 
 
-def _rank(M, warnings=None, label="") -> int:
+def _rank(M) -> int:
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    rel = s / s[0]
-    if warnings is not None and np.any((rel > 1e-12) & (rel < 1e-6)):
-        warnings.append(f"{label}: singular value in the ambiguous 1e-12..1e-6 band")
-    return int(np.sum(rel > RANK_RTOL))
+    return int(np.sum(s / s[0] > RANK_RTOL))
 
 
 def _pencil(A, B, C, s):
@@ -206,15 +203,14 @@ def check_assumptions(model: AgentModel) -> AssumptionReport:
     """Evaluate every structural flag the two protocol designs depend on."""
     A, B, C, E = model.A, model.B, model.C, model.E
     n, m, p = model.n, model.m, model.p
-    warnings: list[str] = []
     eye = np.eye(n)
     eigs = np.linalg.eigvals(A)
 
     def hautus_input(lam):
-        return _rank(np.hstack([A - lam * eye, B]), warnings, f"Hautus[{lam:.3g}, B]") == n
+        return _rank(np.hstack([A - lam * eye, B])) == n
 
     def hautus_output(lam):
-        return _rank(np.vstack([A - lam * eye, C]), warnings, f"Hautus[{lam:.3g}; C]") == n
+        return _rank(np.vstack([A - lam * eye, C])) == n
 
     closed_right = [lam for lam in eigs if lam.real >= -1e-9]
     stabilizable = all(hautus_input(lam) for lam in closed_right)
@@ -228,7 +224,7 @@ def check_assumptions(model: AgentModel) -> AssumptionReport:
         residual = float(np.linalg.norm(B @ coeff - E))
         image_ok = residual < 1e-10 * (1.0 + float(np.linalg.norm(E)))
 
-    relative_degree_one = _rank(C @ B, warnings, "CB") == m
+    relative_degree_one = _rank(C @ B) == m
 
     normal_rank = _pencil_normal_rank(A, B, C)
     left_invertible = normal_rank == n + m
@@ -247,8 +243,22 @@ def check_assumptions(model: AgentModel) -> AssumptionReport:
         minimum_phase=minimum_phase,
         uniform_rank=_uniform_rank(model),
         invariant_zeros=zeros,
-        rank_warnings=warnings,
     )
+
+
+def require_conditions(model: AgentModel, design) -> AssumptionReport:
+    """check_assumptions(model), once the model meets every condition the
+    design class declares in design.requires, pairs (report flag, label).
+
+    Raises SolverError naming design.protocol and every failing label.
+    """
+    report = check_assumptions(model)
+    failed = [label for attr, label in design.requires if not getattr(report, attr)]
+    if failed:
+        raise SolverError(
+            f"model does not admit the {design.protocol} protocol; failing conditions: " + ", ".join(failed)
+        )
+    return report
 
 
 @dataclass
@@ -328,11 +338,10 @@ def build_output_transform(model: AgentModel, s_override=None, t_override=None) 
             raise ValueError("S override gives a singular B2 block")
     else:
         # orthonormal completion: rows 1..n-m kill B, the last m recover it
-        U, sing, _ = np.linalg.svd(B, full_matrices=True)
+        U = np.linalg.svd(B, full_matrices=True)[0]
         null_rows = U[:, m:].T
         range_rows = U[:, :m].T
         S = np.vstack([null_rows, range_rows])
-        B2 = range_rows @ B
         S_inv = np.linalg.inv(S)
         Cbar = C @ S_inv
         C2 = Cbar[:, n1:]

@@ -60,24 +60,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
-_TOP_KEYS = {
-    "name",
-    "protocol",
-    "model",
-    "graph",
-    "disturbance",
-    "delta",
-    "d",
-    "dt",
-    "t_end",
-    "seed",
-    "record_stride",
-    "rho0",
-    "alpha0",
-    "overrides",
-    "out_dir",
-}
-
 
 @dataclass
 class ExperimentManifest:
@@ -99,6 +81,21 @@ class ExperimentManifest:
     overrides: dict
     out_dir: str | None
     raw: dict
+
+
+_TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentManifest)} - {"raw"}
+# The fields of each graph generator.
+_GRAPH_KEYS = {
+    "vicsek": ("generator", "generation", "directed"),
+    "circulant": ("generator", "n_nodes", "offsets", "directed"),
+    "disconnected": ("generator", "component_sizes", "seed"),
+}
+
+
+def _known_fields(spec: dict, allowed, where: str) -> None:
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ValueError(f"{where}: unknown fields {unknown}")
 
 
 def _as_integer(value, minimum: int):
@@ -152,6 +149,7 @@ def _matrix(data, key, context):
 
 def _model_from_spec(spec, base_dir, context):
     if isinstance(spec, dict) and "file" in spec:
+        _known_fields(spec, ("file",), f"{context}: model")
         path = Path(base_dir) / str(spec["file"])
         if not path.is_file():
             raise ValueError(f"{context}: model file not found: {path}")
@@ -159,6 +157,7 @@ def _model_from_spec(spec, base_dir, context):
             spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ValueError(f"{context}: 'model' must be an object")
+    _known_fields(spec, ("A", "B", "C", "E"), f"{context}: model")
     missing = [k for k in ("A", "B", "C") if k not in spec]
     if missing:
         raise ValueError(f"{context}: model is missing {missing}")
@@ -174,13 +173,20 @@ def _model_from_spec(spec, base_dir, context):
 def _graph_from_spec(spec, base_dir, context):
     if not isinstance(spec, dict):
         raise ValueError(f"{context}: 'graph' must be an object")
+    where = f"{context}: graph"
     if "edge_list" in spec:
+        _known_fields(spec, ("edge_list",), where)
         path = Path(base_dir) / str(spec["edge_list"])
         if not path.is_file():
             raise ValueError(f"{context}: edge list file not found: {path}")
         return read_edge_list(path.read_text())
     generator = spec.get("generator")
-    where = f"{context}: graph"
+    if generator not in tuple(_GRAPH_KEYS):  # a tuple: a list or an object is unhashable
+        raise ValueError(
+            f"{context}: graph needs 'edge_list' or a generator in "
+            "{'vicsek', 'circulant', 'disconnected'}"
+        )
+    _known_fields(spec, _GRAPH_KEYS[generator], where)
     directed = spec.get("directed", True)
     if not isinstance(directed, bool):
         raise ValueError(f"{where}: 'directed' must be true or false, got {directed!r}")
@@ -192,14 +198,9 @@ def _graph_from_spec(spec, base_dir, context):
             offsets=_integers(spec, "offsets", where, (1, 2), 1),
             directed=directed,
         )
-    if generator == "disconnected":
-        return generate_disconnected_composite(
-            component_sizes=_integers(spec, "component_sizes", where, (8, 8, 8), 2),
-            seed=_integer(spec, "seed", where, 0, 0),
-        )
-    raise ValueError(
-        f"{context}: graph needs 'edge_list' or a generator in "
-        "{'vicsek', 'circulant', 'disconnected'}"
+    return generate_disconnected_composite(
+        component_sizes=_integers(spec, "component_sizes", where, (8, 8, 8), 2),
+        seed=_integer(spec, "seed", where, 0, 0),
     )
 
 
@@ -209,6 +210,8 @@ def _disturbance_from_spec(spec, context):
     if not isinstance(spec, dict):
         raise ValueError(f"{context}: 'disturbance' must be an object")
     where = f"{context}: disturbance"
+    kind = spec.get("kind", "zero")
+    _known_fields(spec, ("kind", "width") + (("times", "values") if kind == "table" else ()), where)
     arrays = {}
     for key in ("times", "values"):
         try:
@@ -216,7 +219,7 @@ def _disturbance_from_spec(spec, context):
         except (TypeError, ValueError):
             raise ValueError(f"{where}: '{key}' must be numeric, got {spec[key]!r}") from None
     width = _integer(spec, "width", where, 1, 0)
-    return DisturbanceSpec(kind=spec.get("kind", "zero"), width=width, **arrays)
+    return DisturbanceSpec(kind=kind, width=width, **arrays)
 
 
 def manifest_from_dict(data, base_dir=".") -> ExperimentManifest:
@@ -225,9 +228,7 @@ def manifest_from_dict(data, base_dir=".") -> ExperimentManifest:
     name = data.get("name", "")
     name = name.strip() if isinstance(name, str) else ""
     context = f"manifest '{name}'" if name else "manifest"
-    unknown = sorted(set(data) - _TOP_KEYS)
-    if unknown:
-        raise ValueError(f"{context}: unknown fields {unknown}")
+    _known_fields(data, _TOP_KEYS, context)
     if not name:
         raise ValueError("manifest: 'name' is required, a nonempty string")
     protocol, names = data.get("protocol"), tuple(PROTOCOLS)
@@ -542,7 +543,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    text, ok = run_verification_suite(seed=args.seed or 0, self_test=args.self_test)
+    seed = _integer(vars(args), "seed", "--seed", 0, 0)
+    text, ok = run_verification_suite(seed=seed, self_test=args.self_test)
     out_dir = _default_out_dir("verify", args.out, None)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(text)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .agents import AgentModel, check_assumptions
+from .agents import AgentModel, require_conditions
 from .linalg import (
     SolverError,
     min_eigenvalue_sym,
@@ -36,13 +36,6 @@ GRID_RATIO = 1.05
 # The constant term eta I of the observer Riccati equation.  Any eta > 0
 # admits a stabilizing solution once the pair (A, C') is stabilizable.
 ETA = 1.0
-
-_REQUIRED_CONDITIONS = (
-    ("stabilizable", "stabilizable"),
-    ("observable", "observable"),
-    ("right_invertible", "right-invertible"),
-    ("minimum_phase", "minimum-phase"),
-)
 
 
 class PAlphaGrid:
@@ -67,14 +60,13 @@ class PAlphaGrid:
     span of the cache.
     """
 
-    def __init__(self, A_shifted, B, CtC, ratio: float = GRID_RATIO):
+    ratio = GRID_RATIO
+    _log_ratio = np.log(GRID_RATIO)
+
+    def __init__(self, A_shifted, B, CtC):
         self.A_shifted = np.asarray(A_shifted, dtype=float)
         self.B = np.asarray(B, dtype=float)
         self.CtC = np.asarray(CtC, dtype=float)
-        if not ratio > 1.0:
-            raise ValueError("grid ratio must exceed 1")
-        self.ratio = float(ratio)
-        self._log_ratio = np.log(self.ratio)
         # _cells maps k to the pair (P_k, B'P_k).  Over the span lo..hi of
         # its keys, _points holds alpha_at(lo), ..., alpha_at(hi + 1), and
         # the right-side searchsorted of an alpha among them is 1 + k - lo
@@ -214,8 +206,15 @@ class CollabDesign:
     The grid carries the feedback family for A + epsilon I.
     """
 
-    # The protocol's declaration (simulate.PROTOCOLS).
+    # The protocol's declaration (simulate.PROTOCOLS), with the conditions
+    # the model must satisfy before the protocol exists.
     protocol = "collaborative"
+    requires = (
+        ("stabilizable", "stabilizable"),
+        ("observable", "observable"),
+        ("right_invertible", "right-invertible"),
+        ("minimum_phase", "minimum-phase"),
+    )
     gains = ("rho", "alpha")
     overrides = ()
     settles = ("coherency_proxy", "exchange_energy")
@@ -227,7 +226,6 @@ class CollabDesign:
     C: np.ndarray
     Q: np.ndarray
     QCt: np.ndarray
-    CtC: np.ndarray
     eta: float
     epsilon: float
     d: float
@@ -396,13 +394,7 @@ def design_collab(
     only d the level is delta = sqrt(8 d); with both, an override violating
     4 d < delta^2 is discarded in favour of the default d = delta^2 / 8.
     """
-    report = check_assumptions(model)
-    failed = [label for attr, label in _REQUIRED_CONDITIONS if not getattr(report, attr)]
-    if failed:
-        raise SolverError(
-            "model does not admit the collaborative protocol; failing "
-            "conditions: " + ", ".join(failed)
-        )
+    report = require_conditions(model, CollabDesign)
     if report.uniform_rank is None:
         raise SolverError(
             "uniform rank of the model could not be decided numerically; "
@@ -450,7 +442,6 @@ def design_collab(
         else:
             d = delta**2 / 8.0
 
-    CtC = model.C.T @ model.C
     grid = p_alpha_family(model.A, model.B, model.C, epsilon)
     grid.cell(0)  # seed the unit-alpha cell eagerly
 
@@ -460,7 +451,6 @@ def design_collab(
         C=model.C,
         Q=Q,
         QCt=Q @ model.C.T,
-        CtC=CtC,
         eta=ETA,
         epsilon=float(epsilon),
         d=d,

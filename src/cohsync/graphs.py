@@ -182,54 +182,6 @@ class SparseLaplacian:
         return product
 
 
-def _tarjan_scc(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components, iterative to survive deep graphs."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, children = work[-1]
-            advanced = False
-            for w in children:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
-
-
 def weakly_connected_components(graph: DirectedWeightedGraph) -> list[list[int]]:
     """Connected components of the underlying undirected structure, each
     sorted, in order of their smallest node.
@@ -405,9 +357,18 @@ def compute_h_weights(L) -> HWeights:
     np.fill_diagonal(A, 0.0)
     if np.any(A < -1e-12) or np.max(np.abs(L.sum(axis=1))) > 1e-12 * max(1.0, np.max(np.abs(L))):
         raise ValueError("input is not a row-sum-zero Laplacian")
-    succ = [list(np.nonzero(A[i] > 0.0)[0]) for i in range(n)]
-    if len(_tarjan_scc(succ)) != 1:
-        raise SolverError("h-weights need a strongly connected graph")
+    # Strongly connected exactly when node 0 reaches every node along the
+    # edges i -> j for A[i, j] > 0 and along the reversed edges too.
+    edges = A > 0.0
+    for step in (edges, edges.T):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = step[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            raise SolverError("h-weights need a strongly connected graph")
 
     # left null vector of L = kernel of L', via the smallest singular pair
     U, sing, _ = np.linalg.svd(L)

@@ -18,8 +18,8 @@ from .agents import (
     AgentModel,
     OutputTransform,
     build_output_transform,
-    check_assumptions,
     design_observer_gain,
+    require_conditions,
 )
 from .linalg import (
     SolverError,
@@ -27,17 +27,6 @@ from .linalg import (
     min_eigenvalue_sym,
     operator_norm_2,
     solve_care,
-)
-
-# Conditions the model must satisfy before the protocol exists, with the
-# names used in error messages.
-_REQUIRED_CONDITIONS = (
-    ("stabilizable", "stabilizable"),
-    ("detectable", "detectable"),
-    ("image_E_in_image_B", "disturbance range inside input range"),
-    ("relative_degree_one", "relative degree one"),
-    ("left_invertible", "left-invertible"),
-    ("minimum_phase", "minimum-phase"),
 )
 
 # Fixed fractions placing delta_bar and the default dead-zone level d
@@ -57,8 +46,18 @@ class NoncollabDesign:
     0 < d < delta_bar / ||C S^-1||.
     """
 
-    # The protocol's declaration (simulate.PROTOCOLS).
+    # The protocol's declaration (simulate.PROTOCOLS), with the conditions
+    # the model must satisfy before the protocol exists, by their
+    # AssumptionReport flags and the labels used in error messages.
     protocol = "noncollaborative"
+    requires = (
+        ("stabilizable", "stabilizable"),
+        ("detectable", "detectable"),
+        ("image_E_in_image_B", "disturbance range inside input range"),
+        ("relative_degree_one", "relative degree one"),
+        ("left_invertible", "left-invertible"),
+        ("minimum_phase", "minimum-phase"),
+    )
     gains = ("rho",)
     overrides = ("S", "T", "H1")
     settles = ("coherency_proxy",)
@@ -229,13 +228,7 @@ def design_noncollab(
     condition (the message names every failing one) and ValueError for an
     inadmissible d or a missing delta/d pair.
     """
-    report = check_assumptions(model)
-    failed = [label for attr, label in _REQUIRED_CONDITIONS if not getattr(report, attr)]
-    if failed:
-        raise SolverError(
-            "model does not admit the noncollaborative protocol; failing "
-            "conditions: " + ", ".join(failed)
-        )
+    require_conditions(model, NoncollabDesign)
 
     transform = build_output_transform(model, s_override=s_override, t_override=t_override)
     n1 = transform.n1
@@ -244,7 +237,7 @@ def design_noncollab(
     if h1_override is not None:
         H1 = np.asarray(h1_override, dtype=float)
         if H1.ndim == 1:
-            H1 = H1.reshape(n1, k) if k == 1 else H1.reshape(n1, -1)
+            H1 = H1.reshape(n1, -1)
         if H1.shape != (n1, k):
             raise ValueError(f"observer gain must have shape {(n1, k)}, got {H1.shape}")
         closed = transform.A11 + H1 @ transform.C1

@@ -193,10 +193,6 @@ class SimulationRun:
     coherency_proxy: np.ndarray
     alpha: np.ndarray | None
     exchange_energy: np.ndarray | None
-    dt: float
-    t_end: float
-    record_stride: int
-    seed: int
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -565,10 +561,6 @@ def simulate(config: SimConfig) -> SimulationRun:
         coherency_proxy=proxy,
         alpha=gains.get("alpha"),
         exchange_energy=exch,
-        dt=config.dt,
-        t_end=float(times[-1]),
-        record_stride=stride,
-        seed=seed,
         warnings=warnings,
     )
 

@@ -32,7 +32,6 @@ class QRhoProbe:
     adaptive gains.
     """
 
-    L: np.ndarray
     h: np.ndarray
     rho: np.ndarray
     mu: float
@@ -65,7 +64,7 @@ def build_q_rho(L, h, rho) -> QRhoProbe:
     ones = np.ones(n)
     if np.max(np.abs(Q @ ones)) > 1e-10:
         raise SolverError("Q_rho rows do not sum to zero; weights are inconsistent")
-    return QRhoProbe(L=L, h=hvec, rho=rho, mu=mu, Q_rho=Q)
+    return QRhoProbe(h=hvec, rho=rho, mu=mu, Q_rho=Q)
 
 
 @dataclass
@@ -134,7 +133,6 @@ class PAlphaScalingReport:
     """Sandwich-boundedness and decay of the feedback Riccati family."""
 
     structure: str
-    alphas: np.ndarray
     norms: np.ndarray
     smin: np.ndarray
     smax: np.ndarray
@@ -234,7 +232,6 @@ def verify_palpha_scaling(A, B, C, alphas, epsilon: float = 0.0) -> PAlphaScalin
     decay_ok = bool(np.all(np.diff(norms) < 0.0) and norms[-1] < norms[0])
     return PAlphaScalingReport(
         structure=structure,
-        alphas=alphas,
         norms=norms,
         smin=smin,
         smax=smax,
@@ -250,23 +247,16 @@ def verify_alpha_p_alpha_monotone(A, B, C, epsilon: float, alphas) -> MonotoneRe
     if alphas.size < 2:
         raise ValueError("need at least two alpha samples")
     family = p_alpha_family(A, B, C, epsilon)
-    return _alpha_p_alpha_monotone(alphas, [family.solve_exact(float(alpha)) for alpha in alphas])
+    return _psd_monotone(alphas.tolist(), [alpha * family.solve_exact(float(alpha)) for alpha in alphas])
 
 
-def _alpha_p_alpha_monotone(alphas, solutions) -> MonotoneReport:
-    """The PSD margins of alpha * P_alpha between successive samples, given
-    increasing alphas and the family's solution P_alpha at each."""
-    worst = np.inf
-    violations = []
-    previous = alphas[0] * solutions[0]
-    for alpha, P in zip(alphas[1:], solutions[1:]):
-        current = alpha * P
-        margin = min_eigenvalue_sym(0.5 * ((current - previous) + (current - previous).T))
-        worst = min(worst, margin)
-        if margin < -1e-9:
-            violations.append((float(alpha), margin))
-        previous = current
-    return MonotoneReport(checked=len(alphas) - 1, worst=worst, violations=violations)
+def _psd_monotone(labels, matrices) -> MonotoneReport:
+    """The PSD margins of successive symmetric matrices: the smallest
+    eigenvalue of each difference, later minus earlier.  A margin below
+    -1e-9 is a violation, recorded with the later matrix's label."""
+    margins = [min_eigenvalue_sym(later - earlier) for earlier, later in zip(matrices, matrices[1:])]
+    violations = [(label, margin) for label, margin in zip(labels[1:], margins) if margin < -1e-9]
+    return MonotoneReport(checked=len(margins), worst=min(margins), violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +414,11 @@ def _palpha_checks(demo_model: AgentModel | None) -> list[CheckOutcome]:
                 f"slope={demo.slope:.4f} band_ratio={demo.ratio:.3e}",
             )
         )
-        # The demo grid's even cells, solved alone, serve both orderings.
+        # The demo grid's even cells, solved alone, serve both orderings:
+        # P_alpha is nonincreasing in alpha, so -P_alpha is nondecreasing.
         ks = range(0, 41, 2)
         Ps = design.grid.cells(ks)
-        margins = [min_eigenvalue_sym(previous - P) for previous, P in zip(Ps, Ps[1:])]
-        mono_p = MonotoneReport(
-            checked=len(margins),
-            worst=min(margins),
-            violations=[(k, margin) for k, margin in zip(ks[1:], margins) if margin < -1e-9],
-        )
+        mono_p = _psd_monotone(ks, [-P for P in Ps])
         outcomes.append(
             CheckOutcome(
                 "palpha PSD-monotone demo grid",
@@ -440,7 +426,8 @@ def _palpha_checks(demo_model: AgentModel | None) -> list[CheckOutcome]:
                 f"pairs={mono_p.checked} worst_margin={mono_p.worst:.3e}",
             )
         )
-        mono_ap = _alpha_p_alpha_monotone([design.grid.alpha_at(k) for k in ks], Ps)
+        alphas = [design.grid.alpha_at(k) for k in ks]
+        mono_ap = _psd_monotone(alphas, [alpha * P for alpha, P in zip(alphas, Ps)])
         outcomes.append(
             CheckOutcome(
                 "alpha-palpha monotone demo grid",

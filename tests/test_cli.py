@@ -212,6 +212,41 @@ def test_manifest_disturbance_validation():
         manifest_from_dict(tiny_manifest_dict(disturbance={"kind": "static"}))
 
 
+@pytest.mark.parametrize(
+    "where, spec, unknown",
+    [
+        ("model", dict(collab_model_spec(), D=[[0.0]]), ["D"]),
+        ("model", {"file": "model.json", "scale": 2.0}, ["scale"]),
+        ("graph", {"edge_list": "ring.txt", "directed": False}, ["directed"]),
+        ("graph", {"generator": "vicsek", "generation": 1, "n_nodes": 5}, ["n_nodes"]),
+        ("graph", {"generator": "circulant", "n_nodes": 6, "ofsets": [1]}, ["ofsets"]),
+        ("graph", {"generator": "disconnected", "component_sizes": [3, 3], "directed": True}, ["directed"]),
+        ("disturbance", {"kind": "chirp", "width": 1, "amplitude": 5.0}, ["amplitude"]),
+        ("disturbance", {"kind": "chirp", "width": 1, "times": [0.0, 20.0]}, ["times"]),
+        ("disturbance", {"kind": "table", "width": 1, "times": [0.0, 20.0], "values": [0.0, 0.1], "by": 2}, ["by"]),
+    ],
+)
+def test_nested_manifest_objects_refuse_unknown_fields(tmp_path, where, spec, unknown):
+    (tmp_path / "model.json").write_text(json.dumps(collab_model_spec()))
+    (tmp_path / "ring.txt").write_text(format_edge_list(generate_circulant(6, offsets=(1,))))
+    with pytest.raises(ValueError, match=re.escape(f"{where}: unknown fields {unknown}")):
+        manifest_from_dict(tiny_collab_dict(**{where: spec}), base_dir=tmp_path)
+
+
+def test_undirected_flag_on_a_disconnected_graph_exits_two(tmp_path, capsys):
+    # The disconnected generator has no undirected variant; the flag was
+    # once checked to be a bool and then dropped, so the run was directed.
+    data = json.loads(json.dumps(load_bundled_manifest("col-disconnected-n24").raw))
+    data["graph"]["directed"] = False
+    path = write_manifest(tmp_path, data)
+    code = main(["simulate", "--manifest", str(path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: manifest 'col-disconnected-n24': graph: unknown fields ['directed']\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 def test_load_manifest_uses_file_directory(tmp_path):
     (tmp_path / "model.json").write_text(json.dumps(noncollab_model_spec()))
     path = tmp_path / "exp.json"
@@ -628,6 +663,13 @@ def test_cli_verify_writes_report(tmp_path, capsys):
     assert capsys.readouterr().out.count("PASS") >= 5
 
 
+def test_cli_verify_negative_seed_names_the_flag(tmp_path, capsys):
+    code = main(["verify", "--seed", "-1", "--out", str(tmp_path / "verify")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --seed: 'seed' must be an integer of at least 0, got -1\n"
+    assert not (tmp_path / "verify").exists()
+
+
 def test_importing_cli_leaves_the_verification_suite_unloaded():
     # A fresh interpreter, so that no other test has imported the suite.
     src = str(Path(graphs.__file__).resolve().parents[1])
@@ -719,15 +761,26 @@ _MUTATIONS = [
 ]
 
 
+# The fields each object of malformed_manifests' base manifest may hold;
+# None stands for the top level.
+_KNOWN_FIELDS = {
+    None: _TOP_KEYS,
+    "model": {"A", "B", "C", "E"},
+    "graph": {"generator", "generation", "directed"},
+    "disturbance": {"kind", "width", "times", "values"},
+}
+
+
 @st.composite
 def malformed_manifests(draw):
     """A small valid collaborative manifest with one key made bad or one
-    unknown key added."""
+    unknown key added, at the top level or to a nested object."""
     table = {"kind": "table", "width": 1, "times": [0.0, 20.0], "values": [0.0, 0.1]}
     data = tiny_collab_dict(disturbance=table)
     if draw(st.booleans()):
-        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in _TOP_KEYS))
-        data[key] = draw(st.one_of(_NOT_OBJECTS, _NOT_NUMBERS))
+        where = draw(st.sampled_from(list(_KNOWN_FIELDS)))
+        key = draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in _KNOWN_FIELDS[where]))
+        (data if where is None else data[where])[key] = draw(st.one_of(_NOT_OBJECTS, _NOT_NUMBERS))
         return data
     where, key, graph, bad = draw(st.sampled_from(_MUTATIONS))
     if graph is not None:

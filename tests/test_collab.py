@@ -32,7 +32,7 @@ def test_design_reproduces_known_observer_riccati():
     residual = (
         design.A.T @ design.Q
         + design.Q @ design.A
-        - design.Q @ design.CtC @ design.Q
+        - design.Q @ design.grid.CtC @ design.Q
         + np.eye(3)
     )
     assert np.max(np.abs(residual)) < 1e-8
@@ -110,6 +110,14 @@ def test_assumption_gate_names_observability():
     with pytest.raises(SolverError) as excinfo:
         design_collab(model, delta=1.0)
     assert "observable" in str(excinfo.value)
+    # An unstable mode invisible to C, and a zero at +1: every failing
+    # condition is named, in full.
+    model = AgentModel([[1.0, 0.0], [0.0, -1.0]], [[1.0], [1.0]], [[0.0, 1.0]])
+    with pytest.raises(SolverError) as excinfo:
+        design_collab(model, delta=1.0)
+    assert str(excinfo.value) == (
+        "model does not admit the collaborative protocol; failing conditions: observable, minimum-phase"
+    )
 
 
 def test_uniform_rank_gate():
@@ -159,7 +167,7 @@ def test_grid_cell_solution_and_cache():
         + P @ design.A
         - alpha * P @ design.B @ design.B.T @ P
         + 2.0 * design.epsilon * P
-        + design.CtC
+        + design.grid.CtC
     )
     assert np.max(np.abs(residual)) < 1e-8
     assert np.allclose(K, design.B.T @ P)
@@ -225,7 +233,7 @@ def test_solve_p_alpha_on_and_off_grid():
         + off @ design.A
         - 1.3 * off @ design.B @ design.B.T @ off
         + 2.0 * design.epsilon * off
-        + design.CtC
+        + design.grid.CtC
     )
     assert np.max(np.abs(residual)) < 1e-8
     # Off-grid solves are not cached.
@@ -323,7 +331,7 @@ def test_unit_alpha_feedback_matches_fresh_solve():
     design = reference_design()
     x_hat = np.eye(3)[1]
     u = one_agent(design, x_hat, 0.0, 1.0, np.zeros(1), np.zeros(3))[3]
-    fresh = solve_care(design.grid.A_shifted, design.B, w_state=design.CtC, gain_scale=1.0)
+    fresh = solve_care(design.grid.A_shifted, design.B, w_state=design.grid.CtC, gain_scale=1.0)
     assert np.allclose(u, -(design.B.T @ fresh @ x_hat), atol=1e-9)
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cohsync.graphs import (
     DirectedWeightedGraph,
     SparseLaplacian,
-    _tarjan_scc,
     compute_h_weights,
     format_edge_list,
     generate_circulant,
@@ -348,8 +347,9 @@ def test_disconnected_composite_structure():
         assert np.count_nonzero(A[a : a + 8, b : b + 8]) == 0
         assert np.count_nonzero(A[b : b + 8, a : a + 8]) == 0
     # Each block is strongly connected, so it is the basic component of its own.
-    observed = [np.nonzero(A[i])[0].tolist() for i in range(24)]
-    assert sorted(_tarjan_scc(observed)) == [list(range(8)), list(range(8, 16)), list(range(16, 24))]
+    L = laplacian(g)
+    for a in (0, 8, 16):
+        assert compute_h_weights(L[a : a + 8, a : a + 8]).gamma > 0.0
     assert weakly_connected_components(g) == [
         list(range(8)),
         list(range(8, 16)),
@@ -409,6 +409,39 @@ def test_h_weights_rejects_disconnected():
     g = generate_disconnected_composite((4, 4), seed=0)
     with pytest.raises(SolverError):
         compute_h_weights(laplacian(g))
+
+
+def strongly_connected_by_closure(A):
+    """Oracle: the boolean transitive closure of i -> j for A[i, j] > 0
+    (Warshall's algorithm) is all true."""
+    reach = (np.asarray(A) > 0.0) | np.eye(A.shape[0], dtype=bool)
+    for k in range(A.shape[0]):
+        reach |= reach[:, [k]] & reach[[k], :]
+    return bool(reach.all())
+
+
+def test_h_weights_reject_exactly_the_graphs_that_are_not_strongly_connected():
+    # Node 0 reaches every node but no node reaches it; two disjoint cycles.
+    spanning_tree = DirectedWeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 2.0), (3, 1, 1.0)])
+    two_cycles = DirectedWeightedGraph.from_edges(6, [(i, 3 * (i // 3) + (i + 1) % 3, 1.0) for i in range(6)])
+    digraphs = [spanning_tree, two_cycles]
+    rng = np.random.default_rng(2026)
+    for n in range(2, 13):
+        for density in (0.15, 0.3, 0.5):
+            edges = (rng.random((n, n)) < density) & ~np.eye(n, dtype=bool)
+            digraphs.append(DirectedWeightedGraph(edges * (0.5 + rng.random((n, n)))))
+    rejected = 0
+    for g in digraphs:
+        L = laplacian(g)
+        if strongly_connected_by_closure(g.adjacency):
+            assert compute_h_weights(L).gamma > 0.0
+        else:
+            with pytest.raises(SolverError, match="strongly connected"):
+                compute_h_weights(L)
+            rejected += 1
+    assert not strongly_connected_by_closure(spanning_tree.adjacency)
+    assert not strongly_connected_by_closure(two_cycles.adjacency)
+    assert 2 < rejected < len(digraphs) - 2
 
 
 def test_h_weights_rejects_non_laplacian():

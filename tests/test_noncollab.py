@@ -105,6 +105,14 @@ def test_assumption_gate_names_failing_condition():
     with pytest.raises(SolverError) as excinfo:
         design_noncollab(bad, delta=1.0)
     assert "minimum-phase" in str(excinfo.value)
+    # An unstable mode invisible to C, and a zero at +1: every failing
+    # condition is named, in full.
+    model = AgentModel([[1.0, 0.0], [0.0, -1.0]], [[1.0], [1.0]], [[0.0, 1.0]])
+    with pytest.raises(SolverError) as excinfo:
+        design_noncollab(model, delta=1.0)
+    assert str(excinfo.value) == (
+        "model does not admit the noncollaborative protocol; failing conditions: detectable, minimum-phase"
+    )
 
 
 def law(design, PS, Z):

@@ -508,7 +508,6 @@ def test_recording_stride_and_final_sample():
     assert run.times.shape[0] == 16  # 0, 7dt, ..., 98dt, then the final 100dt
     assert run.times[-1] == pytest.approx(0.1, rel=1e-12)
     assert run.times[1] == pytest.approx(7e-3, rel=1e-12)
-    assert run.record_stride == 7
 
 
 @pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
