@@ -11,13 +11,19 @@ design sweep.  On each model it times:
   gather     the first gain_rows([4.0]) on such a grid with cell 0 seeded,
              as design_collab leaves it: the first gather of every bundled
              collaborative run (alpha0 = 4), timed without the grid's set-up
+  walk       cell(WALK_END) of a fresh such grid, the walk that solves cells
+             0..WALK_END in one stacked Riccati solve, per cell
+  exact      solve_exact(EXACT_ALPHAS) on a fresh such grid: the off-grid
+             alphas of the verification suite's demo-model scaling check,
+             solved as one family, per call
   noncollab  design_noncollab(model, delta=DELTA)
   collab     design_collab(model, delta=DELTA)
 
-A figure is the minimum over REPEATS calls on one model, in microseconds;
-the table gives its median over the models, and "failed" counts the
-models on which a call raised SolverError.  Set OPENBLAS_NUM_THREADS=1 for
-figures comparable across hosts.
+A figure is the minimum over REPEATS calls on one model, in microseconds
+(for walk, divided by the WALK_END + 1 cells); the table gives its median
+over the models, and "failed" counts the models on which a call raised
+SolverError.  Set OPENBLAS_NUM_THREADS=1 for figures comparable across
+hosts.
 
 The gather row is the one that shows which P_alpha cells a run's first
 gather solves.  scripts/step_us.py cannot show that: its minimum over
@@ -43,6 +49,8 @@ DRAWS = 5
 MAX_NORM = 200.0
 REPEATS = 5
 DELTA = 1.0
+WALK_END = 40
+EXACT_ALPHAS = np.logspace(0.5, 4, 15)
 
 
 def models(n):
@@ -56,7 +64,8 @@ def models(n):
 
 
 def operations(model):
-    """name -> (call, prepare): call(prepare()) is timed, prepare() is not."""
+    """name -> (call, prepare, per): call(prepare()) is timed, prepare() is
+    not, and the time is divided by per."""
     n = model.n
     A_stable = model.A - (np.max(np.linalg.eigvals(model.A).real) + 1.0) * np.eye(n)
 
@@ -65,25 +74,30 @@ def operations(model):
         grid.cell(0)
         return grid
 
+    def fresh_grid():
+        return p_alpha_family(model.A, model.B, model.C, 0.1)
+
     first_alpha = np.array([4.0])
     return {
-        "lyapunov": (lambda _: solve_lyapunov(A_stable, np.eye(n)), None),
-        "care": (lambda _: solve_care(model.A, model.B), None),
-        "cell": (lambda _: p_alpha_family(model.A, model.B, model.C, 0.1).cell(0), None),
-        "gather": (lambda grid: grid.gain_rows(first_alpha), seeded_grid),
-        "noncollab": (lambda _: design_noncollab(model, delta=DELTA), None),
-        "collab": (lambda _: design_collab(model, delta=DELTA), None),
+        "lyapunov": (lambda _: solve_lyapunov(A_stable, np.eye(n)), None, 1),
+        "care": (lambda _: solve_care(model.A, model.B), None, 1),
+        "cell": (lambda _: fresh_grid().cell(0), None, 1),
+        "gather": (lambda grid: grid.gain_rows(first_alpha), seeded_grid, 1),
+        "walk": (lambda grid: grid.cell(WALK_END), fresh_grid, WALK_END + 1),
+        "exact": (lambda grid: grid.solve_exact(EXACT_ALPHAS), fresh_grid, 1),
+        "noncollab": (lambda _: design_noncollab(model, delta=DELTA), None, 1),
+        "collab": (lambda _: design_collab(model, delta=DELTA), None, 1),
     }
 
 
-def best_us(call, prepare):
+def best_us(call, prepare, per):
     best = float("inf")
     for _ in range(REPEATS):
         arg = prepare() if prepare else None
         t = time.perf_counter()
         call(arg)
         best = min(best, time.perf_counter() - t)
-    return 1e6 * best
+    return 1e6 * best / per
 
 
 def main():
@@ -91,9 +105,9 @@ def main():
     for n in SIZES:
         times = {}
         for model in models(n):
-            for name, (call, prepare) in operations(model).items():
+            for name, (call, prepare, per) in operations(model).items():
                 try:
-                    us = best_us(call, prepare)
+                    us = best_us(call, prepare, per)
                 except SolverError:
                     us = None
                 times.setdefault(name, []).append(us)

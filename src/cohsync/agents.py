@@ -261,6 +261,22 @@ def require_conditions(model: AgentModel, design) -> AssumptionReport:
     return report
 
 
+def check_level(delta, d_override) -> None:
+    """The level arguments both designs take: delta, the dead-zone level d
+    (d_override), or both.  Whichever decides the design must be positive:
+    delta when given, else d; with both, each design judges d against delta.
+
+    Raises ValueError naming what is missing or not positive.
+    """
+    if delta is None:
+        if d_override is None:
+            raise ValueError("provide delta, d_override, or both")
+        if not d_override > 0.0:
+            raise ValueError("dead-zone level d must be positive")
+    elif not delta > 0.0:
+        raise ValueError("delta must be positive")
+
+
 @dataclass
 class OutputTransform:
     """Coordinates in which the input drives only the measured substate.

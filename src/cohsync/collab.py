@@ -11,7 +11,8 @@ signal is large.
 Solving a Riccati equation at every integration substep would dwarf the
 simulation itself, so the alpha family is evaluated on a geometric grid
 (ratio 1.05) whose cells are solved on first use, only those that an
-alpha of the run indexes; the controller holds the solution at the grid
+alpha of the run indexes, all the missing cells of a request in one
+stacked Riccati solve; the controller holds the solution at the grid
 point at or just below the current alpha.  Off-grid values remain
 available exactly through PAlphaGrid.solve_exact for diagnostics and
 tests.
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .agents import AgentModel, require_conditions
+from .agents import AgentModel, check_level, require_conditions
 from .linalg import (
     SolverError,
     min_eigenvalue_sym,
@@ -50,14 +51,16 @@ class PAlphaGrid:
     A + eps I.  The cell of an alpha is the largest k with
     alpha_at(k) <= alpha, decided by comparing with alpha_at itself, so
     an alpha one ulp below a grid point lies in the cell below it.
-    The cache holds the solved cells by index, with gaps allowed; each
-    cell is solved by its own solve_care on first use, so its value is a
-    function of its index alone, never of the order in which callers
-    asked, which keeps repeated runs bit-identical.  cell(k) fills every
-    missing cell between 0 and k, and cells(ks) only the cells of ks; the
-    runtime law's gather (gain_rows) solves only the cells its alphas
-    index and reads the gain rows B'P_k from one stacked table over the
-    span of the cache.
+    The cache holds the solved cells by index, with gaps allowed.  The
+    cells a request misses are solved together, by one solve_care over
+    their alphas; solve_care gives each member of such a family the bits of
+    its solve alone, so a cell's value is still a function of its index
+    alone, never of the cells solved with it or of the order in which
+    callers asked, which keeps repeated runs bit-identical.  cell(k) fills
+    every missing cell between 0 and k, and cells(ks) only the cells of
+    ks; the runtime law's gather (gain_rows) solves only the cells its
+    alphas index and reads the gain rows B'P_k from one stacked table over
+    the span of the cache.
     """
 
     ratio = GRID_RATIO
@@ -113,17 +116,23 @@ class PAlphaGrid:
 
     def cells(self, indices) -> list[np.ndarray]:
         """P_k of each cell k of indices, solving on first use those cells
-        alone, with no walk between them; the gather table is rebuilt over
-        the cache's span.
+        alone, with no walk between them, all in one solve_care; the gather
+        table is rebuilt over the cache's span.
 
-        Raises SolverError naming the cell and its alpha when a cell's
-        solve fails, however it fails.
+        Raises SolverError naming the first missing cell of indices whose
+        solve fails, however it fails, and its alpha; the cells before it
+        are cached, those after it are not.
         """
-        for k in [k for k in indices if k not in self._cells]:
-            try:
-                P = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=self.alpha_at(k))
-            except (SolverError, np.linalg.LinAlgError, ValueError) as exc:
-                raise SolverError(f"P_alpha cell {k} (alpha {self.alpha_at(k):.6g}) has no solution: {exc}") from exc
+        indices = list(indices)
+        missing = [k for k in dict.fromkeys(indices) if k not in self._cells]
+        alphas = [self.alpha_at(k) for k in missing]
+        try:
+            solved = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=alphas) if missing else []
+        except (SolverError, np.linalg.LinAlgError, ValueError) as exc:
+            solved = [exc]  # refused as a whole: the first cell fails
+        for k, alpha, P in zip(missing, alphas, solved):
+            if isinstance(P, Exception):
+                raise SolverError(f"P_alpha cell {k} (alpha {alpha:.6g}) has no solution: {P}") from P
             self._cells[k] = P, self.B.T @ P
         lo, hi = min(self._cells), max(self._cells)
         at = [1 + k - lo for k in self._cells]
@@ -164,17 +173,28 @@ class PAlphaGrid:
             at = ks - (self._lo - 1)
         return self._table.take(at, axis=0)
 
-    def solve_exact(self, alpha: float) -> np.ndarray:
-        """P_alpha at the requested alpha itself, not the quantized one.
+    def solve_exact(self, alphas):
+        """P_alpha at each requested alpha itself, not the quantized one:
+        one matrix for a scalar alpha, a list for a sequence.
 
-        Grid points are answered from (and stored in) the cache; off-grid
-        values are solved fresh and never cached.
+        Grid points (within 1e-9 relative) are answered from (and stored
+        in) the cache by cells; the off-grid alphas are solved fresh, by
+        one solve_care, and never cached.  Raises the error of the first
+        grid cell that fails, else that of the first off-grid alpha.
         """
-        k = self.index_for(alpha)
-        ak = self.alpha_at(k)
-        if abs(alpha - ak) <= 1e-9 * ak:
-            return self.cell(k)[0]
-        return solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=float(alpha))
+        flat = np.asarray(alphas, dtype=float).reshape(-1)
+        ks = self.indices_for(flat).tolist()
+        points = [self.alpha_at(k) for k in ks]
+        on = [abs(a - ak) <= 1e-9 * ak for a, ak in zip(flat.tolist(), points)]
+        grid_ks = [k for k, o in zip(ks, on) if o]
+        exact = iter(self.cells(grid_ks) if grid_ks else [])
+        off = [a for a, o in zip(flat.tolist(), on) if not o]
+        fresh = iter(solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=off) if off else [])
+        Ps = [next(exact) if o else next(fresh) for o in on]
+        for P in Ps:
+            if isinstance(P, Exception):
+                raise P
+        return Ps if np.ndim(alphas) else Ps[0]
 
 
 def p_alpha_family(A, B, C, epsilon: float) -> PAlphaGrid:
@@ -395,6 +415,7 @@ def design_collab(
     4 d < delta^2 is discarded in favour of the default d = delta^2 / 8.
     """
     report = require_conditions(model, CollabDesign)
+    check_level(delta, d_override)
     if report.uniform_rank is None:
         raise SolverError(
             "uniform rank of the model could not be decided numerically; "
@@ -428,19 +449,12 @@ def design_collab(
     epsilon = min(candidates)
 
     if delta is None:
-        if d_override is None:
-            raise ValueError("provide delta, d_override, or both")
-        if not d_override > 0.0:
-            raise ValueError("dead-zone level d must be positive")
         d = float(d_override)
         delta = float(np.sqrt(8.0 * d))
+    elif d_override is not None and 0.0 < 4.0 * d_override < delta**2:
+        d = float(d_override)
     else:
-        if not delta > 0.0:
-            raise ValueError("delta must be positive")
-        if d_override is not None and 0.0 < 4.0 * d_override < delta**2:
-            d = float(d_override)
-        else:
-            d = delta**2 / 8.0
+        d = delta**2 / 8.0
 
     grid = p_alpha_family(model.A, model.B, model.C, epsilon)
     grid.cell(0)  # seed the unit-alpha cell eagerly

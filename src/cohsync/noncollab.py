@@ -18,6 +18,7 @@ from .agents import (
     AgentModel,
     OutputTransform,
     build_output_transform,
+    check_level,
     design_observer_gain,
     require_conditions,
 )
@@ -229,6 +230,7 @@ def design_noncollab(
     inadmissible d or a missing delta/d pair.
     """
     require_conditions(model, NoncollabDesign)
+    check_level(delta, d_override)
 
     transform = build_output_transform(model, s_override=s_override, t_override=t_override)
     n1 = transform.n1
@@ -255,15 +257,9 @@ def design_noncollab(
     cs_norm = operator_norm_2(model.C @ transform.S_inv)
 
     if delta is None:
-        if d_override is None:
-            raise ValueError("provide delta, d_override, or both")
-        if d_override <= 0.0:
-            raise ValueError("dead-zone level d must be positive")
         # Invert the default chain d = 0.9 * 0.9 * delta^2 * lambda_min / cs.
         frac = _DELTA_BAR_FRACTION * _D_DEFAULT_FRACTION
         delta = float(np.sqrt(d_override * cs_norm / (frac * lambda_min_p)))
-    elif delta <= 0.0:
-        raise ValueError("delta must be positive")
 
     delta_1 = delta**2 * lambda_min_p
     delta_bar = _DELTA_BAR_FRACTION * delta_1

@@ -206,8 +206,7 @@ def verify_palpha_scaling(A, B, C, alphas, epsilon: float = 0.0) -> PAlphaScalin
     norms = np.empty(alphas.size)
     smin = np.empty(alphas.size)
     smax = np.empty(alphas.size)
-    for idx, alpha in enumerate(alphas):
-        P = family.solve_exact(float(alpha))
+    for idx, (alpha, P) in enumerate(zip(alphas, family.solve_exact(alphas))):
         norms[idx] = np.linalg.norm(P, 2)
         beta1 = alpha ** (-1.0 / (4.0 * n1))
         diag = [alpha**-0.5] * zero_dim
@@ -247,7 +246,7 @@ def verify_alpha_p_alpha_monotone(A, B, C, epsilon: float, alphas) -> MonotoneRe
     if alphas.size < 2:
         raise ValueError("need at least two alpha samples")
     family = p_alpha_family(A, B, C, epsilon)
-    return _psd_monotone(alphas.tolist(), [alpha * family.solve_exact(float(alpha)) for alpha in alphas])
+    return _psd_monotone(alphas.tolist(), [alpha * P for alpha, P in zip(alphas, family.solve_exact(alphas))])
 
 
 def _psd_monotone(labels, matrices) -> MonotoneReport:
@@ -391,8 +390,8 @@ def _palpha_checks(demo_model: AgentModel | None) -> list[CheckOutcome]:
     family = p_alpha_family([[0.0]], [[1.0]], [[1.0]], 0.0)
     alphas = np.logspace(0, 3, 13)
     worst = 0.0
-    for alpha in alphas:
-        got = family.solve_exact(float(alpha))[0, 0]
+    for alpha, P in zip(alphas, family.solve_exact(alphas)):
+        got = P[0, 0]
         worst = max(worst, abs(got - alpha**-0.5) / alpha**-0.5)
     outcomes.append(
         CheckOutcome("palpha scalar closed form", worst < 1e-8, f"max_rel_err={worst:.3e}")

@@ -9,7 +9,9 @@ from cohsync.agents import (
     design_observer_gain,
     invariant_zeros,
 )
+from cohsync.collab import design_collab
 from cohsync.linalg import SolverError, eigenvalues
+from cohsync.noncollab import design_noncollab
 
 
 def demo_noncollab():
@@ -346,3 +348,22 @@ def test_observer_gain_undetectable_rejected():
     C1 = np.array([[0.0, 1.0]])
     with pytest.raises(SolverError):
         design_observer_gain(A11, C1)
+
+
+@pytest.mark.parametrize("design, model", [(design_noncollab, demo_noncollab), (design_collab, demo_collab)])
+def test_both_designs_check_delta_and_d_with_one_set_of_texts(design, model):
+    # agents.check_level, called by both designs: the same message for the
+    # same bad level arguments, a NaN included.
+    cases = [
+        ((None, None), "provide delta, d_override, or both"),
+        ((None, 0.0), "dead-zone level d must be positive"),
+        ((None, -1.0), "dead-zone level d must be positive"),
+        ((None, float("nan")), "dead-zone level d must be positive"),
+        ((0.0, None), "delta must be positive"),
+        ((-2.0, 0.1), "delta must be positive"),
+        ((float("nan"), None), "delta must be positive"),
+    ]
+    for (delta, d), text in cases:
+        with pytest.raises(ValueError) as excinfo:
+            design(model(), delta=delta, d_override=d)
+        assert str(excinfo.value) == text, (delta, d)

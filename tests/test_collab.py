@@ -8,12 +8,13 @@ import pytest
 import cohsync.collab
 from cohsync.agents import AgentModel, check_assumptions
 from cohsync.cli import build_design, load_bundled_manifest
-from cohsync.collab import design_collab, p_alpha_family
+from cohsync.collab import PAlphaGrid, design_collab, p_alpha_family
 from cohsync.linalg import SolverError, min_eigenvalue_sym, row_product, solve_care
 from cohsync.simulate import SimConfig, simulate, stage_matrix
 from cohsync.verification import seeded_minimum_phase_model
 
 import golden
+from care_oracle import oracle_care
 
 
 def reference_model():
@@ -479,13 +480,17 @@ def test_gain_table_keeps_the_cells_of_per_cell_lookups():
         assert table.cached_indices() == tuple(sorted(gathered))
 
 
-def care_solve_alphas(monkeypatch):
-    # The gain_scale of every Riccati solve the grid makes from now on.
+def care_solve_alphas(monkeypatch, calls=None):
+    # The alpha of every Riccati solve the grid makes from now on, in
+    # order.  One solve_care call solves the whole family of its gain_scale
+    # list; calls, when given, collects those lists, one per call.
     alphas = []
     solve = cohsync.collab.solve_care
 
     def spy(*args, **kwargs):
-        alphas.append(kwargs["gain_scale"])
+        alphas.extend(kwargs["gain_scale"])
+        if calls is not None:
+            calls.append(list(kwargs["gain_scale"]))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cohsync.collab, "solve_care", spy)
@@ -563,12 +568,44 @@ def test_cell_walk_fills_the_gaps_gathers_leave(monkeypatch):
 
 def test_cells_solves_the_cells_asked_for_alone(monkeypatch):
     grid = reference_design().grid
-    solved = care_solve_alphas(monkeypatch)
+    calls = []
+    solved = care_solve_alphas(monkeypatch, calls)
     Ps = grid.cells(range(0, 9, 4))
     assert solved == [grid.alpha_at(4), grid.alpha_at(8)]  # cell 0 was cached, and no walk
+    assert calls == [solved]  # both cells in one solve
     assert grid.cached_indices() == (0, 4, 8)
     fresh = reference_design().grid
     assert all(np.array_equal(P, fresh.cell(k)[0]) for P, k in zip(Ps, (0, 4, 8)))
+
+
+def test_a_request_raises_its_first_failing_cell_and_caches_the_cells_before_it():
+    # A family with an indefinite weight, solved alone cell by cell: cells
+    # -17 and -16 solve, cell -15 is the first to fail, at the contract
+    # check (its P is not positive semidefinite), and cell 11 fails in the
+    # ordered Schur start.  One request of cells -17..11 must raise cell
+    # -15's error with its solo message and cache exactly -17 and -16.
+    rng = np.random.default_rng(17)
+    A, B, W = rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    grid = PAlphaGrid(A, B, W + W.T)
+    ks = range(-17, 12)
+    solos = {k: oracle_care(grid.A_shifted, grid.B, grid.CtC, grid.alpha_at(k)) for k in ks}
+    failed = [k for k in ks if solos[k].stage]
+    j, k = failed[0], failed[-1]
+    assert (j, solos[j].stage, k, solos[k].stage) == (-15, "validate", 11, "start")
+    with pytest.raises(SolverError) as excinfo:
+        grid.cells(ks)
+    assert str(excinfo.value) == (
+        "P_alpha cell -15 (alpha 0.481017) has no solution: Riccati solution is not positive semidefinite"
+    )
+    assert str(excinfo.value) == f"P_alpha cell {j} (alpha {grid.alpha_at(j):.6g}) has no solution: {solos[j].result}"
+    assert grid.cached_indices() == (-17, -16)
+    for i in (-17, -16):
+        assert grid.cell(i)[0].tobytes() == solos[i].result.tobytes()
+    # A gather through the cells the failed request cached still reads
+    # their rows, and a gather that reaches cell 11 names it.
+    assert np.array_equal(grid.gain_rows(np.array([grid.alpha_at(-16)]))[0], grid.B.T @ solos[-16].result)
+    with pytest.raises(SolverError, match=r"P_alpha cell 11 \(alpha .*\) has no solution: the Hamiltonian has"):
+        grid.gain_rows(np.array([grid.alpha_at(11)]))
 
 
 def test_indices_for_rejects_non_finite_and_non_positive_alphas():

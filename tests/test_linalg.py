@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from care_oracle import lyapunov as oracle_lyapunov
+from care_oracle import oracle_care, same_outcome
 from cohsync import linalg
 from cohsync.linalg import (
     SolverError,
@@ -19,6 +21,7 @@ from cohsync.linalg import (
     solve_dual_care_shifted,
     solve_lyapunov,
 )
+from cohsync.collab import p_alpha_family
 from cohsync.verification import _kronecker_lyapunov, seeded_minimum_phase_model
 
 
@@ -284,12 +287,14 @@ def test_care_closed_loop_hurwitz_and_psd():
 def test_care_takes_one_lyapunov_solve_from_the_schur_start(monkeypatch):
     # From the Schur-method start, the first Newton step already meets the
     # gap test: one Lyapunov solve per Riccati solve, for the feedback
-    # family at alpha = 1 and 1.05**30 and for the observer.
+    # family at alpha = 1 and 1.05**30 and for the observer.  Newton hands
+    # solve_lyapunov a stack of closed loops, here a stack of one.
     calls = []
     lyapunov = linalg.solve_lyapunov
 
     def counted(A, W):
-        calls.append(A.shape[0])
+        assert A.shape[:-2] == (1,)
+        calls.append(A.shape[-1])
         return lyapunov(A, W)
 
     monkeypatch.setattr(linalg, "solve_lyapunov", counted)
@@ -310,14 +315,17 @@ def test_care_takes_one_lyapunov_solve_from_the_schur_start(monkeypatch):
 def test_schur_start_hamiltonian_equals_the_block_form(monkeypatch):
     # The Hamiltonian handed to the ordered Schur form, and the start P0,
     # bitwise those of np.block([[A, -g BB'], [-W, -A']]).
+    # The ordered Schur form is linalg._schur, which calls LAPACK directly,
+    # once per member of the stack of gain scales, here a stack of one.
     hamiltonians = []
     schur = scipy.linalg.schur
+    ordered = linalg._schur
 
     def spy(H, *args, **kwargs):
         hamiltonians.append(H)
-        return schur(H, *args, **kwargs)
+        return ordered(H, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", spy)
+    monkeypatch.setattr(linalg, "_schur", spy)
     rng = np.random.default_rng(71)
     for n, m in ((1, 1), (2, 1), (3, 2), (5, 1), (6, 3), (9, 2)):
         A = rng.standard_normal((n, n))
@@ -326,7 +334,7 @@ def test_schur_start_hamiltonian_equals_the_block_form(monkeypatch):
         W = W @ W.T + np.eye(n)
         g = float(rng.uniform(0.1, 10.0))
         hamiltonians.clear()
-        P0 = linalg._schur_start(A, B, W, g)
+        (P0,) = linalg._schur_start(A, B, W, np.array([g]))
         H = np.block([[A, -g * (B @ B.T)], [-W, -A.T]])
         (got,) = hamiltonians
         assert got.tobytes() == H.tobytes() and got.flags.c_contiguous
@@ -458,3 +466,109 @@ def test_row_product_rows_do_not_depend_on_batch_size(k, m):
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
                 assert np.array_equal(row_product(X[lo:hi], B), full[lo:hi]), (n, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# Stacks: a Riccati family and a stack of Lyapunov equations, each member
+# bitwise its solve alone (tests/care_oracle.py)
+
+
+def _family_models():
+    """(label, A_shifted, B, C): seeded single-input minimum-phase models
+    and random two-input ones, n = 3..16, shifted as the collaborative
+    design shifts them, plus the ill-scaled draw whose Newton stops at the
+    roundoff floor."""
+    for n in range(3, 17):
+        model, zeros = seeded_minimum_phase_model(np.random.default_rng([n, 19]), n)
+        yield (n, 1), model.A + min(0.1, 0.5 * float(np.min(-zeros.real))) * np.eye(n), model.B, model.C
+        rng = np.random.default_rng([n, 2, 19])
+        yield (n, 2), rng.standard_normal((n, n)) + 0.1 * np.eye(n), rng.standard_normal((n, 2)), rng.standard_normal((2, n))
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([23, 14]), 14)
+    yield "floor", model.A + 0.1 * np.eye(14), model.B, model.C
+
+
+def test_a_riccati_family_is_bitwise_its_per_cell_solves():
+    # Through both callers: the grid's cells -5..60 in one cells() call and
+    # off-grid alphas in one solve_exact call, each solution or error equal
+    # to the per-cell solve's.  The sample must hold members that take more
+    # than one Newton step and members that the floor rule stops.
+    off_grid = [0.3, 1.3, 7.7, 123.4, 2.5e4]
+    steps, stops = set(), set()
+    for label, A, B, C in _family_models():
+        grid = p_alpha_family(A, B, C, 0.0)
+        ks = range(-5, 61)
+        cells = [oracle_care(A, B, C.T @ C, grid.alpha_at(k)) for k in ks]
+        assert all(solo.stage is None for solo in cells), label
+        got = grid.cells(ks)
+        assert all(same_outcome(P, solo) for P, solo in zip(got, cells)), label
+        exact = [oracle_care(A, B, C.T @ C, alpha) for alpha in off_grid]
+        got = grid.solve_exact(off_grid)
+        assert all(same_outcome(P, solo) for P, solo in zip(got, exact)), label
+        steps |= {solo.steps for solo in cells + exact}
+        stops |= {solo.stop for solo in cells + exact}
+        family = solve_care(A, B, w_state=C.T @ C, gain_scale=[grid.alpha_at(k) for k in ks])
+        assert all(P.tobytes() == grid.cell(k)[0].tobytes() for P, k in zip(family, ks)), label
+    assert max(steps) > 1 and stops == {"tol", "floor"}
+
+
+def test_a_family_reports_each_members_own_error():
+    # One member of each failure: a gain scale that is not positive, a
+    # Hamiltonian without n stable eigenvalues (sdim), a singular U11, a
+    # Newton that does not converge, and a contract that fails.  Each
+    # error is the one its solve alone raises, and the members that solve
+    # keep their bits.
+    cases = [
+        # A stable, then a U11 that numpy's stacked solve cannot factor:
+        # g BB' underflows to zero in one entry at g = 1e-320.
+        (np.diag([1.0, 2.0]), np.array([[1e-3], [1.0]]), np.eye(2), [1.0, 1e-320, 0.5, -1.0, 0.0]),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0], [0.0]]), np.eye(2), [1.0, 2.0]),
+        (
+            np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+            np.array([[0.0], [0.0], [1.0]]),
+            np.eye(3),
+            [0.5, 1.0],
+        ),
+    ]
+    rng = np.random.default_rng(17)
+    A, B, W = rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    cases.append((A, B, W + W.T, [1.05**k for k in range(-17, 14)]))
+    stages = set()
+    for A, B, W, gains in cases:
+        got = solve_care(A, B, w_state=W, gain_scale=gains)
+        for g, P in zip(gains, got):
+            if g <= 0.0:
+                assert isinstance(P, ValueError) and str(P) == "gain_scale must be positive"
+                continue
+            solo = oracle_care(A, B, W, g)
+            assert same_outcome(P, solo), (g, P, solo)
+            stages.add(solo.stage)
+            if g == 1e-320:
+                n = A.shape[0]
+                H = np.block([[A, -g * (B @ B.T)], [-W, -A.T]])
+                U = scipy.linalg.schur(H, output="real", sort="lhp")[1]
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.solve(U[:n, :n].T, U[n:, :n].T)
+    assert stages == {None, "start", "newton", "validate"}
+    # A scalar gain scale raises its member's error, as before.
+    with pytest.raises(SolverError, match="U11 of the Hamiltonian's stable subspace is singular"):
+        solve_care(np.diag([1.0, 2.0]), np.array([[1e-3], [1.0]]), gain_scale=1e-320)
+    with pytest.raises(ValueError, match="gain_scale must be positive"):
+        solve_care(np.diag([1.0, 2.0]), np.array([[1e-3], [1.0]]), gain_scale=0.0)
+    assert solve_care(np.zeros((0, 0)), np.zeros((0, 1)), gain_scale=[1.0, -1.0])[0].shape == (0, 0)
+
+
+def test_a_lyapunov_stack_is_bitwise_its_solves_alone():
+    rng = np.random.default_rng(29)
+    for n in range(1, 13):
+        A = np.stack([random_hurwitz(rng, n) for _ in range(4)])
+        W = np.stack([random_spd(rng, n) for _ in range(4)])
+        X = solve_lyapunov(A, W)
+        assert X.shape == (4, n, n)
+        for Ai, Wi, Xi in zip(A, W, X):
+            assert Xi.tobytes() == oracle_lyapunov(Ai, Wi).tobytes() == solve_lyapunov(Ai, Wi).tobytes()
+    # One member that is not Hurwitz fails the stack.
+    A[2] = -A[2]
+    with pytest.raises(SolverError, match="needs a Hurwitz matrix"):
+        solve_lyapunov(A, W)
+    with pytest.raises(ValueError, match="must be square"):
+        solve_lyapunov(np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3)))

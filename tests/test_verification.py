@@ -301,7 +301,9 @@ def test_run_suite_solves_each_demo_grid_cell_once(monkeypatch):
     solve = cohsync.collab.solve_care
 
     def spy(A_shifted, B, **kwargs):
-        solves[A_shifted.tobytes(), kwargs["gain_scale"]] += 1
+        # One call solves the family of its gain_scale list.
+        for alpha in kwargs["gain_scale"]:
+            solves[A_shifted.tobytes(), alpha] += 1
         return solve(A_shifted, B, **kwargs)
 
     monkeypatch.setattr(cohsync.collab, "solve_care", spy)
