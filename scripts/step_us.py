@@ -1,5 +1,6 @@
 """Per-step and per-recorded-sample time of simulate for both protocols,
-and the time of the artifact layer.
+the time of one call of the collaborative law, and the time of the
+artifact layer.
 
 The graph is a directed circulant with offsets (1, 2) of each size in
 SIZES; each row of ROWS runs the design of a bundled n25 manifest (chirp
@@ -14,6 +15,16 @@ its steps, in microseconds, for a run that records only its two ends.  A
 recorded sample's figure, at RECORD_AGENTS agents, is the minimum time
 over RECORD_REPEATS runs that record every step less that of as many runs
 recording only the ends, divided by the STEPS - 1 samples more.
+
+The collaborative law alone is timed at each size in LAW_SIZES: the
+rates of the law that simulate bound to the workspace of a run of
+LAW_RUN, called LAW_CALLS times on the workspace as the run's last stage
+left it, with the RK4 stage index cycling 0..3.  "alpha frozen" keeps the
+alpha column, so every call reuses the gathered gain rows; "alpha moving"
+writes, before each call, the column or its next float up in turn, so
+every call gathers and lays out the rows again (the write of the column is
+timed with it).  A call's figure is the minimum over REPEATS rounds of the
+round's time divided by LAW_CALLS, in microseconds.
 
 The artifact layer is timed on one collaborative run of ARTIFACT_RUN at
 each size in ARTIFACT_SIZES: write_trajectory_csv in nanoseconds per
@@ -59,6 +70,9 @@ ROWS = (
     ("collaborative, adapting", "col-vicsek-n25", 1.0),
     ("collaborative, frozen", "col-vicsek-n25", FROZEN_SCALE),
 )
+LAW_SIZES = (5, 25, 121, 800, 3000)
+LAW_RUN = "col-vicsek-n25"
+LAW_CALLS = 200
 ARTIFACT_SIZES = (25, 800)
 ARTIFACT_RUN = ("col-vicsek-n25", {"t_end": 6.0, "dt": 0.01, "record_stride": 2})  # 301 samples
 
@@ -94,6 +108,49 @@ def config(manifest, design, n_agents, scale=1.0, **changes):
         initial_alpha=manifest.alpha0,
         **settings,
     )
+
+
+def bound_rates(run):
+    """(rates, PS) of the law simulate binds to the workspace of run's
+    stage, after the run."""
+    design, bound = run.design, []
+
+    def law(PS, F, outs):
+        rates, signals = type(design).law(design, PS, F, outs)
+        bound.append((rates, PS))
+        return rates, signals
+
+    object.__setattr__(design, "law", law)  # a frozen dataclass
+    try:
+        simulate(run)
+    finally:
+        object.__delattr__(design, "law")
+    (rates_ps,) = bound  # one component, one binding
+    return rates_ps
+
+
+def law_layer():
+    """{alpha case: {agents: us per rates call}} for LAW_RUN."""
+    manifest = load_bundled_manifest(LAW_RUN)
+    design = build_design(manifest)
+    figures = {"alpha frozen": {}, "alpha moving": {}}
+    for n in LAW_SIZES:
+        rates, PS = bound_rates(config(manifest, design, n))
+        AL = PS[:, -1]
+        columns = (AL.copy(), np.nextafter(AL, np.inf))
+
+        def frozen():
+            for k in range(LAW_CALLS):
+                rates(k % 4)
+
+        def moving():
+            for k in range(LAW_CALLS):
+                AL[...] = columns[k % 2]
+                rates(k % 4)
+
+        for case, calls_s in zip(figures, normalized_min([frozen, moving], REPEATS)):
+            figures[case][str(n)] = round(1e6 * calls_s / LAW_CALLS, 2)
+    return figures
 
 
 def artifact_layer():
@@ -135,6 +192,7 @@ def main():
         # alternating, so that both see the host alike
         ends_s, every_s = normalized_min([lambda: simulate(ends), lambda: simulate(every)], RECORD_REPEATS)
         table[f"record_us_n{RECORD_AGENTS}"][label] = round(1e6 * (every_s - ends_s) / (STEPS - 1), 1)
+    table["collab_law_us"] = law_layer()
     layer = artifact_layer()
     table["csv_ns_per_field"] = {n: csv for n, (csv, _) in layer.items()}
     table["summary_ms"] = {n: summary for n, (_, summary) in layer.items()}

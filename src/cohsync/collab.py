@@ -16,6 +16,17 @@ stacked Riccati solve; the controller holds the solution at the grid
 point at or just below the current alpha.  Off-grid values remain
 available exactly through PAlphaGrid.solve_exact for diagnostics and
 tests.
+
+The runtime law (CollabDesign.law) works on agent-fast views, agents along
+the contiguous axis as the integrator stores them.  Its sums, the two
+signal energies and the feedback B'P_k (x_hat + zeta_tilde), run over
+their terms from +0 in column order: one multiply into a preallocated
+(..., agents) buffer and one np.add.reduce over the term axis.  The
+gathered B'P_k rows live in such a buffer too, laid out again only when a
+bit of the alpha column moves.  A lone agent gets a zero second agent
+column, so numpy never sums a contiguous axis pairwise, and no call is an
+einsum, whose order follows the operands' strides.  So a row's bits are
+the same for every memory layout of the law's inputs and every batch size.
 """
 
 from dataclasses import dataclass
@@ -117,7 +128,8 @@ class PAlphaGrid:
     def cells(self, indices) -> list[np.ndarray]:
         """P_k of each cell k of indices, solving on first use those cells
         alone, with no walk between them, all in one solve_care; the gather
-        table is rebuilt over the cache's span.
+        table is rebuilt over the cache's span when a cell joins the cache,
+        and a request that solves nothing leaves both as they are.
 
         Raises SolverError naming the first missing cell of indices whose
         solve fails, however it fails, and its alpha; the cells before it
@@ -125,23 +137,28 @@ class PAlphaGrid:
         """
         indices = list(indices)
         missing = [k for k in dict.fromkeys(indices) if k not in self._cells]
+        if not missing:
+            return [self._cells[k][0] for k in indices]
         alphas = [self.alpha_at(k) for k in missing]
         try:
-            solved = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=alphas) if missing else []
+            solved = solve_care(self.A_shifted, self.B, w_state=self.CtC, gain_scale=alphas)
         except (SolverError, np.linalg.LinAlgError, ValueError) as exc:
             solved = [exc]  # refused as a whole: the first cell fails
-        for k, alpha, P in zip(missing, alphas, solved):
-            if isinstance(P, Exception):
-                raise SolverError(f"P_alpha cell {k} (alpha {alpha:.6g}) has no solution: {P}") from P
+        failed = next((i for i, P in enumerate(solved) if isinstance(P, Exception)), None)
+        for k, P in zip(missing, solved[:failed]):
             self._cells[k] = P, self.B.T @ P
-        lo, hi = min(self._cells), max(self._cells)
-        at = [1 + k - lo for k in self._cells]
-        self._lo = lo
-        self._points = np.array([self.alpha_at(j) for j in range(lo, hi + 2)])
-        self._solved = np.zeros(hi - lo + 3, dtype=bool)
-        self._solved[at] = True
-        self._table = np.zeros((hi - lo + 3,) + self.B.T.shape)
-        self._table[at] = [BtP for _, BtP in self._cells.values()]
+        if failed != 0:  # a cell joined the cache
+            lo, hi = min(self._cells), max(self._cells)
+            at = [1 + k - lo for k in self._cells]
+            self._lo = lo
+            self._points = np.array([self.alpha_at(j) for j in range(lo, hi + 2)])
+            self._solved = np.zeros(hi - lo + 3, dtype=bool)
+            self._solved[at] = True
+            self._table = np.zeros((hi - lo + 3,) + self.B.T.shape)
+            self._table[at] = [BtP for _, BtP in self._cells.values()]
+        if failed is not None:
+            k, P = missing[failed], solved[failed]
+            raise SolverError(f"P_alpha cell {k} (alpha {alphas[failed]:.6g}) has no solution: {P}") from P
         return [self._cells[k][0] for k in indices]
 
     def cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,64 +340,98 @@ class CollabDesign:
         or above d and not at all below it.  Both gains are nondecreasing.  The
         feedback is -alpha B'P_k (x_hat + zeta_tilde) with k the grid cell of
         alpha (PAlphaGrid.index_for); alpha = 0 means no feedback at all, and u
-        is exactly +0.  signals() gives what rates last kept: (U, mismatch,
-        exchange), U the control rows.
+        is exactly +0.  signals() gives (U, mismatch, exchange) of the stage
+        rates last wrote, U the control rows; they are the binding's own
+        buffers, which the next rates overwrites.
+
+        The law works on the transposed views of F, PS and outs, agents along
+        the fast axis, the way simulate stores them.  Each agent's two
+        energies and each entry of B'P_k (x_hat + zeta_tilde) are summed
+        over their terms from +0 in column order: the terms go into a
+        preallocated (..., agents) buffer by one multiply and are summed by
+        one np.add.reduce over the middle axis, which adds whole agent rows
+        one after another.  A lone agent gets a second, zero agent column:
+        numpy sums a contiguous axis pairwise, which would round a lone row's
+        sums apart from a batch's.  So the bits of every row are those of its
+        row in any batch, whatever the memory layout of PS, F and outs.
+        B u is one np.dot of B with the (m, agents) control buffer, and a lone
+        row's one row of a two-row product (linalg.row_product).  Both
+        dead-zone gates come from one comparison of the (2, agents) energies
+        with d.
 
         The gains stop moving once every agent is inside the dead zone, so the
         gain part of a stage is keyed on the bits of the alpha column
         (AL.tobytes()): while they equal those of the last stage that formed
-        it, rates reuses that stage's gathered B'P_k rows, its alpha > 0 mask
-        and its -alpha, and when every alpha is positive it skips the masking
-        of U, whose selection of every row would return U's own bits.  Any
-        changed bit, a sign of zero included, forms them again.  Either way U
-        is bitwise what forming them afresh gives.
+        it, rates reuses that stage's B'P_k rows, laid out agent-fast in the
+        gain buffer, its -alpha and its alpha = 0 rows, and when every alpha
+        is positive it clears no entry of U.  Any changed bit, a sign of zero
+        included, gathers and lays out the rows again.  Either way U is
+        bitwise what forming them afresh gives.
         """
-        n, p = self.n, self.p_out
+        n, m, p = self.n, self.m, self.p_out
         rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
         if (PS.shape[1], F.shape) != (widths[0], (rows, widths[1])) or {o.shape for o in outs} != {(rows, widths[2])}:
             got = ", ".join(str(a.shape) for a in (PS, F, *outs))
             raise ValueError(f"expected rows of widths {widths}, got {got}")
         d, B, BT, gain_rows = self.d, self.B, self.B.T, self.grid.gain_rows
-        RHO, AL = PS[:, n : n + 1], PS[:, n + 1 :]
-        AXW, AXH, QCE, XZ = (F[:, k * n : (k + 1) * n] for k in range(4))
-        # The squared norms of C zeta_tilde and e, which sit side by side in F.
-        CZ_E = F[:, 4 * n :].reshape(-1, 2, p)
-        blocks = [(out[:, :n], out[:, n : 2 * n], out[:, 2 * n], out[:, 2 * n + 1]) for out in outs]
-        recorded = None
-        # The bytes of the alpha column the gains were last formed from, and
-        # those gains: (B'P_k rows, -alpha, the alpha > 0 mask or None when
-        # every row is on).
-        key, gains = None, None
+        FT, RHO, AL = F.T, PS[:, n : n + 1].T, PS[:, n + 1 :]
+        AXW, AXH, QCE, XZ = (FT[k * n : (k + 1) * n] for k in range(4))
+        # C zeta_tilde and e, which sit side by side in F.
+        CZ_E = FT[4 * n :]
+        blocks = [(out.T[:n], out.T[n : 2 * n], out.T[2 * n], out.T[2 * n + 1]) for out in outs]
+        # Agent-fast buffers, with a zero second agent column for a lone
+        # agent: the terms of the two energies and their sums [exchange,
+        # mismatch]; the gathered B'P_k rows as (m, n, agents), the terms of
+        # the feedback sums and those sums, which -alpha turns into U'; and
+        # B U'.
+        span = max(rows, 2)
+        energy_terms, energies = np.zeros((2, p, span)), np.zeros((2, span))
+        gates = np.empty((2, span), dtype=bool)
+        gain, feedback_terms = np.zeros((m, n, span)), np.zeros((m, n, span))
+        UT, BUT = np.zeros((m, span)), np.empty((n, span))
+        energy_terms_on = energy_terms.reshape(2 * p, span)[:, :rows]
+        gain_on, feedback_terms_on = gain[:, :, :rows], feedback_terms[:, :, :rows]
+        U, BU = UT[:, :rows], BUT[:, :rows]
+        exchange, mismatch = energies[:, :rows]
+        signals_out = U.T, mismatch, exchange
+        # The bytes of the alpha column the gains were last laid out from,
+        # -alpha and the alpha = 0 entries of U (None when every row is on).
+        key, minus_alpha, off = None, None, None
 
         def rates(j):
-            nonlocal recorded, key, gains
+            nonlocal key, minus_alpha, off
             dx, dx_hat, drho, dalpha = blocks[j]
-            exchange, mismatch = np.einsum("ijk,ijk->ji", CZ_E, CZ_E)
+            np.multiply(CZ_E, CZ_E, out=energy_terms_on)
+            np.add.reduce(energy_terms, axis=1, initial=0.0, out=energies)
             bits = AL.tobytes()
             if bits != key:
                 # Every row gathers a cell; a row with alpha = 0 reads cell 0
                 # and discards it.
-                on = AL > 0.0
-                gains = gain_rows(np.where(on, AL, 1.0)[:, 0]), -AL, None if on.all() else on
+                on = AL[:, 0] > 0.0
+                gain_on[...] = gain_rows(np.where(on, AL[:, 0], 1.0)).transpose(1, 2, 0)
+                minus_alpha = -AL.T
+                off = None if on.all() else np.broadcast_to(~on, U.shape)
                 key = bits
-            BtP, minus_alpha, on = gains
-            U = minus_alpha * np.einsum("imn,in->im", BtP, XZ)
-            if on is not None:  # selecting every row would return U's own bits
-                U = np.where(on, U, 0.0)
-            # B u stored column by column like F and out: the rows of U B' as
-            # the columns of B U', a lone row as part of a two-row product.
-            BU = row_product(U, BT) if rows == 1 else (B @ U.T).T
+            np.multiply(gain_on, XZ, out=feedback_terms_on)
+            np.add.reduce(feedback_terms, axis=1, initial=0.0, out=UT)
+            np.multiply(minus_alpha, U, out=U)
+            if off is not None:
+                np.copyto(U, 0.0, where=off)
+            if rows == 1:
+                BU[...] = row_product(U.T, BT).T
+            else:
+                np.dot(B, UT, out=BUT)
             np.add(AXW, BU, out=dx)
             np.multiply(RHO, QCE, out=dx_hat)
             np.subtract(AXH, dx_hat, out=dx_hat)
             dx_hat += BU
-            np.multiply(mismatch, mismatch >= d, out=drho)
+            np.greater_equal(energies, d, out=gates)
+            np.multiply(mismatch, gates[1, :rows], out=drho)
             # min(exchange, 1) at or above d, else min(exchange, 0) = 0.
-            np.minimum(exchange, exchange >= d, out=dalpha)
-            recorded = U, mismatch, exchange
+            np.minimum(exchange, gates[0, :rows], out=dalpha)
 
         def signals():
-            return recorded
+            return signals_out
 
         return rates, signals
 

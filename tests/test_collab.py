@@ -425,6 +425,38 @@ def test_batched_rows_match_single_agent_calls():
             assert np.array_equal(np.signbit(batched[i]), np.signbit(single[0]))
 
 
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 9, 12, 16])
+def test_law_bits_do_not_depend_on_layout_or_batch(n):
+    # The stage derivative and the signals of every row are bitwise the same,
+    # sign of zero included, whether PS, F and outs are stored row by row or
+    # column by column, and whether the row is evaluated alone or in a batch
+    # of 5.  Each batch has an alpha = 0 row and a row whose x_hat +
+    # zeta_tilde is +-0, and F's columns span six decades.
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([n, 0]), n)
+    design = design_collab(model, delta=1.0)
+    rng = np.random.default_rng([n, 1])
+    rows, state, width = 5, n + 2, 4 * n + 2 * design.p_out
+
+    def evaluate(PS, F, order):
+        """Per row, the bytes of its stage derivative, U, mismatch and exchange."""
+        out = np.empty((PS.shape[0], 2 * n + 2), order=order)
+        rates, signals = design.law(np.array(PS, order=order), np.array(F, order=order), [out])
+        rates(0)
+        return [[a[i].tobytes() for a in (out, *signals())] for i in range(PS.shape[0])]
+
+    for _ in range(20):
+        alpha = 10.0 ** rng.uniform(-2.0, 2.0, rows)
+        alpha[rng.integers(rows)] = 0.0
+        PS = np.column_stack([rng.standard_normal((rows, n)), rng.random(rows) * 3.0, alpha])
+        F = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 4, width)
+        F[rng.integers(rows), 3 * n : 4 * n] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        batch = evaluate(PS, F, "F")
+        assert evaluate(PS, F, "C") == batch
+        for i in range(rows):
+            lone = slice(i, i + 1)
+            assert evaluate(PS[lone], F[lone], "F") == evaluate(PS[lone], F[lone], "C") == [batch[i]]
+
+
 def test_fused_law_matches_written_out_formulas():
     design = reference_design()
     n = design.n
@@ -576,6 +608,16 @@ def test_cells_solves_the_cells_asked_for_alone(monkeypatch):
     assert grid.cached_indices() == (0, 4, 8)
     fresh = reference_design().grid
     assert all(np.array_equal(P, fresh.cell(k)[0]) for P, k in zip(Ps, (0, 4, 8)))
+    # A request that solves nothing, on this grid or on one with no cell
+    # cached, leaves the cache and the gather table as they are.
+    empty = p_alpha_family([[0.0]], [[1.0]], [[1.0]], 0.0)
+    calls.clear()
+    for g, request in ((grid, []), (grid, [8, 0, 8]), (empty, [])):
+        cached, table = g.cached_indices(), (g._lo, g._points, g._solved, g._table)
+        assert [P.tobytes() for P in g.cells(request)] == [g.cell(k)[0].tobytes() for k in request]
+        assert g.cached_indices() == cached
+        assert all(a is b for a, b in zip((g._lo, g._points, g._solved, g._table), table))
+    assert calls == []
 
 
 def test_a_request_raises_its_first_failing_cell_and_caches_the_cells_before_it():
@@ -657,10 +699,17 @@ def test_gather_matches_the_masked_per_cell_path(monkeypatch):
     for block, k in zip(blocks[on], ks):
         assert np.array_equal(block, grid.cell(k)[1])
 
+    def column_sums(blocks, XZ):
+        """blocks[i] @ XZ[i], each entry summed from +0 in column order."""
+        total = np.zeros(blocks.shape[:2])
+        for k in range(XZ.shape[1]):
+            total += blocks[:, :, k] * XZ[:, k, None]
+        return total
+
     # The masked path: gather only the rows with alpha > 0.
     fresh = reference_design().grid
     masked = np.zeros((rows, design.m))
-    masked[on] = -AL[on, None] * np.einsum("imn,in->im", fresh.gain_rows(AL[on]), (XH + LXH)[on])
+    masked[on] = -AL[on, None] * column_sums(fresh.gain_rows(AL[on]), (XH + LXH)[on])
     assert np.array_equal(U[on], masked[on])
     assert np.all(U[~on] == 0.0) and not np.any(np.signbit(U[~on]))
 
