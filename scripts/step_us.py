@@ -1,6 +1,6 @@
-"""Per-step and per-recorded-sample time of simulate for both protocols,
-the time of one call of the collaborative law, and the time of the
-artifact layer.
+"""Per-step time of simulate for both protocols on both step paths, the
+time of recording one sample, the time of one call of the collaborative
+law, and the time of the artifact layer.
 
 The graph is a directed circulant with offsets (1, 2) of each size in
 SIZES; each row of ROWS runs the design of a bundled n25 manifest (chirp
@@ -9,12 +9,18 @@ run's own seeded initial states scaled by the row's factor.  At factor 1
 the collaborative gains adapt on nearly every step; at FROZEN_SCALE both
 stay at their initial values, which the script asserts for alpha (the
 gains never decrease, so equal ends mean a constant alpha), and the row
-times the collaborative law with frozen gains.  A step's
-figure is the minimum over REPEATS runs of the run's wall time divided by
-its steps, in microseconds, for a run that records only its two ends.  A
-recorded sample's figure, at RECORD_AGENTS agents, is the minimum time
-over RECORD_REPEATS runs that record every step less that of as many runs
-recording only the ends, divided by the STEPS - 1 samples more.
+times the collaborative law with frozen gains.  Each row runs on the
+compiled step and on the numpy path (cohsync._native._compiled set
+false), which give the same bits.  A step's figure is the minimum over
+REPEATS runs of the run's wall time divided by its steps, in
+microseconds, for a run that records only its two ends.
+
+A recorded sample's figure is the time of the recording itself, at
+RECORD_AGENTS agents on the compiled step: a run that records every step,
+with the callback simulate's integrator calls to record each sample (it
+copies the state rows and the first stage's L x block and signals) timed
+around each call, summed and divided by the samples; the minimum over
+RECORD_REPEATS runs.
 
 The collaborative law alone is timed at each size in LAW_SIZES: the
 rates of the law that simulate bound to the workspace of a run of
@@ -55,11 +61,14 @@ from run import REFERENCE_S, ReferenceKernel  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from cohsync import _native  # noqa: E402
+from cohsync import simulate as simulate_module  # noqa: E402
 from cohsync.cli import agent_summaries, build_design, load_bundled_manifest  # noqa: E402
 from cohsync.graphs import generate_circulant  # noqa: E402
 from cohsync.simulate import SimConfig, simulate, write_trajectory_csv  # noqa: E402
 
 SIZES = (5, 6, 25, 121, 800, 3000)  # 6: the design sweep's closed-loop runs
+PATHS = ("compiled", "numpy")
 RECORD_AGENTS = 25
 STEPS = 200
 REPEATS = 3
@@ -116,9 +125,9 @@ def bound_rates(run):
     design, bound = run.design, []
 
     def law(PS, F, outs):
-        rates, signals = type(design).law(design, PS, F, outs)
+        rates, signals, native = type(design).law(design, PS, F, outs)
         bound.append((rates, PS))
-        return rates, signals
+        return rates, signals, native
 
     object.__setattr__(design, "law", law)  # a frozen dataclass
     try:
@@ -127,6 +136,35 @@ def bound_rates(run):
         object.__delattr__(design, "law")
     (rates_ps,) = bound  # one component, one binding
     return rates_ps
+
+
+def record_seconds(run):
+    """Seconds per recorded sample of run, timed around each call of the
+    integrator's recording callback."""
+    integrate, spent, samples = simulate_module._integrate, [0.0], [0]
+
+    def timed_integrate(step, *args):
+        def timed_step(k, S, S_next, keep):
+            if keep is None:
+                return step(k, S, S_next, keep)
+
+            def timed_keep():
+                t = time.perf_counter()
+                last = keep()
+                spent[0] += time.perf_counter() - t
+                samples[0] += 1
+                return last
+
+            return step(k, S, S_next, timed_keep)
+
+        return integrate(timed_step, *args)
+
+    simulate_module._integrate = timed_integrate
+    try:
+        simulate(run)
+    finally:
+        simulate_module._integrate = integrate
+    return spent[0] / samples[0]
 
 
 def law_layer():
@@ -175,23 +213,27 @@ def artifact_layer():
 
 def main():
     REFERENCE()  # warm up
-    table = {"step_us": {}, f"record_us_n{RECORD_AGENTS}": {}}
+    table = {"step_us": {path: {} for path in PATHS}, f"record_us_n{RECORD_AGENTS}": {}}
     for label, name, scale in ROWS:
         manifest = load_bundled_manifest(name)
         design = build_design(manifest)
-        step = {}
-        for n in SIZES:
-            run = config(manifest, design, n, scale)
-            if scale == FROZEN_SCALE:
-                alpha = simulate(run).alpha
-                assert np.array_equal(alpha[0], alpha[-1]), f"alpha moved at N = {n}"
-            (step[n],) = normalized_min([lambda: simulate(run)], REPEATS)
-        table["step_us"][label] = {str(n): round(1e6 * s / STEPS, 1) for n, s in step.items()}
-        ends = config(manifest, design, RECORD_AGENTS, scale)
+        for path in PATHS:
+            _native._compiled = path == "compiled"
+            assert path == "numpy" or _native.library() is not None, "no compiled step here"
+            step = {}
+            for n in SIZES:
+                run = config(manifest, design, n, scale)
+                if scale == FROZEN_SCALE:
+                    alpha = simulate(run).alpha
+                    assert np.array_equal(alpha[0], alpha[-1]), f"alpha moved at N = {n}"
+                (step[n],) = normalized_min([lambda: simulate(run)], REPEATS)
+            table["step_us"][path][label] = {str(n): round(1e6 * s / STEPS, 1) for n, s in step.items()}
+        _native._compiled = True
         every = config(manifest, design, RECORD_AGENTS, scale, record_stride=1)
-        # alternating, so that both see the host alike
-        ends_s, every_s = normalized_min([lambda: simulate(ends), lambda: simulate(every)], RECORD_REPEATS)
-        table[f"record_us_n{RECORD_AGENTS}"][label] = round(1e6 * (every_s - ends_s) / (STEPS - 1), 1)
+        before = REFERENCE()
+        seconds = min(record_seconds(every) for _ in range(RECORD_REPEATS))
+        seconds *= REFERENCE_S / (0.5 * (before + REFERENCE()))
+        table[f"record_us_n{RECORD_AGENTS}"][label] = round(1e6 * seconds, 2)
     table["collab_law_us"] = law_layer()
     layer = artifact_layer()
     table["csv_ns_per_field"] = {n: csv for n, (csv, _) in layer.items()}

@@ -19,14 +19,15 @@ tests.
 
 The runtime law (CollabDesign.law) works on agent-fast views, agents along
 the contiguous axis as the integrator stores them.  Its sums, the two
-signal energies and the feedback B'P_k (x_hat + zeta_tilde), run over
+signal energies, the feedback B'P_k (x_hat + zeta_tilde) and B u, run over
 their terms from +0 in column order: one multiply into a preallocated
 (..., agents) buffer and one np.add.reduce over the term axis.  The
 gathered B'P_k rows live in such a buffer too, laid out again only when a
 bit of the alpha column moves.  A lone agent gets a zero second agent
 column, so numpy never sums a contiguous axis pairwise, and no call is an
-einsum, whose order follows the operands' strides.  So a row's bits are
-the same for every memory layout of the law's inputs and every batch size.
+einsum, whose order follows the operands' strides, or a BLAS product, whose
+order follows the CPU kernel.  So a row's bits are the same for every
+memory layout of the law's inputs, every batch size and every BLAS kernel.
 """
 
 from dataclasses import dataclass
@@ -36,9 +37,9 @@ import numpy as np
 
 from .agents import AgentModel, check_level, require_conditions
 from .linalg import (
+    GainScaleOverflow,
     SolverError,
     min_eigenvalue_sym,
-    row_product,
     solve_care,
     solve_dual_care_shifted,
 )
@@ -132,8 +133,10 @@ class PAlphaGrid:
         and a request that solves nothing leaves both as they are.
 
         Raises SolverError naming the first missing cell of indices whose
-        solve fails, however it fails, and its alpha; the cells before it
-        are cached, those after it are not.
+        solve fails, however it fails, and its alpha, and saying so when
+        alpha_k is too large for the family's products to stay in double
+        precision (GainScaleOverflow); the cells before it are cached,
+        those after it are not.
         """
         indices = list(indices)
         missing = [k for k in dict.fromkeys(indices) if k not in self._cells]
@@ -158,7 +161,11 @@ class PAlphaGrid:
             self._table[at] = [BtP for _, BtP in self._cells.values()]
         if failed is not None:
             k, P = missing[failed], solved[failed]
-            raise SolverError(f"P_alpha cell {k} (alpha {alphas[failed]:.6g}) has no solution: {P}") from P
+            if isinstance(P, GainScaleOverflow):
+                cause = "alpha_k is too large for the family to be solved in double precision"
+            else:
+                cause = P
+            raise SolverError(f"P_alpha cell {k} (alpha {alphas[failed]:.6g}) has no solution: {cause}") from P
         return [self._cells[k][0] for k in indices]
 
     def cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +326,7 @@ class CollabDesign:
 
     def law(self, PS: np.ndarray, F: np.ndarray, outs):
         """The protocol's runtime law on a batch of agents, bound once to a
-        run's arrays: (rates, signals).
+        run's arrays: (rates, signals, native).
 
         Row i of PS is agent i's protocol state [x_hat, rho, alpha] and row i
         of F its stage product: the integrator's workspace row [x, x_hat, rho,
@@ -354,10 +361,10 @@ class CollabDesign:
         numpy sums a contiguous axis pairwise, which would round a lone row's
         sums apart from a batch's.  So the bits of every row are those of its
         row in any batch, whatever the memory layout of PS, F and outs.
-        B u is one np.dot of B with the (m, agents) control buffer, and a lone
-        row's one row of a two-row product (linalg.row_product).  Both
-        dead-zone gates come from one comparison of the (2, agents) energies
-        with d.
+        B u is summed the same way, over the m columns of B from +0 in
+        order; no sum of the law is a BLAS call, so no BLAS kernel moves its
+        bits.  Both dead-zone gates come from one comparison of the
+        (2, agents) energies with d.
 
         The gains stop moving once every agent is inside the dead zone, so the
         gain part of a stage is keyed on the bits of the alpha column
@@ -367,13 +374,19 @@ class CollabDesign:
         is positive it clears no entry of U.  Any changed bit, a sign of zero
         included, gathers and lays out the rows again.  Either way U is
         bitwise what forming them afresh gives.
+
+        native holds what the compiled step (simulate) needs to run this law
+        in C on the same arrays: the law's code in _step.c, p, d, B, the
+        energy, control and gain buffers, the alpha column of the last
+        gather and regather(), which gathers and lays out the rows for the
+        current alpha column and makes it the key.
         """
         n, m, p = self.n, self.m, self.p_out
         rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
         if (PS.shape[1], F.shape) != (widths[0], (rows, widths[1])) or {o.shape for o in outs} != {(rows, widths[2])}:
             got = ", ".join(str(a.shape) for a in (PS, F, *outs))
             raise ValueError(f"expected rows of widths {widths}, got {got}")
-        d, B, BT, gain_rows = self.d, self.B, self.B.T, self.grid.gain_rows
+        d, gain_rows = self.d, self.grid.gain_rows
         FT, RHO, AL = F.T, PS[:, n : n + 1].T, PS[:, n + 1 :]
         AXW, AXH, QCE, XZ = (FT[k * n : (k + 1) * n] for k in range(4))
         # C zeta_tilde and e, which sit side by side in F.
@@ -383,44 +396,47 @@ class CollabDesign:
         # agent: the terms of the two energies and their sums [exchange,
         # mismatch]; the gathered B'P_k rows as (m, n, agents), the terms of
         # the feedback sums and those sums, which -alpha turns into U'; and
-        # B U'.
+        # the terms of B U' and B U'.
         span = max(rows, 2)
         energy_terms, energies = np.zeros((2, p, span)), np.zeros((2, span))
         gates = np.empty((2, span), dtype=bool)
         gain, feedback_terms = np.zeros((m, n, span)), np.zeros((m, n, span))
-        UT, BUT = np.zeros((m, span)), np.empty((n, span))
+        UT, BU_terms, BUT = np.zeros((m, span)), np.empty((n, m, span)), np.empty((n, span))
+        B = np.ascontiguousarray(self.B)
         energy_terms_on = energy_terms.reshape(2 * p, span)[:, :rows]
         gain_on, feedback_terms_on = gain[:, :, :rows], feedback_terms[:, :, :rows]
         U, BU = UT[:, :rows], BUT[:, :rows]
         exchange, mismatch = energies[:, :rows]
         signals_out = U.T, mismatch, exchange
         # The bytes of the alpha column the gains were last laid out from,
-        # -alpha and the alpha = 0 entries of U (None when every row is on).
-        key, minus_alpha, off = None, None, None
+        # that column itself, -alpha and the alpha = 0 entries of U (None
+        # when every row is on).
+        key, key_column, minus_alpha, off = None, np.zeros(rows), None, None
+
+        def regather():
+            # Every row gathers a cell; a row with alpha = 0 reads cell 0
+            # and discards it.
+            nonlocal key, minus_alpha, off
+            on = AL[:, 0] > 0.0
+            gain_on[...] = gain_rows(np.where(on, AL[:, 0], 1.0)).transpose(1, 2, 0)
+            minus_alpha = -AL.T
+            off = None if on.all() else np.broadcast_to(~on, U.shape)
+            key = AL.tobytes()
+            key_column[...] = AL[:, 0]
 
         def rates(j):
-            nonlocal key, minus_alpha, off
             dx, dx_hat, drho, dalpha = blocks[j]
             np.multiply(CZ_E, CZ_E, out=energy_terms_on)
             np.add.reduce(energy_terms, axis=1, initial=0.0, out=energies)
-            bits = AL.tobytes()
-            if bits != key:
-                # Every row gathers a cell; a row with alpha = 0 reads cell 0
-                # and discards it.
-                on = AL[:, 0] > 0.0
-                gain_on[...] = gain_rows(np.where(on, AL[:, 0], 1.0)).transpose(1, 2, 0)
-                minus_alpha = -AL.T
-                off = None if on.all() else np.broadcast_to(~on, U.shape)
-                key = bits
+            if AL.tobytes() != key:
+                regather()
             np.multiply(gain_on, XZ, out=feedback_terms_on)
             np.add.reduce(feedback_terms, axis=1, initial=0.0, out=UT)
             np.multiply(minus_alpha, U, out=U)
             if off is not None:
                 np.copyto(U, 0.0, where=off)
-            if rows == 1:
-                BU[...] = row_product(U.T, BT).T
-            else:
-                np.dot(B, UT, out=BUT)
+            np.multiply(B[:, :, None], UT, out=BU_terms)
+            np.add.reduce(BU_terms, axis=1, initial=0.0, out=BUT)
             np.add(AXW, BU, out=dx)
             np.multiply(RHO, QCE, out=dx_hat)
             np.subtract(AXH, dx_hat, out=dx_hat)
@@ -433,7 +449,22 @@ class CollabDesign:
         def signals():
             return signals_out
 
-        return rates, signals
+        # The compiled step's law (simulate): the same sums into the same
+        # buffers, with the key checked in C and regather run on a miss.
+        native = {
+            "law": 1,
+            "n": n,
+            "m": m,
+            "k": p,
+            "d": d,
+            "sums_buf": energies,
+            "u": UT,
+            "gain": gain,
+            "B": B,
+            "key": key_column,
+            "regather": regather,
+        }
+        return rates, signals, native
 
 
 def _uncontrollable_margin(A, B) -> float | None:

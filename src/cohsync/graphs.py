@@ -177,7 +177,7 @@ class SparseLaplacian:
         def product():
             source.take(cols, axis=1, out=terms, mode="clip")  # "raise" would buffer out
             np.multiply(terms, vals, out=terms)
-            np.add.reduce(terms, axis=1, out=into)
+            np.add.reduce(terms, axis=1, initial=0.0, out=into)
 
         return product
 

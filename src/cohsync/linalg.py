@@ -29,13 +29,14 @@ from scipy.linalg import lapack
 __all__ = [
     "SpectrumReport",
     "SolverError",
+    "GainScaleOverflow",
     "eigenvalues",
     "operator_norm_2",
     "min_eigenvalue_sym",
     "solve_lyapunov",
     "solve_care",
     "solve_dual_care_shifted",
-    "row_product",
+    "SlotProduct",
 ]
 
 # Newton stops when successive iterates agree to NEWTON_TOL in max norm,
@@ -51,6 +52,15 @@ class SolverError(RuntimeError):
     """An iterative solve failed to produce a valid solution."""
 
 
+class GainScaleOverflow(SolverError):
+    """A Riccati gain scale so large that the solve's products leave
+    double precision."""
+
+
+def _overflow(g: float) -> GainScaleOverflow:
+    return GainScaleOverflow(f"the gain scale {g:.6g} is too large for the equation to be solved in double precision")
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigenvalues of a square matrix plus a stability verdict."""
@@ -60,17 +70,58 @@ class SpectrumReport:
     is_hurwitz: bool
 
 
-def row_product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X @ B over a batch of rows, each row rounded the same whatever the
-    number of rows.
+class SlotProduct:
+    """X @ M for rows X, each entry a sum from +0 over the nonzeros of its
+    column of M, one term after another in row order, with no BLAS call.
 
-    numpy hands a one-row product to BLAS dot or gemv, which round
-    differently from the kernels it uses for more rows, so a lone row is
-    computed as the first row of a two-row product.
+    Column j's nonzeros are held by slot: M[idx[j, s], j] = val[j, s],
+    padded to the widest column with zero weights on row 0, which add
+    nothing to a finite sum.  So a row's bits depend on that row alone, on
+    neither the batch size nor the BLAS kernel, and its zero terms (which a
+    sum from +0 does not change) are never formed.
     """
-    if X.shape[0] == 1:
-        return (np.concatenate((X, X)) @ B)[:1]
-    return X @ B
+
+    def __init__(self, M: np.ndarray):
+        M = np.asarray(M, dtype=float)
+        mask = M.T != 0.0
+        width = max(1, int(mask.sum(axis=1).max(initial=0)))
+        # Each column's nonzero rows first, in row order, then the padding.
+        order = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+        nonzero = np.take_along_axis(mask, order, axis=1)
+        self.idx = np.where(nonzero, order, 0)
+        self.val = np.where(nonzero, np.take_along_axis(M.T, order, axis=1), 0.0)
+        self.shape = M.shape
+
+    def bind(self, XT: np.ndarray, YT: np.ndarray):
+        """A function writing (X M)' into YT for whatever XT = X' then
+        holds, agents along the fast axis: one gather, one multiply and one
+        reduction over the slots, which adds whole agent rows one after
+        another.  Give it at least two agent columns: numpy sums a lone
+        contiguous axis pairwise."""
+        terms = np.empty(self.idx.shape + XT.shape[1:])
+        idx, val = self.idx, self.val[:, :, None]
+
+        def product():
+            XT.take(idx, axis=0, out=terms, mode="clip")  # "raise" would buffer out
+            np.multiply(terms, val, out=terms)
+            np.add.reduce(terms, axis=1, initial=0.0, out=YT)
+
+        return product
+
+    def __call__(self, X: np.ndarray, chunk: int = 4096) -> np.ndarray:
+        """X @ M, chunk rows at a time."""
+        X = np.asarray(X, dtype=float)
+        span = max(2, min(chunk, X.shape[0]))
+        XT, YT = np.zeros((self.shape[0], span)), np.empty((self.shape[1], span))
+        product = self.bind(XT, YT)
+        out = np.empty((X.shape[0], self.shape[1]))
+        for lo in range(0, X.shape[0], chunk):
+            rows = X[lo : lo + chunk]
+            XT[:, : rows.shape[0]] = rows.T
+            XT[:, rows.shape[0] :] = 0.0
+            product()
+            out[lo : lo + rows.shape[0]] = YT[:, : rows.shape[0]].T
+        return out
 
 
 def _as_square(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -268,6 +319,8 @@ def _newton_care(A, B, W, g, P0) -> list:
                     ok[i] = False
                 except (ValueError, np.linalg.LinAlgError) as exc:
                     ok[i], out[j] = False, exc
+                    if not (np.isfinite(A_cl[i]).all() and np.isfinite(rhs[i]).all()):
+                        out[j] = _overflow(g[j])
         gap = np.abs(P_next - P).max(axis=(1, 2)) / np.fmax(1.0, np.abs(P_next).max(axis=(1, 2)))
         done = ok & ((gap < NEWTON_TOL) | ((last_gap[live] <= gap) & (gap < NEWTON_FLOOR)))
         for i in np.flatnonzero(done).tolist():
@@ -293,7 +346,10 @@ def _schur_start(A, B, W, g) -> list:
     H[:, n:, n:] = -A.T
     out: list = []
     U = []
-    for Hi in H:
+    for gi, Hi in zip(g.tolist(), H):
+        if not np.isfinite(Hi).all():
+            out.append(_overflow(gi))
+            continue
         try:
             _, Ui, sdim = _schur(Hi, sort=True)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -351,6 +407,8 @@ def solve_care(A, B, w_state=None, gain_scale=1.0):
     Raises:
         SolverError: no stabilizing solution is reachable (unstabilizable
             pair, indefinite data, or iteration cap hit).
+        GainScaleOverflow: a SolverError for a g so large that the
+            Hamiltonian or a Newton step leaves double precision.
 
     The Schur method (Laub 1979) gives the start, Newton-Kleinman
     (Kleinman 1968) refines it, usually in one step, down to NEWTON_TOL

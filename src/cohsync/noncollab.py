@@ -145,7 +145,7 @@ class NoncollabDesign:
 
     def law(self, PS: np.ndarray, F: np.ndarray, outs):
         """The protocol's runtime law on a batch of agents, bound once to a
-        run's arrays: (rates, signals).
+        run's arrays: (rates, signals, native).
 
         Row i of PS is agent i's protocol state [xi1_hat, rho] and row i of F
         its stage product: the integrator's workspace row [x, xi1_hat, rho,
@@ -166,6 +166,9 @@ class NoncollabDesign:
         signals() gives (U, proxy, None) of the stage rates last wrote, while
         PS and F still hold it; only signals() forms U, the control rows, and
         proxy is the binding's own buffer, which the next rates overwrites.
+        native holds what the compiled step (simulate) needs to run this law
+        in C on the same arrays: the law's code in _step.c, n1, d and the
+        buffer of the two sums.
         """
         n1, n, m = self.n1, self.n, self.m
         rows, widths = PS.shape[0], (n1 + 1, 4 * n + n1 + m, n + n1 + 1)
@@ -204,7 +207,9 @@ class NoncollabDesign:
         def signals():
             return RHO * NGX, proxy, None
 
-        return rates, signals
+        # The compiled step's law (simulate): the same sums into the same buffer.
+        native = {"law": 0, "n": n, "m": m, "k": n1, "d": d, "sums_buf": sums}
+        return rates, signals, native
 
 
 def design_noncollab(

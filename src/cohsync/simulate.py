@@ -10,12 +10,12 @@ its batched runtime law (law) and the series that must settle; this
 module reads none of a design's gains and never asks which protocol it
 runs.  Each stage fills one preallocated workspace, rows [x, protocol
 state, network sums, w], and makes one sparse Laplacian product and one
-dense product with a stage matrix composed once from A, E and the law's
-rows; the law, bound to the workspace once per run, writes the stage
-derivative in place.  What only recording reads (the noncollaborative
-controls, C x and C (L x)) is formed only for recorded samples, and the
-collaborative law's gain work (the P_alpha rows, the alpha > 0 mask,
--alpha) runs only when a bit of the alpha column moves.
+product with a stage matrix composed once from A, E and the law's rows;
+the law, bound to the workspace once per run, writes the stage derivative
+in place.  What only recording reads (the noncollaborative controls, C x
+and C (L x)) is formed only for recorded samples, and the collaborative
+law's gain work (the P_alpha rows, the alpha > 0 mask, -alpha) runs only
+when a bit of the alpha column moves.
 Dead-zone branches in the gain laws are re-evaluated at every substep; no
 event localization is attempted, since crossing a dead zone only switches
 between nonnegative growth rates.
@@ -23,15 +23,29 @@ between nonnegative growth rates.
 All agents are integrated as one batch of rows in node order, through
 one sparse Laplacian of the whole graph (graphs.SparseLaplacian),
 so a step costs time in proportion to the agents times the largest
-in-degree, not to N^2.  A weakly connected component still evolves
-bitwise as it would alone: a sparse product row adds only its own terms
-in column order, then zero padding, and the dense products (the stage
-product, the RK4 combination, the collaborative B u) round each row the
-same whatever the number of rows (linalg.row_product); the BLAS kernels
-do this without promising it, so the solo-run tests are the gate.  With
-per-agent seeded initial states and globally indexed disturbances,
-component trajectories are bit-identical whether or not the rest of the
-network is present; growth warnings are kept per component to match.
+in-degree, not to N^2.  No BLAS call is left on the run path: every sum
+of a step (a Laplacian row, an entry of the stage product over the
+nonzeros of its stage-matrix column (linalg.SlotProduct), the laws' sums,
+the RK4 combination ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3)) and of
+the outputs C x and C (L x) formed after the run starts from +0 and adds
+its terms one after another in a fixed order, with the agents along the
+fast axis.  So a row's bits depend on neither the batch size nor the CPU
+kernel BLAS would pick, and a weakly connected component evolves bitwise
+as it would alone.  With per-agent seeded initial states and globally
+indexed disturbances, component trajectories are bit-identical whether or
+not the rest of the network is present; growth warnings are kept per
+component to match.
+
+The step runs in one of two ways with the same bits.  The compiled step
+(_step.c, built on first use by _native and loaded with ctypes) makes a
+whole RK4 step in one C call on the arrays the numpy path binds, in the
+same order of operations; it returns to Python after the first stage of a
+recorded step, when the collaborative law needs its gain rows gathered
+again (PAlphaGrid.gain_rows stays in Python), and at the step's end with
+max |S_next|, whose blow-up and growth checks stay here.  w(t) is written
+by numpy for both, a few steps ahead for the compiled one.  Without a C
+compiler, or when the build or the load fails, the numpy path runs: the
+reference, stage by stage in numpy.
 
 The initial state of the agent with global index g is
 np.random.default_rng([seed, g]).uniform(-1, 1, n), bit for bit, but all
@@ -53,6 +67,7 @@ settling report is one pass over the (samples, agents) metric.
 import functools
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +75,7 @@ import numpy as np
 from .agents import AgentModel
 from .collab import CollabDesign
 from .graphs import DirectedWeightedGraph, SparseLaplacian, weakly_connected_components
-from .linalg import SolverError, row_product
+from .linalg import SlotProduct, SolverError
 from .noncollab import NoncollabDesign
 
 # A single RK4 step multiplying the state envelope by more than this is
@@ -130,24 +145,28 @@ class DisturbanceSpec:
 
 
 def _disturbance_writer(spec: DisturbanceSpec, indices: np.ndarray):
-    """A function writing w(t) into an (agents, width) block, one row per
-    agent; None for the zero kind, whose block stays as it is."""
+    """A function writing w at the times T into out, one (agents, width)
+    block per time, out of shape np.shape(T) + (agents, width); None for
+    the zero kind, whose blocks stay as they are."""
     if spec.kind == "zero":
         return None
     rate = 0.1 * indices
 
-    def write(t, out):
+    def write(T, out):
+        T = np.asarray(T, dtype=float)[..., None]  # agents along the last axis
         if spec.kind == "chirp":
-            out[:] = np.sin(rate * t + 0.01 * t * t)[:, None]
+            out[...] = np.sin(rate * T + 0.01 * T * T)[..., None]
         elif spec.kind == "sawtooth":
-            s = indices * t
-            out[:] = (s - np.round(s))[:, None]
+            s = indices * T
+            out[...] = (s - np.round(s))[..., None]
         elif spec.kind == "table":
             # The last step ends at (n - 1) dt + dt, which can round a few
             # ulps past n dt; np.interp reads the last value there.
-            if t < spec.times[0] or t > spec.times[-1] + 4.0 * np.spacing(abs(spec.times[-1])):
-                raise ValueError(f"t={t} outside the disturbance table range")
-            out[:] = [np.interp(t, spec.times, spec.values[:, j]) for j in range(out.shape[1])]
+            outside = (T < spec.times[0]) | (T > spec.times[-1] + 4.0 * np.spacing(abs(spec.times[-1])))
+            if outside.any():
+                raise ValueError(f"t={T[outside][0]} outside the disturbance table range")
+            for j in range(out.shape[-1]):
+                out[..., j] = np.interp(T, spec.times, spec.values[:, j])
 
     return write
 
@@ -299,14 +318,16 @@ def _sample_count(n_steps: int, stride: int) -> int:
     return n_steps // stride + 1 + (n_steps % stride > 0)
 
 
-def _integrate(stage, record, S, X, K, dt, n_steps, stride, order, starts):
+def _integrate(step, record, S, S_next, dt, n_steps, stride, order, starts):
     """RK4 from the state rows S: the times, the recorded states and stage
     values, and the first growth warning of each component, whose rows are
     order[starts[c]:starts[c + 1]].
 
-    stage(t, j) evaluates the stage whose state rows are in X and writes
-    dS/dt into K[j].T, the j-th RK4 stage derivative; record() gives what a
-    sample keeps of a recorded step's first stage, and is called only then.
+    step(k, S, S_next, keep) makes step k from the state rows S into
+    S_next and gives max |S_next|; with keep, it calls keep() after the
+    step's first stage, which records the sample, and stops there, giving
+    None, when keep() returns True, at the last step.  record() gives what
+    a sample keeps of the first stage.
     """
 
     def envelopes(S):
@@ -315,43 +336,30 @@ def _integrate(stage, record, S, X, K, dt, n_steps, stride, order, starts):
 
     n_samples = _sample_count(n_steps, stride)
     times, states, recorded = np.empty(n_samples), np.empty((n_samples,) + S.shape), None
-    KT = [Kj.T for Kj in K]
-    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (dt / 6.0)
-    # Buffers for the weighted sum of the K[j], the next S and its |S|.
-    K_flat, dS, S_next, magnitude = K.reshape(4, -1), np.empty(K[0].size), np.empty_like(S), np.empty_like(S)
-    dS_T = dS.reshape(K.shape[1:]).T
-
     first_growth: dict[int, str] = {}  # component -> its first growth warning
-    half = 0.5 * dt
-
     sample = 0
+
+    def keep():
+        nonlocal sample, recorded
+        times[sample] = k * dt
+        states[sample] = S
+        values = record()
+        if recorded is None:
+            recorded = [None if v is None else np.empty((n_samples,) + v.shape) for v in values]
+        for into, value in zip(recorded, values):
+            if into is not None:
+                into[sample] = value
+        sample += 1
+        return k == n_steps
+
     for k in range(n_steps + 1):
-        t = k * dt
-        X[...] = S
-        stage(t, 0)
-        if (k % stride == 0) or (k == n_steps):
-            times[sample] = t
-            states[sample] = S
-            values = record()
-            if recorded is None:
-                recorded = [None if v is None else np.empty((n_samples,) + v.shape) for v in values]
-            for into, value in zip(recorded, values):
-                if into is not None:
-                    into[sample] = value
-            sample += 1
-        if k == n_steps:
+        envelope = step(k, S, S_next, keep if (k % stride == 0) or (k == n_steps) else None)
+        if envelope is None:
             break
-        for j, h in ((1, half), (2, half), (3, dt)):
-            np.multiply(KT[j - 1], h, out=X)
-            X += S
-            stage(t + h, j)
-        np.matmul(weights, K_flat, out=dS)
-        np.add(S, dS_T, out=S_next)
         # The maximum is NaN or infinite exactly when some entry is.
-        envelope = float(np.maximum.reduce(np.abs(S_next, out=magnitude), axis=None))
         if not math.isfinite(envelope):
             raise IntegrationBlowup(
-                f"state became non-finite at t={t + dt:.6g}; "
+                f"state became non-finite at t={k * dt + dt:.6g}; "
                 "the run blew up (check the design or reduce dt)"
             )
         # A component's growth reference, max(its envelope, 1), is at least
@@ -363,7 +371,7 @@ def _integrate(stage, record, S, X, K, dt, n_steps, stride, order, starts):
                 first_growth.setdefault(
                     c,
                     f"single-step state growth exceeded {_GROWTH_LIMIT:g}x at "
-                    f"t={t + dt:.6g}; dt={dt:g} may be too large",
+                    f"t={k * dt + dt:.6g}; dt={dt:g} may be too large",
                 )
         S, S_next = S_next, S
 
@@ -391,21 +399,39 @@ def stage_matrix(model: AgentModel, design) -> np.ndarray:
     return M
 
 
-def _stage(model, design, graph, spec, indices):
-    """The integrator's stage, bound once per run: (stage, record, X, K).
+@dataclass
+class _Stage:
+    """The integrator's stage, bound once per run.
 
-    A stage fills the workspace rows [x, protocol state, network sums, w]:
-    the caller writes the state rows into X, and stage(t, j) adds the
-    Laplacian product of the first sums columns and w(t), multiplies by
-    stage_matrix, and has the law's rates write dS/dt into K[j].T, the
-    j-th RK4 stage derivative.  The product, w and the law are bound to
-    the workspace here, so a stage takes no views and checks no shapes.
-    Arrays are stored column by column, so that elementwise work runs
-    along the agents.  A lone agent gets a zero second row, so that its
-    product rounds as in any larger batch (linalg.row_product).  w(t) is
-    written only when t changes (RK4 stages 2 and 3 share theirs), never
-    for the zero kind.  record() gives the L x block and the law's signals.
+    A stage fills the workspace W, rows [x, protocol state, network sums,
+    w]: the caller writes the state rows into X, and evaluate(t, j) adds
+    the Laplacian product of the first sums columns and w(t), forms the
+    stage product F = W M with the stage matrix M (its slots in product),
+    and has the law's rates write dS/dt into K[j].T, the j-th RK4 stage
+    derivative.  The products, w and the law are bound to the workspace
+    once, so a stage takes no views and checks no shapes.  Arrays are
+    stored column by column, so that elementwise work runs along the
+    agents, and a lone agent gets a zero second row, so that numpy never
+    sums a lone contiguous axis.  w(t) is written only when t changes (RK4
+    stages 2 and 3 share their time), never for the zero kind.  record()
+    gives the L x block and the law's signals.  The compiled step runs the
+    same stage on the same arrays.
     """
+
+    evaluate: Callable[[float, int], None]
+    record: Callable[[], tuple]
+    X: np.ndarray
+    K: np.ndarray
+    W: np.ndarray
+    F: np.ndarray
+    laplacian: SparseLaplacian
+    product: SlotProduct
+    native: dict
+    disturb: Callable | None
+    sums: int
+
+
+def _stage(model, design, graph, spec, indices) -> _Stage:
     n, n_agents = model.n, graph.n_nodes
     sums = design.widths(n, model.m)[1]
     M = stage_matrix(model, design)
@@ -415,25 +441,61 @@ def _stage(model, design, graph, spec, indices):
     K = np.empty((4, width, n_agents))
     X, PS = W[:n_agents, :width], W[:n_agents, n:width]
     NS, WD = W[:n_agents, width : width + sums], W[:n_agents, width + sums :]
-    laplacian_product = SparseLaplacian(graph).bind(X[:, :sums], NS)
-    rates, signals = design.law(PS, F[:n_agents], [Kj.T for Kj in K])
+    laplacian, product = SparseLaplacian(graph), SlotProduct(M)
+    laplacian_product, stage_product = laplacian.bind(X[:, :sums], NS), product.bind(W.T, F.T)
+    rates, signals, native = design.law(PS, F[:n_agents], [Kj.T for Kj in K])
     disturb = _disturbance_writer(spec, indices)
-    MT, WT, FT, LX = M.T, W.T, F.T, NS[:, :n]
+    LX = NS[:, :n]
     w_time = None  # the time whose w the workspace holds
 
-    def stage(t, j):
+    def evaluate(t, j):
         nonlocal w_time
         laplacian_product()
         if disturb is not None and t != w_time:  # RK4 stages 2 and 3 share their time
             disturb(t, WD)
             w_time = t
-        np.matmul(MT, WT, out=FT)  # F = W M, written column by column
+        stage_product()
         rates(j)
 
     def record():
         return (LX,) + signals()
 
-    return stage, record, X, K
+    return _Stage(evaluate, record, X, K, W, F, laplacian, product, native, disturb, sums)
+
+
+def _rk4_weights(dt: float) -> np.ndarray:
+    return np.array([1.0, 2.0, 2.0, 1.0]) * (dt / 6.0)
+
+
+def _numpy_step(stage: _Stage, dt: float):
+    """_integrate's step on the numpy path: the stages, then S_next = S +
+    ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3) for the RK4 weights w,
+    summed by one reduction over the stages."""
+    evaluate, X, K = stage.evaluate, stage.X, stage.K
+    KT = [Kj.T for Kj in K]
+    weights = _rk4_weights(dt)[:, None]
+    K_flat = K.reshape(4, -1)
+    # Buffers for the weighted K[j], their sum, and |S_next|.
+    terms, dS, magnitude = np.empty_like(K_flat), np.empty(K_flat.shape[1]), np.empty_like(X, order="F")
+    dS_T = dS.reshape(K.shape[1:]).T
+    half = 0.5 * dt
+
+    def step(k, S, S_next, keep):
+        t = k * dt
+        X[...] = S
+        evaluate(t, 0)
+        if keep is not None and keep():
+            return None
+        for j, h in ((1, half), (2, half), (3, dt)):
+            np.multiply(KT[j - 1], h, out=X)
+            np.add(X, S, out=X)
+            evaluate(t + h, j)
+        np.multiply(K_flat, weights, out=terms)
+        np.add.reduce(terms, axis=0, initial=0.0, out=dS)
+        np.add(S, dS_T, out=S_next)
+        return float(np.maximum.reduce(np.abs(S_next, out=magnitude), axis=None))
+
+    return step
 
 
 def check_run(
@@ -533,18 +595,28 @@ def simulate(config: SimConfig) -> SimulationRun:
     components = weakly_connected_components(graph)
     order = np.concatenate(components)
     starts = np.cumsum([0] + [len(comp) for comp in components[:-1]])
-    stage, record, X, K = _stage(model, design, graph, spec, indices)
+    stage = _stage(model, design, graph, spec, indices)
+    S_next = np.empty_like(S)
+    # Imported on the first run, not with this module, so that importing
+    # cohsync reads and compiles no more Python for the compiled step.
+    from . import _native
+
+    lib = _native.library()
+    if lib is None:
+        step = _numpy_step(stage, config.dt)
+    else:
+        step = _native.compiled_step(lib, stage, S, S_next, config.dt, n_steps, _rk4_weights(config.dt))
 
     # A diverging step is detected and raised inside the integration;
     # numpy's per-element overflow warnings on the way there are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         times, S, (LX, u, proxy, exch), warnings = _integrate(
-            stage, record, S, X, K, config.dt, n_steps, stride, order, starts
+            step, stage.record, S, S_next, config.dt, n_steps, stride, order, starts
         )
     # The outputs C x and the measured disagreements C (L x) of all samples
-    # at once, from rows recorded one after another: each row rounds as in
-    # any other batch (linalg.row_product).
-    y, z = (row_product(V.reshape(-1, n), model.C.T).reshape(V.shape[:2] + (-1,)) for V in (S[:, :, :n], LX))
+    # at once, each entry summed from +0 in column order like the stage's.
+    output = SlotProduct(model.C.T)
+    y, z = (output(V.reshape(-1, n)).reshape(V.shape[:2] + (-1,)) for V in (S[:, :, :n], LX))
 
     gains = {g: S[:, :, n + observer + i] for i, g in enumerate(design.gains)}
     return SimulationRun(

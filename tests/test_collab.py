@@ -9,7 +9,7 @@ import cohsync.collab
 from cohsync.agents import AgentModel, check_assumptions
 from cohsync.cli import build_design, load_bundled_manifest
 from cohsync.collab import PAlphaGrid, design_collab, p_alpha_family
-from cohsync.linalg import SolverError, min_eigenvalue_sym, row_product, solve_care
+from cohsync.linalg import GainScaleOverflow, SlotProduct, SolverError, min_eigenvalue_sym, solve_care
 from cohsync.simulate import SimConfig, simulate, stage_matrix
 from cohsync.verification import seeded_minimum_phase_model
 
@@ -254,7 +254,7 @@ def law(design, PS, LS):
     n, rows = design.n, PS.shape[0]
     W = np.hstack([np.zeros((rows, n)), PS, LS, np.zeros((rows, model.w))])
     out = np.empty((rows, n + PS.shape[1]))
-    rates, signals = design.law(PS, row_product(W, stage_matrix(model, design)), [out])
+    rates, signals, _ = design.law(PS, SlotProduct(stage_matrix(model, design))(W), [out])
     rates(0)
     U, mismatch, exchange = signals()
     return (out[:, n : 2 * n], out[:, 2 * n : 2 * n + 1], out[:, 2 * n + 1 :]), U, mismatch, exchange
@@ -440,7 +440,7 @@ def test_law_bits_do_not_depend_on_layout_or_batch(n):
     def evaluate(PS, F, order):
         """Per row, the bytes of its stage derivative, U, mismatch and exchange."""
         out = np.empty((PS.shape[0], 2 * n + 2), order=order)
-        rates, signals = design.law(np.array(PS, order=order), np.array(F, order=order), [out])
+        rates, signals, _ = design.law(np.array(PS, order=order), np.array(F, order=order), [out])
         rates(0)
         return [[a[i].tobytes() for a in (out, *signals())] for i in range(PS.shape[0])]
 
@@ -650,6 +650,25 @@ def test_a_request_raises_its_first_failing_cell_and_caches_the_cells_before_it(
         grid.gain_rows(np.array([grid.alpha_at(11)]))
 
 
+@pytest.mark.parametrize(
+    "n, k, alpha", [(2, 7200, "3.65555e+152"), (3, 8000, "3.26883e+169"), (2, 14500, "1.75726e+307")]
+)
+def test_a_cell_too_far_out_for_double_precision_says_so(n, k, alpha):
+    # Far out on the grid the Newton step (K'K / alpha) or, further out,
+    # the Hamiltonian (alpha BB') overflows; the error names the cell and
+    # that cause, not the non-finite matrix a solver met on the way.
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([n, 0]), n)
+    grid = p_alpha_family(model.A, model.B, model.C, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError) as info:
+        grid.cells([0, k])
+    assert str(info.value) == (
+        f"P_alpha cell {k} (alpha {alpha}) has no solution: "
+        "alpha_k is too large for the family to be solved in double precision"
+    )
+    assert isinstance(info.value.__cause__, GainScaleOverflow)
+    assert grid.cached_indices() == (0,)
+
+
 def test_indices_for_rejects_non_finite_and_non_positive_alphas():
     grid = reference_design().grid
     for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
@@ -786,9 +805,9 @@ def test_gains_reused_while_the_alpha_column_keeps_its_bits(monkeypatch):
     M = stage_matrix(model, design)
     W = np.zeros((rows, M.shape[0]))
     PS = W[:, n : 2 * n + 2]
-    F = row_product(W, M)
+    F = SlotProduct(M)(W)
     outs = [np.empty((rows, 2 * n + 2)) for _ in range(4)]
-    rates, signals = design.law(PS, F, outs)
+    rates, signals, _ = design.law(PS, F, outs)
     rng = np.random.default_rng(43)
     expected_gathers = 0
     for step, column in enumerate(columns):
@@ -796,13 +815,13 @@ def test_gains_reused_while_the_alpha_column_keeps_its_bits(monkeypatch):
         XH[2] = -LXH[2]  # x_hat + zeta_tilde = +0: U is -0 there while alpha > 0
         W[:, : PS.shape[1] + n] = np.column_stack([np.zeros((rows, n)), XH, rng.random(rows), column])
         W[:, 2 * n + 2 : 4 * n + 2] = np.hstack([LX, LXH])
-        F[:] = row_product(W, M)
+        F[:] = SlotProduct(M)(W)
         j = step % 4
         rates(j)
         U, mismatch, exchange = signals()
 
         fresh_out = np.empty_like(outs[j])
-        fresh_rates, fresh_signals = fresh_design.law(PS.copy(), F.copy(), [fresh_out])
+        fresh_rates, fresh_signals, _ = fresh_design.law(PS.copy(), F.copy(), [fresh_out])
         fresh_rates(0)
         assert outs[j].tobytes() == fresh_out.tobytes()
         for got, want in zip((U, mismatch, exchange), fresh_signals()):

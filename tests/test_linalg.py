@@ -12,11 +12,11 @@ from care_oracle import lyapunov as oracle_lyapunov
 from care_oracle import oracle_care, same_outcome
 from cohsync import linalg
 from cohsync.linalg import (
+    SlotProduct,
     SolverError,
     eigenvalues,
     min_eigenvalue_sym,
     operator_norm_2,
-    row_product,
     solve_care,
     solve_dual_care_shifted,
     solve_lyapunov,
@@ -456,16 +456,26 @@ def test_dual_care_eta_scaling():
 
 @pytest.mark.parametrize("k, m", [(3, 1), (4, 2), (1, 3), (6, 4), (5, 12), (9, 11)])
 def test_row_product_rows_do_not_depend_on_batch_size(k, m):
-    # The simulator's bitwise component independence rests on this.
+    # The simulator's bitwise component independence rests on this, and
+    # so does the compiled step, which sums in the same order: each entry
+    # is the sum from +0 of its terms in row order, whatever the batch and
+    # the BLAS kernel.
     rng = np.random.default_rng(k * 100 + m)
     B = rng.standard_normal((k, m))
+    B[rng.random((k, m)) < 0.3] = 0.0
+    product = SlotProduct(B)
     for n in range(1, 14):
         X = rng.standard_normal((n, k))
-        full = row_product(X, B)
+        full = product(X)
         assert np.allclose(full, X @ B, rtol=1e-14, atol=1e-14)
+        expected = np.zeros((n, m))
+        for i in range(k):
+            expected = expected + X[:, i : i + 1] * B[i]
+        assert full.tobytes() == expected.tobytes()
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
-                assert np.array_equal(row_product(X[lo:hi], B), full[lo:hi]), (n, lo, hi)
+                assert np.array_equal(product(X[lo:hi]), full[lo:hi]), (n, lo, hi)
+        assert product(X, chunk=3).tobytes() == full.tobytes()
 
 
 # ---------------------------------------------------------------------------

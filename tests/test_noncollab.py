@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cohsync.agents import AgentModel
-from cohsync.linalg import SolverError, row_product
+from cohsync.linalg import SlotProduct, SolverError
 from cohsync.noncollab import design_noncollab
 from cohsync.simulate import stage_matrix
 from cohsync.verification import seeded_minimum_phase_model
@@ -124,7 +124,7 @@ def law(design, PS, Z):
     LX = np.asarray(Z, dtype=float) @ np.linalg.pinv(model.C).T  # C (L x) = Z
     W = np.hstack([np.zeros((rows, n)), PS, LX, np.zeros((rows, model.w))])
     out = np.empty((rows, n + PS.shape[1]))
-    rates, signals = design.law(PS, row_product(W, stage_matrix(model, design)), [out])
+    rates, signals, _ = design.law(PS, SlotProduct(stage_matrix(model, design))(W), [out])
     rates(0)
     U, proxy, exchange = signals()
     return (out[:, n : n + design.n1], out[:, n + design.n1 :]), U, proxy, exchange
@@ -261,9 +261,9 @@ def test_dimension_mismatches_rejected():
 
 
 def test_batched_rows_match_single_agent_calls():
-    # Bitwise, the sign of a zero included: the stage product computes a
-    # one-row batch as part of a two-row one (linalg.row_product), whose
-    # rows round as in any larger batch.
+    # Bitwise, the sign of a zero included: the stage product sums each
+    # row's terms from +0 in order (linalg.SlotProduct), so its rows round
+    # as in any batch.
     design = reference_design()
     rng = np.random.default_rng(23)
     PS = np.hstack([rng.standard_normal((5, 3)), rng.random((5, 1)) * 4.0])
@@ -309,7 +309,7 @@ def test_trigger_sums_add_their_terms_in_column_order():
     lone = [slice(j, j + 1) for j in range(rows)]
     for batch, FB in [(slice(0, rows), F)] + [(b, F[b]) for b in lone] + [(b, F[b].copy()) for b in lone]:
         out = np.empty((n + n1 + 1, batch.stop - batch.start)).T
-        rates, signals = design.law(PS[batch], FB, [out])
+        rates, signals, _ = design.law(PS[batch], FB, [out])
         rates(0)
         assert signals()[1].tobytes() == np.array(proxy[batch]).tobytes()
         assert out[:, -1].tobytes() == drho[batch].tobytes()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohsync import _native
 from cohsync.agents import AgentModel
 from cohsync.collab import design_collab
 from cohsync.graphs import (
@@ -17,7 +18,7 @@ from cohsync.graphs import (
     laplacian,
     weakly_connected_components,
 )
-from cohsync.linalg import SolverError, row_product
+from cohsync.linalg import SlotProduct, SolverError
 from cohsync.noncollab import design_noncollab
 from cohsync.simulate import (
     PROTOCOLS,
@@ -39,6 +40,16 @@ from cohsync.simulate import (
 )
 
 import golden
+
+
+def step_paths(monkeypatch):
+    """Sets each step path in turn, yielding its name: the compiled step,
+    where a C compiler builds it, and the numpy path."""
+    for path in ("compiled", "numpy"):
+        monkeypatch.setattr(_native, "_compiled", path == "compiled")
+        if path == "compiled" and _native.library() is None:
+            continue
+        yield path
 
 
 def pair_graph():
@@ -196,7 +207,8 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
     edges = [(j, i, rng.random() + 0.5) for i in range(n_agents) for j in (i - 1, i - 3) if j >= 0]
     graph = DirectedWeightedGraph.from_edges(n_agents, edges)
     indices = np.arange(1.0, n_agents + 1.0)
-    stage, record, X, K = _stage(model, design, graph, spec, indices)
+    stage = _stage(model, design, graph, spec, indices)
+    X, K = stage.X, stage.K
     S = rng.standard_normal(X.shape)
     S[:, n:] = rng.random((n_agents, S.shape[1] - n)) * 3.0  # gains >= 0 ...
     if protocol == "collaborative":
@@ -208,16 +220,16 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
     t = 0.7
     # Each of the four RK4 stages writes its own derivative.
     for j in range(4):
-        stage(t, j)
+        stage.evaluate(t, j)
     assert all(np.array_equal(K[j], K[0]) for j in range(4))
     out = K[0].T
-    lx, U, signal, exchange = record()
+    lx, U, signal, exchange = stage.record()
 
     LS = laplacian(graph) @ S[:, :sums]
     PS = S[:, n:]
     W = np.hstack([np.zeros((n_agents, n)), PS, LS, np.zeros((n_agents, model.w))])
     law_out = np.empty(S.shape)
-    rates, signals = design.law(PS, row_product(W, stage_matrix(model, design)), [law_out])
+    rates, signals, _ = design.law(PS, SlotProduct(stage_matrix(model, design))(W), [law_out])
     rates(0)
     u, law_signal, law_exchange = signals()
     if spec.kind == "zero":
@@ -361,58 +373,64 @@ def test_pair_settles_and_gains_freeze():
     assert np.all(flat["rho"] < 1e-2)
 
 
-def test_determinism_bitwise():
-    model, design = demo_noncollab_design()
-    g = generate_disconnected_composite((3, 3), seed=5)
-    cfg = dict(
-        model=model,
-        graph=g,
-        design=design,
-        disturbance=DisturbanceSpec(kind="chirp"),
-        dt=1e-3,
-        t_end=0.5,
-        seed=11,
-    )
-    a = simulate(SimConfig(**cfg))
-    b = simulate(SimConfig(**cfg))
-    for name in ("states", "protocol_states", "outputs", "controls", "zeta", "rho", "coherency_proxy"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.states.tobytes() == b.states.tobytes()
-
-
-def test_components_simulate_identically_alone():
-    model, design = demo_noncollab_design()
-    g = generate_disconnected_composite((4, 5), seed=3)
-    full = simulate(
-        SimConfig(
+def test_determinism_bitwise(monkeypatch):
+    # Repeatable on each path, and the same bytes on both.
+    states = {}
+    for path in step_paths(monkeypatch):
+        model, design = demo_noncollab_design()
+        g = generate_disconnected_composite((3, 3), seed=5)
+        cfg = dict(
             model=model,
             graph=g,
             design=design,
             disturbance=DisturbanceSpec(kind="chirp"),
             dt=1e-3,
-            t_end=2.0,
-            seed=7,
+            t_end=0.5,
+            seed=11,
         )
-    )
-    blocks = [(0, 4), (4, 9)]
-    for lo, hi in blocks:
-        sub = DirectedWeightedGraph(g.adjacency[lo:hi, lo:hi])
-        solo = simulate(
+        a = simulate(SimConfig(**cfg))
+        b = simulate(SimConfig(**cfg))
+        for name in ("states", "protocol_states", "outputs", "controls", "zeta", "rho", "coherency_proxy"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.states.tobytes() == b.states.tobytes()
+        states[path] = a.states.tobytes()
+    assert len(set(states.values())) == 1
+
+
+def test_components_simulate_identically_alone(monkeypatch):
+    for path in step_paths(monkeypatch):
+        model, design = demo_noncollab_design()
+        g = generate_disconnected_composite((4, 5), seed=3)
+        full = simulate(
             SimConfig(
                 model=model,
-                graph=sub,
+                graph=g,
                 design=design,
                 disturbance=DisturbanceSpec(kind="chirp"),
                 dt=1e-3,
                 t_end=2.0,
                 seed=7,
-                disturbance_indices=tuple(range(lo + 1, hi + 1)),
             )
         )
-        assert np.array_equal(full.states[:, lo:hi], solo.states)
-        assert np.array_equal(full.rho[:, lo:hi], solo.rho)
-        assert np.array_equal(full.controls[:, lo:hi], solo.controls)
-        assert np.array_equal(full.coherency_proxy[:, lo:hi], solo.coherency_proxy)
+        blocks = [(0, 4), (4, 9)]
+        for lo, hi in blocks:
+            sub = DirectedWeightedGraph(g.adjacency[lo:hi, lo:hi])
+            solo = simulate(
+                SimConfig(
+                    model=model,
+                    graph=sub,
+                    design=design,
+                    disturbance=DisturbanceSpec(kind="chirp"),
+                    dt=1e-3,
+                    t_end=2.0,
+                    seed=7,
+                    disturbance_indices=tuple(range(lo + 1, hi + 1)),
+                )
+            )
+            assert np.array_equal(full.states[:, lo:hi], solo.states)
+            assert np.array_equal(full.rho[:, lo:hi], solo.rho)
+            assert np.array_equal(full.controls[:, lo:hi], solo.controls)
+            assert np.array_equal(full.coherency_proxy[:, lo:hi], solo.coherency_proxy)
 
 
 def mixed_component_graph():
@@ -445,50 +463,51 @@ def rotated_model(A, B, C, E, seed):
 
 
 @pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
-def test_mixed_components_match_solo_runs_bitwise(protocol):
-    if protocol == "noncollaborative":
-        model = rotated_model(
-            golden.NONCOLLAB_A, golden.NONCOLLAB_B, golden.NONCOLLAB_C, golden.NONCOLLAB_E, 1
-        )
-        design = design_noncollab(model, delta=2.0)
-        gains = {}
-    else:
-        model = rotated_model(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, golden.COLLAB_E, 1)
-        design = design_collab(model, delta=2.0)
-        gains = dict(initial_rho=8.0, initial_alpha=4.0)
-    g = mixed_component_graph()
-    cfg = dict(
-        model=model,
-        design=design,
-        disturbance=DisturbanceSpec(kind="chirp"),
-        dt=1e-3,
-        t_end=1.0,
-        seed=3,
-        record_stride=3,
-        **gains,
-    )
-    full = simulate(SimConfig(graph=g, **cfg))
-    components = weakly_connected_components(g)
-    assert sorted(len(c) for c in components) == [1, 1, 3, 5, 7]
-    names = ("states", "protocol_states", "outputs", "controls", "zeta", "rho", "alpha")
-    names += ("coherency_proxy", "exchange_energy")
-    for comp in components:
-        sel = np.asarray(comp)
-        solo = simulate(
-            SimConfig(
-                graph=DirectedWeightedGraph(g.adjacency[np.ix_(sel, sel)]),
-                disturbance_indices=tuple(sel + 1),
-                **cfg,
+def test_mixed_components_match_solo_runs_bitwise(protocol, monkeypatch):
+    for path in step_paths(monkeypatch):
+        if protocol == "noncollaborative":
+            model = rotated_model(
+                golden.NONCOLLAB_A, golden.NONCOLLAB_B, golden.NONCOLLAB_C, golden.NONCOLLAB_E, 1
             )
+            design = design_noncollab(model, delta=2.0)
+            gains = {}
+        else:
+            model = rotated_model(golden.COLLAB_A, golden.COLLAB_B, golden.COLLAB_C, golden.COLLAB_E, 1)
+            design = design_collab(model, delta=2.0)
+            gains = dict(initial_rho=8.0, initial_alpha=4.0)
+        g = mixed_component_graph()
+        cfg = dict(
+            model=model,
+            design=design,
+            disturbance=DisturbanceSpec(kind="chirp"),
+            dt=1e-3,
+            t_end=1.0,
+            seed=3,
+            record_stride=3,
+            **gains,
         )
-        for name in names:
-            a, b = getattr(full, name), getattr(solo, name)
-            if a is None:
-                assert b is None and protocol == "noncollaborative", name
-                continue
-            # Bitwise, the sign of a zero included.
-            assert np.array_equal(a[:, sel], b), (name, comp)
-            assert np.array_equal(np.signbit(a[:, sel]), np.signbit(b)), (name, comp)
+        full = simulate(SimConfig(graph=g, **cfg))
+        components = weakly_connected_components(g)
+        assert sorted(len(c) for c in components) == [1, 1, 3, 5, 7]
+        names = ("states", "protocol_states", "outputs", "controls", "zeta", "rho", "alpha")
+        names += ("coherency_proxy", "exchange_energy")
+        for comp in components:
+            sel = np.asarray(comp)
+            solo = simulate(
+                SimConfig(
+                    graph=DirectedWeightedGraph(g.adjacency[np.ix_(sel, sel)]),
+                    disturbance_indices=tuple(sel + 1),
+                    **cfg,
+                )
+            )
+            for name in names:
+                a, b = getattr(full, name), getattr(solo, name)
+                if a is None:
+                    assert b is None and protocol == "noncollaborative", name
+                    continue
+                # Bitwise, the sign of a zero included.
+                assert np.array_equal(a[:, sel], b), (name, comp)
+                assert np.array_equal(np.signbit(a[:, sel]), np.signbit(b)), (name, comp)
 
 
 def test_recording_stride_and_final_sample():
@@ -511,118 +530,132 @@ def test_recording_stride_and_final_sample():
 
 
 @pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
-def test_strided_recording_is_every_stride_th_sample_bitwise(protocol):
+def test_strided_recording_is_every_stride_th_sample_bitwise(protocol, monkeypatch):
     # The recorded signals are formed only at recorded steps; they must be
     # the ones every step would give.
-    model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
-    runs = [
-        simulate(
+    for path in step_paths(monkeypatch):
+        model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
+        runs = [
+            simulate(
+                SimConfig(
+                    model=model,
+                    graph=generate_circulant(5, (1, 2), directed=True),
+                    design=design,
+                    disturbance=DisturbanceSpec(kind="chirp"),
+                    dt=1e-2,
+                    t_end=0.3,
+                    record_stride=stride,
+                    initial_rho=1.0,
+                    initial_alpha=0.5 if protocol == "collaborative" else 0.0,
+                )
+            )
+            for stride in (1, 3)
+        ]
+        every, third = (vars(run) for run in runs)
+        arrays = [name for name, value in every.items() if isinstance(value, np.ndarray)]
+        assert len(arrays) == (12 if protocol == "collaborative" else 10)
+        assert np.any(every["controls"] != 0.0)
+        for name in arrays:
+            a = every[name] if name == "agent_indices" else every[name][::3]
+            b = third[name]
+            assert a.shape == b.shape and np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+def test_growth_warning_without_blowup(monkeypatch):
+    warnings = {}
+    for path in step_paths(monkeypatch):
+        model = AgentModel([[-1.0]], [[1.0]], [[1.0]])
+        design = design_noncollab(model, delta=1.0)
+        g = DirectedWeightedGraph(np.zeros((1, 1)))
+        run = simulate(
             SimConfig(
                 model=model,
-                graph=generate_circulant(5, (1, 2), directed=True),
+                graph=g,
                 design=design,
-                disturbance=DisturbanceSpec(kind="chirp"),
-                dt=1e-2,
-                t_end=0.3,
-                record_stride=stride,
-                initial_rho=1.0,
-                initial_alpha=0.5 if protocol == "collaborative" else 0.0,
+                dt=20.0,
+                t_end=600.0,
+                initial_states=np.array([[1.0]]),
             )
         )
-        for stride in (1, 3)
-    ]
-    every, third = (vars(run) for run in runs)
-    arrays = [name for name, value in every.items() if isinstance(value, np.ndarray)]
-    assert len(arrays) == (12 if protocol == "collaborative" else 10)
-    assert np.any(every["controls"] != 0.0)
-    for name in arrays:
-        a = every[name] if name == "agent_indices" else every[name][::3]
-        b = third[name]
-        assert a.shape == b.shape and np.array_equal(a, b), name
-        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+        assert run.warnings and "growth" in run.warnings[0]
+        assert np.all(np.isfinite(run.states))
+        warnings[path] = (run.warnings, run.states.tobytes())
+    assert len(set(map(repr, warnings.values()))) == 1
 
 
-def test_growth_warning_without_blowup():
-    model = AgentModel([[-1.0]], [[1.0]], [[1.0]])
-    design = design_noncollab(model, delta=1.0)
-    g = DirectedWeightedGraph(np.zeros((1, 1)))
-    run = simulate(
-        SimConfig(
-            model=model,
-            graph=g,
-            design=design,
-            dt=20.0,
-            t_end=600.0,
-            initial_states=np.array([[1.0]]),
-        )
-    )
-    assert run.warnings and "growth" in run.warnings[0]
-    assert np.all(np.isfinite(run.states))
-
-
-def test_growth_warning_kept_per_component():
+def test_growth_warning_kept_per_component(monkeypatch):
     # Each isolated agent is its own component and grows about 5.5e3-fold
     # per step; the smaller start crosses the limit one step later.
-    model = AgentModel([[-1.0]], [[1.0]], [[1.0]])
-    design = design_noncollab(model, delta=1.0)
-    starts = [1e-4, 1.0, 2e-4]
-    cfg = dict(model=model, design=design, dt=20.0, t_end=600.0)
-    full = simulate(
-        SimConfig(
-            graph=DirectedWeightedGraph(np.zeros((3, 3))),
-            initial_states=np.array(starts)[:, None],
-            **cfg,
-        )
-    )
-    solo_warnings = []
-    for i, x0 in enumerate(starts):
-        solo = simulate(
+    warnings = {}
+    for path in step_paths(monkeypatch):
+        model = AgentModel([[-1.0]], [[1.0]], [[1.0]])
+        design = design_noncollab(model, delta=1.0)
+        starts = [1e-4, 1.0, 2e-4]
+        cfg = dict(model=model, design=design, dt=20.0, t_end=600.0)
+        full = simulate(
             SimConfig(
-                graph=DirectedWeightedGraph(np.zeros((1, 1))),
-                initial_states=np.array([[x0]]),
-                disturbance_indices=(i + 1,),
+                graph=DirectedWeightedGraph(np.zeros((3, 3))),
+                initial_states=np.array(starts)[:, None],
                 **cfg,
             )
         )
-        assert len(solo.warnings) == 1
-        solo_warnings += solo.warnings
-    assert "t=40" in solo_warnings[0] and "t=20" in solo_warnings[1]
-    assert full.warnings == solo_warnings
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
-def test_blowup_in_one_component_aborts_the_run():
-    model = AgentModel([[1.0]], [[1.0]], [[1.0]])
-    design = design_noncollab(model, delta=1.0)
-    cfg = dict(model=model, design=design, dt=5.0, t_end=100.0)
-    with pytest.raises(IntegrationBlowup) as solo:
-        simulate(SimConfig(graph=pair_graph(), initial_states=np.array([[1e3], [-1e3]]), **cfg))
-    # An isolated agent at rest stays at 0; only the pair diverges.
-    g = DirectedWeightedGraph.from_edges(3, [(0, 2, 1.0), (2, 0, 1.0)])
-    with pytest.raises(IntegrationBlowup) as full:
-        simulate(SimConfig(graph=g, initial_states=np.array([[1e3], [0.0], [-1e3]]), **cfg))
-    assert str(full.value) == str(solo.value)
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
-def test_blowup_aborts_with_diagnostic():
-    model = AgentModel([[1.0]], [[1.0]], [[1.0]])
-    design = design_noncollab(model, delta=1.0)
-    with pytest.raises(IntegrationBlowup, match="non-finite") as excinfo:
-        simulate(
-            SimConfig(
-                model=model,
-                graph=pair_graph(),
-                design=design,
-                dt=5.0,
-                t_end=100.0,
-                initial_states=np.array([[1e3], [-1e3]]),
+        solo_warnings = []
+        for i, x0 in enumerate(starts):
+            solo = simulate(
+                SimConfig(
+                    graph=DirectedWeightedGraph(np.zeros((1, 1))),
+                    initial_states=np.array([[x0]]),
+                    disturbance_indices=(i + 1,),
+                    **cfg,
+                )
             )
-        )
-    # Callers that catch solver failures in general still see a blow-up.
-    assert isinstance(excinfo.value, SolverError)
+            assert len(solo.warnings) == 1
+            solo_warnings += solo.warnings
+        assert "t=40" in solo_warnings[0] and "t=20" in solo_warnings[1]
+        assert full.warnings == solo_warnings
+        warnings[path] = full.warnings
+    assert len(set(map(repr, warnings.values()))) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_blowup_in_one_component_aborts_the_run(monkeypatch):
+    messages = {}
+    for path in step_paths(monkeypatch):
+        model = AgentModel([[1.0]], [[1.0]], [[1.0]])
+        design = design_noncollab(model, delta=1.0)
+        cfg = dict(model=model, design=design, dt=5.0, t_end=100.0)
+        with pytest.raises(IntegrationBlowup) as solo:
+            simulate(SimConfig(graph=pair_graph(), initial_states=np.array([[1e3], [-1e3]]), **cfg))
+        # An isolated agent at rest stays at 0; only the pair diverges.
+        g = DirectedWeightedGraph.from_edges(3, [(0, 2, 1.0), (2, 0, 1.0)])
+        with pytest.raises(IntegrationBlowup) as full:
+            simulate(SimConfig(graph=g, initial_states=np.array([[1e3], [0.0], [-1e3]]), **cfg))
+        assert str(full.value) == str(solo.value)
+        messages[path] = str(full.value)
+    assert len(set(messages.values())) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_blowup_aborts_with_diagnostic(monkeypatch):
+    for path in step_paths(monkeypatch):
+        model = AgentModel([[1.0]], [[1.0]], [[1.0]])
+        design = design_noncollab(model, delta=1.0)
+        with pytest.raises(IntegrationBlowup, match="non-finite") as excinfo:
+            simulate(
+                SimConfig(
+                    model=model,
+                    graph=pair_graph(),
+                    design=design,
+                    dt=5.0,
+                    t_end=100.0,
+                    initial_states=np.array([[1e3], [-1e3]]),
+                )
+            )
+        # Callers that catch solver failures in general still see a blow-up.
+        assert isinstance(excinfo.value, SolverError)
 
 
 def test_halving_dt_barely_changes_trajectories():
