@@ -3,16 +3,20 @@ ctypes.
 
 library() compiles the package's _step.c with _FLAGS into a shared
 library in the user's cache directory ($XDG_CACHE_HOME or ~/.cache, then
-cohsync/), or in the temporary directory when that cannot be written.
-The file's name holds the SHA-256 of the source, the flags and the
-machine, so a library built from another source or with other flags is
-never loaded.  It is written under a temporary name and renamed into
-place, so no process loads a half-written file.  simulate imports this
-module on its first run, never at import, and compiled_step binds the
-library to one run's arrays.
+cohsync/), or in cohsync-<uid>/ of the temporary directory when that
+cannot be written.  Either directory is made with mode 0700, and a
+library is built into and loaded from it only while it, and then the
+library, belong to the user and no one else can write to them: a shared
+temporary directory never holds a library that another user could have
+put there.  The file's name holds the SHA-256 of the source, the flags
+and the machine, so a library built from another source or with other
+flags is never loaded.  It is written under a temporary name and renamed
+into place, so no process loads a half-written file.  simulate imports
+this module on its first run, never at import, and compiled_step binds
+the library to one run's arrays.
 
-library() gives None when there is no compiler or the build or the load
-fails; simulate then takes its numpy path, which gives the same bytes.
+library() gives None when there is no such directory, no compiler, or
+the build or the load fails; simulate then takes its numpy path, which gives the same bytes.
 """
 
 import ctypes
@@ -21,6 +25,7 @@ import hashlib
 import os
 import platform
 import shutil
+import stat
 import subprocess
 import tempfile
 from importlib import resources
@@ -43,20 +48,35 @@ _compiled = True  # False: simulate takes its numpy path
 _W_AHEAD = 2**14
 
 
-def _cache_dir() -> Path:
-    """The user's cache directory for cohsync if it can be written, else
-    one in the temporary directory."""
+def _private(path: Path) -> bool:
+    """Whether path exists, belongs to this user and is writable by no
+    one else."""
+    try:
+        info = path.stat()
+    except OSError:
+        return False
+    return info.st_uid == os.getuid() and not info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+
+
+def _cache_dir() -> Path | None:
+    """The user's cache directory for cohsync, else cohsync-<uid> in the
+    temporary directory: the first that can be made and is private and
+    writable; None when neither is."""
+    if not hasattr(os, "getuid"):
+        return None  # no owner to check
     if _CACHE is not None:
-        return Path(_CACHE)
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    for directory in (Path(base) / "cohsync", Path(tempfile.gettempdir()) / "cohsync"):
+        candidates = [Path(_CACHE)]
+    else:
+        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+        candidates = [Path(base) / "cohsync", Path(tempfile.gettempdir()) / f"cohsync-{os.getuid()}"]
+    for directory in candidates:
         try:
-            directory.mkdir(parents=True, exist_ok=True)
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         except OSError:
             continue
-        if os.access(directory, os.W_OK | os.X_OK):
+        if _private(directory) and os.access(directory, os.W_OK | os.X_OK):
             return directory
-    return Path(tempfile.gettempdir())
+    return None
 
 
 def source() -> bytes:
@@ -76,7 +96,9 @@ def library():
 
 
 @functools.cache
-def _load(cc: str, directory: Path):
+def _load(cc: str, directory: Path | None):
+    if directory is None:
+        return None
     text = source()
     path = directory / cache_name(text)
     if not path.is_file():
@@ -89,12 +111,15 @@ def _load(cc: str, directory: Path):
             subprocess.run(
                 [compiler, *_FLAGS, "-x", "c", "-", "-o", tmp], input=text, capture_output=True, check=True, timeout=300
             )
+            os.chmod(tmp, 0o700)  # the linker's mode follows the umask
             os.replace(tmp, path)
         except (OSError, subprocess.SubprocessError):
             return None
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+    if not _private(path):
+        return None
     try:
         lib = ctypes.CDLL(str(path))
     except OSError:

@@ -47,6 +47,9 @@ NEWTON_TOL = 1e-12
 NEWTON_FLOOR = 1e-8
 NEWTON_MAX_ITER = 200
 
+# SlotProduct's call multiplies this many rows at a time.
+_SLOT_CHUNK = 4096
+
 
 class SolverError(RuntimeError):
     """An iterative solve failed to produce a valid solution."""
@@ -108,9 +111,10 @@ class SlotProduct:
 
         return product
 
-    def __call__(self, X: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        """X @ M, chunk rows at a time."""
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """X @ M, _SLOT_CHUNK rows at a time."""
         X = np.asarray(X, dtype=float)
+        chunk = _SLOT_CHUNK
         span = max(2, min(chunk, X.shape[0]))
         XT, YT = np.zeros((self.shape[0], span)), np.empty((self.shape[1], span))
         product = self.bind(XT, YT)

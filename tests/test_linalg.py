@@ -455,7 +455,7 @@ def test_dual_care_eta_scaling():
 
 
 @pytest.mark.parametrize("k, m", [(3, 1), (4, 2), (1, 3), (6, 4), (5, 12), (9, 11)])
-def test_row_product_rows_do_not_depend_on_batch_size(k, m):
+def test_row_product_rows_do_not_depend_on_batch_size(monkeypatch, k, m):
     # The simulator's bitwise component independence rests on this, and
     # so does the compiled step, which sums in the same order: each entry
     # is the sum from +0 of its terms in row order, whatever the batch and
@@ -475,7 +475,9 @@ def test_row_product_rows_do_not_depend_on_batch_size(k, m):
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
                 assert np.array_equal(product(X[lo:hi]), full[lo:hi]), (n, lo, hi)
-        assert product(X, chunk=3).tobytes() == full.tobytes()
+        with monkeypatch.context() as chunked:
+            chunked.setattr(linalg, "_SLOT_CHUNK", 3)
+            assert product(X).tobytes() == full.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@ its cache and its packaging."""
 
 import dataclasses
 import importlib.resources
+import os
+import shutil
+import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -111,7 +115,7 @@ def test_a_model_without_disturbance_channels_runs_on_both_paths(monkeypatch, co
 def test_a_library_under_a_stale_key_is_never_loaded(monkeypatch, tmp_path, compiled):
     # Built into a cache directory of the test's own, under its key.
     cache = tmp_path / "cache"
-    cache.mkdir()
+    cache.mkdir(mode=0o700)
     monkeypatch.setattr(_native, "_CACHE", cache)
     fresh = cache / _native.cache_name(_native.source())
     assert _native.library()._name == str(fresh) and fresh.is_file()
@@ -129,6 +133,50 @@ def test_a_library_under_a_stale_key_is_never_loaded(monkeypatch, tmp_path, comp
     monkeypatch.setattr(_native, "_CACHE", cache)
     assert _native.library() is None
     assert all(path.read_bytes() == b"not a library" for path in stale)
+
+
+def test_a_library_another_user_could_have_written_is_never_loaded(monkeypatch, tmp_path, compiled):
+    # Built into a private cache directory of the test's own, and loaded.
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    monkeypatch.setattr(_native, "_CACHE", cache)
+    built = cache / _native.cache_name(_native.source())
+    assert _native.library()._name == str(built)
+    assert stat.S_IMODE(built.stat().st_mode) == 0o700
+    # With no compiler to build it again, the same library is not loaded
+    # from a directory that others can write to ...
+    no_compiler(monkeypatch, tmp_path)
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    shared.chmod(0o777)
+    shutil.copy2(built, shared / built.name)
+    monkeypatch.setattr(_native, "_CACHE", shared)
+    assert _native.library() is None
+    # ... nor from a directory of another user's ...
+    monkeypatch.setattr(_native, "_CACHE", cache)
+    with monkeypatch.context() as other_user:
+        other_user.setattr(os, "getuid", lambda: os.stat(cache).st_uid + 1)
+        assert _native.library() is None
+    # ... nor when others can write to the library itself.
+    built.chmod(0o722)
+    assert _native.library() is None
+
+
+def test_the_temporary_fallback_is_a_private_directory_of_the_users_own(monkeypatch, tmp_path):
+    # The user's cache directory cannot be made, as its parent is a file:
+    # cohsync-<uid> in the temporary directory is, with mode 0700.
+    (tmp_path / "file").write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    fallback = tmp_path / "tmp" / f"cohsync-{os.getuid()}"
+    assert _native._cache_dir() == fallback
+    assert stat.S_IMODE(fallback.stat().st_mode) == 0o700
+    # Where others can write to it, there is no cache directory and the
+    # numpy path is taken: never the temporary directory itself.
+    fallback.chmod(0o777)
+    assert _native._cache_dir() is None
+    assert _native.library() is None
 
 
 def test_the_step_source_ships_with_the_package():
