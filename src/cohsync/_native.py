@@ -215,7 +215,7 @@ def compiled_step(lib, stage, S, S_next, dt: float, n_steps: int, weights):
                 T = np.stack([t, t + half, t + dt], axis=1)
                 if k + T.shape[0] > n_steps:
                     T[-1, 1:] = T[-1, 0]  # the last step has its first stage alone
-                disturb(T, w_rows[: T.shape[0]])
+                disturb(T[..., None], w_rows[: T.shape[0]])
             address = w_address + (k - at) * block
         record = keep is not None
         code = call(address, record)

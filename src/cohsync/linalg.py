@@ -97,17 +97,21 @@ class SlotProduct:
 
     def bind(self, XT: np.ndarray, YT: np.ndarray):
         """A function writing (X M)' into YT for whatever XT = X' then
-        holds, agents along the fast axis: one gather, one multiply and one
-        reduction over the slots, which adds whole agent rows one after
-        another.  Give it at least two agent columns: numpy sums a lone
-        contiguous axis pairwise."""
-        terms = np.empty(self.idx.shape + XT.shape[1:])
-        idx, val = self.idx, self.val[:, :, None]
+        holds, agents along the fast axis: one gather into (slots, columns,
+        agents) terms, one multiply by the weights laid out alike and one
+        reduction over the slots, which adds whole (columns, agents) blocks
+        one after another.  Give it at least two agent columns: numpy sums
+        a lone contiguous axis pairwise."""
+        idx = np.ascontiguousarray(self.idx.T)
+        terms = np.empty(idx.shape + XT.shape[1:])
+        # Weights of the terms' own layout make the multiply one contiguous
+        # loop; numpy runs a broadcast one agent row at a time.
+        val = np.ascontiguousarray(np.broadcast_to(self.val.T[:, :, None], terms.shape))
 
         def product():
             XT.take(idx, axis=0, out=terms, mode="clip")  # "raise" would buffer out
             np.multiply(terms, val, out=terms)
-            np.add.reduce(terms, axis=1, initial=0.0, out=YT)
+            np.add.reduce(terms, axis=0, initial=0.0, out=YT)
 
         return product
 

@@ -146,14 +146,15 @@ class DisturbanceSpec:
 
 def _disturbance_writer(spec: DisturbanceSpec, indices: np.ndarray):
     """A function writing w at the times T into out, one (agents, width)
-    block per time, out of shape np.shape(T) + (agents, width); None for
-    the zero kind, whose blocks stay as they are."""
+    block per time; None for the zero kind, whose blocks stay as they are.
+    T is one time, out of shape (agents, width), or an array of times with
+    a last axis of length 1, along which the agents go, and out of shape
+    T.shape[:-1] + (agents, width)."""
     if spec.kind == "zero":
         return None
     rate = 0.1 * indices
 
     def write(T, out):
-        T = np.asarray(T, dtype=float)[..., None]  # agents along the last axis
         if spec.kind == "chirp":
             out[...] = np.sin(rate * T + 0.01 * T * T)[..., None]
         elif spec.kind == "sawtooth":
@@ -163,8 +164,8 @@ def _disturbance_writer(spec: DisturbanceSpec, indices: np.ndarray):
             # The last step ends at (n - 1) dt + dt, which can round a few
             # ulps past n dt; np.interp reads the last value there.
             outside = (T < spec.times[0]) | (T > spec.times[-1] + 4.0 * np.spacing(abs(spec.times[-1])))
-            if outside.any():
-                raise ValueError(f"t={T[outside][0]} outside the disturbance table range")
+            if np.any(outside):
+                raise ValueError(f"t={np.asarray(T)[outside][0]} outside the disturbance table range")
             for j in range(out.shape[-1]):
                 out[..., j] = np.interp(T, spec.times, spec.values[:, j])
 
@@ -404,21 +405,18 @@ class _Stage:
     """The integrator's stage, bound once per run.
 
     A stage fills the workspace W, rows [x, protocol state, network sums,
-    w]: the caller writes the state rows into X, and evaluate(t, j) adds
-    the Laplacian product of the first sums columns and w(t), forms the
-    stage product F = W M with the stage matrix M (its slots in product),
-    and has the law's rates write dS/dt into K[j].T, the j-th RK4 stage
-    derivative.  The products, w and the law are bound to the workspace
-    once, so a stage takes no views and checks no shapes.  Arrays are
-    stored column by column, so that elementwise work runs along the
-    agents, and a lone agent gets a zero second row, so that numpy never
-    sums a lone contiguous axis.  w(t) is written only when t changes (RK4
-    stages 2 and 3 share their time), never for the zero kind.  record()
-    gives the L x block and the law's signals.  The compiled step runs the
-    same stage on the same arrays.
+    w]: the caller writes the state rows into X, adds the Laplacian product
+    of the first sums columns into the sums and w(t) (disturb) into the w
+    columns, forms the stage product F = W M with the stage matrix M (its
+    slots in product), and has the law's rates(j) write dS/dt into K[j].T,
+    the j-th RK4 stage derivative.  Arrays are stored column by column, so
+    that elementwise work runs along the agents, and a lone agent gets a
+    zero second row, so that numpy never sums a lone contiguous axis.
+    record() gives the L x block and the law's signals.  The numpy step and
+    the compiled step run the stage on these arrays.
     """
 
-    evaluate: Callable[[float, int], None]
+    rates: Callable[[int], None]
     record: Callable[[], tuple]
     X: np.ndarray
     K: np.ndarray
@@ -440,38 +438,54 @@ def _stage(model, design, graph, spec, indices) -> _Stage:
     F = np.empty((W.shape[0], M.shape[1]), order="F")
     K = np.empty((4, width, n_agents))
     X, PS = W[:n_agents, :width], W[:n_agents, n:width]
-    NS, WD = W[:n_agents, width : width + sums], W[:n_agents, width + sums :]
-    laplacian, product = SparseLaplacian(graph), SlotProduct(M)
-    laplacian_product, stage_product = laplacian.bind(X[:, :sums], NS), product.bind(W.T, F.T)
     rates, signals, native = design.law(PS, F[:n_agents], [Kj.T for Kj in K])
-    disturb = _disturbance_writer(spec, indices)
-    LX = NS[:, :n]
-    w_time = None  # the time whose w the workspace holds
-
-    def evaluate(t, j):
-        nonlocal w_time
-        laplacian_product()
-        if disturb is not None and t != w_time:  # RK4 stages 2 and 3 share their time
-            disturb(t, WD)
-            w_time = t
-        stage_product()
-        rates(j)
+    LX = W[:n_agents, width : width + n]
 
     def record():
         return (LX,) + signals()
 
-    return _Stage(evaluate, record, X, K, W, F, laplacian, product, native, disturb, sums)
+    return _Stage(
+        rates, record, X, K, W, F, SparseLaplacian(graph), SlotProduct(M), native, _disturbance_writer(spec, indices), sums
+    )
 
 
 def _rk4_weights(dt: float) -> np.ndarray:
     return np.array([1.0, 2.0, 2.0, 1.0]) * (dt / 6.0)
 
 
+def _numpy_stage(stage: _Stage):
+    """The stage on the numpy path: evaluate(t, j) fills the workspace for
+    the state rows in X and has rates(j) write K[j].T.
+
+    The products, w and the law are bound to the workspace here, once, so
+    a stage takes no views and checks no shapes.  w(t) is written only when
+    t changes (RK4 stages 2 and 3 share their time), never for the zero
+    kind."""
+    X, W, rates, disturb = stage.X, stage.W, stage.rates, stage.disturb
+    rows, width = X.shape
+    sums = width + stage.sums
+    NS, WD = W[:rows, width:sums], W[:rows, sums:]
+    laplacian_product = stage.laplacian.bind(X[:, : stage.sums], NS)
+    stage_product = stage.product.bind(W.T, stage.F.T)
+    w_time = None  # the time whose w the workspace holds
+
+    def evaluate(t, j):
+        nonlocal w_time
+        laplacian_product()
+        if disturb is not None and t != w_time:
+            disturb(t, WD)
+            w_time = t
+        stage_product()
+        rates(j)
+
+    return evaluate
+
+
 def _numpy_step(stage: _Stage, dt: float):
     """_integrate's step on the numpy path: the stages, then S_next = S +
     ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3) for the RK4 weights w,
     summed by one reduction over the stages."""
-    evaluate, X, K = stage.evaluate, stage.X, stage.K
+    evaluate, X, K = _numpy_stage(stage), stage.X, stage.K
     KT = [Kj.T for Kj in K]
     weights = _rk4_weights(dt)[:, None]
     K_flat = K.reshape(4, -1)
