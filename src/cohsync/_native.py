@@ -101,7 +101,9 @@ def _load(cc: str, directory: Path | None):
         return None
     text = source()
     path = directory / cache_name(text)
-    if not path.is_file():
+    # A library that is missing, or that someone else could have written,
+    # is built again in its place.
+    if not (path.is_file() and _private(path)):
         compiler = shutil.which(cc)
         if compiler is None:
             return None
@@ -118,8 +120,6 @@ def _load(cc: str, directory: Path | None):
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-    if not _private(path):
-        return None
     try:
         lib = ctypes.CDLL(str(path))
     except OSError:

@@ -137,6 +137,7 @@ def test_a_library_under_a_stale_key_is_never_loaded(monkeypatch, tmp_path, comp
 
 def test_a_library_another_user_could_have_written_is_never_loaded(monkeypatch, tmp_path, compiled):
     # Built into a private cache directory of the test's own, and loaded.
+    compiler = _native._CC
     cache = tmp_path / "cache"
     cache.mkdir(mode=0o700)
     monkeypatch.setattr(_native, "_CACHE", cache)
@@ -157,9 +158,17 @@ def test_a_library_another_user_could_have_written_is_never_loaded(monkeypatch, 
     with monkeypatch.context() as other_user:
         other_user.setattr(os, "getuid", lambda: os.stat(cache).st_uid + 1)
         assert _native.library() is None
-    # ... nor when others can write to the library itself.
+    # ... nor when others can write to the library itself ...
     built.chmod(0o722)
     assert _native.library() is None
+    # ... which a compiler builds again in its place, private to the user.
+    again = tmp_path / "again"
+    again.mkdir(mode=0o700)
+    shutil.copy2(built, again / built.name)
+    monkeypatch.setattr(_native, "_CC", compiler)
+    monkeypatch.setattr(_native, "_CACHE", again)
+    assert _native.library()._name == str(again / built.name)
+    assert stat.S_IMODE((again / built.name).stat().st_mode) == 0o700
 
 
 def test_the_temporary_fallback_is_a_private_directory_of_the_users_own(monkeypatch, tmp_path):
