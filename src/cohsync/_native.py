@@ -16,7 +16,8 @@ this module on its first run, never at import, and compiled_step binds
 the library to one run's arrays.
 
 library() gives None when there is no such directory, no compiler, or
-the build or the load fails; simulate then takes its numpy path, which gives the same bytes.
+the build or the load fails; simulate then takes its numpy path, which
+gives the same bytes.
 """
 
 import ctypes
