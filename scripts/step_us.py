@@ -1,6 +1,6 @@
 """Per-step time of simulate for both protocols on both step paths, the
 time of recording one sample, the time of one call of the collaborative
-law, and the time of the artifact layer.
+law, and the time of the artifact layer, its CSV on both writers.
 
 The graph is a directed circulant with offsets (1, 2) of each size in
 SIZES; each row of ROWS runs the design of a bundled n25 manifest (chirp
@@ -34,9 +34,10 @@ round's time divided by LAW_CALLS, in microseconds.
 
 The artifact layer is timed on one collaborative run of ARTIFACT_RUN at
 each size in ARTIFACT_SIZES: write_trajectory_csv in nanoseconds per
-field of the file, and cli.agent_summaries (settling, gain flatness and
-the maxima after settling of every agent) in milliseconds, each the
-minimum over REPEATS calls.
+field of the file, on the compiled writer and on the numpy one, and
+cli.agent_summaries (settling, gain flatness and the maxima after
+settling of every agent) in milliseconds, each the minimum over REPEATS
+calls.
 
 Every minimum is normalized as perfbench does: divided by the mean time
 of its reference kernel (perfbench/run.py's ReferenceKernel, which runs
@@ -192,23 +193,35 @@ def law_layer():
 
 
 def artifact_layer():
-    """{agents: (CSV ns per field, summary ms)} for ARTIFACT_RUN."""
+    """({path: {agents: CSV ns per field}}, {agents: summary ms}) for
+    ARTIFACT_RUN."""
     name, changes = ARTIFACT_RUN
     manifest = load_bundled_manifest(name)
     design = build_design(manifest)
     threshold = 2.0 * float(design.d)
-    figures = {}
+    csv, summary = {path: {} for path in PATHS}, {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
         for n in ARTIFACT_SIZES:
             run = simulate(config(manifest, design, n, **changes))
-            csv_s, summary_s = normalized_min(
-                [lambda: write_trajectory_csv(run, path), lambda: agent_summaries(run, threshold)], REPEATS
+
+            def write(writer):
+                def call():
+                    _native._compiled = writer == "compiled"
+                    write_trajectory_csv(run, path)
+
+                return call
+
+            *write_s, summary_s = normalized_min(
+                [write(writer) for writer in PATHS] + [lambda: agent_summaries(run, threshold)], REPEATS
             )
+            _native._compiled = True
             with open(path) as fh:
                 fields = run.times.shape[0] * n * len(fh.readline().split(","))
-            figures[str(n)] = (round(1e9 * csv_s / fields, 1), round(1e3 * summary_s, 2))
-    return figures
+            for writer, seconds in zip(PATHS, write_s):
+                csv[writer][str(n)] = round(1e9 * seconds / fields, 1)
+            summary[str(n)] = round(1e3 * summary_s, 2)
+    return csv, summary
 
 
 def main():
@@ -235,9 +248,7 @@ def main():
         seconds *= REFERENCE_S / (0.5 * (before + REFERENCE()))
         table[f"record_us_n{RECORD_AGENTS}"][label] = round(1e6 * seconds, 2)
     table["collab_law_us"] = law_layer()
-    layer = artifact_layer()
-    table["csv_ns_per_field"] = {n: csv for n, (csv, _) in layer.items()}
-    table["summary_ms"] = {n: summary for n, (_, summary) in layer.items()}
+    table["csv_ns_per_field"], table["summary_ms"] = artifact_layer()
     print(json.dumps(table, indent=1))
 
 

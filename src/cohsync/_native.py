@@ -1,5 +1,6 @@
-"""The compiled RK4 step: _step.c, built on first use and driven through
-ctypes.
+"""The compiled library: _step.c, built on first use and driven through
+ctypes.  It holds the RK4 step (compiled_step) and trajectory.csv's row
+writer (compiled_csv).
 
 library() compiles the package's _step.c with _FLAGS into a shared
 library in the user's cache directory ($XDG_CACHE_HOME or ~/.cache, then
@@ -11,13 +12,18 @@ temporary directory never holds a library that another user could have
 put there.  The file's name holds the SHA-256 of the source, the flags
 and the machine, so a library built from another source or with other
 flags is never loaded.  It is written under a temporary name and renamed
-into place, so no process loads a half-written file.  simulate imports
-this module on its first run, never at import, and compiled_step binds
-the library to one run's arrays.
+into place, so no process loads a half-written file.  After a build, the
+user's other libraries in the directory, those of older sources, are
+removed (never a build's temporary, nor another user's file): so two
+cohsync versions that share a cache directory each build their library
+again, a second or so, on the first run after a switch between them.
+simulate imports this module on its first run, never at import;
+compiled_step binds the library to one run's arrays, and
+write_trajectory_csv calls compiled_csv.
 
 library() gives None when there is no such directory, no compiler, or
-the build or the load fails; simulate then takes its numpy path, which
-gives the same bytes.
+the build or the load fails; simulate and write_trajectory_csv then take
+their numpy paths, which give the same bytes.
 """
 
 import ctypes
@@ -25,6 +31,7 @@ import functools
 import hashlib
 import os
 import platform
+import re
 import shutil
 import stat
 import subprocess
@@ -47,6 +54,15 @@ _compiled = True  # False: simulate takes its numpy path
 # Disturbance values written ahead for the compiled step, at most this many
 # per call of the writer.
 _W_AHEAD = 2**14
+
+# A complete library's file name; a build in progress writes under this
+# name and a suffix of mkstemp's.
+_LIBRARY_NAME = re.compile(r"cohsync-step-[0-9a-f]{64}\.so")
+
+# The most bytes a number certified by _step.c takes in trajectory.csv,
+# "-d.dddddddddddddddde-270" and its separator; and the bytes _step.c may
+# write past a row's text.
+_FIELD_BYTES, _CSV_SLACK = 25, 64
 
 
 def _private(path: Path) -> bool:
@@ -121,13 +137,30 @@ def _load(cc: str, directory: Path | None):
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        _prune(directory, path.name)
     try:
         lib = ctypes.CDLL(str(path))
     except OSError:
         return None
     lib.cohsync_step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
     lib.cohsync_step.restype = ctypes.c_int
+    lib.cohsync_csv.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+    lib.cohsync_csv.restype = ctypes.c_int64
     return lib
+
+
+def _prune(directory: Path, keep: str) -> None:
+    """Removes the user's libraries other than keep from directory: only
+    complete files under a library's name, never a build's temporary and
+    never a file of another user."""
+    for entry in os.scandir(directory):
+        if entry.name == keep or not _LIBRARY_NAME.fullmatch(entry.name):
+            continue
+        try:
+            if entry.is_file(follow_symlinks=False) and entry.stat(follow_symlinks=False).st_uid == os.getuid():
+                os.remove(entry.path)
+        except OSError:
+            pass  # removed by another process, or not ours to remove
 
 
 class _Run(ctypes.Structure):
@@ -230,3 +263,65 @@ def compiled_step(lib, stage, S, S_next, dt: float, n_steps: int, weights):
         return run.envelope
 
     return step
+
+
+class _Csv(ctypes.Structure):
+    """The mirror of _step.c's struct csv, field by field."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("agents", "cols", "size", "e_lo", "slow")] + [
+        (name, ctypes.c_void_p)
+        for name in ("col", "sample_step", "agent_step", "text", "time_at", "agent_at")
+        + ("head", "head_hi", "head_lo", "tail", "pow10", "out", "slow_at", "slow_value")
+    ]
+
+
+def compiled_csv(lib, columns, times, agents, tables, e_lo: int, step: int):
+    """trajectory.csv's rows through _step.c, step rows at a time, as the
+    pieces of bytes to write in turn; each piece is valid until the next
+    is asked for.
+
+    columns are the (samples, agents) float arrays of a row's numbers, in
+    order; times and agents the texts "t," of each sample and "i," of each
+    agent; tables the head, head_hi, head_lo, tail and pow10 of
+    simulate._g17_powers, whose row 1 is for 10^e_lo.  A value _step.c
+    leaves to Python is written by "%.17g" here.
+    """
+    samples, n_agents = columns[0].shape
+    if any(c.dtype != np.float64 or c.shape != (samples, n_agents) or any(s % 8 for s in c.strides) for c in columns):
+        raise ValueError("every column must be a (samples, agents) float64 array")
+    if (len(times), len(agents)) != (samples, n_agents):
+        raise ValueError("one text is needed for each sample and each agent")
+    # Every array the table points at stays alive in this frame.
+    addresses = np.array([c.ctypes.data for c in columns], np.int64)
+    sample_step, agent_step = (np.array([c.strides[axis] // 8 for c in columns], np.int64) for axis in (0, 1))
+    text = np.frombuffer(b"".join(times + agents), np.uint8)
+    at = np.cumsum([0] + [len(t) for t in times + agents], dtype=np.int64)  # the agents' texts follow the times'
+    time_at, agent_at = at[: samples + 1], at[samples:]
+    row_bytes = max(map(len, times)) + max(map(len, agents)) + _FIELD_BYTES * len(columns)
+    out = np.empty(step * row_bytes + _CSV_SLACK, np.uint8)
+    slow_at, slow_value = np.empty(step * len(columns), np.int64), np.empty(step * len(columns))
+    table = _Csv(
+        agents=n_agents,
+        cols=len(columns),
+        size=tables[-1].shape[0],
+        e_lo=e_lo,
+        col=_address(addresses, "C"),
+        sample_step=_address(sample_step, "C"),
+        agent_step=_address(agent_step, "C"),
+        text=text.ctypes.data,
+        time_at=_address(time_at, "C"),
+        agent_at=_address(agent_at, "C"),
+        out=out.ctypes.data,
+        slow_at=_address(slow_at, "C"),
+        slow_value=_address(slow_value, "C"),
+        **{name: _address(a, "C") for name, a in zip(("head", "head_hi", "head_lo", "tail", "pow10"), tables)},
+    )
+    view = memoryview(out)
+    for start in range(0, samples * n_agents, step):
+        end = lib.cohsync_csv(ctypes.byref(table), start, min(start + step, samples * n_agents))
+        done = 0
+        for offset, value in zip(slow_at[: table.slow].tolist(), slow_value[: table.slow].tolist()):
+            yield view[done:offset]
+            yield b"%.17g" % value
+            done = offset
+        yield view[done:end]

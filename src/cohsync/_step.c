@@ -1,4 +1,5 @@
-/* One RK4 step of cohsync's network integrator, for either protocol.
+/* One RK4 step of cohsync's network integrator, for either protocol, and
+ * (cohsync_csv, at the end of the file) the rows of trajectory.csv.
  *
  * cohsync.simulate compiles this file on first use and calls
  * cohsync_step through ctypes on the arrays its numpy path binds, in the
@@ -15,6 +16,7 @@
  * result are those of the numpy path.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -265,4 +267,168 @@ int cohsync_step(struct run *r, double *w, int64_t record)
         if (j == 0 && record)
             return RECORD;
     }
+}
+
+/* trajectory.csv's rows, every number as Python's "%.17g" % value.
+ *
+ * The digits come as in cohsync.simulate._decimal_digits, from the tables
+ * of simulate._g17_powers, which Python passes in: for 10^E <= |v| <
+ * 10^(E + 1) on the tables, |v| 10^(16 - E) = p + t, p the rounded product
+ * of |v| and the double-double power's head and t its error, exact by
+ * Dekker's product, plus |v| times the power's tail; the 17 digits are
+ * D = p + rint(t).  A value whose D that test cannot certify, and inf,
+ * nan, subnormals and values off the tables, is left to Python: its
+ * field is written empty, and its byte offset and value are listed in
+ * slow_at and slow_value.  No value goes to printf, whose text would
+ * follow LC_NUMERIC and write a negative NaN as -nan.
+ */
+
+/* Mirrored field by field by cohsync._native._Csv. */
+struct csv {
+    int64_t agents;              /* rows of a sample */
+    int64_t cols;                /* numbers of a row */
+    int64_t size;                /* rows of the tables: E from e_lo - 1 up */
+    int64_t e_lo;                /* the least E of a certified value */
+    int64_t slow;                /* values the last call left to Python */
+    const int64_t *col;          /* (cols,) addresses of each column's first value */
+    const int64_t *sample_step;  /* (cols,) elements from one sample to the next */
+    const int64_t *agent_step;   /* (cols,) elements from one agent to the next */
+    const char *text;            /* each sample's "t," and each agent's "i," */
+    const int64_t *time_at;      /* (samples + 1,) offsets in text */
+    const int64_t *agent_at;     /* (agents + 1,) offsets in text */
+    const double *head, *head_hi, *head_lo, *tail, *pow10;
+    char *out;
+    int64_t *slow_at;            /* byte offsets in out */
+    double *slow_value;
+};
+
+/* x rounded to an integer, half to even, for |x| < 2^51: the addition
+ * and the subtraction of 2^52, with x's sign, round to nearest. */
+static double rint_small(double x)
+{
+    const double big = copysign(4503599627370496.0, x);
+    return (x + big) - big;
+}
+
+/* The 17 digits D of |v| 10^(16 - E), 10^16 <= D < 10^17, with E's row
+ * of the tables in *row; 0 for a zero, and -1 when v is not certified. */
+static int64_t digits(const struct csv *c, double v, int64_t *row)
+{
+    const double ax = fabs(v);
+    if (ax == 0.0)
+        return 0;
+    if (!(ax >= c->pow10[1] && ax < c->pow10[c->size - 1]))
+        return -1;
+    /* E from the binary exponent e2, floor(e2 log10(2)) with log10(2)
+     * as 1292913986 / 2^32, which is E or E - 1, and then corrected by one
+     * against 10^E and 10^(E + 1) as _decimal_digits corrects its own. */
+    uint64_t bits;
+    memcpy(&bits, &ax, sizeof bits);
+    const int64_t e2 = (int64_t)(bits >> 52) - 1023;
+    int64_t k = ((e2 * 1292913986) >> 32) - (c->e_lo - 1);
+    k -= ax < c->pow10[k];
+    k += ax >= c->pow10[k + 1];
+    *row = k;
+    const double p = ax * c->head[k];
+    const double cx = ax * 134217729.0; /* Veltkamp's split, 2^27 + 1 */
+    const double x_hi = cx - (cx - ax), x_lo = ax - x_hi;
+    const double h_hi = c->head_hi[k], h_lo = c->head_lo[k];
+    const double t = ((x_hi * h_hi - p) + x_hi * h_lo + x_lo * h_hi) + x_lo * h_lo + ax * c->tail[k];
+    const double r = rint_small(t);
+    const int64_t D = (int64_t)p + (int64_t)r;
+    /* From 10^16 - 0.01 up, D = 10^16 is also the correct rounding of the
+     * 17 digits at E - 1. */
+    if (D < 100000000000000000 && (D > 10000000000000000 || (p - 1e16) + t >= -0.01)
+        && fabs(t - r) < 0.5 - 1e-9)
+        return D;
+    return -1;
+}
+
+/* Writes "%.17g" % v at o, for v's digits D and row from digits(), and
+ * gives the end of its text. */
+static char *text(const struct csv *c, double v, int64_t D, int64_t row, char *o)
+{
+    *o = '-';
+    o += signbit(v) != 0;
+    if (D == 0) {
+        *o = '0';
+        return o + 1;
+    }
+    /* The digits two at a time, then the text of %g.  The copies are of
+     * fixed size: digit has room for what they read past the digits, and
+     * out for what they write past the text, which the next text
+     * overwrites. */
+    static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+                                "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+                                "8081828384858687888990919293949596979899";
+    char digit[34];
+    uint32_t hi = (uint32_t)(D / 100000000), lo = (uint32_t)(D % 100000000);
+    for (int i = 15; i >= 9; i -= 2, lo /= 100)
+        memcpy(digit + i, pairs + 2 * (lo % 100), 2);
+    for (int i = 7; i >= 1; i -= 2, hi /= 100)
+        memcpy(digit + i, pairs + 2 * (hi % 100), 2);
+    digit[0] = (char)('0' + hi);
+    int last = 16; /* the last nonzero digit; the first is never zero */
+    while (digit[last] == '0')
+        last--;
+    const int64_t E = row + c->e_lo - 1;
+    if (E < -4 || E >= 17) {
+        o[0] = digit[0];
+        o[1] = '.';
+        memcpy(o + 2, digit + 1, 16);
+        o += last ? last + 2 : 1;
+        *o++ = 'e';
+        *o++ = E < 0 ? '-' : '+';
+        int64_t a = E < 0 ? -E : E;
+        if (a >= 100) {
+            *o++ = (char)('0' + a / 100);
+            a %= 100;
+        }
+        memcpy(o, pairs + 2 * a, 2);
+        return o + 2;
+    }
+    if (E < 0) { /* "0." and -E - 1 zeros */
+        memcpy(o, "0.000", 5);
+        memcpy(o + 1 - E, digit, 17);
+        return o + 2 - E + last;
+    }
+    memcpy(o, digit, 17);
+    o[E + 1] = '.';
+    memcpy(o + E + 2, digit + E + 1, 16);
+    return o + (last > E ? last + 2 : E + 1);
+}
+
+/* Writes rows start..stop of the file (row r is agent r % agents of
+ * sample r / agents) at c->out and gives the bytes written; c->slow
+ * counts the values left to Python. */
+int64_t cohsync_csv(struct csv *table, int64_t start, int64_t stop)
+{
+    const struct csv copy = *table, *c = &copy; /* no text written aliases it */
+    char *o = c->out;
+    int64_t slow = 0, D[c->cols], rows[c->cols];
+    double value[c->cols];
+    for (int64_t row = start; row < stop; row++) {
+        const int64_t s = row / c->agents, a = row % c->agents;
+        memcpy(o, c->text + c->time_at[s], c->time_at[s + 1] - c->time_at[s]);
+        o += c->time_at[s + 1] - c->time_at[s];
+        memcpy(o, c->text + c->agent_at[a], c->agent_at[a + 1] - c->agent_at[a]);
+        o += c->agent_at[a + 1] - c->agent_at[a];
+        /* Every number's digits first, and then its text: the text's
+         * length holds up the next text, but no number's digits. */
+        for (int64_t j = 0; j < c->cols; j++) {
+            value[j] = ((const double *)c->col[j])[s * c->sample_step[j] + a * c->agent_step[j]];
+            D[j] = digits(c, value[j], &rows[j]);
+        }
+        for (int64_t j = 0; j < c->cols; j++) {
+            if (D[j] < 0) {
+                c->slow_at[slow] = o - c->out;
+                c->slow_value[slow++] = value[j];
+            } else {
+                o = text(c, value[j], D[j], rows[j], o);
+            }
+            *o++ = j + 1 < c->cols ? ',' : '\n';
+        }
+    }
+    table->slow = slow;
+    return o - c->out;
 }

@@ -53,14 +53,18 @@ agents are drawn in one vectorized pass (_keyed_uniform) that repeats
 numpy's SeedSequence and PCG64 arithmetic on arrays of keys instead of
 building one generator per agent, which cost 2 s at 10^5 agents.
 
-trajectory.csv is written by an array formatter whose text is "%.17g" %
-value, byte for byte, for every double (_g17_records): the 17 digits of
-each value come from an error-free double-double product with a power of
-ten (Dekker 1971), and the few values that product cannot certify, as in
-Grisu3 (Loitsch 2010), go to "%.17g" itself.  The writer lays out at most
-_CSV_CHUNK fields at a time as fixed-width records, with each row's time
-and agent index formatted once per run, and one pass over the chunk's
-bytes drops the records' zero padding before the chunk is written.  The per-agent
+trajectory.csv's text is "%.17g" % value, byte for byte, for every
+double: the 17 digits of each value come from an error-free double-double
+product with a power of ten (Dekker 1971, _decimal_digits), and the few
+values that product cannot certify, as in Grisu3 (Loitsch 2010), go to
+"%.17g" itself.  Each row's time and agent index are formatted once per
+run, and rows are written _CSV_CHUNK fields at a time.  With the compiled
+library the rows are written by _step.c (_native.compiled_csv) into one
+reused buffer, with the same tables, digits and certification, and the
+values it cannot certify go to Python's "%.17g", never to C's printf.
+Without it the numpy writer, the
+reference, lays each chunk out as fixed-width records (_g17_records) and
+one pass over the chunk's bytes drops their zero padding.  The per-agent
 settling report is one pass over the (samples, agents) metric.
 """
 
@@ -726,16 +730,11 @@ def _bytes_word(text: bytes, at: int = 0) -> int:
 
 
 @functools.cache
-def _g17_tables():
-    """The formatter's tables, built on first use.
-
-    For each exponent E from _E_LO - 1 to _E_HI + 1 (row E - _E_LO + 1):
-    10^E, and 10^(16 - E) as a double-double, its head split in halves.
-    The texts: word 0 of each (E, first digit, sign, digits follow);
-    word 5 of each E; the words of every 4-digit group in five variants;
-    and for each of words 1-4 and each (E, digits follow), its variant's
-    offset and the point bits to add.
-    """
+def _g17_powers():
+    """The digits' tables, built on first use, for both writers: for each
+    exponent E from _E_LO - 1 to _E_HI + 1 (row E - _E_LO + 1), 10^(16 - E)
+    as a double-double (head, tail), its head split in halves (head_hi,
+    head_lo), and 10^E (pow10)."""
     E = np.arange(_E_LO - 1, _E_HI + 2)
     head, tail = np.empty(E.size), np.empty(E.size)
     for row, k in enumerate((16 - E).tolist()):
@@ -746,6 +745,21 @@ def _g17_tables():
     c = head * _SPLIT
     head_hi = c - (c - head)
     pow10 = np.array([float(10**e) if e >= 0 else 1 / 10**-e for e in E.tolist()])  # correctly rounded
+    tables = head, head_hi, head - head_hi, tail, pow10
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+@functools.cache
+def _g17_tables():
+    """The numpy writer's text tables, built on first use: word 0 of each
+    (E, first digit, sign, digits follow); word 5 of each E; the words of
+    every 4-digit group in five variants; and for each of words 1-4 and
+    each (E, digits follow), its variant's offset and the point bits to
+    add.
+    """
+    E = np.arange(_E_LO - 1, _E_HI + 2)
 
     # Group variants: 0 strips the group's trailing zeros; 1 writes its four
     # digits, as does every group with a nonzero digit after it; 1 + v, for
@@ -785,7 +799,7 @@ def _g17_tables():
             elif v > 4 and e <= 16:
                 variant[k - 1, row, 0] = 1
     variant, points = 10000 * variant.reshape(4, -1), points.reshape(4, -1)
-    tables = head, head_hi, head - head_hi, tail, pow10, np.concatenate(groups), variant, points, word0.reshape(-1), word5
+    tables = np.concatenate(groups), variant, points, word0.reshape(-1), word5
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
@@ -810,7 +824,7 @@ def _decimal_digits(x: np.ndarray):
     tie, p + t outside [10^16, 10^17 - 1/2), and zeros, inf, nan,
     subnormals and values off the table.
     """
-    head, head_hi, head_lo, tail, pow10, *_ = _g17_tables()
+    head, head_hi, head_lo, tail, pow10 = _g17_powers()
     ax = np.abs(x)
     certified = (ax >= 10.0**_E_LO) & (ax < 10.0 ** (_E_HI + 1))
     ax[~certified] = 1.0
@@ -835,7 +849,7 @@ def _g17_records(x: np.ndarray) -> np.ndarray:
     """The records of "%.17g" % v for every v of the 1-D float array x:
     digits from _decimal_digits where certified, zeros written as 0 and
     -0, and every other value by "%.17g" itself."""
-    *_, groups, variant, points, word0, word5 = _g17_tables()
+    groups, variant, points, word0, word5 = _g17_tables()
     row, D, certified = _decimal_digits(x)
     rec = np.empty((x.shape[0], 6), _RECORD)
     at = 2 * row  # (row, a nonzero digit follows) indexes the variant offsets
@@ -861,24 +875,49 @@ def write_trajectory_csv(run: SimulationRun, path) -> None:
     """One row per (sample, agent), every number as "%.17g" % value, which
     round-trips.
 
-    Rows are written _CSV_CHUNK fields at a time: the chunk's values as
-    one array of records (_g17_records), beside the time's record of each
-    row's sample and the agent's record, formatted once per run; deleting
-    the zero bytes of the chunk's records leaves its text.
+    Each row's time and agent index are formatted once per run, and rows
+    are written _CSV_CHUNK fields at a time.  With the compiled library
+    (_native.compiled_csv), _step.c writes a chunk's text into one reused
+    buffer, with _decimal_digits' digits and certification, and leaves the
+    values it cannot certify to "%.17g".  Without it the numpy writer, the
+    reference, lays the chunk's values out as one array of records
+    (_g17_records), beside the time's record of each row's sample and the
+    agent's record; deleting the zero bytes of the chunk's records leaves
+    its text.
     """
     scalars = {"coherency_norm": run.coherency_norm, "coherency_proxy": run.coherency_proxy}
     scalars.update((gain, getattr(run, gain)) for gain in PROTOCOLS[run.protocol].gains)
     columns = ["t", "agent"] + [f"y{j + 1}" for j in range(run.outputs.shape[2])] + list(scalars)
     columns += [f"u{j + 1}" for j in range(run.controls.shape[2])]
+    step = max(1, _CSV_CHUNK // len(columns))  # rows a chunk
+    from . import _native
+
+    lib = _native.library()
+    if lib is None:
+        pieces = _numpy_csv(run, scalars, len(columns), step)
+    else:
+        values = [run.outputs[:, :, j] for j in range(run.outputs.shape[2])] + list(scalars.values())
+        values += [run.controls[:, :, j] for j in range(run.controls.shape[2])]
+        times = [b"%.17g," % t for t in run.times.tolist()]
+        agents = [b"%d," % a for a in run.agent_indices.tolist()]
+        pieces = _native.compiled_csv(lib, values, times, agents, _g17_powers(), _E_LO, step)
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for piece in pieces:
+            fh.write(piece)
+
+
+def _numpy_csv(run: SimulationRun, scalars: dict, width: int, step: int):
+    """write_trajectory_csv's rows by the numpy writer, step rows at a
+    time, as the bytes of each chunk."""
     # (samples x agents, width) blocks, rows in file order.
     blocks = [run.outputs] + [v[:, :, None] for v in scalars.values()] + [run.controls]
     blocks = [b.reshape(-1, b.shape[2]) for b in blocks]
-    n_agents, width = run.n_agents, len(columns)
+    n_agents = run.n_agents
     times = _g17_records(run.times)
     agents = _text_records([b"%d" % a for a in run.agent_indices.tolist()])
     separators = np.full(width, _bytes_word(b",", 7), _RECORD)
     separators[-1] = _bytes_word(b"\n", 7)
-    step = max(1, _CSV_CHUNK // width)  # rows a chunk
 
     def chunk(start):
         """The text of the chunk's rows from start; a function, so that no
@@ -894,7 +933,5 @@ def write_trajectory_csv(run: SimulationRun, path) -> None:
         # index of every byte kept, 1.2 MB a chunk.
         return rec.tobytes().translate(None, b"\0")
 
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        for start in range(0, blocks[0].shape[0], step):
-            fh.write(chunk(start))
+    for start in range(0, blocks[0].shape[0], step):
+        yield chunk(start)

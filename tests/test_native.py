@@ -1,5 +1,5 @@
-"""The compiled RK4 step: the same bytes as the numpy path, its fallback,
-its cache and its packaging."""
+"""The compiled RK4 step and trajectory.csv writer: the same bytes as the
+numpy path, its fallback, its cache and its packaging."""
 
 import dataclasses
 import importlib.resources
@@ -38,9 +38,18 @@ def no_compiler(monkeypatch, tmp_path):
 
 def test_both_paths_write_the_same_artifacts(monkeypatch, tmp_path, compiled):
     # Every bundled manifest, cut to the settling window, on the compiled
-    # step and on the numpy path that simulate falls back to without a
-    # compiler: byte-identical artifacts.
-    artifacts = {}
+    # step and writer and on the numpy path that simulate and
+    # write_trajectory_csv fall back to without a compiler: byte-identical
+    # artifacts.
+    artifacts, writes = {}, {"compiled": 0, "numpy": 0}
+    compiled_csv = _native.compiled_csv
+
+    def counted_csv(*args):
+        writes[path] += 1
+        return compiled_csv(*args)
+
+    monkeypatch.setattr(_native, "compiled_csv", counted_csv)
+    assert hasattr(_native.library(), "cohsync_csv")
     for path in ("compiled", "numpy"):
         if path == "numpy":
             no_compiler(monkeypatch, tmp_path)
@@ -50,6 +59,8 @@ def test_both_paths_write_the_same_artifacts(monkeypatch, tmp_path, compiled):
             run_experiment(manifest, tmp_path / path / name)
             artifacts.setdefault(name, []).append([(tmp_path / path / name / a).read_bytes() for a in ARTIFACTS])
     assert len(artifacts) == 16
+    # Each trajectory.csv of the compiled side came from the compiled writer.
+    assert writes == {"compiled": 16, "numpy": 0}
     for name, (on_compiled, on_numpy) in artifacts.items():
         for artifact, a, b in zip(ARTIFACTS, on_compiled, on_numpy):
             assert a == b, (name, artifact)
@@ -192,3 +203,30 @@ def test_the_step_source_ships_with_the_package():
     source = importlib.resources.files("cohsync").joinpath("_step.c")
     assert source.is_file() and source.read_bytes() == _native.source()
     assert b"int cohsync_step(" in _native.source()
+    assert b"int64_t cohsync_csv(" in _native.source()
+
+
+def test_a_build_removes_the_users_libraries_of_other_sources(monkeypatch, tmp_path, compiled):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    monkeypatch.setattr(_native, "_CACHE", cache)
+    stale = cache / _native.cache_name(_native.source() + b"\n")
+    # A build's temporary (mkstemp's suffix after a library's name) and
+    # a file under another name stay.
+    kept = [cache / (stale.name + "k3x_9q2a"), cache / "notes.txt"]
+    for path in [stale] + kept:
+        path.write_bytes(b"not a library")
+    built = cache / _native.cache_name(_native.source())
+    assert _native.library()._name == str(built)
+    assert sorted(cache.iterdir()) == sorted([built] + kept)
+
+
+def test_pruning_keeps_the_files_of_another_user(monkeypatch, tmp_path):
+    stale = tmp_path / f"cohsync-step-{'0' * 64}.so"
+    stale.write_bytes(b"not a library")
+    monkeypatch.setattr(os, "getuid", lambda: stale.stat().st_uid + 1)
+    _native._prune(tmp_path, f"cohsync-step-{'1' * 64}.so")
+    assert stale.exists()
+    monkeypatch.undo()
+    _native._prune(tmp_path, f"cohsync-step-{'1' * 64}.so")
+    assert not stale.exists()

@@ -1,6 +1,8 @@
 """Simulation engine: disturbances, integration, recording."""
 
 import os
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohsync import _native
+from cohsync import simulate as simulate_module
 from cohsync.agents import AgentModel
 from cohsync.collab import design_collab
 from cohsync.graphs import (
@@ -25,6 +28,7 @@ from cohsync.simulate import (
     DisturbanceSpec,
     IntegrationBlowup,
     SimConfig,
+    SimulationRun,
     _disturbance_writer,
     _g17_records,
     _keyed_uniform,
@@ -873,15 +877,20 @@ def test_g17_matches_percent_formatting(values):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1))
 def test_g17_matches_percent_formatting_on_a_million_doubles(seed):
-    # 20 examples of 50 000 doubles: every bit pattern is as likely as any
-    # other (all exponents, subnormals, inf and nan), then decimal
-    # exponents from -330 to 330 drawn evenly.
+    # 20 examples of 50 000 doubles.
+    values = many_doubles(seed)
+    assert g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def many_doubles(seed) -> np.ndarray:
+    """50 000 doubles: every bit pattern as likely as any other (all
+    exponents, subnormals, inf and nan), then decimal exponents from -330
+    to 330 drawn evenly."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2**64, 25_000, dtype=np.uint64, endpoint=False).view(float)
     with np.errstate(over="ignore"):  # past 1.8e308: inf
         spread = rng.uniform(1.0, 10.0, 25_000) * 10.0 ** rng.integers(-330, 331, 25_000) * rng.choice([-1, 1], 25_000)
-    values = np.concatenate([bits, spread])
-    assert g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+    return np.concatenate([bits, spread])
 
 
 # ---------------------------------------------------------------------------
@@ -948,30 +957,111 @@ def reference_csv(run) -> str:
         ("collaborative", 1.0, 4.0, 333),  # chunks end inside samples
     ],
 )
-def test_trajectory_csv_bytes_equal_per_field_formatting(tmp_path, protocol, scale, alpha0, n_agents):
+def test_trajectory_csv_bytes_equal_per_field_formatting(monkeypatch, tmp_path, protocol, scale, alpha0, n_agents):
     model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
     graph = generate_circulant(n_agents, offsets=(1, 2))
-    run = simulate(
-        SimConfig(
-            model=model,
-            graph=graph,
-            design=design,
-            disturbance=DisturbanceSpec(kind="chirp"),
-            dt=1e-2,
-            t_end=0.2,
-            seed=3,
-            initial_states=scale * _keyed_uniform(3, np.arange(1, n_agents + 1), model.n),
-            initial_rho=1.5,
-            initial_alpha=alpha0,
-        )
+    config = SimConfig(
+        model=model,
+        graph=graph,
+        design=design,
+        disturbance=DisturbanceSpec(kind="chirp"),
+        dt=1e-2,
+        t_end=0.2,
+        seed=3,
+        initial_states=scale * _keyed_uniform(3, np.arange(1, n_agents + 1), model.n),
+        initial_rho=1.5,
+        initial_alpha=alpha0,
     )
-    path = tmp_path / "traj.csv"
+    for path in step_paths(monkeypatch):
+        run = simulate(config)
+        csv = tmp_path / f"{path}.csv"
+        write_trajectory_csv(run, csv)
+        header, body = csv.read_bytes().split(b"\n", 1)
+        assert body == reference_csv(run).encode(), path
+        fields = body.decode().replace("\n", ",").split(",")
+        # Both %g styles occur, and a zero control of an alpha0 = 0 run is +0.
+        assert any("e-" in f for f in fields) or scale == 1.0
+        assert any("." in f and "e" not in f for f in fields)
+        if protocol == "collaborative" and alpha0 == 0.0:
+            assert "0" in fields
+
+
+def table_run(values, n_agents=1) -> SimulationRun:
+    """A noncollaborative run whose trajectory.csv holds values, five to a
+    row (y1, coherency_norm, coherency_proxy, rho, u1) and padded with
+    zeros, for n_agents agents a sample at times 0, 0.1, ..."""
+    values = np.asarray(values, dtype=float)
+    rows = -(-values.size // 5)
+    samples = -(-rows // n_agents)
+    table = np.zeros(samples * n_agents * 5)
+    table[: values.size] = values
+    table = table.reshape(samples, n_agents, 5)
+    empty = np.zeros((samples, n_agents, 0))
+    return SimulationRun(
+        protocol="noncollaborative",
+        times=np.arange(samples) * 0.1,
+        agent_indices=np.arange(1, n_agents + 1),
+        states=empty,
+        protocol_states=empty,
+        outputs=table[:, :, :1],
+        controls=table[:, :, 4:],
+        zeta=empty,
+        rho=table[:, :, 3],
+        coherency_norm=table[:, :, 1],
+        coherency_proxy=table[:, :, 2],
+        alpha=None,
+        exchange_energy=None,
+    )
+
+
+def csv_fields(run, path) -> list[str]:
+    """The number fields of run's trajectory.csv, row by row."""
     write_trajectory_csv(run, path)
-    header, body = path.read_bytes().split(b"\n", 1)
-    assert body == reference_csv(run).encode()
-    fields = body.decode().replace("\n", ",").split(",")
-    # Both %g styles occur, and a zero control of an alpha0 = 0 run is +0.
-    assert any("e-" in f for f in fields) or scale == 1.0
-    assert any("." in f and "e" not in f for f in fields)
-    if protocol == "collaborative" and alpha0 == 0.0:
-        assert "0" in fields
+    rows = path.read_text().splitlines()[1:]
+    return [field for row in rows for field in row.split(",")[2:]]
+
+
+# Values that no certified digits cover, which both writers leave to "%.17g"
+# itself, and their neighbours: zeros, subnormals, inf, nan with either sign
+# bit, values near the ends of the tables, near the switches between %g's
+# styles and of the digits' range, and exact ties at 17 digits.
+UNCERTIFIED = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308, np.inf, -np.inf]
+UNCERTIFIED += [np.nan, np.copysign(np.nan, -1.0), 1e300, -1e-300, 1e-270, 1e281, np.finfo(float).max]
+for _v in (1e-5, 1e16, 1e17):
+    UNCERTIFIED += [_v, np.nextafter(_v, 0.0), np.nextafter(_v, np.inf), -_v]
+UNCERTIFIED += [1 + 2.0**-17, 1 + 3 * 2.0**-17, -(1 + 5 * 2.0**-17), 2.0**53 + 2, 2.0**54 + 4]
+
+
+def test_trajectory_csv_leaves_what_it_cannot_certify_to_percent_formatting(monkeypatch, tmp_path):
+    # Chunks of four rows, 20 numbers: the values run once across the end of
+    # the first chunk and again from the middle of the fourth on, among
+    # others of every size.
+    monkeypatch.setattr(simulate_module, "_CSV_CHUNK", 4 * 7)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(150) * 10.0 ** rng.integers(-8, 8, 150)
+    values[17 : 17 + len(UNCERTIFIED)] = UNCERTIFIED
+    values[66 : 66 + len(UNCERTIFIED)] = UNCERTIFIED
+    run = table_run(values, n_agents=3)
+    for path in step_paths(monkeypatch):
+        assert csv_fields(run, tmp_path / f"{path}.csv") == ["%.17g" % v for v in values.tolist()], path
+
+
+def compiled_fields(values) -> list[str]:
+    """The number fields of trajectory.csv for values, written by the
+    compiled writer."""
+    if _native.library() is None:
+        pytest.skip("no C compiler builds the compiled writer here")
+    with tempfile.TemporaryDirectory() as tmp:
+        return csv_fields(table_run(values, n_agents=4), Path(tmp) / "trajectory.csv")[: len(values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_compiled_trajectory_csv_matches_percent_formatting(values):
+    assert compiled_fields(values) == ["%.17g" % v for v in values]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_trajectory_csv_matches_percent_formatting_on_many_doubles(seed):
+    values = many_doubles(seed)
+    assert compiled_fields(values) == ["%.17g" % v for v in values.tolist()]
