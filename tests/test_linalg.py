@@ -366,22 +366,36 @@ def test_observer_riccati_of_an_ill_scaled_draw_matches_scipy():
     assert np.max(np.abs(Q - Q_oracle)) <= 1e-10 * np.max(np.abs(Q_oracle))
 
 
-def test_care_rejects_hamiltonian_eigenvalues_on_the_imaginary_axis():
+def test_care_rejects_hamiltonian_eigenvalues_on_the_imaginary_axis(monkeypatch):
     # The undamped oscillator is unreachable from B = e3, so the Hamiltonian
     # has the pair +-i twice.  Roundoff splits each pair to about +-1e-8
     # off the axis and the ordered Schur form can count 3 stable
     # eigenvalues, so the start exists; its closed loop keeps +-i, and the
-    # solve must refuse it, at once, in any coordinates.
+    # solve must refuse it, at once, in any coordinates: Newton's first
+    # Lyapunov solve refuses the closed loop (the stack of one, then the
+    # member alone), and no solve takes 0.1 s of its thread's CPU time.
+    # CPU time, not wall time, so that a busy or stalled host is not taken
+    # for the solver's own cost.
+    calls = []
+    lyapunov = linalg.solve_lyapunov
+
+    def counted(A, W):
+        calls.append(A.shape)
+        return lyapunov(A, W)
+
+    monkeypatch.setattr(linalg, "solve_lyapunov", counted)
     A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     B = np.array([[0.0], [0.0], [1.0]])
     H = np.block([[A, -B @ B.T], [-np.eye(3), -A.T]])
     assert scipy.linalg.schur(H, sort="lhp")[2] == 3
     for seed in range(20):
         V = np.eye(3) if seed == 0 else np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
-        start = time.perf_counter()
+        calls.clear()
+        start = time.thread_time()
         with pytest.raises(SolverError):
             solve_care(V @ A @ V.T, V @ B)
-        assert time.perf_counter() - start < 0.1
+        assert time.thread_time() - start < 0.1
+        assert calls == [(1, 3, 3), (3, 3)], seed
 
 
 def test_care_rejects_unstabilizable():
