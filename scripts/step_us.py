@@ -15,12 +15,13 @@ false), which give the same bits.  A step's figure is the minimum over
 REPEATS runs of the run's wall time divided by its steps, in
 microseconds, for a run that records only its two ends.
 
-A recorded sample's figure is the time of the recording itself, at
-RECORD_AGENTS agents on the compiled step: a run that records every step,
-with the callback simulate's integrator calls to record each sample (it
-copies the state rows and the first stage's L x block and signals) timed
-around each call, summed and divided by the samples; the minimum over
-RECORD_REPEATS runs.
+A recorded sample's figure is the cost of recording at RECORD_AGENTS
+agents on each path: the per-step time of a run that records every step
+less that of the same run recording only its two ends, each the minimum
+over RECORD_REPEATS runs.  The compiled library's calls per run (of
+cohsync_run: one a w(t) window, one a P_alpha cell to solve, one a step
+of growth) are counted for each row and size, on one run whose cache of
+cells starts empty.
 
 The collaborative law alone is timed at each size in LAW_SIZES: the
 rates of the law that simulate bound to the workspace of a run of
@@ -50,6 +51,7 @@ perfbench/run.py also fixes BLAS at one thread, before numpy is imported.
     PYTHONPATH=src python3 scripts/step_us.py
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -63,7 +65,6 @@ from run import REFERENCE_S, ReferenceKernel  # noqa: E402
 import numpy as np  # noqa: E402
 
 from cohsync import _native  # noqa: E402
-from cohsync import simulate as simulate_module  # noqa: E402
 from cohsync.cli import agent_summaries, build_design, load_bundled_manifest  # noqa: E402
 from cohsync.graphs import generate_circulant  # noqa: E402
 from cohsync.simulate import SimConfig, simulate, write_trajectory_csv  # noqa: E402
@@ -139,33 +140,22 @@ def bound_rates(run):
     return rates_ps
 
 
-def record_seconds(run):
-    """Seconds per recorded sample of run, timed around each call of the
-    integrator's recording callback."""
-    integrate, spent, samples = simulate_module._integrate, [0.0], [0]
+def library_calls(manifest, run):
+    """cohsync_run's calls in simulate(run) on a design of manifest built
+    afresh, with an empty cache of cells."""
+    lib, calls = _native.library(), [0]
+    call = lib.cohsync_run
 
-    def timed_integrate(step, *args):
-        def timed_step(k, S, S_next, keep):
-            if keep is None:
-                return step(k, S, S_next, keep)
+    def counted(*args):
+        calls[0] += 1
+        return call(*args)
 
-            def timed_keep():
-                t = time.perf_counter()
-                last = keep()
-                spent[0] += time.perf_counter() - t
-                samples[0] += 1
-                return last
-
-            return step(k, S, S_next, timed_keep)
-
-        return integrate(timed_step, *args)
-
-    simulate_module._integrate = timed_integrate
+    lib.cohsync_run = counted
     try:
-        simulate(run)
+        simulate(dataclasses.replace(run, design=build_design(manifest)))
     finally:
-        simulate_module._integrate = integrate
-    return spent[0] / samples[0]
+        lib.cohsync_run = call
+    return calls[0]
 
 
 def law_layer():
@@ -226,27 +216,29 @@ def artifact_layer():
 
 def main():
     REFERENCE()  # warm up
-    table = {"step_us": {path: {} for path in PATHS}, f"record_us_n{RECORD_AGENTS}": {}}
+    table = {"step_us": {path: {} for path in PATHS}, f"record_us_n{RECORD_AGENTS}": {}, "library_calls": {}}
     for label, name, scale in ROWS:
         manifest = load_bundled_manifest(name)
         design = build_design(manifest)
         for path in PATHS:
             _native._compiled = path == "compiled"
             assert path == "numpy" or _native.library() is not None, "no compiled step here"
-            step = {}
+            step, calls = {}, {}
             for n in SIZES:
                 run = config(manifest, design, n, scale)
                 if scale == FROZEN_SCALE:
                     alpha = simulate(run).alpha
                     assert np.array_equal(alpha[0], alpha[-1]), f"alpha moved at N = {n}"
+                if path == "compiled":
+                    calls[str(n)] = library_calls(manifest, run)
                 (step[n],) = normalized_min([lambda: simulate(run)], REPEATS)
             table["step_us"][path][label] = {str(n): round(1e6 * s / STEPS, 1) for n, s in step.items()}
+            if calls:
+                table["library_calls"][label] = calls
+            every, ends = (config(manifest, design, RECORD_AGENTS, scale, record_stride=k) for k in (1, STEPS))
+            every_s, ends_s = normalized_min([lambda: simulate(every), lambda: simulate(ends)], RECORD_REPEATS)
+            table[f"record_us_n{RECORD_AGENTS}"].setdefault(path, {})[label] = round(1e6 * (every_s - ends_s) / STEPS, 2)
         _native._compiled = True
-        every = config(manifest, design, RECORD_AGENTS, scale, record_stride=1)
-        before = REFERENCE()
-        seconds = min(record_seconds(every) for _ in range(RECORD_REPEATS))
-        seconds *= REFERENCE_S / (0.5 * (before + REFERENCE()))
-        table[f"record_us_n{RECORD_AGENTS}"][label] = round(1e6 * seconds, 2)
     table["collab_law_us"] = law_layer()
     table["csv_ns_per_field"], table["summary_ms"] = artifact_layer()
     print(json.dumps(table, indent=1))

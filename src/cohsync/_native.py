@@ -1,6 +1,6 @@
 """The compiled library: _step.c, built on first use and driven through
-ctypes.  It holds the RK4 step (compiled_step) and trajectory.csv's row
-writer (compiled_csv).
+ctypes.  It holds the RK4 integrator (compiled_run) and trajectory.csv's
+row writer (compiled_csv).
 
 library() compiles the package's _step.c with _FLAGS into a shared
 library in the user's cache directory ($XDG_CACHE_HOME or ~/.cache, then
@@ -18,7 +18,7 @@ removed (never a build's temporary, nor another user's file): so two
 cohsync versions that share a cache directory each build their library
 again, a second or so, on the first run after a switch between them.
 simulate imports this module on its first run, never at import;
-compiled_step binds the library to one run's arrays, and
+compiled_run binds the library to one run's arrays, and
 write_trajectory_csv calls compiled_csv.
 
 library() gives None when there is no such directory, no compiler, or
@@ -41,8 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-# What cohsync_step returns.
-DONE, RECORD, GAINS = 0, 1, 2
+# What cohsync_run returns.
+DONE, GAINS, ENVELOPE = 0, 1, 2
 
 # No -ffast-math and no -march=native: the step must round as numpy does,
 # with no product fused into a sum and no sum reordered.
@@ -51,7 +51,7 @@ _CC = "gcc"  # the compiler looked up on PATH
 _CACHE = None  # the cache directory; None for the user's
 _compiled = True  # False: simulate takes its numpy path
 
-# Disturbance values written ahead for the compiled step, at most this many
+# Disturbance values written ahead for the compiled run, at most this many
 # per call of the writer.
 _W_AHEAD = 2**14
 
@@ -142,8 +142,8 @@ def _load(cc: str, directory: Path | None):
         lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-    lib.cohsync_step.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-    lib.cohsync_step.restype = ctypes.c_int
+    lib.cohsync_run.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+    lib.cohsync_run.restype = ctypes.c_int
     lib.cohsync_csv.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
     lib.cohsync_csv.restype = ctypes.c_int64
     return lib
@@ -170,44 +170,51 @@ class _Run(ctypes.Structure):
         [
             (name, ctypes.c_int64)
             for name in ("rows", "span", "state", "sums", "wd", "fcols", "lap_width", "slots")
-            + ("law", "n", "m", "k", "keyed", "stage", "phase")
+            + ("law", "n", "m", "k", "keyed", "stage", "phase", "step", "n_steps", "stride", "points")
         ]
-        + [(name, ctypes.c_double) for name in ("d", "half", "dt", "envelope")]
+        + [(name, ctypes.c_double) for name in ("d", "half", "dt", "envelope", "limit")]
         + [("weights", ctypes.c_double * 4)]
         + [
             (name, ctypes.c_void_p)
-            for name in ("W", "F", "K", "S", "S_next", "lap_cols", "lap_vals", "idx", "val")
-            + ("sums_buf", "u", "gain", "B", "key")
+            for name in ("W", "F", "K", "S", "S_next", "lap_cols", "lap_vals", "idx", "val", "count")
+            + ("sums_buf", "u", "gain", "B", "key", "point", "solved", "table")
+            + ("states", "lx", "controls", "energy", "exchange")
         ]
     )
 
 
 def _address(a: np.ndarray, order: str) -> int:
-    """The address of a's data, after checking that it is float64 or
-    int64 laid out in order ("C" or "F"), as _step.c reads it."""
-    if a.dtype not in (np.float64, np.int64) or not a.flags[f"{order}_CONTIGUOUS"]:
+    """The address of a's data, after checking that it is float64, int64
+    or bool laid out in order ("C" or "F"), as _step.c reads it."""
+    if a.dtype not in (np.float64, np.int64, np.bool_) or not a.flags[f"{order}_CONTIGUOUS"]:
         raise ValueError(f"a {a.dtype} array of shape {a.shape} is not {order}-contiguous")
     return a.ctypes.data
 
 
-def compiled_step(lib, stage, S, S_next, dt: float, n_steps: int, weights):
-    """simulate._integrate's step through _step.c: one call per step on the
-    arrays of stage (simulate._Stage), which the numpy path binds, and on
-    S and S_next, which the library swaps at the end of each step as
-    _integrate does; weights are RK4's.
+def compiled_run(lib, stage, S, S_next, dt: float, n_steps: int, stride: int, weights, limit: float, record):
+    """simulate._integrate's advance(k, stop) through _step.c, on the
+    arrays of stage (simulate._Stage), which the numpy path binds, and on S
+    and S_next, which the library swaps at the end of each step as the
+    numpy path does; weights are RK4's, limit the growth limit, and record
+    the state rows' and the first stage's record arrays (simulate), which
+    the library fills at steps 0, stride, 2 stride, ... and n_steps.
 
-    A call returns after the first stage of a recorded step (keep records
-    it), before a law that asks for its gains to be gathered again
-    (stage.native["regather"]), and at the step's end with max |S_next|.
-    w(t) is written by the numpy writer, for the stage times of up to
-    _W_AHEAD values' worth of steps at once.
+    One call of the library runs from step k to the end of the run, and
+    returns to Python only at the end of a w(t) window, which the numpy
+    writer fills for the stage times of up to _W_AHEAD values' worth of
+    steps; before a collaborative law whose alpha column falls on a
+    P_alpha cell not cached, which the law's regather solves (or raises
+    on) before the run is pointed at the grid's new arrays; and after a
+    step whose max |S_next| is non-finite or above limit, which advance
+    gives back.
     """
     rows, state = stage.X.shape
     native = dict(stage.native)
-    regather = native.pop("regather", None)
+    regather, lookup = native.pop("regather", None), native.pop("lookup", None)
     wd = stage.W.shape[1] - state - stage.sums
-    # The step below keeps run alive, and stage the arrays run points at,
-    # for as long as it can be called.
+    states, (lx, controls, energy, exchange) = record
+    # The advance below keeps run alive, and stage and record, the arrays
+    # run points at, for as long as it can be called.
     run = _Run(
         rows=rows,
         span=stage.W.shape[0],
@@ -217,8 +224,11 @@ def compiled_step(lib, stage, S, S_next, dt: float, n_steps: int, weights):
         fcols=stage.F.shape[1],
         lap_width=stage.laplacian.cols.shape[0],
         slots=stage.product.idx.shape[1],
+        n_steps=n_steps,
+        stride=stride,
         half=0.5 * dt,
         dt=dt,
+        limit=limit,
         weights=tuple(weights),
         W=_address(stage.W, "F"),
         F=_address(stage.F, "F"),
@@ -229,40 +239,58 @@ def compiled_step(lib, stage, S, S_next, dt: float, n_steps: int, weights):
         lap_vals=_address(stage.laplacian.vals, "C"),
         idx=_address(stage.product.idx, "C"),
         val=_address(stage.product.val, "C"),
+        count=_address(stage.product.count, "C"),
+        states=_address(states, "C"),
+        lx=_address(lx, "C"),
+        controls=_address(controls, "C"),
+        energy=_address(energy, "C"),
+        exchange=None if exchange is None else _address(exchange, "C"),
         **{k: v if np.isscalar(v) else _address(v, "C") for k, v in native.items()},
     )
-    call = functools.partial(lib.cohsync_step, ctypes.addressof(run))
-    at, disturb, half = None, stage.disturb, 0.5 * dt
+    grid = None  # the gather's arrays, held while run points at them
+
+    def point():
+        nonlocal grid
+        grid = lookup()
+        run.points = grid[0].shape[0]
+        run.point, run.solved, run.table = (_address(a, "C") for a in grid)
+
+    if lookup is not None:
+        point()
+    call = functools.partial(lib.cohsync_run, ctypes.addressof(run))
+    at, disturb, half = 0, stage.disturb, 0.5 * dt
     if disturb is not None:
         ahead = max(1, min(n_steps + 1, _W_AHEAD // (3 * max(wd, 1) * rows)))
         w = np.empty((ahead, 3, wd, rows))  # per step, the blocks at t, t + dt/2 and t + dt
-        w_rows, w_address, block = w.transpose(0, 1, 3, 2), w.ctypes.data, w[0].nbytes
+        w_rows, w_address = w.transpose(0, 1, 3, 2), w.ctypes.data
+        at = -ahead  # the first step of the window w holds
 
-    def step(k, S, S_next, keep):
+    def advance(k, stop):
         nonlocal at
-        if disturb is None:
-            address = None
-        else:
-            if at is None or k - at >= ahead:
-                at = k
-                t = np.arange(k, min(k + ahead, n_steps + 1)) * dt
-                T = np.stack([t, t + half, t + dt], axis=1)
-                if k + T.shape[0] > n_steps:
-                    T[-1, 1:] = T[-1, 0]  # the last step has its first stage alone
-                disturb(T[..., None], w_rows[: T.shape[0]])
-            address = w_address + (k - at) * block
-        record = keep is not None
-        code = call(address, record)
-        while code != DONE:
+        run.step = k
+        while True:
+            if disturb is None:
+                code = call(None, 0, stop)
+            else:
+                if k - at >= ahead:
+                    at = k
+                    t = np.arange(k, min(k + ahead, n_steps + 1)) * dt
+                    T = np.stack([t, t + half, t + dt], axis=1)
+                    if k + T.shape[0] > n_steps:
+                        T[-1, 1:] = T[-1, 0]  # the last step has its first stage alone
+                    disturb(T[..., None], w_rows[: T.shape[0]])
+                code = call(w_address, at, min(at + ahead, stop))
+            k = run.step
             if code == GAINS:
                 regather()
                 run.keyed = 1
-            elif keep():
-                return None
-            code = call(address, record)
-        return run.envelope
+                point()
+            elif code == ENVELOPE:
+                return k, run.envelope
+            elif k == stop:
+                return k, None
 
-    return step
+    return advance
 
 
 class _Csv(ctypes.Structure):

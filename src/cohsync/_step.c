@@ -1,19 +1,26 @@
-/* One RK4 step of cohsync's network integrator, for either protocol, and
- * (cohsync_csv, at the end of the file) the rows of trajectory.csv.
+/* cohsync's network integrator, for either protocol: RK4 steps from one
+ * step to a stop step in one call (cohsync_run), with the recorded
+ * samples and the P_alpha gain gather; and (cohsync_csv, at the end of
+ * the file) the rows of trajectory.csv.
  *
- * cohsync.simulate compiles this file on first use and calls
- * cohsync_step through ctypes on the arrays its numpy path binds, in the
- * same layout: the workspace W and the stage product F column by column
- * with leading dimension span (the agents, or 2 for a lone agent), the
- * state rows S column by column with leading dimension rows, and the
- * stage derivatives K[j] as (state, rows) blocks, agents along the fast
- * axis.  Every operation is the one the numpy path makes, in its order:
- * each sum starts from +0 and adds its terms one after another, each term
- * is the product the numpy path rounds, and no product is fused with an
- * addition (the file is compiled with -ffp-contract=off and without
- * -ffast-math).  The loops run along the agents, block by block, so
- * vectorizing them never reorders one agent's sum.  So the bits of every
- * result are those of the numpy path.
+ * cohsync.simulate compiles this file on first use and calls cohsync_run
+ * through ctypes on the arrays its numpy path binds, in the same layout:
+ * the workspace W and the stage product F column by column with leading
+ * dimension span (the agents, or 2 for a lone agent), the state rows S
+ * column by column with leading dimension rows, and the stage derivatives
+ * K[j] as (state, rows) blocks, agents along the fast axis.  Every
+ * operation is the one the numpy path makes, in its order: each sum
+ * starts from +0 and adds its terms one after another, each term is the
+ * product the numpy path rounds, and no product is fused with an addition
+ * (the file is compiled with -ffp-contract=off and without -ffast-math).
+ * The stage product skips the zero weights that pad the numpy path's
+ * columns to the widest: a sum from +0 is never -0, so adding x 0 to it
+ * changes nothing while x is finite, and a non-finite x makes S_next
+ * non-finite at the same step either way.  The loops run along the agents,
+ * block by block, so vectorizing them never reorders one agent's sum.  So
+ * the bits of every result are those of the numpy path.  What the run
+ * records and gathers is copied, never computed, but for the
+ * noncollaborative controls rho NGX, the numpy path's one multiply.
  */
 
 #include <math.h>
@@ -29,7 +36,7 @@
 #define ALONG_AGENTS
 #endif
 
-enum { DONE = 0, RECORD = 1, GAINS = 2 };
+enum { DONE = 0, GAINS = 1, ENVELOPE = 2 };
 enum { NONCOLLABORATIVE = 0, COLLABORATIVE = 1 };
 
 /* Mirrored field by field by cohsync._native._Run. */
@@ -44,18 +51,30 @@ struct run {
     int64_t law, n, m, k; /* law code; states, inputs; n1 or outputs p */
     int64_t keyed;        /* key holds the alpha column of the last gather */
     int64_t stage, phase; /* where the step resumes: stage j, its X formed if phase */
-    double d, half, dt, envelope;
+    int64_t step;         /* the step being made */
+    int64_t n_steps;      /* the last step, which makes its first stage alone */
+    int64_t stride;       /* steps from one recorded sample to the next */
+    int64_t points;       /* grid points of the gather */
+    double d, half, dt, envelope, limit;
     double weights[4];
     double *W, *F, *K, *S, *S_next;
     int64_t *lap_cols;    /* (lap_width, rows) */
     double *lap_vals;
     int64_t *idx;         /* (fcols, slots) */
     double *val;
+    int64_t *count;       /* (fcols,) nonzero slots, each column's first */
     double *sums_buf;     /* (2, span): [proxy, drive] or [exchange, mismatch] */
     double *u;            /* (m, span) U' */
     double *gain;         /* (m, n, span) B'P_k of each agent's cell */
     double *B;            /* (n, m) */
     double *key;          /* (rows,) */
+    double *point;        /* (points,) PAlphaGrid._points */
+    uint8_t *solved;      /* (points + 1,) PAlphaGrid._solved */
+    double *table;        /* (points + 1, m, n) PAlphaGrid._table */
+    /* The record, sample first, agents next: (rows, state) state rows,
+     * (rows, n) L x, (rows, m) controls, (rows,) proxy or mismatch and
+     * (rows,) exchange (NULL for the noncollaborative law). */
+    double *states, *lx, *controls, *energy, *exchange;
 };
 
 /* Agents a block: the stage product and the law run block by block, so
@@ -84,8 +103,8 @@ ALONG_AGENTS static void form_x(struct run *r, int64_t j)
 }
 
 /* The rest of the workspace rows lo..hi, w(t) and the network sums L X,
- * and their stage product F = W M; rows from r->rows on (a lone agent's
- * zero row) enter the product alone. */
+ * and their stage product F = W M over each column's nonzero slots; rows
+ * from r->rows on (a lone agent's zero row) enter the product alone. */
 ALONG_AGENTS static void products(struct run *r, const double *w, int64_t lo, int64_t hi)
 {
     const int64_t rows = r->rows, span = r->span, top = hi < rows ? hi : rows;
@@ -109,7 +128,7 @@ ALONG_AGENTS static void products(struct run *r, const double *w, int64_t lo, in
         double *restrict out = r->F + f * span;
         for (int64_t i = lo; i < hi; i++)
             out[i] = 0.0;
-        for (int64_t s = 0; s < r->slots; s++) {
+        for (int64_t s = 0; s < r->count[f]; s++) {
             const double *restrict x = W + r->idx[f * r->slots + s] * span;
             const double v = r->val[f * r->slots + s];
             for (int64_t i = lo; i < hi; i++)
@@ -148,12 +167,49 @@ ALONG_AGENTS static void noncollab(struct run *r, double *out, int64_t lo, int64
         drho[i] = drive[i] * (double)(proxy[i] >= r->d);
 }
 
+/* The collaborative law's alpha column in the workspace. */
+static const double *alpha_column(const struct run *r)
+{
+    return r->W + (2 * r->n + 1) * r->span;
+}
+
 /* Whether the alpha column is the key's: the gain buffer then holds the
  * gathered rows of every agent. */
 static int keyed(const struct run *r)
 {
-    const double *alpha = r->W + (2 * r->n + 1) * r->span;
-    return r->keyed && memcmp(alpha, r->key, r->rows * sizeof(double)) == 0;
+    return r->keyed && memcmp(alpha_column(r), r->key, r->rows * sizeof(double)) == 0;
+}
+
+/* PAlphaGrid.gain_rows into the gain buffer, for the alpha column of the
+ * workspace, as the collaborative law's regather calls it: each agent's
+ * position among the grid points by a right-side binary search, an alpha
+ * that is not positive (NaN too) searched as 1.0, and its cell's B'P_k
+ * copied from the table, agents along the fast axis; the alpha column
+ * becomes the key.  0, with the key left unset, when some position holds
+ * no cached cell: Python then solves it, or finds that it has no solution. */
+static int gather(struct run *r)
+{
+    const int64_t rows = r->rows, span = r->span, cells = r->m * r->n;
+    const double *alpha = alpha_column(r);
+    for (int64_t i = 0; i < rows; i++) {
+        const double a = alpha[i] > 0.0 ? alpha[i] : 1.0;
+        int64_t lo = 0, hi = r->points;
+        while (lo < hi) {
+            const int64_t mid = lo + (hi - lo) / 2;
+            if (r->point[mid] <= a)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (!r->solved[lo])
+            return 0;
+        const double *rows_k = r->table + lo * cells;
+        for (int64_t c = 0; c < cells; c++)
+            r->gain[c * span + i] = rows_k[c];
+    }
+    memcpy(r->key, alpha, rows * sizeof(double));
+    r->keyed = 1;
+    return 1;
 }
 
 /* CollabDesign.law on agents lo..hi: F = [A x + E w, A x_hat, Q C' e,
@@ -207,6 +263,36 @@ ALONG_AGENTS static void collab(struct run *r, double *out, int64_t lo, int64_t 
     }
 }
 
+/* The sample of the step's first stage, copied into the record: the state
+ * rows, the L x block, the controls (rho NGX, or U'), the proxy or the
+ * mismatch, and the exchange. */
+static void record(struct run *r)
+{
+    const int64_t rows = r->rows, span = r->span, state = r->state, n = r->n, m = r->m;
+    const int64_t sample = (r->step + r->stride - 1) / r->stride;
+    double *states = r->states + sample * rows * state, *lx = r->lx + sample * rows * n;
+    double *controls = r->controls + sample * rows * m, *energy = r->energy + sample * rows;
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t c = 0; c < state; c++)
+            states[i * state + c] = r->S[c * rows + i];
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t c = 0; c < n; c++)
+            lx[i * n + c] = r->W[(state + c) * span + i];
+    if (r->law == COLLABORATIVE) {
+        for (int64_t i = 0; i < rows; i++)
+            for (int64_t l = 0; l < m; l++)
+                controls[i * m + l] = r->u[l * span + i];
+        memcpy(energy, r->sums_buf + span, rows * sizeof(double));
+        memcpy(r->exchange + sample * rows, r->sums_buf, rows * sizeof(double));
+    } else {
+        const double *rho = r->W + (n + r->k) * span, *NGX = r->F + (3 * n + r->k) * span;
+        for (int64_t i = 0; i < rows; i++)
+            for (int64_t l = 0; l < m; l++)
+                controls[i * m + l] = rho[i] * NGX[l * span + i];
+        memcpy(energy, r->sums_buf, rows * sizeof(double));
+    }
+}
+
 /* S_next = S + ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3); max |S_next|,
  * NaN when an entry is NaN. */
 static double combine(struct run *r)
@@ -227,46 +313,61 @@ static double combine(struct run *r)
     return nan ? __builtin_nan("") : envelope;
 }
 
-/* Advances the run's step from where it stopped: DONE with the step made
- * (S and S_next swapped, envelope set), RECORD after the first stage when
- * record is set, GAINS before a collaborative law whose alpha column is
- * not the key's.  w points at the step's three (wd, rows) disturbance
- * blocks, at t, t + dt/2 and t + dt, or is NULL for no disturbance. */
-int cohsync_step(struct run *r, double *w, int64_t record)
+/* Makes the run's steps from where it stopped up to the step stop, the
+ * last step n_steps only its first stage, and records the first stage of
+ * steps 0, stride, 2 stride, ... and n_steps.  Returns DONE at stop;
+ * ENVELOPE after a step whose max |S_next| (r->envelope, NaN when an entry
+ * is NaN) is not at most r->limit, with S and S_next swapped as after
+ * every step; GAINS before a collaborative law whose alpha column falls on
+ * a grid cell not cached.  w points at the (wd, rows) disturbance blocks
+ * at t, t + dt/2 and t + dt of the steps from first on, or is NULL for no
+ * disturbance. */
+int cohsync_run(struct run *r, const double *w, int64_t first, int64_t stop)
 {
-    for (;;) {
-        const int64_t j = r->stage, rows = r->rows, span = r->span;
-        double *out = r->K + j * r->state * rows;
-        if (!r->phase) {
-            form_x(r, j);
-            r->phase = 1;
+    while (r->step < stop) {
+        const int64_t k = r->step, rows = r->rows, span = r->span;
+        const double *wk = w ? w + (k - first) * 3 * r->wd * rows : NULL;
+        while (r->stage < 4) {
+            const int64_t j = r->stage;
+            double *out = r->K + j * r->state * rows;
+            if (!r->phase) {
+                form_x(r, j);
+                r->phase = 1;
+            }
+            if (r->law == COLLABORATIVE && !keyed(r) && !gather(r))
+                return GAINS;
+            const double *wj = wk ? wk + (j == 0 ? 0 : j == 3 ? 2 : 1) * r->wd * rows : NULL;
+            for (int64_t lo = 0; lo < span; lo += BLOCK) {
+                const int64_t hi = lo + BLOCK < span ? lo + BLOCK : span, top = hi < rows ? hi : rows;
+                products(r, wj, lo, hi);
+                if (lo >= top)
+                    continue;
+                if (r->law == COLLABORATIVE)
+                    collab(r, out, lo, top);
+                else
+                    noncollab(r, out, lo, top);
+            }
+            r->phase = 0;
+            r->stage = j + 1;
+            if (j == 0 && (k % r->stride == 0 || k == r->n_steps)) {
+                record(r);
+                if (k == r->n_steps) {
+                    r->stage = 0;
+                    r->step = k + 1;
+                    return DONE;
+                }
+            }
         }
-        if (r->law == COLLABORATIVE && !keyed(r))
-            return GAINS;
-        const double *wj = w ? w + (j == 0 ? 0 : j == 3 ? 2 : 1) * r->wd * rows : NULL;
-        for (int64_t lo = 0; lo < span; lo += BLOCK) {
-            const int64_t hi = lo + BLOCK < span ? lo + BLOCK : span, top = hi < rows ? hi : rows;
-            products(r, wj, lo, hi);
-            if (lo >= top)
-                continue;
-            if (r->law == COLLABORATIVE)
-                collab(r, out, lo, top);
-            else
-                noncollab(r, out, lo, top);
-        }
-        r->phase = 0;
-        if (j == 3) {
-            double *S = r->S;
-            r->envelope = combine(r);
-            r->S = r->S_next;
-            r->S_next = S;
-            r->stage = 0;
-            return DONE;
-        }
-        r->stage = j + 1;
-        if (j == 0 && record)
-            return RECORD;
+        double *S = r->S;
+        r->envelope = combine(r);
+        r->S = r->S_next;
+        r->S_next = S;
+        r->stage = 0;
+        r->step = k + 1;
+        if (!(r->envelope <= r->limit))
+            return ENVELOPE;
     }
+    return DONE;
 }
 
 /* trajectory.csv's rows, every number as Python's "%.17g" % value.

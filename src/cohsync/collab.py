@@ -123,6 +123,11 @@ class PAlphaGrid:
         except OverflowError:
             return np.inf
 
+    def lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arrays gain_rows searches and gathers from, (_points,
+        _solved, _table); a cell that joins the cache replaces them."""
+        return self._points, self._solved, self._table
+
     def cached_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self._cells))
 
@@ -375,11 +380,13 @@ class CollabDesign:
         included, gathers and lays out the rows again.  Either way U is
         bitwise what forming them afresh gives.
 
-        native holds what the compiled step (simulate) needs to run this law
+        native holds what the compiled run (simulate) needs to run this law
         in C on the same arrays: the law's code in _step.c, p, d, B, the
         energy, control and gain buffers, the alpha column of the last
-        gather and regather(), which gathers and lays out the rows for the
-        current alpha column and makes it the key.
+        gather, the grid's lookup, whose arrays C gathers from, and
+        regather(), which solves the cells of the current alpha column (or
+        raises), gathers and lays out their rows and makes the column the
+        key.
         """
         n, m, p = self.n, self.m, self.p_out
         rows, widths = PS.shape[0], (n + 2, 4 * n + 2 * p, 2 * n + 2)
@@ -449,8 +456,9 @@ class CollabDesign:
         def signals():
             return signals_out
 
-        # The compiled step's law (simulate): the same sums into the same
-        # buffers, with the key checked in C and regather run on a miss.
+        # The compiled run's law (simulate): the same sums into the same
+        # buffers, with the key checked and the rows gathered in C, and
+        # regather run when a cell is not cached.
         native = {
             "law": 1,
             "n": n,
@@ -462,6 +470,7 @@ class CollabDesign:
             "gain": gain,
             "B": B,
             "key": key_column,
+            "lookup": self.grid.lookup,
             "regather": regather,
         }
         return rates, signals, native

@@ -77,11 +77,11 @@ class SlotProduct:
     """X @ M for rows X, each entry a sum from +0 over the nonzeros of its
     column of M, one term after another in row order, with no BLAS call.
 
-    Column j's nonzeros are held by slot: M[idx[j, s], j] = val[j, s],
-    padded to the widest column with zero weights on row 0, which add
-    nothing to a finite sum.  So a row's bits depend on that row alone, on
-    neither the batch size nor the BLAS kernel, and its zero terms (which a
-    sum from +0 does not change) are never formed.
+    Column j's nonzeros are held by slot: M[idx[j, s], j] = val[j, s] for
+    s < count[j], padded to the widest column with zero weights on row 0,
+    which add nothing to a finite sum.  So a row's bits depend on that row
+    alone, on neither the batch size nor the BLAS kernel, and its zero
+    terms (which a sum from +0 does not change) are never formed.
     """
 
     def __init__(self, M: np.ndarray):
@@ -93,6 +93,7 @@ class SlotProduct:
         nonzero = np.take_along_axis(mask, order, axis=1)
         self.idx = np.where(nonzero, order, 0)
         self.val = np.where(nonzero, np.take_along_axis(M.T, order, axis=1), 0.0)
+        self.count = mask.sum(axis=1, dtype=np.int64)
         self.shape = M.shape
 
     def bind(self, XT: np.ndarray, YT: np.ndarray):

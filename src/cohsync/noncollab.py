@@ -166,7 +166,7 @@ class NoncollabDesign:
         signals() gives (U, proxy, None) of the stage rates last wrote, while
         PS and F still hold it; only signals() forms U, the control rows, and
         proxy is the binding's own buffer, which the next rates overwrites.
-        native holds what the compiled step (simulate) needs to run this law
+        native holds what the compiled run (simulate) needs to run this law
         in C on the same arrays: the law's code in _step.c, n1, d and the
         buffer of the two sums.
         """
@@ -207,7 +207,7 @@ class NoncollabDesign:
         def signals():
             return RHO * NGX, proxy, None
 
-        # The compiled step's law (simulate): the same sums into the same buffer.
+        # The compiled run's law (simulate): the same sums into the same buffer.
         native = {"law": 0, "n": n, "m": m, "k": n1, "d": d, "sums_buf": sums}
         return rates, signals, native
 

@@ -36,16 +36,19 @@ indexed disturbances, component trajectories are bit-identical whether or
 not the rest of the network is present; growth warnings are kept per
 component to match.
 
-The step runs in one of two ways with the same bits.  The compiled step
-(_step.c, built on first use by _native and loaded with ctypes) makes a
-whole RK4 step in one C call on the arrays the numpy path binds, in the
-same order of operations; it returns to Python after the first stage of a
-recorded step, when the collaborative law needs its gain rows gathered
-again (PAlphaGrid.gain_rows stays in Python), and at the step's end with
-max |S_next|, whose blow-up and growth checks stay here.  w(t) is written
-by numpy for both, a few steps ahead for the compiled one.  Without a C
-compiler, or when the build or the load fails, the numpy path runs: the
-reference, stage by stage in numpy.
+The steps run in one of two ways with the same bits, behind one
+advance(k, stop) of _integrate.  The compiled run (_step.c, built on
+first use by _native and loaded with ctypes) makes RK4 steps from k to
+stop in one C call on the arrays the numpy path binds, in the same order
+of operations, recording each sample and gathering the collaborative
+law's gain rows from the P_alpha grid's cached cells itself.  It returns
+to Python only at the end of a window of w(t), which numpy writes a few
+steps ahead; when an alpha falls on a cell not cached, which
+PAlphaGrid.gain_rows solves; and after a step whose max |S_next| is
+non-finite or above _GROWTH_LIMIT, whose blow-up and growth checks stay
+here.  Without a C compiler, or when the build or the load fails, the
+numpy path runs: the reference, a step at a time, stage by stage in
+numpy.
 
 The initial state of the agent with global index g is
 np.random.default_rng([seed, g]).uniform(-1, 1, n), bit for bit, but all
@@ -323,64 +326,47 @@ def _sample_count(n_steps: int, stride: int) -> int:
     return n_steps // stride + 1 + (n_steps % stride > 0)
 
 
-def _integrate(step, record, S, S_next, dt, n_steps, stride, order, starts):
-    """RK4 from the state rows S: the times, the recorded states and stage
-    values, and the first growth warning of each component, whose rows are
-    order[starts[c]:starts[c + 1]].
+def _integrate(advance, S, S_next, dt, n_steps, order, starts):
+    """RK4 from the state rows S: the first growth warning of each
+    component, whose rows are order[starts[c]:starts[c + 1]].
 
-    step(k, S, S_next, keep) makes step k from the state rows S into
-    S_next and gives max |S_next|; with keep, it calls keep() after the
-    step's first stage, which records the sample, and stops there, giving
-    None, when keep() returns True, at the last step.  record() gives what
-    a sample keeps of the first stage.
+    advance(k, stop) makes steps k, k + 1, ... before stop, step n_steps
+    its first stage alone, and records the samples among them; it gives
+    (j, envelope), j the step after the last one it made, and envelope
+    that step's max |S_next| when it stopped there because the maximum is
+    non-finite or above _GROWTH_LIMIT, else None.  Step j starts from the
+    state rows in (S, S_next)[j % 2] and ends in the other.
     """
 
     def envelopes(S):
         """max |S| over each component's rows."""
         return np.maximum.reduceat(np.abs(S).max(axis=1)[order], starts)
 
-    n_samples = _sample_count(n_steps, stride)
-    times, states, recorded = np.empty(n_samples), np.empty((n_samples,) + S.shape), None
     first_growth: dict[int, str] = {}  # component -> its first growth warning
-    sample = 0
-
-    def keep():
-        nonlocal sample, recorded
-        times[sample] = k * dt
-        states[sample] = S
-        values = record()
-        if recorded is None:
-            recorded = [None if v is None else np.empty((n_samples,) + v.shape) for v in values]
-        for into, value in zip(recorded, values):
-            if into is not None:
-                into[sample] = value
-        sample += 1
-        return k == n_steps
-
-    for k in range(n_steps + 1):
-        envelope = step(k, S, S_next, keep if (k % stride == 0) or (k == n_steps) else None)
+    pair = (S, S_next)
+    k = 0
+    while k <= n_steps:
+        k, envelope = advance(k, n_steps + 1)
         if envelope is None:
             break
         # The maximum is NaN or infinite exactly when some entry is.
         if not math.isfinite(envelope):
             raise IntegrationBlowup(
-                f"state became non-finite at t={k * dt + dt:.6g}; "
+                f"state became non-finite at t={(k - 1) * dt + dt:.6g}; "
                 "the run blew up (check the design or reduce dt)"
             )
         # A component's growth reference, max(its envelope, 1), is at least
         # 1, so no component can grow past the limit while max |S| stays
         # within it.
-        if envelope > _GROWTH_LIMIT:
-            grown = envelopes(S_next) > _GROWTH_LIMIT * np.maximum(envelopes(S), 1.0)
-            for c in np.flatnonzero(grown).tolist():
-                first_growth.setdefault(
-                    c,
-                    f"single-step state growth exceeded {_GROWTH_LIMIT:g}x at "
-                    f"t={k * dt + dt:.6g}; dt={dt:g} may be too large",
-                )
-        S, S_next = S_next, S
+        grown = envelopes(pair[k % 2]) > _GROWTH_LIMIT * np.maximum(envelopes(pair[1 - k % 2]), 1.0)
+        for c in np.flatnonzero(grown).tolist():
+            first_growth.setdefault(
+                c,
+                f"single-step state growth exceeded {_GROWTH_LIMIT:g}x at "
+                f"t={(k - 1) * dt + dt:.6g}; dt={dt:g} may be too large",
+            )
 
-    return times, states, recorded, [first_growth[c] for c in sorted(first_growth)]
+    return [first_growth[c] for c in sorted(first_growth)]
 
 
 def stage_matrix(model: AgentModel, design) -> np.ndarray:
@@ -416,8 +402,8 @@ class _Stage:
     the j-th RK4 stage derivative.  Arrays are stored column by column, so
     that elementwise work runs along the agents, and a lone agent gets a
     zero second row, so that numpy never sums a lone contiguous axis.
-    record() gives the L x block and the law's signals.  The numpy step and
-    the compiled step run the stage on these arrays.
+    record() gives the L x block and the law's signals.  The numpy path and
+    the compiled run run the stage on these arrays.
     """
 
     rates: Callable[[int], None]
@@ -485,11 +471,15 @@ def _numpy_stage(stage: _Stage):
     return evaluate
 
 
-def _numpy_step(stage: _Stage, dt: float):
-    """_integrate's step on the numpy path: the stages, then S_next = S +
-    ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3) for the RK4 weights w,
-    summed by one reduction over the stages."""
-    evaluate, X, K = _numpy_stage(stage), stage.X, stage.K
+def _numpy_advance(stage: _Stage, S, S_next, dt: float, n_steps: int, stride: int, record):
+    """_integrate's advance on the numpy path, a step at a time: the
+    stages, then S_next = S + ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3)
+    for the RK4 weights w, summed by one reduction over the stages.  The
+    first stage of steps 0, stride, 2 stride, ... and n_steps is recorded
+    into record, the state rows' array and the record arrays of the
+    stage's record() values (None for a value not recorded)."""
+    evaluate, X, K, signals = _numpy_stage(stage), stage.X, stage.K, stage.record
+    states, recorded = record
     KT = [Kj.T for Kj in K]
     weights = _rk4_weights(dt)[:, None]
     K_flat = K.reshape(4, -1)
@@ -497,23 +487,35 @@ def _numpy_step(stage: _Stage, dt: float):
     terms, dS, magnitude = np.empty_like(K_flat), np.empty(K_flat.shape[1]), np.empty_like(X, order="F")
     dS_T = dS.reshape(K.shape[1:]).T
     half = 0.5 * dt
+    pairs = ((S, S_next), (S_next, S))
 
-    def step(k, S, S_next, keep):
-        t = k * dt
-        X[...] = S
-        evaluate(t, 0)
-        if keep is not None and keep():
-            return None
-        for j, h in ((1, half), (2, half), (3, dt)):
-            np.multiply(KT[j - 1], h, out=X)
-            np.add(X, S, out=X)
-            evaluate(t + h, j)
-        np.multiply(K_flat, weights, out=terms)
-        np.add.reduce(terms, axis=0, initial=0.0, out=dS)
-        np.add(S, dS_T, out=S_next)
-        return float(np.maximum.reduce(np.abs(S_next, out=magnitude), axis=None))
+    def advance(k, stop):
+        for k in range(k, stop):
+            S, S_next = pairs[k % 2]
+            t = k * dt
+            X[...] = S
+            evaluate(t, 0)
+            if k % stride == 0 or k == n_steps:
+                sample = -(-k // stride)
+                states[sample] = S
+                for into, value in zip(recorded, signals()):
+                    if into is not None:
+                        into[sample] = value
+                if k == n_steps:
+                    return k + 1, None
+            for j, h in ((1, half), (2, half), (3, dt)):
+                np.multiply(KT[j - 1], h, out=X)
+                np.add(X, S, out=X)
+                evaluate(t + h, j)
+            np.multiply(K_flat, weights, out=terms)
+            np.add.reduce(terms, axis=0, initial=0.0, out=dS)
+            np.add(S, dS_T, out=S_next)
+            envelope = float(np.maximum.reduce(np.abs(S_next, out=magnitude), axis=None))
+            if not envelope <= _GROWTH_LIMIT:
+                return k + 1, envelope
+        return stop, None
 
-    return step
+    return advance
 
 
 def check_run(
@@ -616,21 +618,29 @@ def simulate(config: SimConfig) -> SimulationRun:
     stage = _stage(model, design, graph, spec, indices)
     S_next = np.empty_like(S)
     # Imported on the first run, not with this module, so that importing
-    # cohsync reads and compiles no more Python for the compiled step.
+    # cohsync reads and compiles no more Python for the compiled run.
     from . import _native
 
     lib = _native.library()
-    if lib is None:
-        step = _numpy_step(stage, config.dt)
-    else:
-        step = _native.compiled_step(lib, stage, S, S_next, config.dt, n_steps, _rk4_weights(config.dt))
-
+    n_samples = _sample_count(n_steps, stride)
     # A diverging step is detected and raised inside the integration;
-    # numpy's per-element overflow warnings on the way there are noise.
+    # numpy's per-element overflow warnings on the way there are noise, and
+    # so are those of the record's first values, formed here from the
+    # unset workspace for their shapes.
     with np.errstate(over="ignore", invalid="ignore"):
-        times, S, (LX, u, proxy, exch), warnings = _integrate(
-            step, stage.record, S, S_next, config.dt, n_steps, stride, order, starts
-        )
+        states = np.empty((n_samples,) + S.shape)
+        recorded = [None if v is None else np.empty((n_samples,) + v.shape) for v in stage.record()]
+        if lib is None:
+            advance = _numpy_advance(stage, S, S_next, config.dt, n_steps, stride, (states, recorded))
+        else:
+            weights = _rk4_weights(config.dt)
+            advance = _native.compiled_run(
+                lib, stage, S, S_next, config.dt, n_steps, stride, weights, _GROWTH_LIMIT, (states, recorded)
+            )
+        warnings = _integrate(advance, S, S_next, config.dt, n_steps, order, starts)
+    steps = np.arange(n_samples) * stride  # the recorded steps
+    steps[-1] = n_steps
+    S, (LX, u, proxy, exch) = states, recorded
     # The outputs C x and the measured disagreements C (L x) of all samples
     # at once, each entry summed from +0 in column order like the stage's.
     output = SlotProduct(model.C.T)
@@ -639,7 +649,7 @@ def simulate(config: SimConfig) -> SimulationRun:
     gains = {g: S[:, :, n + observer + i] for i, g in enumerate(design.gains)}
     return SimulationRun(
         protocol=design.protocol,
-        times=times,
+        times=steps * config.dt,
         agent_indices=indices.astype(int),
         states=S[:, :, :n],
         protocol_states=S[:, :, n : n + observer],

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from cohsync import _native
+from cohsync import simulate as simulate_module
 from cohsync.agents import AgentModel
 from cohsync.cli import SETTLING_WINDOW, build_design, bundled_manifest_names, load_bundled_manifest, run_experiment
 from cohsync.graphs import DirectedWeightedGraph, generate_circulant
 from cohsync.noncollab import design_noncollab
-from cohsync.simulate import DisturbanceSpec, SimConfig, simulate
+from cohsync.simulate import DisturbanceSpec, IntegrationBlowup, SimConfig, simulate
 
 ARTIFACTS = ("design.json", "trajectory.csv", "summary.json")
 
@@ -104,6 +105,137 @@ def test_both_paths_agree_bitwise_on_one_agent_and_on_several_blocks(
         if isinstance(value, np.ndarray):
             assert value.tobytes() == runs[1][key].tobytes(), key
     assert runs[0]["warnings"] == runs[1]["warnings"]
+
+
+def counted_calls(monkeypatch) -> list:
+    """The library's cohsync_run, wrapped to count its calls: one entry
+    each in the list returned."""
+    lib, calls = _native.library(), []
+    run = lib.cohsync_run
+
+    def counted(*args):
+        calls.append(None)
+        return run(*args)
+
+    monkeypatch.setattr(lib, "cohsync_run", counted)
+    return calls
+
+
+def counted_solves(monkeypatch, grid) -> list:
+    """grid's gain_rows, wrapped to note of each call whether it solved a
+    cell; the list returned holds those notes."""
+    gain_rows, solved = grid.gain_rows, []
+
+    def counted(alphas):
+        before = grid.cached_indices()
+        rows = gain_rows(alphas)
+        solved.append(grid.cached_indices() != before)
+        return rows
+
+    monkeypatch.setattr(grid, "gain_rows", counted)
+    return solved
+
+
+def bundled_config(name, design, **changes) -> SimConfig:
+    manifest = load_bundled_manifest(name)
+    settings = dict(disturbance=manifest.disturbance, initial_rho=manifest.rho0, initial_alpha=manifest.alpha0)
+    settings.update(changes)
+    return SimConfig(model=manifest.model, graph=manifest.graph, design=design, **settings)
+
+
+@pytest.mark.parametrize("name", ["noncol-vicsek-n25", "col-vicsek-n25"])
+def test_a_run_without_events_makes_at_most_two_calls(monkeypatch, compiled, name):
+    # No disturbance: 1500 steps in one call, and for the collaborative law,
+    # whose alpha never moves here, one more after its one cell is solved.
+    start = simulate(bundled_config(name, build_design(load_bundled_manifest(name)), dt=0.01, t_end=0.01))
+    design = build_design(load_bundled_manifest(name))  # its own, empty cache
+    config = bundled_config(
+        name,
+        design,
+        disturbance=DisturbanceSpec(),
+        dt=0.01,
+        t_end=15.0,
+        record_stride=2,
+        initial_states=0.1 * start.states[0],
+    )
+    calls = counted_calls(monkeypatch)
+    run = simulate(config)
+    assert run.times.shape[0] == 751
+    assert run.alpha is None or np.array_equal(run.alpha[0], run.alpha[-1])
+    assert len(calls) == (1 if run.alpha is None else 2)
+
+
+def test_a_chirp_run_calls_once_a_window_and_once_a_solved_cell(monkeypatch, compiled):
+    # From alpha0 = 0.5 alpha moves at about every other sample and crosses
+    # cells; C gathers every cached cell itself, and returns to Python only
+    # at the end of a w(t) window and for a cell to solve.
+    design = build_design(load_bundled_manifest("col-vicsek-n25"))
+    config = bundled_config("col-vicsek-n25", design, dt=0.01, t_end=6.0, record_stride=2, initial_alpha=0.5)
+    calls, solved = counted_calls(monkeypatch), counted_solves(monkeypatch, design.grid)
+    run = simulate(config)
+    n_steps, rows = 600, run.n_agents
+    ahead = _native._W_AHEAD // (3 * config.model.w * rows)
+    windows = -(-(n_steps + 1) // ahead)
+    assert windows > 1 and len(solved) > 1 and all(solved)
+    assert len(calls) == windows + len(solved)
+    # Each of these samples' steps would have gathered in Python before.
+    assert np.count_nonzero((run.alpha[1:] != run.alpha[:-1]).any(axis=1)) > 100
+
+
+def test_alpha_entering_an_uncached_cell_mid_run_gives_the_same_bits_and_cache(monkeypatch, compiled):
+    runs, cached = [], []
+    for path in (True, False):
+        monkeypatch.setattr(_native, "_compiled", path)
+        design = build_design(load_bundled_manifest("col-vicsek-n25"))  # its own, empty cache
+        run = simulate(bundled_config("col-vicsek-n25", design, dt=0.01, t_end=3.0, record_stride=3, initial_alpha=0.5))
+        runs.append(vars(run))
+        cached.append(design.grid.cached_indices())
+    start, end = (set(design.grid.indices_for(run.alpha[i]).tolist()) for i in (0, -1))
+    assert start != end and len(cached[0]) > len(start)
+    assert cached[0] == cached[1]
+    for key, value in runs[0].items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == runs[1][key].tobytes(), key
+
+
+def with_alpha_of_agent_0(monkeypatch, value):
+    """Has simulate start agent 0 from the given alpha, which simulate's
+    own checks would refuse."""
+    integrate = simulate_module._integrate
+
+    def integrate_from(advance, S, *args):
+        S[0, -1] = value
+        return integrate(advance, S, *args)
+
+    monkeypatch.setattr(simulate_module, "_integrate", integrate_from)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_nan_and_inf_alpha_gather_as_the_python_gather_does(monkeypatch, compiled, alpha):
+    # NaN is no positive alpha: it reads cell 0, which C finds cached, and
+    # its u is +0; the step then blows up on the NaN.  Infinity lies past
+    # every grid point: Python's gather refuses it.
+    outcomes, calls = [], counted_calls(monkeypatch)
+    with_alpha_of_agent_0(monkeypatch, alpha)
+    for path in (True, False):
+        monkeypatch.setattr(_native, "_compiled", path)
+        design = build_design(load_bundled_manifest("col-vicsek-n25"))
+        design.grid.cell(0)
+        config = bundled_config(
+            "col-vicsek-n25", design, disturbance=DisturbanceSpec(), dt=0.01, t_end=0.01, initial_alpha=1.0
+        )
+        with pytest.raises((IntegrationBlowup, ValueError)) as error:
+            simulate(config)
+        outcomes.append((type(error.value), str(error.value), design.grid.cached_indices()))
+    assert outcomes[0] == outcomes[1]
+    if np.isnan(alpha):
+        assert outcomes[0][0] is IntegrationBlowup
+    else:
+        assert outcomes[0][:2] == (ValueError, "alpha must be positive and finite")
+    # One call: for NaN it ran to the blow-up without asking Python for a
+    # cell, and for infinity it asked, and Python's gather raised.
+    assert len(calls) == 1 and outcomes[0][2] == (0,)
 
 
 def test_a_model_without_disturbance_channels_runs_on_both_paths(monkeypatch, compiled):
@@ -202,7 +334,7 @@ def test_the_temporary_fallback_is_a_private_directory_of_the_users_own(monkeypa
 def test_the_step_source_ships_with_the_package():
     source = importlib.resources.files("cohsync").joinpath("_step.c")
     assert source.is_file() and source.read_bytes() == _native.source()
-    assert b"int cohsync_step(" in _native.source()
+    assert b"int cohsync_run(" in _native.source()
     assert b"int64_t cohsync_csv(" in _native.source()
 
 

@@ -1,7 +1,9 @@
 """Simulation engine: disturbances, integration, recording."""
 
+import math
 import os
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +31,7 @@ from cohsync.simulate import (
     IntegrationBlowup,
     SimConfig,
     SimulationRun,
+    _decimal_digits,
     _disturbance_writer,
     _g17_records,
     _keyed_uniform,
@@ -537,7 +540,9 @@ def test_recording_stride_and_final_sample():
 @pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
 def test_strided_recording_is_every_stride_th_sample_bitwise(protocol, monkeypatch):
     # The recorded signals are formed only at recorded steps; they must be
-    # the ones every step would give.
+    # the ones every step would give, on either path.  50 steps: strides 3
+    # and 7 end on a last sample off their grid.
+    records = {}
     for path in step_paths(monkeypatch):
         model, design = demo_noncollab_design() if protocol == "noncollaborative" else demo_collab_design()
         runs = [
@@ -548,23 +553,27 @@ def test_strided_recording_is_every_stride_th_sample_bitwise(protocol, monkeypat
                     design=design,
                     disturbance=DisturbanceSpec(kind="chirp"),
                     dt=1e-2,
-                    t_end=0.3,
+                    t_end=0.5,
                     record_stride=stride,
                     initial_rho=1.0,
                     initial_alpha=0.5 if protocol == "collaborative" else 0.0,
                 )
             )
-            for stride in (1, 3)
+            for stride in (1, 3, 7)
         ]
-        every, third = (vars(run) for run in runs)
+        every = vars(runs[0])
         arrays = [name for name, value in every.items() if isinstance(value, np.ndarray)]
         assert len(arrays) == (12 if protocol == "collaborative" else 10)
         assert np.any(every["controls"] != 0.0)
-        for name in arrays:
-            a = every[name] if name == "agent_indices" else every[name][::3]
-            b = third[name]
-            assert a.shape == b.shape and np.array_equal(a, b), name
-            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+        for stride, run in zip((3, 7), runs[1:]):
+            steps = list(range(0, 50, stride)) + [50]
+            for name in arrays:
+                a = every[name] if name == "agent_indices" else every[name][steps]
+                b = vars(run)[name]
+                assert a.shape == b.shape and np.array_equal(a, b), (stride, name)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (stride, name)
+        records[path] = tuple(v.tobytes() for run in runs for v in vars(run).values() if isinstance(v, np.ndarray))
+    assert len(set(map(tuple, records.values()))) == 1
 
 
 def test_growth_warning_without_blowup(monkeypatch):
@@ -1044,6 +1053,45 @@ def test_trajectory_csv_leaves_what_it_cannot_certify_to_percent_formatting(monk
     run = table_run(values, n_agents=3)
     for path in step_paths(monkeypatch):
         assert csv_fields(run, tmp_path / f"{path}.csv") == ["%.17g" % v for v in values.tolist()], path
+
+
+# Doubles |v| whose 17 digits at 10^(16 - E) lie within 1e-9 of a
+# half-integer, but not on it: no error bound of the digits' product can
+# tell which way they round, so neither writer certifies them.  Found
+# offline as v = m 2^e with m 5^k, or m 2^e mod 5^j, solved to lie next to
+# a half.
+NEAR_TIES = [1.0000090481717197, 1.0000062106173428, -4.000013304503285, 0.003907503172388545]
+NEAR_TIES += [1.584563338021277e29, 1.2676521225376556e30, 1.3526377417449112e36]
+
+
+def test_near_ties_are_left_to_percent_formatting_by_both_writers(monkeypatch, tmp_path):
+    for v in NEAR_TIES:
+        x = Fraction(abs(v))
+        E = math.floor(math.log10(abs(v)))
+        assert Fraction(10) ** E <= x < Fraction(10) ** (E + 1)
+        scaled = x * Fraction(10) ** (16 - E)
+        assert 0 < abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10**9), v
+    # The numpy writer masks them out ...
+    assert not _decimal_digits(np.array(NEAR_TIES))[2].any()
+    # ... and the compiled one lists them in slow_at.
+    run, slow, paths = table_run(NEAR_TIES), [], list(step_paths(monkeypatch))
+    monkeypatch.undo()
+    for path in paths:
+        monkeypatch.setattr(_native, "_compiled", path == "compiled")
+        with monkeypatch.context() as patch:
+            if path == "compiled":
+                lib = _native.library()
+                csv = lib.cohsync_csv
+
+                def counted(table, start, stop):
+                    end = csv(table, start, stop)
+                    slow.append(table._obj.slow)
+                    return end
+
+                patch.setattr(lib, "cohsync_csv", counted)
+            fields = csv_fields(run, tmp_path / f"{path}.csv")[: len(NEAR_TIES)]
+        assert fields == ["%.17g" % v for v in NEAR_TIES], path
+    assert slow == ([len(NEAR_TIES)] if "compiled" in paths else [])
 
 
 def compiled_fields(values) -> list[str]:
