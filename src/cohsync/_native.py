@@ -51,6 +51,10 @@ _CC = "gcc"  # the compiler looked up on PATH
 _CACHE = None  # the cache directory; None for the user's
 _compiled = True  # False: simulate takes its numpy path
 
+# _step.c's LANES: an agent's row of agent_x is its network-sum columns
+# padded to a multiple of this many.
+_LANES = 4
+
 # Disturbance values written ahead for the compiled run, at most this many
 # per call of the writer.
 _W_AHEAD = 2**14
@@ -170,13 +174,13 @@ class _Run(ctypes.Structure):
         [
             (name, ctypes.c_int64)
             for name in ("rows", "span", "state", "sums", "wd", "fcols", "lap_width", "slots")
-            + ("law", "n", "m", "k", "keyed", "stage", "phase", "step", "n_steps", "stride", "points")
+            + ("law", "n", "m", "k", "keyed", "stage", "phase", "step", "n_steps", "stride", "points", "pitch")
         ]
         + [(name, ctypes.c_double) for name in ("d", "half", "dt", "envelope", "limit")]
         + [("weights", ctypes.c_double * 4)]
         + [
             (name, ctypes.c_void_p)
-            for name in ("W", "F", "K", "S", "S_next", "lap_cols", "lap_vals", "idx", "val", "count")
+            for name in ("W", "F", "K", "S", "S_next", "agent_x", "lap_cols", "lap_vals", "idx", "val", "count")
             + ("sums_buf", "u", "gain", "B", "key", "point", "solved", "table")
             + ("states", "lx", "controls", "energy", "exchange")
         ]
@@ -213,6 +217,13 @@ def compiled_run(lib, stage, S, S_next, dt: float, n_steps: int, stride: int, we
     regather, lookup = native.pop("regather", None), native.pop("lookup", None)
     wd = stage.W.shape[1] - state - stage.sums
     states, (lx, controls, energy, exchange) = record
+    # The first sums columns of the stage's X, agent by agent, which
+    # _step.c writes and reads as aligned vectors: the rows start on 64
+    # bytes, and the pad lanes stay zero.
+    pitch = -(-stage.sums // _LANES) * _LANES
+    buffer = np.zeros(rows * pitch + 8)
+    at = -buffer.ctypes.data % 64 // 8
+    agent_x = buffer[at : at + rows * pitch].reshape(rows, pitch)
     # The advance below keeps run alive, and stage and record, the arrays
     # run points at, for as long as it can be called.
     run = _Run(
@@ -224,6 +235,7 @@ def compiled_run(lib, stage, S, S_next, dt: float, n_steps: int, stride: int, we
         fcols=stage.F.shape[1],
         lap_width=stage.laplacian.cols.shape[0],
         slots=stage.product.idx.shape[1],
+        pitch=agent_x.shape[1],
         n_steps=n_steps,
         stride=stride,
         half=0.5 * dt,
@@ -235,6 +247,7 @@ def compiled_run(lib, stage, S, S_next, dt: float, n_steps: int, stride: int, we
         K=_address(stage.K, "C"),
         S=_address(S, "F"),
         S_next=_address(S_next, "F"),
+        agent_x=_address(agent_x, "C"),
         lap_cols=_address(stage.laplacian.cols, "C"),
         lap_vals=_address(stage.laplacian.vals, "C"),
         idx=_address(stage.product.idx, "C"),
@@ -247,6 +260,7 @@ def compiled_run(lib, stage, S, S_next, dt: float, n_steps: int, stride: int, we
         exchange=None if exchange is None else _address(exchange, "C"),
         **{k: v if np.isscalar(v) else _address(v, "C") for k, v in native.items()},
     )
+    run.agent_x_array = agent_x  # held while run points at it
     grid = None  # the gather's arrays, held while run points at them
 
     def point():

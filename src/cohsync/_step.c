@@ -8,8 +8,14 @@
  * the workspace W and the stage product F column by column with leading
  * dimension span (the agents, or 2 for a lone agent), the state rows S
  * column by column with leading dimension rows, and the stage derivatives
- * K[j] as (state, rows) blocks, agents along the fast axis.  Every
- * operation is the one the numpy path makes, in its order: each sum
+ * K[j] as (state, rows) blocks, agents along the fast axis.  One array is
+ * the library's own: agent_x, which cohsync._native allocates zeroed and
+ * aligned to 64 bytes, holds the first sums columns of the stage's X
+ * agent-major, pitch doubles an agent (sums rounded up to LANES), so that
+ * the Laplacian loop reads a neighbour's sums from one contiguous run; its
+ * pad lanes stay zero.
+ *
+ * Every operation is the one the numpy path makes, in its order: each sum
  * starts from +0 and adds its terms one after another, each term is the
  * product the numpy path rounds, and no product is fused with an addition
  * (the file is compiled with -ffp-contract=off and without -ffast-math).
@@ -17,10 +23,19 @@
  * columns to the widest: a sum from +0 is never -0, so adding x 0 to it
  * changes nothing while x is finite, and a non-finite x makes S_next
  * non-finite at the same step either way.  The loops run along the agents,
- * block by block, so vectorizing them never reorders one agent's sum.  So
- * the bits of every result are those of the numpy path.  What the run
- * records and gathers is copied, never computed, but for the
- * noncollaborative controls rho NGX, the numpy path's one multiply.
+ * block by block, or, in the Laplacian loop, along an agent's sums
+ * columns, LANES at a time; a vector lane rounds as a scalar does, and no
+ * loop is vectorized across the terms of one sum, so no sum is reordered.
+ * Transposing a block between W's columns and agent_x only moves bits.
+ * So the bits of every result are those of the numpy path.  The envelope,
+ * max |S_next|, is taken on the bits of |s|, which order as the numbers do
+ * and put every NaN above +inf.  What the run records and gathers is
+ * copied, never computed, but for the noncollaborative controls rho NGX,
+ * the numpy path's one multiply.
+ *
+ * The vector type and shuffles are GCC's (and clang's) vector extensions;
+ * a compiler without them fails the build, and cohsync takes its numpy
+ * path.
  */
 
 #include <math.h>
@@ -55,9 +70,11 @@ struct run {
     int64_t n_steps;      /* the last step, which makes its first stage alone */
     int64_t stride;       /* steps from one recorded sample to the next */
     int64_t points;       /* grid points of the gather */
+    int64_t pitch;        /* doubles per agent in agent_x: sums rounded up to LANES */
     double d, half, dt, envelope, limit;
     double weights[4];
     double *W, *F, *K, *S, *S_next;
+    double *agent_x;      /* (rows, pitch) the first sums columns of X, pad lanes zero */
     int64_t *lap_cols;    /* (lap_width, rows) */
     double *lap_vals;
     int64_t *idx;         /* (fcols, slots) */
@@ -81,22 +98,81 @@ struct run {
  * that a block's columns stay in the L1 cache. */
 #define BLOCK 256
 
+/* Doubles a vector of the Laplacian loop holds: an agent's network-sum
+ * columns LANES at a time, and LANES agents a block transposed. */
+#define LANES 4
+
+/* LANES doubles: one register of the widest vector unit, or several of a
+ * narrower one, each lane rounded as a scalar double is.  A lanes is read
+ * and written on its own alignment, as in agent_x; a lanes_at at any
+ * double. */
+typedef double lanes __attribute__((vector_size(LANES * sizeof(double))));
+typedef double lanes_at __attribute__((vector_size(LANES * sizeof(double)), aligned(sizeof(double)), may_alias));
+
+#if defined(__clang__)
+#define SHUFFLE(a, b, ...) __builtin_shufflevector(a, b, __VA_ARGS__)
+#else
+typedef int64_t picks __attribute__((vector_size(LANES * sizeof(int64_t))));
+#define SHUFFLE(a, b, ...) __builtin_shuffle(a, b, (picks){__VA_ARGS__})
+#endif
+
+/* The LANES x LANES block m, a row a vector, transposed in place: the
+ * rows' pairs interleaved, then the pairs' halves joined. */
+static inline void transpose(lanes m[LANES])
+{
+    lanes t[LANES];
+    for (int k = 0; k < LANES; k += 2) {
+        t[k] = SHUFFLE(m[k], m[k + 1], 0, 4, 2, 6);
+        t[k + 1] = SHUFFLE(m[k], m[k + 1], 1, 5, 3, 7);
+    }
+    for (int k = 0; k < 2; k++) {
+        m[k] = SHUFFLE(t[k], t[k + 2], 0, 1, 4, 5);
+        m[k + 2] = SHUFFLE(t[k], t[k + 2], 2, 3, 6, 7);
+    }
+}
+
 /* The stage's state rows X: S, or S plus h times the last stage's
- * derivative. */
+ * derivative.  The first sums columns go to agent_x too, each agent's
+ * side by side, in the same pass: LANES columns of LANES agents at a
+ * time, transposed in registers, the pad columns zero. */
 ALONG_AGENTS static void form_x(struct run *r, int64_t j)
 {
-    const int64_t rows = r->rows, span = r->span;
-    double *W = r->W;
-    if (j == 0) {
-        for (int64_t c = 0; c < r->state; c++)
-            memcpy(W + c * span, r->S + c * rows, rows * sizeof(double));
-        return;
-    }
+    const int64_t rows = r->rows, span = r->span, pitch = r->pitch, sums = r->sums;
+    const int64_t whole = rows - rows % LANES;
     const double h = j == 3 ? r->dt : r->half;
-    const double *Kj = r->K + (j - 1) * r->state * rows;
-    for (int64_t c = 0; c < r->state; c++) {
+    const double *K = j ? r->K + (j - 1) * r->state * rows : NULL, *S = r->S;
+    double *W = r->W, *agent_x = r->agent_x;
+    for (int64_t i = 0; i < whole; i += LANES)
+        for (int64_t c0 = 0; c0 < sums; c0 += LANES) {
+            const int64_t width = sums - c0 < LANES ? sums - c0 : LANES;
+            lanes m[LANES];
+            for (int c = 0; c < LANES; c++) {
+                const int64_t at = (c0 + c) * rows + i;
+                m[c] = (lanes){0.0};
+                if (c < width) {
+                    m[c] = *(const lanes_at *)(S + at);
+                    if (K)
+                        m[c] = *(const lanes_at *)(K + at) * h + m[c];
+                    *(lanes_at *)(W + (c0 + c) * span + i) = m[c];
+                }
+            }
+            transpose(m);
+            for (int k = 0; k < LANES; k++)
+                *(lanes *)(agent_x + (i + k) * pitch + c0) = m[k];
+        }
+    for (int64_t i = whole; i < rows; i++)
+        for (int64_t c = 0; c < sums; c++) {
+            const double s = S[c * rows + i];
+            W[c * span + i] = agent_x[i * pitch + c] = K ? K[c * rows + i] * h + s : s;
+        }
+    for (int64_t c = sums; c < r->state; c++) {
         double *restrict x = W + c * span;
-        const double *restrict kc = Kj + c * rows, *restrict s = r->S + c * rows;
+        const double *restrict s = S + c * rows;
+        if (!K) {
+            memcpy(x, s, rows * sizeof(double));
+            continue;
+        }
+        const double *restrict kc = K + c * rows;
         for (int64_t i = 0; i < rows; i++)
             x[i] = kc[i] * h + s[i];
     }
@@ -112,18 +188,46 @@ ALONG_AGENTS static void products(struct run *r, const double *w, int64_t lo, in
     if (w)
         for (int64_t c = 0; c < r->wd; c++)
             memcpy(W + (r->state + r->sums + c) * span + lo, w + c * rows + lo, (top - lo) * sizeof(double));
-    for (int64_t c = 0; c < r->sums; c++) {
-        const double *restrict x = W + c * span;
-        double *restrict out = W + (r->state + c) * span;
-        for (int64_t i = lo; i < top; i++)
-            out[i] = 0.0;
-        for (int64_t s = 0; s < r->lap_width; s++) {
-            const int64_t *restrict cols = r->lap_cols + s * rows;
-            const double *restrict vals = r->lap_vals + s * rows;
-            for (int64_t i = lo; i < top; i++)
-                out[i] += x[cols[i]] * vals[i];
+    /* L X, LANES rows at a time: each row's sums start from +0 and add the
+     * row's slots in order.  A slot's neighbour index and weight are read
+     * once for up to 2 LANES columns, the neighbour's run of agent_x; the
+     * two blocks of sums are transposed into W.  The rows past the last
+     * whole LANES are summed one at a time. */
+    const int64_t pitch = r->pitch, sums = r->sums, width = r->lap_width;
+    const int64_t *cols = r->lap_cols, whole = top - (top - lo) % LANES;
+    const double *vals = r->lap_vals, *agent_x = r->agent_x;
+    double *out = W + r->state * span;
+    for (int64_t c0 = 0; c0 < sums; c0 += 2 * LANES) {
+        const int64_t n = sums - c0 < 2 * LANES ? sums - c0 : 2 * LANES;
+        for (int64_t i = lo; i < whole; i += LANES) {
+            lanes a[LANES], b[LANES];
+            for (int k = 0; k < LANES; k++) {
+                a[k] = b[k] = (lanes){0.0};
+                for (int64_t s = 0; s < width; s++) {
+                    const double *x = agent_x + cols[s * rows + i + k] * pitch + c0;
+                    const double v = vals[s * rows + i + k];
+                    a[k] += *(const lanes *)x * v;
+                    if (n > LANES)
+                        b[k] += *(const lanes *)(x + LANES) * v;
+                }
+            }
+            transpose(a);
+            for (int c = 0; c < n && c < LANES; c++)
+                *(lanes_at *)(out + (c0 + c) * span + i) = a[c];
+            if (n > LANES) {
+                transpose(b);
+                for (int c = LANES; c < n; c++)
+                    *(lanes_at *)(out + (c0 + c) * span + i) = b[c - LANES];
+            }
         }
     }
+    for (int64_t i = whole; i < top; i++)
+        for (int64_t c = 0; c < sums; c++) {
+            double sum = 0.0;
+            for (int64_t s = 0; s < width; s++)
+                sum += agent_x[cols[s * rows + i] * pitch + c] * vals[s * rows + i];
+            out[c * span + i] = sum;
+        }
     for (int64_t f = 0; f < r->fcols; f++) {
         double *restrict out = r->F + f * span;
         for (int64_t i = lo; i < hi; i++)
@@ -293,24 +397,28 @@ static void record(struct run *r)
     }
 }
 
-/* S_next = S + ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3); max |S_next|,
- * NaN when an entry is NaN. */
-static double combine(struct run *r)
+/* S_next = S + ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3); max |S_next|
+ * taken on the bits of |s|: for doubles of sign +, their order as uint64 is
+ * the numbers' order, and every NaN's lies above +inf's, so the maximum is
+ * a NaN when an entry is. */
+ALONG_AGENTS static double combine(struct run *r)
 {
     const int64_t size = r->state * r->rows;
-    const double *K = r->K;
-    double envelope = 0.0;
-    int nan = 0;
+    const double *restrict K = r->K, *restrict S = r->S;
+    const double w0 = r->weights[0], w1 = r->weights[1], w2 = r->weights[2], w3 = r->weights[3];
+    double *restrict S_next = r->S_next;
+    uint64_t top = 0;
     for (int64_t i = 0; i < size; i++) {
-        double ds = 0.0;
-        for (int64_t j = 0; j < 4; j++)
-            ds += K[j * size + i] * r->weights[j];
-        const double s = r->S[i] + ds, a = s < 0.0 ? -s : s;
-        r->S_next[i] = s;
-        nan |= s != s;
-        envelope = a > envelope ? a : envelope;
+        const double s = S[i] + ((((0.0 + K[i] * w0) + K[size + i] * w1) + K[2 * size + i] * w2) + K[3 * size + i] * w3);
+        uint64_t bits;
+        memcpy(&bits, &s, sizeof bits);
+        bits &= ~(UINT64_C(1) << 63);
+        S_next[i] = s;
+        top = bits > top ? bits : top;
     }
-    return nan ? __builtin_nan("") : envelope;
+    double envelope;
+    memcpy(&envelope, &top, sizeof envelope);
+    return envelope;
 }
 
 /* Makes the run's steps from where it stopped up to the step stop, the

@@ -371,7 +371,8 @@ def agent_summaries(run: SimulationRun, threshold: float) -> list[dict]:
     """summary.json's verdict of each agent: its settling time at threshold
     over SETTLING_WINDOW, its final gains and their flatness, and its
     maxima after settling, each column from one whole-array reduction."""
-    times = settling_report(run, threshold, SETTLING_WINDOW)
+    metric = settling_metric(run)
+    times = settling_report(run, threshold, SETTLING_WINDOW, metric)
     settled = np.array([t is not None for t in times])
     flat = gain_flatness(run, FLATNESS_FRACTION)
     flat_ok = True
@@ -385,7 +386,7 @@ def agent_summaries(run: SimulationRun, threshold: float) -> list[dict]:
         flat_ok &= change < FLATNESS_TOL
     # Each agent's maxima from its settling time on, or over the whole run.
     after = run.times[:, None] >= np.array([run.times[0] if t is None else t for t in times])
-    for key, series in (("max_coherency_after_settling", run.coherency_norm), ("max_metric_after_settling", settling_metric(run))):
+    for key, series in (("max_coherency_after_settling", run.coherency_norm), ("max_metric_after_settling", metric)):
         columns[key] = np.where(after, series, -np.inf).max(axis=0).tolist()
     columns["pass"] = (settled & flat_ok).tolist()
     return [dict(zip(columns, values)) for values in zip(*columns.values())]

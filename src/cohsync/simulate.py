@@ -693,16 +693,16 @@ def settling_metric(run: SimulationRun) -> np.ndarray:
     return functools.reduce(np.maximum, [getattr(run, series) for series in PROTOCOLS[run.protocol].settles])
 
 
-def settling_report(run: SimulationRun, threshold: float, trailing_window: float):
-    """detect_settling for every agent at once, on the protocol's settling
-    metric: one pass over the (samples, agents) metric finds each agent's
-    last sample not at or below threshold."""
+def settling_report(run: SimulationRun, threshold: float, trailing_window: float, metric: np.ndarray):
+    """detect_settling for every agent at once, on metric, the run's
+    settling_metric: one pass over the (samples, agents) metric finds each
+    agent's last sample not at or below threshold."""
     times = run.times
     if trailing_window > times[-1] - times[0]:
         raise ValueError("trailing window longer than the recorded run")
     n_samples = times.shape[0]
     # 1 + the index of each agent's last sample not at or below threshold, or 0.
-    first_ok = np.where(settling_metric(run) <= threshold, 0, np.arange(1, n_samples + 1)[:, None]).max(axis=0)
+    first_ok = np.where(metric <= threshold, 0, np.arange(1, n_samples + 1)[:, None]).max(axis=0)
     start = times[np.minimum(first_ok, n_samples - 1)]
     settled = (first_ok < n_samples) & ~(times[-1] - start < trailing_window)
     return [t if ok else None for t, ok in zip(start.tolist(), settled.tolist())]

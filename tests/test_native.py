@@ -6,6 +6,7 @@ import importlib.resources
 import os
 import shutil
 import stat
+import subprocess
 import tempfile
 
 import numpy as np
@@ -15,9 +16,11 @@ from cohsync import _native
 from cohsync import simulate as simulate_module
 from cohsync.agents import AgentModel
 from cohsync.cli import SETTLING_WINDOW, build_design, bundled_manifest_names, load_bundled_manifest, run_experiment
-from cohsync.graphs import DirectedWeightedGraph, generate_circulant
+from cohsync.collab import design_collab
+from cohsync.graphs import DirectedWeightedGraph, generate_circulant, generate_disconnected_composite
 from cohsync.noncollab import design_noncollab
-from cohsync.simulate import DisturbanceSpec, IntegrationBlowup, SimConfig, simulate
+from cohsync.simulate import _GROWTH_LIMIT, DisturbanceSpec, IntegrationBlowup, SimConfig, simulate
+from cohsync.verification import seeded_minimum_phase_model
 
 ARTIFACTS = ("design.json", "trajectory.csv", "summary.json")
 
@@ -97,6 +100,12 @@ def test_both_paths_agree_bitwise_on_one_agent_and_on_several_blocks(
         initial_rho=manifest.rho0,
         initial_alpha=manifest.alpha0,
     )
+    assert_paths_agree(monkeypatch, config)
+
+
+def assert_paths_agree(monkeypatch, config):
+    """simulate(config) gives the same bits, and the same warnings, on the
+    compiled run and on the numpy path."""
     runs = []
     for path in (True, False):
         monkeypatch.setattr(_native, "_compiled", path)
@@ -105,6 +114,50 @@ def test_both_paths_agree_bitwise_on_one_agent_and_on_several_blocks(
         if isinstance(value, np.ndarray):
             assert value.tobytes() == runs[1][key].tobytes(), key
     assert runs[0]["warnings"] == runs[1]["warnings"]
+
+
+def seeded_design(protocol, n):
+    """A seeded minimum-phase model of n states and its design."""
+    model, _ = seeded_minimum_phase_model(np.random.default_rng([0, n]), n)
+    design = {"noncollaborative": design_noncollab, "collaborative": design_collab}[protocol]
+    return model, design(model, delta=1.0)
+
+
+def hub_with_leaves(leaves):
+    """Agent 0 observes each of the leaves, each leaf observes agent 0, at
+    weights that differ: the hub's Laplacian row has leaves + 1 entries, a
+    leaf's 2."""
+    ends = np.arange(1, leaves + 1)
+    weights = 0.5 + ends / leaves
+    return DirectedWeightedGraph.from_flows(
+        leaves + 1, np.concatenate([ends, 0 * ends]), np.concatenate([0 * ends, ends]), np.tile(weights, 2)
+    )
+
+
+GRAPHS = {
+    "circulant": lambda: generate_circulant(11, (1, 3), directed=True),
+    "hub": lambda: hub_with_leaves(14),
+    "lone": lambda: DirectedWeightedGraph(np.zeros((1, 1))),
+    # 301 agents: the first block of 256 rows holds all of the first two
+    # components and part of the third.
+    "components": lambda: generate_disconnected_composite((90, 110, 101), seed=3),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("n", [5, 7, 12, 16])
+@pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
+def test_both_paths_agree_bitwise_on_many_summed_columns_and_any_graph(monkeypatch, compiled, protocol, n, graph):
+    # 5 to 32 summed columns: one to four pairs of the Laplacian loop's
+    # chunks of 4 columns, the last pair whole, with one chunk (12 and 10),
+    # or with a second chunk of 1 to 3 columns (5, 7 and 14); rows of
+    # unequal width, a lone agent and agent counts that leave a partial
+    # group of rows in a block.
+    model, design = seeded_design(protocol, n)
+    config = SimConfig(
+        model=model, graph=GRAPHS[graph](), design=design, dt=2e-4, t_end=0.01, record_stride=3, initial_rho=0.5
+    )
+    assert_paths_agree(monkeypatch, config)
 
 
 def counted_calls(monkeypatch) -> list:
@@ -331,6 +384,19 @@ def test_the_temporary_fallback_is_a_private_directory_of_the_users_own(monkeypa
     assert _native.library() is None
 
 
+def test_the_step_source_compiles_without_warnings(tmp_path):
+    compiler = shutil.which("gcc")
+    if compiler is None:
+        pytest.skip("no gcc")
+    build = subprocess.run(
+        [compiler, *_native._FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-o", str(tmp_path / "step.so")],
+        input=_native.source(),
+        capture_output=True,
+        timeout=300,
+    )
+    assert build.returncode == 0, build.stderr.decode()
+
+
 def test_the_step_source_ships_with_the_package():
     source = importlib.resources.files("cohsync").joinpath("_step.c")
     assert source.is_file() and source.read_bytes() == _native.source()
@@ -362,3 +428,55 @@ def test_pruning_keeps_the_files_of_another_user(monkeypatch, tmp_path):
     monkeypatch.undo()
     _native._prune(tmp_path, f"cohsync-step-{'1' * 64}.so")
     assert not stale.exists()
+
+
+def first_stops(monkeypatch, config, agent, value):
+    """Per path, compiled first: how a run whose agent starts with its last
+    state column, a gain, at value ends: ("stop", step, envelope) where
+    advance first stops, or the error the run raises."""
+    outcomes = []
+
+    def integrate(advance, S, S_next, dt, n_steps, order, starts):
+        S[agent, -1] = value
+        outcomes.append(("stop",) + advance(0, n_steps + 1))
+        return []
+
+    monkeypatch.setattr(simulate_module, "_integrate", integrate)
+    for path in (True, False):
+        monkeypatch.setattr(_native, "_compiled", path)
+        try:
+            simulate(config)
+        except ValueError as error:
+            outcomes.append(("error", str(error)))
+    return outcomes
+
+
+ABOVE_LIMIT = float(np.nextafter(_GROWTH_LIMIT, np.inf))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("agent", [0, 8], ids=["body", "remainder"])
+@pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf, ABOVE_LIMIT, -ABOVE_LIMIT])
+@pytest.mark.parametrize("protocol, n", [("noncollaborative", 5), ("collaborative", 4)])
+def test_the_combination_stops_at_the_numpy_paths_step_and_envelope(monkeypatch, compiled, protocol, n, value, agent):
+    # 9 agents with no edges and 10 state columns: S_next holds 90 values,
+    # 2 past the last full vector of 4 or 8.  Agent 0's gain is value 81,
+    # in the vector body; agent 8's is the last value, in the remainder.
+    model, design = seeded_design(protocol, n)
+    config = SimConfig(model=model, graph=DirectedWeightedGraph(np.zeros((9, 9))), design=design, dt=0.01, t_end=0.05)
+    assert len(design.gains) + model.n + design.widths(n, model.m)[0] == 10
+    compiled_outcome, numpy_outcome = first_stops(monkeypatch, config, agent, value)
+    if compiled_outcome[0] == "error":
+        # A collaborative alpha of +inf lies past every P_alpha grid point.
+        assert (protocol, value) == ("collaborative", np.inf)
+        assert compiled_outcome == numpy_outcome == ("error", "alpha must be positive and finite")
+        return
+    (_, step, envelope), (_, numpy_step, numpy_envelope) = compiled_outcome, numpy_outcome
+    assert step == numpy_step == 1
+    assert np.isnan(envelope) == np.isnan(numpy_envelope)
+    if not np.isnan(envelope):
+        assert envelope == numpy_envelope
+    # All but rho = +-inf or NaN, which the noncollaborative law multiplies
+    # by a zero, stay in their lane: the lane alone sets the envelope.
+    if protocol == "collaborative" or abs(value) == ABOVE_LIMIT:
+        assert np.isnan(envelope) if np.isnan(value) else envelope == abs(value)

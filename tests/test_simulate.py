@@ -375,7 +375,7 @@ def test_pair_settles_and_gains_freeze():
     norms = run.coherency_norm[:, 0]
     assert np.all(np.diff(norms) <= 1e-12)
 
-    report = settling_report(run, threshold=2 * design.d, trailing_window=5.0)
+    report = settling_report(run, threshold=2 * design.d, trailing_window=5.0, metric=settling_metric(run))
     assert all(T is not None for T in report)
     flat = gain_flatness(run)
     assert np.all(flat["rho"] < 1e-2)
@@ -844,11 +844,11 @@ def test_settling_report_equals_detect_settling_per_agent(protocol):
         proxy, exchange = metric, None
     run = SimpleNamespace(protocol=protocol, times=times, coherency_proxy=proxy, exchange_energy=exchange, n_agents=60)
     expected = [detect_settling(times, metric[:, i], threshold, window) for i in range(60)]
-    assert settling_report(run, threshold, window) == expected
+    assert settling_report(run, threshold, window, settling_metric(run)) == expected
     assert expected[:5] == [times[0], None, times[70], None, times[1]]
     assert sum(t is None for t in expected) > 5 and sum(t is not None for t in expected) > 20
     with pytest.raises(ValueError, match="trailing window longer"):
-        settling_report(run, threshold, times[-1] - times[0] + 0.1)
+        settling_report(run, threshold, times[-1] - times[0] + 0.1, metric)
 
 
 # ---------------------------------------------------------------------------
