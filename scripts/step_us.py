@@ -10,8 +10,9 @@ the collaborative gains adapt on nearly every step; at FROZEN_SCALE both
 stay at their initial values, which the script asserts for alpha (the
 gains never decrease, so equal ends mean a constant alpha), and the row
 times the collaborative law with frozen gains.  Each row runs on the
-compiled step and on the numpy path (cohsync._native._compiled set
-false), which give the same bits.  A step's figure is the minimum over
+compiled step and on the numpy path (cohsync._native.library replaced
+by one that finds no library, as on a host without a C compiler), which
+give the same bits.  A step's figure is the minimum over
 REPEATS runs of the run's wall time divided by its steps, in
 microseconds, for a run that records only its two ends.
 
@@ -88,6 +89,14 @@ ARTIFACT_SIZES = (25, 800)
 ARTIFACT_RUN = ("col-vicsek-n25", {"t_end": 6.0, "dt": 0.01, "record_stride": 2})  # 301 samples
 
 REFERENCE = ReferenceKernel()
+LIBRARY = _native.library
+
+
+def take(path):
+    """Has simulate and write_trajectory_csv take the named path: the
+    compiled library, or the numpy path as on a host without a C
+    compiler."""
+    _native.library = LIBRARY if path == "compiled" else lambda: None
 
 
 def normalized_min(calls, repeats):
@@ -197,7 +206,7 @@ def artifact_layer():
 
             def write(writer):
                 def call():
-                    _native._compiled = writer == "compiled"
+                    take(writer)
                     write_trajectory_csv(run, path)
 
                 return call
@@ -205,7 +214,7 @@ def artifact_layer():
             *write_s, summary_s = normalized_min(
                 [write(writer) for writer in PATHS] + [lambda: agent_summaries(run, threshold)], REPEATS
             )
-            _native._compiled = True
+            take("compiled")
             with open(path) as fh:
                 fields = run.times.shape[0] * n * len(fh.readline().split(","))
             for writer, seconds in zip(PATHS, write_s):
@@ -221,7 +230,7 @@ def main():
         manifest = load_bundled_manifest(name)
         design = build_design(manifest)
         for path in PATHS:
-            _native._compiled = path == "compiled"
+            take(path)
             assert path == "numpy" or _native.library() is not None, "no compiled step here"
             step, calls = {}, {}
             for n in SIZES:
@@ -238,7 +247,7 @@ def main():
             every, ends = (config(manifest, design, RECORD_AGENTS, scale, record_stride=k) for k in (1, STEPS))
             every_s, ends_s = normalized_min([lambda: simulate(every), lambda: simulate(ends)], RECORD_REPEATS)
             table[f"record_us_n{RECORD_AGENTS}"].setdefault(path, {})[label] = round(1e6 * (every_s - ends_s) / STEPS, 2)
-        _native._compiled = True
+        take("compiled")
     table["collab_law_us"] = law_layer()
     table["csv_ns_per_field"], table["summary_ms"] = artifact_layer()
     print(json.dumps(table, indent=1))

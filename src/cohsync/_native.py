@@ -1,6 +1,6 @@
 """The compiled library: _step.c, built on first use and driven through
-ctypes.  It holds the RK4 integrator (compiled_run) and trajectory.csv's
-row writer (compiled_csv).
+ctypes.  It holds the RK4 step kernel that simulate._integrate drives
+(compiled_run) and trajectory.csv's row writer (compiled_csv).
 
 library() compiles the package's _step.c with _FLAGS into a shared
 library in the user's cache directory ($XDG_CACHE_HOME or ~/.cache, then
@@ -19,7 +19,10 @@ cohsync versions that share a cache directory each build their library
 again, a second or so, on the first run after a switch between them.
 simulate imports this module on its first run, never at import;
 compiled_run binds the library to one run's arrays, and
-write_trajectory_csv calls compiled_csv.
+write_trajectory_csv calls compiled_csv.  A caller that replaces
+library() by a function giving None has simulate and
+write_trajectory_csv take their numpy paths, as a host without a
+compiler does.
 
 library() gives None when there is no such directory, no compiler, or
 the build or the load fails; simulate and write_trajectory_csv then take
@@ -49,15 +52,10 @@ DONE, GAINS, ENVELOPE = 0, 1, 2
 _FLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _CC = "gcc"  # the compiler looked up on PATH
 _CACHE = None  # the cache directory; None for the user's
-_compiled = True  # False: simulate takes its numpy path
 
 # _step.c's LANES: an agent's row of agent_x is its network-sum columns
 # padded to a multiple of this many.
 _LANES = 4
-
-# Disturbance values written ahead for the compiled run, at most this many
-# per call of the writer.
-_W_AHEAD = 2**14
 
 # A complete library's file name; a build in progress writes under this
 # name and a suffix of mkstemp's.
@@ -113,7 +111,7 @@ def cache_name(text: bytes, flags=_FLAGS) -> str:
 def library():
     """The loaded step library, built on first use; None when the numpy
     path is to be taken."""
-    return _load(_CC, _cache_dir()) if _compiled else None
+    return _load(_CC, _cache_dir())
 
 
 @functools.cache
@@ -174,7 +172,7 @@ class _Run(ctypes.Structure):
         [
             (name, ctypes.c_int64)
             for name in ("rows", "span", "state", "sums", "wd", "fcols", "lap_width", "slots")
-            + ("law", "n", "m", "k", "keyed", "stage", "phase", "step", "n_steps", "stride", "points", "pitch")
+            + ("law", "n", "m", "k", "keyed", "step", "n_steps", "stride", "points", "pitch")
         ]
         + [(name, ctypes.c_double) for name in ("d", "half", "dt", "envelope", "limit")]
         + [("weights", ctypes.c_double * 4)]
@@ -196,26 +194,23 @@ def _address(a: np.ndarray, order: str) -> int:
 
 
 def compiled_run(lib, stage, S, S_next, dt: float, n_steps: int, stride: int, weights, limit: float, record):
-    """simulate._integrate's advance(k, stop) through _step.c, on the
+    """simulate._integrate's steps(w, first, stop) through _step.c, on the
     arrays of stage (simulate._Stage), which the numpy path binds, and on S
     and S_next, which the library swaps at the end of each step as the
     numpy path does; weights are RK4's, limit the growth limit, and record
     the state rows' and the first stage's record arrays (simulate), which
     the library fills at steps 0, stride, 2 stride, ... and n_steps.
 
-    One call of the library runs from step k to the end of the run, and
-    returns to Python only at the end of a w(t) window, which the numpy
-    writer fills for the stage times of up to _W_AHEAD values' worth of
-    steps; before a collaborative law whose alpha column falls on a
-    P_alpha cell not cached, which the law's regather solves (or raises
-    on) before the run is pointed at the grid's new arrays; and after a
-    step whose max |S_next| is non-finite or above limit, which advance
-    gives back.
+    steps calls the library until it stops at stop or after a step whose
+    max |S_next| is non-finite or above limit.  In between, the library
+    returns only when a stage of the collaborative law finds its alpha
+    column on a P_alpha cell not cached: the law's regather solves (or
+    raises on) the cell, the run is pointed at the grid's new arrays, and
+    the library makes the step again from its first stage.
     """
     rows, state = stage.X.shape
     native = dict(stage.native)
     regather, lookup = native.pop("regather", None), native.pop("lookup", None)
-    wd = stage.W.shape[1] - state - stage.sums
     states, (lx, controls, energy, exchange) = record
     # The first sums columns of the stage's X, agent by agent, which
     # _step.c writes and reads as aligned vectors: the rows start on 64
@@ -224,14 +219,14 @@ def compiled_run(lib, stage, S, S_next, dt: float, n_steps: int, stride: int, we
     buffer = np.zeros(rows * pitch + 8)
     at = -buffer.ctypes.data % 64 // 8
     agent_x = buffer[at : at + rows * pitch].reshape(rows, pitch)
-    # The advance below keeps run alive, and stage and record, the arrays
-    # run points at, for as long as it can be called.
+    # The steps below keep run alive, and stage and record, the arrays run
+    # points at, for as long as they can be called.
     run = _Run(
         rows=rows,
         span=stage.W.shape[0],
         state=state,
         sums=stage.sums,
-        wd=wd,
+        wd=stage.W.shape[1] - state - stage.sums,
         fcols=stage.F.shape[1],
         lap_width=stage.laplacian.cols.shape[0],
         slots=stage.product.idx.shape[1],
@@ -272,39 +267,16 @@ def compiled_run(lib, stage, S, S_next, dt: float, n_steps: int, stride: int, we
     if lookup is not None:
         point()
     call = functools.partial(lib.cohsync_run, ctypes.addressof(run))
-    at, disturb, half = 0, stage.disturb, 0.5 * dt
-    if disturb is not None:
-        ahead = max(1, min(n_steps + 1, _W_AHEAD // (3 * max(wd, 1) * rows)))
-        w = np.empty((ahead, 3, wd, rows))  # per step, the blocks at t, t + dt/2 and t + dt
-        w_rows, w_address = w.transpose(0, 1, 3, 2), w.ctypes.data
-        at = -ahead  # the first step of the window w holds
 
-    def advance(k, stop):
-        nonlocal at
-        run.step = k
-        while True:
-            if disturb is None:
-                code = call(None, 0, stop)
-            else:
-                if k - at >= ahead:
-                    at = k
-                    t = np.arange(k, min(k + ahead, n_steps + 1)) * dt
-                    T = np.stack([t, t + half, t + dt], axis=1)
-                    if k + T.shape[0] > n_steps:
-                        T[-1, 1:] = T[-1, 0]  # the last step has its first stage alone
-                    disturb(T[..., None], w_rows[: T.shape[0]])
-                code = call(w_address, at, min(at + ahead, stop))
-            k = run.step
-            if code == GAINS:
-                regather()
-                run.keyed = 1
-                point()
-            elif code == ENVELOPE:
-                return k, run.envelope
-            elif k == stop:
-                return k, None
+    def steps(w, first, stop):
+        address = None if w is None else w.ctypes.data
+        while (code := call(address, first, stop)) == GAINS:
+            regather()
+            run.keyed = 1
+            point()
+        return run.step, run.envelope if code == ENVELOPE else None
 
-    return advance
+    return steps
 
 
 class _Csv(ctypes.Structure):

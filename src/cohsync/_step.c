@@ -1,14 +1,17 @@
-/* cohsync's network integrator, for either protocol: RK4 steps from one
+/* cohsync's network step kernel, for either protocol: RK4 steps from one
  * step to a stop step in one call (cohsync_run), with the recorded
  * samples and the P_alpha gain gather; and (cohsync_csv, at the end of
- * the file) the rows of trajectory.csv.
+ * the file) the rows of trajectory.csv.  A step is atomic: a call that
+ * stops inside one, for a P_alpha cell to solve, leaves the whole step to
+ * be made again.
  *
- * cohsync.simulate compiles this file on first use and calls cohsync_run
- * through ctypes on the arrays its numpy path binds, in the same layout:
- * the workspace W and the stage product F column by column with leading
- * dimension span (the agents, or 2 for a lone agent), the state rows S
- * column by column with leading dimension rows, and the stage derivatives
- * K[j] as (state, rows) blocks, agents along the fast axis.  One array is
+ * cohsync.simulate compiles this file on first use; its one driver,
+ * _integrate, calls cohsync_run through ctypes for each w(t) window, on
+ * the arrays its numpy path binds, in the same layout: the workspace W
+ * and the stage product F column by column with leading dimension span
+ * (the agents, or 2 for a lone agent), the state rows S column by column
+ * with leading dimension rows, and the stage derivatives K[j] as (state,
+ * rows) blocks, agents along the fast axis.  One array is
  * the library's own: agent_x, which cohsync._native allocates zeroed and
  * aligned to 64 bytes, holds the first sums columns of the stage's X
  * agent-major, pitch doubles an agent (sums rounded up to LANES), so that
@@ -65,8 +68,7 @@ struct run {
     int64_t slots;        /* stage matrix slots per column */
     int64_t law, n, m, k; /* law code; states, inputs; n1 or outputs p */
     int64_t keyed;        /* key holds the alpha column of the last gather */
-    int64_t stage, phase; /* where the step resumes: stage j, its X formed if phase */
-    int64_t step;         /* the step being made */
+    int64_t step;         /* the step to make next, from its first stage */
     int64_t n_steps;      /* the last step, which makes its first stage alone */
     int64_t stride;       /* steps from one recorded sample to the next */
     int64_t points;       /* grid points of the gather */
@@ -421,27 +423,26 @@ ALONG_AGENTS static double combine(struct run *r)
     return envelope;
 }
 
-/* Makes the run's steps from where it stopped up to the step stop, the
- * last step n_steps only its first stage, and records the first stage of
- * steps 0, stride, 2 stride, ... and n_steps.  Returns DONE at stop;
- * ENVELOPE after a step whose max |S_next| (r->envelope, NaN when an entry
- * is NaN) is not at most r->limit, with S and S_next swapped as after
- * every step; GAINS before a collaborative law whose alpha column falls on
- * a grid cell not cached.  w points at the (wd, rows) disturbance blocks
- * at t, t + dt/2 and t + dt of the steps from first on, or is NULL for no
- * disturbance. */
+/* Makes the run's steps from r->step up to the step stop, the last step
+ * n_steps only its first stage, and records the first stage of steps 0,
+ * stride, 2 stride, ... and n_steps.  Returns DONE at stop; ENVELOPE after
+ * a step whose max |S_next| (r->envelope, NaN when an entry is NaN) is not
+ * at most r->limit, with S and S_next swapped as after every step; GAINS
+ * when a stage of the collaborative law finds its alpha column on a grid
+ * cell not cached.  A step is atomic: after GAINS, r->step is the step to
+ * make again from its first stage, which gives the same bits, since every
+ * stage is a function of S, K and the grid alone, and a sample recorded
+ * again is overwritten with the same bits.  w points at the (wd, rows)
+ * disturbance blocks at t, t + dt/2 and t + dt of the steps from first on,
+ * or is NULL for no disturbance. */
 int cohsync_run(struct run *r, const double *w, int64_t first, int64_t stop)
 {
-    while (r->step < stop) {
+    for (; r->step < stop; r->step++) {
         const int64_t k = r->step, rows = r->rows, span = r->span;
         const double *wk = w ? w + (k - first) * 3 * r->wd * rows : NULL;
-        while (r->stage < 4) {
-            const int64_t j = r->stage;
+        for (int64_t j = 0; j < 4; j++) {
             double *out = r->K + j * r->state * rows;
-            if (!r->phase) {
-                form_x(r, j);
-                r->phase = 1;
-            }
+            form_x(r, j);
             if (r->law == COLLABORATIVE && !keyed(r) && !gather(r))
                 return GAINS;
             const double *wj = wk ? wk + (j == 0 ? 0 : j == 3 ? 2 : 1) * r->wd * rows : NULL;
@@ -455,12 +456,9 @@ int cohsync_run(struct run *r, const double *w, int64_t first, int64_t stop)
                 else
                     noncollab(r, out, lo, top);
             }
-            r->phase = 0;
-            r->stage = j + 1;
             if (j == 0 && (k % r->stride == 0 || k == r->n_steps)) {
                 record(r);
                 if (k == r->n_steps) {
-                    r->stage = 0;
                     r->step = k + 1;
                     return DONE;
                 }
@@ -470,10 +468,10 @@ int cohsync_run(struct run *r, const double *w, int64_t first, int64_t stop)
         r->envelope = combine(r);
         r->S = r->S_next;
         r->S_next = S;
-        r->stage = 0;
-        r->step = k + 1;
-        if (!(r->envelope <= r->limit))
+        if (!(r->envelope <= r->limit)) {
+            r->step = k + 1;
             return ENVELOPE;
+        }
     }
     return DONE;
 }

@@ -434,7 +434,10 @@ def read_edge_list(text: str) -> DirectedWeightedGraph:
             continue
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'src dst weight'")
-        s, d, w = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            s, d, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected integer node ids and a numeric weight, got {line!r}") from None
         if not (1 <= s <= n and 1 <= d <= n):
             raise ValueError(f"line {lineno}: node id outside 1..{n}")
         src.append(s - 1)

@@ -36,19 +36,20 @@ indexed disturbances, component trajectories are bit-identical whether or
 not the rest of the network is present; growth warnings are kept per
 component to match.
 
-The steps run in one of two ways with the same bits, behind one
-advance(k, stop) of _integrate.  The compiled run (_step.c, built on
-first use by _native and loaded with ctypes) makes RK4 steps from k to
-stop in one C call on the arrays the numpy path binds, in the same order
-of operations, recording each sample and gathering the collaborative
-law's gain rows from the P_alpha grid's cached cells itself.  It returns
-to Python only at the end of a window of w(t), which numpy writes a few
-steps ahead; when an alpha falls on a cell not cached, which
-PAlphaGrid.gain_rows solves; and after a step whose max |S_next| is
-non-finite or above _GROWTH_LIMIT, whose blow-up and growth checks stay
-here.  Without a C compiler, or when the build or the load fails, the
-numpy path runs: the reference, a step at a time, stage by stage in
-numpy.
+One driver, _integrate, runs the steps on either of two paths with the
+same bits; each path gives it only a kernel, steps(w, first, stop).  The
+driver writes w(t) for a window of steps at a time, up to _W_AHEAD
+values, calls the kernel until the window or the run ends, and makes the
+blow-up and growth checks after a step whose max |S_next| is non-finite
+or above _GROWTH_LIMIT, where a kernel stops.  The compiled kernel
+(_step.c, built on first use by _native and loaded with ctypes) makes the
+steps of a window in one C call on the arrays the numpy path binds, in
+the same order of operations, recording each sample and gathering the
+collaborative law's gain rows from the P_alpha grid's cached cells
+itself; when an alpha falls on a cell not cached, PAlphaGrid.gain_rows
+solves it and C makes the step again from its first stage.  Without a C
+compiler, or when the build or the load fails, the numpy kernel runs:
+the reference, a step at a time, stage by stage in numpy.
 
 The initial state of the agent with global index g is
 np.random.default_rng([seed, g]).uniform(-1, 1, n), bit for bit, but all
@@ -90,6 +91,12 @@ from .noncollab import NoncollabDesign
 _GROWTH_LIMIT = 1e3
 
 _DISTURBANCE_KINDS = ("zero", "chirp", "sawtooth", "table")
+
+# Disturbance values written ahead by _integrate, at most this many per call
+# of the writer; and each RK4 stage's block of a step's three, w(t) at t,
+# t + dt/2 and t + dt.
+_W_AHEAD = 2**14
+_W_BLOCK = (0, 1, 1, 2)
 
 # Each protocol's design class by the protocol's name.  The class declares
 # all that the integrator and the command line need of the protocol: its
@@ -326,29 +333,45 @@ def _sample_count(n_steps: int, stride: int) -> int:
     return n_steps // stride + 1 + (n_steps % stride > 0)
 
 
-def _integrate(advance, S, S_next, dt, n_steps, order, starts):
+def _integrate(steps, S, S_next, dt, n_steps, order, starts, disturb, wd):
     """RK4 from the state rows S: the first growth warning of each
     component, whose rows are order[starts[c]:starts[c + 1]].
 
-    advance(k, stop) makes steps k, k + 1, ... before stop, step n_steps
-    its first stage alone, and records the samples among them; it gives
-    (j, envelope), j the step after the last one it made, and envelope
-    that step's max |S_next| when it stopped there because the maximum is
-    non-finite or above _GROWTH_LIMIT, else None.  Step j starts from the
-    state rows in (S, S_next)[j % 2] and ends in the other.
+    steps(w, first, stop) is the path's kernel.  It makes the steps from
+    the one after the last it made (step 0 on the first call) before stop,
+    step n_steps its first stage alone, and records the samples among
+    them; it gives (j, envelope), j the step after the last one it made,
+    and envelope that step's max |S_next| when it stopped there because the
+    maximum is non-finite or above _GROWTH_LIMIT, else None.  Step j starts
+    from the state rows in (S, S_next)[j % 2] and ends in the other.  w
+    holds the (wd, agents) blocks of w(t) at t, t + dt/2 and t + dt of the
+    steps from first on, up to _W_AHEAD values, which disturb writes here
+    a window at a time; w is None for the zero kind, whose disturb is None.
     """
 
     def envelopes(S):
         """max |S| over each component's rows."""
         return np.maximum.reduceat(np.abs(S).max(axis=1)[order], starts)
 
+    w, ahead = None, n_steps + 1  # the window and the steps it holds
+    if disturb is not None:
+        ahead = max(1, min(ahead, _W_AHEAD // (3 * max(wd, 1) * S.shape[0])))
+        w = np.empty((ahead, 3, wd, S.shape[0]))
     first_growth: dict[int, str] = {}  # component -> its first growth warning
     pair = (S, S_next)
-    k = 0
+    first, k = -ahead, 0  # the window's first step; the next step to make
     while k <= n_steps:
-        k, envelope = advance(k, n_steps + 1)
+        if k - first >= ahead:
+            first = k
+            if w is not None:
+                t = np.arange(k, min(k + ahead, n_steps + 1)) * dt
+                T = np.stack([t, t + 0.5 * dt, t + dt], axis=1)
+                if k + T.shape[0] > n_steps:
+                    T[-1, 1:] = T[-1, 0]  # the last step has its first stage alone
+                disturb(T[..., None], w.transpose(0, 1, 3, 2)[: T.shape[0]])
+        k, envelope = steps(w, first, min(first + ahead, n_steps + 1))
         if envelope is None:
-            break
+            continue
         # The maximum is NaN or infinite exactly when some entry is.
         if not math.isfinite(envelope):
             raise IntegrationBlowup(
@@ -396,10 +419,11 @@ class _Stage:
 
     A stage fills the workspace W, rows [x, protocol state, network sums,
     w]: the caller writes the state rows into X, adds the Laplacian product
-    of the first sums columns into the sums and w(t) (disturb) into the w
-    columns, forms the stage product F = W M with the stage matrix M (its
-    slots in product), and has the law's rates(j) write dS/dt into K[j].T,
-    the j-th RK4 stage derivative.  Arrays are stored column by column, so
+    of the first sums columns into the sums and copies the stage's w(t)
+    block, which _integrate writes with disturb, into the w columns, forms
+    the stage product F = W M with the stage matrix M (its slots in
+    product), and has the law's rates(j) write dS/dt into K[j].T, the j-th
+    RK4 stage derivative.  Arrays are stored column by column, so
     that elementwise work runs along the agents, and a lone agent gets a
     zero second row, so that numpy never sums a lone contiguous axis.
     record() gives the L x block and the law's signals.  The numpy path and
@@ -444,40 +468,36 @@ def _rk4_weights(dt: float) -> np.ndarray:
 
 
 def _numpy_stage(stage: _Stage):
-    """The stage on the numpy path: evaluate(t, j) fills the workspace for
-    the state rows in X and has rates(j) write K[j].T.
+    """The stage on the numpy path: evaluate(w, j) fills the workspace for
+    the state rows in X and the step's w(t) blocks w (_integrate's, None
+    for the zero kind) and has rates(j) write K[j].T.
 
     The products, w and the law are bound to the workspace here, once, so
-    a stage takes no views and checks no shapes.  w(t) is written only when
-    t changes (RK4 stages 2 and 3 share their time), never for the zero
-    kind."""
-    X, W, rates, disturb = stage.X, stage.W, stage.rates, stage.disturb
+    a stage takes no views and checks no shapes."""
+    X, W, rates = stage.X, stage.W, stage.rates
     rows, width = X.shape
     sums = width + stage.sums
-    NS, WD = W[:rows, width:sums], W[:rows, sums:]
+    NS, WD = W[:rows, width:sums], W[:rows, sums:].T
     laplacian_product = stage.laplacian.bind(X[:, : stage.sums], NS)
     stage_product = stage.product.bind(W.T, stage.F.T)
-    w_time = None  # the time whose w the workspace holds
 
-    def evaluate(t, j):
-        nonlocal w_time
+    def evaluate(w, j):
         laplacian_product()
-        if disturb is not None and t != w_time:
-            disturb(t, WD)
-            w_time = t
+        if w is not None:
+            WD[...] = w[_W_BLOCK[j]]
         stage_product()
         rates(j)
 
     return evaluate
 
 
-def _numpy_advance(stage: _Stage, S, S_next, dt: float, n_steps: int, stride: int, record):
-    """_integrate's advance on the numpy path, a step at a time: the
-    stages, then S_next = S + ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3)
-    for the RK4 weights w, summed by one reduction over the stages.  The
-    first stage of steps 0, stride, 2 stride, ... and n_steps is recorded
-    into record, the state rows' array and the record arrays of the
-    stage's record() values (None for a value not recorded)."""
+def _numpy_steps(stage: _Stage, S, S_next, dt: float, n_steps: int, stride: int, record):
+    """_integrate's steps on the numpy path, a step at a time: the stages,
+    then S_next = S + ((((+0 + w0 K0) + w1 K1) + w2 K2) + w3 K3) for the
+    RK4 weights w, summed by one reduction over the stages.  The first
+    stage of steps 0, stride, 2 stride, ... and n_steps is recorded into
+    record, the state rows' array and the record arrays of the stage's
+    record() values (None for a value not recorded)."""
     evaluate, X, K, signals = _numpy_stage(stage), stage.X, stage.K, stage.record
     states, recorded = record
     KT = [Kj.T for Kj in K]
@@ -488,13 +508,16 @@ def _numpy_advance(stage: _Stage, S, S_next, dt: float, n_steps: int, stride: in
     dS_T = dS.reshape(K.shape[1:]).T
     half = 0.5 * dt
     pairs = ((S, S_next), (S_next, S))
+    step = 0  # the next step to make
 
-    def advance(k, stop):
-        for k in range(k, stop):
+    def steps(w, first, stop):
+        nonlocal step
+        for k in range(step, stop):
+            step = k + 1
             S, S_next = pairs[k % 2]
-            t = k * dt
+            wk = None if w is None else w[k - first]
             X[...] = S
-            evaluate(t, 0)
+            evaluate(wk, 0)
             if k % stride == 0 or k == n_steps:
                 sample = -(-k // stride)
                 states[sample] = S
@@ -502,20 +525,20 @@ def _numpy_advance(stage: _Stage, S, S_next, dt: float, n_steps: int, stride: in
                     if into is not None:
                         into[sample] = value
                 if k == n_steps:
-                    return k + 1, None
+                    break
             for j, h in ((1, half), (2, half), (3, dt)):
                 np.multiply(KT[j - 1], h, out=X)
                 np.add(X, S, out=X)
-                evaluate(t + h, j)
+                evaluate(wk, j)
             np.multiply(K_flat, weights, out=terms)
             np.add.reduce(terms, axis=0, initial=0.0, out=dS)
             np.add(S, dS_T, out=S_next)
             envelope = float(np.maximum.reduce(np.abs(S_next, out=magnitude), axis=None))
             if not envelope <= _GROWTH_LIMIT:
-                return k + 1, envelope
-        return stop, None
+                return step, envelope
+        return step, None
 
-    return advance
+    return steps
 
 
 def check_run(
@@ -631,13 +654,13 @@ def simulate(config: SimConfig) -> SimulationRun:
         states = np.empty((n_samples,) + S.shape)
         recorded = [None if v is None else np.empty((n_samples,) + v.shape) for v in stage.record()]
         if lib is None:
-            advance = _numpy_advance(stage, S, S_next, config.dt, n_steps, stride, (states, recorded))
+            kernel = _numpy_steps(stage, S, S_next, config.dt, n_steps, stride, (states, recorded))
         else:
             weights = _rk4_weights(config.dt)
-            advance = _native.compiled_run(
+            kernel = _native.compiled_run(
                 lib, stage, S, S_next, config.dt, n_steps, stride, weights, _GROWTH_LIMIT, (states, recorded)
             )
-        warnings = _integrate(advance, S, S_next, config.dt, n_steps, order, starts)
+        warnings = _integrate(kernel, S, S_next, config.dt, n_steps, order, starts, stage.disturb, model.w)
     steps = np.arange(n_samples) * stride  # the recorded steps
     steps[-1] = n_steps
     S, (LX, u, proxy, exch) = states, recorded

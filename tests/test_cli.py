@@ -121,6 +121,9 @@ def test_manifest_rejects_unknown_fields():
 
 
 def test_manifest_requires_name_protocol_model_graph():
+    for data in ([], "x", None):
+        with pytest.raises(ValueError, match="manifest must be a JSON object"):
+            manifest_from_dict(data)
     with pytest.raises(ValueError, match="'name' is required"):
         manifest_from_dict({"protocol": "noncollaborative"})
     with pytest.raises(ValueError, match="'protocol' must be one of"):

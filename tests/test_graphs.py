@@ -471,6 +471,9 @@ def test_edge_list_header_and_comments():
         read_edge_list("1 2 1.0\n")  # missing header
     with pytest.raises(ValueError):
         read_edge_list("nodes 2\n1 3 1.0\n")  # id out of range
+    for flow in ("2.5 3 1", "2 x 1", "2 3 heavy"):
+        with pytest.raises(ValueError, match="^line 3: expected integer node ids and a numeric weight"):
+            read_edge_list(f"nodes 3\n1 2 1\n{flow}\n")
     for count in ("-3", "2.5", "two"):
         with pytest.raises(ValueError, match="^line 2: node count"):
             read_edge_list(f"# demo\nnodes {count}\n1 2 1.0\n")

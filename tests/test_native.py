@@ -32,6 +32,14 @@ def compiled():
         pytest.skip("no C compiler builds the compiled step here")
 
 
+def both_paths(monkeypatch):
+    """The compiled run, and then the numpy path, taken as on a host
+    without a C compiler: yields each path's name once it is set."""
+    yield "compiled"
+    monkeypatch.setattr(_native, "library", lambda: None)
+    yield "numpy"
+
+
 def no_compiler(monkeypatch, tmp_path):
     """Points the compiler lookup at a missing path and the cache at an
     empty directory."""
@@ -107,13 +115,30 @@ def assert_paths_agree(monkeypatch, config):
     """simulate(config) gives the same bits, and the same warnings, on the
     compiled run and on the numpy path."""
     runs = []
-    for path in (True, False):
-        monkeypatch.setattr(_native, "_compiled", path)
+    for _ in both_paths(monkeypatch):
         runs.append(vars(simulate(config)))
     for key, value in runs[0].items():
         if isinstance(value, np.ndarray):
             assert value.tobytes() == runs[1][key].tobytes(), key
     assert runs[0]["warnings"] == runs[1]["warnings"]
+
+
+def test_arrays_the_library_cannot_read_are_refused():
+    with pytest.raises(ValueError, match="is not C-contiguous"):
+        _native._address(np.zeros((4, 4))[:, ::2], "C")
+    with pytest.raises(ValueError, match="is not F-contiguous"):
+        _native._address(np.zeros((4, 4)), "F")
+    with pytest.raises(ValueError, match="is not C-contiguous"):
+        _native._address(np.zeros(4, np.float32), "C")
+    # compiled_csv refuses before it calls the library.
+    column, texts = np.zeros((2, 3)), ([b"0,", b"1,"], [b"1,", b"2,", b"3,"])
+    for columns, times, agents, message in (
+        ([column, column.astype(np.float32)], *texts, "float64 array"),
+        ([column], texts[0][:1], texts[1], "one text is needed"),
+        ([column], texts[0], texts[1] + [b"4,"], "one text is needed"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            next(_native.compiled_csv(None, columns, times, agents, None, 0, 1))
 
 
 def seeded_design(protocol, n):
@@ -218,37 +243,69 @@ def test_a_run_without_events_makes_at_most_two_calls(monkeypatch, compiled, nam
     assert len(calls) == (1 if run.alpha is None else 2)
 
 
+def counted_writes(monkeypatch) -> list:
+    """The w(t) writers simulate binds, wrapped to count their calls: one
+    entry each in the list returned."""
+    writer, writes = simulate_module._disturbance_writer, []
+
+    def counted_writer(*args):
+        write = writer(*args)
+
+        def counted(*args):
+            writes.append(None)
+            return write(*args)
+
+        return counted
+
+    monkeypatch.setattr(simulate_module, "_disturbance_writer", counted_writer)
+    return writes
+
+
 def test_a_chirp_run_calls_once_a_window_and_once_a_solved_cell(monkeypatch, compiled):
     # From alpha0 = 0.5 alpha moves at about every other sample and crosses
     # cells; C gathers every cached cell itself, and returns to Python only
-    # at the end of a w(t) window and for a cell to solve.
-    design = build_design(load_bundled_manifest("col-vicsek-n25"))
-    config = bundled_config("col-vicsek-n25", design, dt=0.01, t_end=6.0, record_stride=2, initial_alpha=0.5)
-    calls, solved = counted_calls(monkeypatch), counted_solves(monkeypatch, design.grid)
-    run = simulate(config)
+    # at the end of a w(t) window and for a cell to solve.  Both paths write
+    # w(t) once a window.
+    calls, writes = counted_calls(monkeypatch), counted_writes(monkeypatch)
+    counts = []
+    for _ in both_paths(monkeypatch):
+        design = build_design(load_bundled_manifest("col-vicsek-n25"))  # its own, empty cache
+        config = bundled_config("col-vicsek-n25", design, dt=0.01, t_end=6.0, record_stride=2, initial_alpha=0.5)
+        solved = counted_solves(monkeypatch, design.grid)
+        run = simulate(config)
+        counts.append((len(calls), len(writes), solved))
+        del calls[:], writes[:]
+    (n_calls, n_writes, solved), (numpy_calls, numpy_writes, _) = counts
     n_steps, rows = 600, run.n_agents
-    ahead = _native._W_AHEAD // (3 * config.model.w * rows)
+    ahead = simulate_module._W_AHEAD // (3 * config.model.w * rows)
     windows = -(-(n_steps + 1) // ahead)
     assert windows > 1 and len(solved) > 1 and all(solved)
-    assert len(calls) == windows + len(solved)
+    assert n_calls == windows + len(solved) and numpy_calls == 0
+    assert n_writes == numpy_writes == windows
     # Each of these samples' steps would have gathered in Python before.
     assert np.count_nonzero((run.alpha[1:] != run.alpha[:-1]).any(axis=1)) > 100
 
 
 def test_alpha_entering_an_uncached_cell_mid_run_gives_the_same_bits_and_cache(monkeypatch, compiled):
-    runs, cached = [], []
-    for path in (True, False):
-        monkeypatch.setattr(_native, "_compiled", path)
-        design = build_design(load_bundled_manifest("col-vicsek-n25"))  # its own, empty cache
-        run = simulate(bundled_config("col-vicsek-n25", design, dt=0.01, t_end=3.0, record_stride=3, initial_alpha=0.5))
-        runs.append(vars(run))
-        cached.append(design.grid.cached_indices())
-    start, end = (set(design.grid.indices_for(run.alpha[i]).tolist()) for i in (0, -1))
-    assert start != end and len(cached[0]) > len(start)
-    assert cached[0] == cached[1]
-    for key, value in runs[0].items():
-        if isinstance(value, np.ndarray):
-            assert value.tobytes() == runs[1][key].tobytes(), key
+    # The compiled run makes a step again from its first stage after a cell
+    # is solved; at stride 1 that step's sample is recorded again.
+    for stride in (3, 1):
+        runs, cached = [], []
+        with monkeypatch.context() as patch:
+            for _ in both_paths(patch):
+                design = build_design(load_bundled_manifest("col-vicsek-n25"))  # its own, empty cache
+                config = bundled_config(
+                    "col-vicsek-n25", design, dt=0.01, t_end=3.0, record_stride=stride, initial_alpha=0.5
+                )
+                run = simulate(config)
+                runs.append(vars(run))
+                cached.append(design.grid.cached_indices())
+        start, end = (set(design.grid.indices_for(run.alpha[i]).tolist()) for i in (0, -1))
+        assert start != end and len(cached[0]) > len(start)
+        assert cached[0] == cached[1]
+        for key, value in runs[0].items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == runs[1][key].tobytes(), (stride, key)
 
 
 def with_alpha_of_agent_0(monkeypatch, value):
@@ -256,9 +313,9 @@ def with_alpha_of_agent_0(monkeypatch, value):
     own checks would refuse."""
     integrate = simulate_module._integrate
 
-    def integrate_from(advance, S, *args):
+    def integrate_from(steps, S, *args):
         S[0, -1] = value
-        return integrate(advance, S, *args)
+        return integrate(steps, S, *args)
 
     monkeypatch.setattr(simulate_module, "_integrate", integrate_from)
 
@@ -271,8 +328,7 @@ def test_nan_and_inf_alpha_gather_as_the_python_gather_does(monkeypatch, compile
     # every grid point: Python's gather refuses it.
     outcomes, calls = [], counted_calls(monkeypatch)
     with_alpha_of_agent_0(monkeypatch, alpha)
-    for path in (True, False):
-        monkeypatch.setattr(_native, "_compiled", path)
+    for _ in both_paths(monkeypatch):
         design = build_design(load_bundled_manifest("col-vicsek-n25"))
         design.grid.cell(0)
         config = bundled_config(
@@ -302,8 +358,7 @@ def test_a_model_without_disturbance_channels_runs_on_both_paths(monkeypatch, co
         t_end=0.2,
     )
     states = []
-    for path in (True, False):
-        monkeypatch.setattr(_native, "_compiled", path)
+    for _ in both_paths(monkeypatch):
         states.append(simulate(config).states.tobytes())
     assert states[0] == states[1]
 
@@ -433,17 +488,16 @@ def test_pruning_keeps_the_files_of_another_user(monkeypatch, tmp_path):
 def first_stops(monkeypatch, config, agent, value):
     """Per path, compiled first: how a run whose agent starts with its last
     state column, a gain, at value ends: ("stop", step, envelope) where
-    advance first stops, or the error the run raises."""
+    the path's steps first stop, or the error the run raises."""
     outcomes = []
 
-    def integrate(advance, S, S_next, dt, n_steps, order, starts):
+    def integrate(steps, S, S_next, dt, n_steps, *rest):
         S[agent, -1] = value
-        outcomes.append(("stop",) + advance(0, n_steps + 1))
+        outcomes.append(("stop",) + steps(None, 0, n_steps + 1))
         return []
 
     monkeypatch.setattr(simulate_module, "_integrate", integrate)
-    for path in (True, False):
-        monkeypatch.setattr(_native, "_compiled", path)
+    for _ in both_paths(monkeypatch):
         try:
             simulate(config)
         except ValueError as error:

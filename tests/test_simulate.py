@@ -52,12 +52,12 @@ import golden
 
 def step_paths(monkeypatch):
     """Sets each step path in turn, yielding its name: the compiled step,
-    where a C compiler builds it, and the numpy path."""
-    for path in ("compiled", "numpy"):
-        monkeypatch.setattr(_native, "_compiled", path == "compiled")
-        if path == "compiled" and _native.library() is None:
-            continue
-        yield path
+    where a C compiler builds it, and the numpy path, taken as on a host
+    without one."""
+    if _native.library() is not None:
+        yield "compiled"
+    monkeypatch.setattr(_native, "library", lambda: None)
+    yield "numpy"
 
 
 def pair_graph():
@@ -133,6 +133,12 @@ def test_disturbance_table_interpolates_and_rejects_out_of_range():
         DisturbanceSpec(kind="table", width=1, times=[0.0], values=[[1.0]])
     with pytest.raises(ValueError):
         DisturbanceSpec(kind="nonsense")
+    with pytest.raises(ValueError, match="width must be nonnegative"):
+        DisturbanceSpec(kind="chirp", width=-1)
+    for missing in ("times", "values"):
+        table = {"times": [0.0, 1.0], "values": [[0.0], [1.0]], missing: None}
+        with pytest.raises(ValueError, match="table disturbance needs times and values"):
+            DisturbanceSpec(kind="table", **table)
 
 
 def test_a_table_covering_the_horizon_runs_to_its_end():
@@ -226,9 +232,13 @@ def test_fused_stage_matches_plant_and_law_oracle(protocol, n_agents, spec):
         S[:, n:-1] = rng.standard_normal((n_agents, S.shape[1] - n - 1))
     X[...] = S
     t = 0.7
+    w = None  # the zero kind's
+    if stage.disturb is not None:  # w(t) as each of a step's three blocks
+        w = np.empty((3, model.w, n_agents))
+        stage.disturb(np.full((3, 1), t), w.transpose(0, 2, 1))
     # Each of the four RK4 stages writes its own derivative.
     for j in range(4):
-        evaluate(t, j)
+        evaluate(w, j)
     assert all(np.array_equal(K[j], K[0]) for j in range(4))
     out = K[0].T
     lx, U, signal, exchange = stage.record()
@@ -379,6 +389,9 @@ def test_pair_settles_and_gains_freeze():
     assert all(T is not None for T in report)
     flat = gain_flatness(run)
     assert np.all(flat["rho"] < 1e-2)
+    for fraction in (0.0, -0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\]"):
+            gain_flatness(run, fraction)
 
 
 def test_determinism_bitwise(monkeypatch):
@@ -819,6 +832,9 @@ def test_detect_settling_cases():
     assert detect_settling(times, step, 0.5, 7.5) is None
     with pytest.raises(ValueError):
         detect_settling(times, zero, 0.5, 11.0)
+    for t, v in ((times, zero[:-1]), ([], [])):
+        with pytest.raises(ValueError, match="times and values must be matching nonempty 1-D arrays"):
+            detect_settling(t, v, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("protocol", ["noncollaborative", "collaborative"])
@@ -1074,10 +1090,9 @@ def test_near_ties_are_left_to_percent_formatting_by_both_writers(monkeypatch, t
     # The numpy writer masks them out ...
     assert not _decimal_digits(np.array(NEAR_TIES))[2].any()
     # ... and the compiled one lists them in slow_at.
-    run, slow, paths = table_run(NEAR_TIES), [], list(step_paths(monkeypatch))
-    monkeypatch.undo()
-    for path in paths:
-        monkeypatch.setattr(_native, "_compiled", path == "compiled")
+    run, slow, paths = table_run(NEAR_TIES), [], []
+    for path in step_paths(monkeypatch):
+        paths.append(path)
         with monkeypatch.context() as patch:
             if path == "compiled":
                 lib = _native.library()
