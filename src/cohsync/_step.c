@@ -11,12 +11,12 @@
  * and the stage product F column by column with leading dimension span
  * (the agents, or 2 for a lone agent), the state rows S column by column
  * with leading dimension rows, and the stage derivatives K[j] as (state,
- * rows) blocks, agents along the fast axis.  One array is
- * the library's own: agent_x, which cohsync._native allocates zeroed and
- * aligned to 64 bytes, holds the first sums columns of the stage's X
- * agent-major, pitch doubles an agent (sums rounded up to LANES), so that
- * the Laplacian loop reads a neighbour's sums from one contiguous run; its
- * pad lanes stay zero.
+ * rows) blocks, agents along the fast axis.  One array is the library's
+ * own: agent_x, which cohsync._native allocates zeroed and aligned to 64
+ * bytes, holds the first sums columns of the stage's X agent-major, pitch
+ * doubles an agent (sums rounded up to LANES), so that the Laplacian loop
+ * reads a neighbour's sums from one contiguous run; its pad lanes stay
+ * zero.
  *
  * Every operation is the one the numpy path makes, in its order: each sum
  * starts from +0 and adds its terms one after another, each term is the
